@@ -94,4 +94,4 @@ from .poincare import (
     verify_dichotomy,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

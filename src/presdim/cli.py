@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,20 @@ def _write_text(out_dir: str, name: str, text: str) -> Path:
     return path
 
 
+def _write_lines(out_dir: str, name: str, lines: Iterable[str]) -> Path:
+    """Write CSV rows one at a time, each ended by a newline.
+
+    Orbit CSVs hold up to a million rows; joining them first would make the
+    joined text and its encoded copy the command's peak memory.
+    """
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    return path
+
+
 def _report_json(command: str, cfg_hash: str, payload: dict) -> str:
     doc = {"command": command, "config_hash": cfg_hash}
     doc.update(payload)
@@ -239,7 +255,7 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
     samples = pressure_over_grid(partition, ts)
     lines = ["t,lower,upper,method,truncation,tail_bound"]
     lines.extend(_sample_row(s) for s in samples)
-    path = _write_text(args.out, "pressure.csv", "\n".join(lines) + "\n")
+    path = _write_lines(args.out, "pressure.csv", lines)
     print(f"wrote {path} ({len(samples)} rows)")
     return EXIT_OK
 
@@ -323,7 +339,7 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
         algorithm = "sorted-sweep"
     elif source == "orbit":
         cloud = _orbit_cloud(cfg)
-        algorithm = "greedy-ball"
+        algorithm = "grid-cells"
     else:
         raise ConfigError(f"config error: [boxdim] source must be endpoints or orbit (got {source!r})")
     deltas = _delta_grid(cfg)
@@ -332,7 +348,7 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
     rows.extend(f"{_fmt(d)},{int(c)},{algorithm}" for d, c in zip(est.deltas, est.counts))
     payload = {"source": source, "cloud_size": cloud.count, "label": cloud.label}
     payload.update(_estimate_payload(est))
-    path_csv = _write_text(args.out, "boxdim_counts.csv", "\n".join(rows) + "\n")
+    path_csv = _write_lines(args.out, "boxdim_counts.csv", rows)
     path_json = _write_text(args.out, "boxdim.json", _report_json("boxdim", cfg_hash, payload))
     print(f"box dimension window [{_fmt(est.lower_dim)}, {_fmt(est.upper_dim)}]")
     print(f"wrote {path_csv}")
@@ -355,9 +371,9 @@ def _cmd_gaps(args, cfg, cfg_hash) -> int:
 def _cmd_orbit(args, cfg, cfg_hash) -> int:
     cloud = _orbit_cloud(cfg)
     dim = cloud.points.shape[1]
-    lines = [",".join(f"x{i+1}" for i in range(dim))]
-    lines.extend(",".join(_fmt(c) for c in row) for row in cloud.points)
-    path = _write_text(args.out, "orbit.csv", "\n".join(lines) + "\n")
+    header = ",".join(f"x{i+1}" for i in range(dim))
+    rows = (",".join(_fmt(c) for c in row) for row in cloud.points)
+    path = _write_lines(args.out, "orbit.csv", itertools.chain([header], rows))
     print(f"wrote {path} ({cloud.count} unit vectors)")
     return EXIT_OK
 
@@ -406,7 +422,7 @@ def _cmd_counting(args, cfg, cfg_hash) -> int:
         "levels": levels,
         "final_slope": fn.final_slope,
     }
-    path_csv = _write_text(args.out, "counting.csv", "\n".join(rows) + "\n")
+    path_csv = _write_lines(args.out, "counting.csv", rows)
     path_json = _write_text(args.out, "counting.json", _report_json("counting", cfg_hash, payload))
     print(f"final slope {_fmt(fn.final_slope)}")
     print(f"wrote {path_csv}")

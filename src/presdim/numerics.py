@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "compensated_sum",
     "acosh1p",
-    "chunk_ranges",
 ]
 
 
@@ -39,11 +38,3 @@ def acosh1p(u: float) -> float:
         raise ValueError(f"acosh1p needs u >= 0, got {u}")
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
-
-def chunk_ranges(n: int, chunks: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most `chunks` contiguous half-open blocks."""
-    chunks = max(1, min(chunks, n)) if n > 0 else 1
-    if n <= 0:
-        return [(0, 0)]
-    step = -(-n // chunks)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]

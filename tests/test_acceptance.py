@@ -310,6 +310,13 @@ def test_criterion_10_thread_determinism(tmp_path, capsys):
         "[orbit]\nxi = 0.0 0.0\nradius = 100\n\n"
         "[counting]\nt_max = 25.0\nlevels = 50\n"
     )
+    # the cylinder Bowen root is the one command here whose work is split
+    # across --threads workers
+    e2_cfg = tmp_path / "e2.ini"
+    e2_cfg.write_text(
+        "[partition]\ngenerator = gauss-restricted\ndigits = 1 2\n\n"
+        "[bowen]\nmethod = cylinder\norder = 16\ntol = 1e-6\n"
+    )
     runs = [
         ("s-infinity", gauss_cfg, ["s_infinity.json"]),
         ("gaps", gauss_cfg, ["gaps.json"]),
@@ -317,12 +324,13 @@ def test_criterion_10_thread_determinism(tmp_path, capsys):
         ("verify-hdim", g21_cfg, ["verify_hdim.json"]),
         ("counting", g32_cfg, ["counting.csv", "counting.json"]),
         ("orbit", g32_cfg, ["orbit.csv"]),
+        ("bowen", e2_cfg, ["bowen.json"]),
     ]
     ok = True
     checked = 0
     for idx, (command, cfg, artifacts) in enumerate(runs):
         digests = []
-        for threads in (1, 4, 8):
+        for threads in (1, 2, 4, 8):
             out = tmp_path / f"run{idx}_t{threads}"
             code = cli.main(
                 [command, "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
@@ -331,8 +339,8 @@ def test_criterion_10_thread_determinism(tmp_path, capsys):
             digests.append(
                 tuple(hashlib.sha256((out / a).read_bytes()).hexdigest() for a in artifacts)
             )
-        ok = ok and digests[0] == digests[1] == digests[2]
+        ok = ok and len(set(digests)) == 1
         checked += len(artifacts)
     capsys.readouterr()
-    detail = f"{checked} artifacts byte-identical across threads 1/4/8 over {len(runs)} commands"
+    detail = f"{checked} artifacts byte-identical across threads 1/2/4/8 over {len(runs)} commands"
     _verdict(10, ok, detail, time.perf_counter() - t0, 120.0)

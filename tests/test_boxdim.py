@@ -71,11 +71,12 @@ def test_line_covering_known_values():
 
 
 # ---------------------------------------------------------------------------
-# sphere covering: grid-bucketed greedy vs a direct quadratic reference
+# sphere covering: occupied delta-mesh cells, checked by brute force and
+# sandwiched against a greedy delta-separated packing
 
 
 def _greedy_reference(pts: np.ndarray, delta: float) -> int:
-    """Same maximal delta-separated subset, found by brute-force scan."""
+    """Size M_delta of a maximal delta-separated subset, by brute-force scan."""
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     kept: list[np.ndarray] = []
@@ -92,13 +93,28 @@ def _random_sphere_cloud(rng, n: int, dim: int) -> PointCloud:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_sphere_covering_matches_reference(dim):
+def test_sphere_covering_counts_occupied_cells(dim):
     rng = np.random.default_rng(101 + dim)
-    cloud = _random_sphere_cloud(rng, 400, dim)
-    for delta in (0.05, 0.2, 0.7):
+    cloud = _random_sphere_cloud(rng, 2000, dim)
+    for delta in (2.0 ** -19, 0.003, 0.05, 0.2, 0.7, 3.0):
         got = covering_count_sphere(cloud, delta)
-        assert got.algorithm == "greedy-ball"
-        assert got.count == _greedy_reference(cloud.points, delta)
+        assert got.algorithm == "grid-cells"
+        assert got.count == len({tuple(np.floor(p / delta)) for p in cloud.points})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_covering_sandwiches_greedy_packing(dim):
+    # M <= 2^d N: half-side subcubes have diameter < delta for d <= 3, so each
+    # holds at most one separated point.  N <= 3^d M: every point lies within
+    # delta of a kept point, so in one of the 3^d cells around it.
+    rng = np.random.default_rng(211 + dim)
+    cloud = _random_sphere_cloud(rng, 400, dim)
+    for j in range(2, 7):
+        delta = 2.0 ** -j
+        n_cells = covering_count_sphere(cloud, delta).count
+        m_packing = _greedy_reference(cloud.points, delta)
+        assert m_packing <= 2**dim * n_cells
+        assert n_cells <= 3**dim * m_packing
 
 
 def test_sphere_covering_row_order_invariant():

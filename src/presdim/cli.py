@@ -47,7 +47,7 @@ from .hyperbolic import (
     to_ball,
     translate,
 )
-from .interval_partition import PartitionError, build_partition, make_branch_map
+from .interval_partition import PartitionError, build_partition, make_branch_map, max_cylinder_order
 from .poincare import counting_exponent, critical_exponent, poincare_partial
 from .pressure import (
     bowen_root_cylinder,
@@ -290,8 +290,10 @@ def _cmd_bowen(args, cfg, cfg_hash) -> int:
         bracket = bowen_root_linear(partition, t_range=(t_low, t_high), tol=tol)
         extras = {}
     elif method == "cylinder":
-        order = _get_int(cfg, "bowen", "order", 12)
         cap = _get_int(cfg, "bowen", "alphabet_cap", 64)
+        order = _get_int(cfg, "bowen", "order")
+        if order is None:
+            order = max_cylinder_order(cap)
         bmap = make_branch_map(partition)
         bracket = bowen_root_cylinder(
             bmap, order=order, alphabet_cap=cap,

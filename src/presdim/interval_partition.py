@@ -30,6 +30,8 @@ __all__ = [
     "CylinderWord",
     "cylinder_words",
     "cylinder_derivative_sums",
+    "max_cylinder_order",
+    "WORD_CAP",
     "refine_partition",
     "perturb_compactly",
     "write_intervals_csv",
@@ -37,6 +39,8 @@ __all__ = [
 
 _ENDPOINT_DEDUP_TOL = 1e-15
 _TILING_TOL = 1e-12
+# default limit on the number of cylinder words one enumeration may build
+WORD_CAP = 1 << 21
 
 
 class PartitionError(ValueError):
@@ -648,6 +652,16 @@ def _check_enumeration_cap(branches: int, order: int, word_cap: int) -> int:
     return count
 
 
+def max_cylinder_order(branches: int, word_cap: int = WORD_CAP) -> int:
+    """Largest depth n >= 1 with branches^n <= word_cap, in exact integers."""
+    if branches < 2:
+        raise PartitionError("a single-branch alphabet has no largest cylinder order; set the order")
+    n = 1
+    while branches ** (n + 1) <= word_cap:
+        n += 1
+    return n
+
+
 def _effective_alphabet(bmap: BranchMap, alphabet_cap: int | None) -> int:
     m = bmap.branch_count
     if alphabet_cap is not None:
@@ -700,7 +714,7 @@ def cylinder_words(
     bmap: BranchMap,
     order: int,
     alphabet_cap: int | None = None,
-    word_cap: int = 1 << 21,
+    word_cap: int = WORD_CAP,
 ) -> list[CylinderWord]:
     """Enumerate all depth-`order` cylinders (lexicographic symbol order)."""
     if order < 1:
@@ -736,7 +750,7 @@ def cylinder_derivative_sums(
     order: int,
     exponents: Sequence[float],
     alphabet_cap: int | None = None,
-    word_cap: int = 1 << 21,
+    word_cap: int = WORD_CAP,
     threads: int = 1,
 ) -> list[tuple[float, float]]:
     """For each t, return (sum_w sup_w^-t, sum_w inf_w^-t) over depth-n cylinders.
@@ -751,23 +765,23 @@ def cylinder_derivative_sums(
     _check_enumeration_cap(m, order, word_cap)
     hull_lo, hull_hi = bmap.invariant_hull()
     ts = [float(t) for t in exponents]
+    # words with a fixed leading symbol share the depth order-1 tables of
+    # their suffixes; each chunk prepends its lead symbol to them
+    if bmap.kind == "gauss-analytic":
+        digs = bmap.digits[:m]
+        pp, p, qp, q = _gauss_tables(digs, order - 1)
+    else:
+        part = bmap.partition
+        _, sc = _linear_tables(part, m, order - 1)
 
     def chunk_sums(lead: int) -> list[tuple[float, float]]:
-        # words with fixed leading symbol index `lead`: build depth order-1
-        # tables, then prepend the lead symbol
         if bmap.kind == "gauss-analytic":
-            digs = bmap.digits[:m]
-            pp, p, qp, q = _gauss_tables(digs, order - 1) if order > 1 else (
-                np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([1.0]))
             d = float(digs[lead])
             qp_full = pp + d * qp
             q_full = p + d * q
             inf_d = (qp_full * hull_lo + q_full) ** 2
             sup_d = (qp_full * hull_hi + q_full) ** 2
         else:
-            part = bmap.partition
-            off, sc = _linear_tables(part, m, order - 1) if order > 1 else (
-                np.array([0.0]), np.array([1.0]))
             sc_full = part.lengths[lead] * sc
             inf_d = sup_d = 1.0 / sc_full
         out = []
@@ -795,7 +809,7 @@ def refine_partition(
     bmap: BranchMap,
     order: int,
     alphabet_cap: int | None = None,
-    word_cap: int = 1 << 21,
+    word_cap: int = WORD_CAP,
 ) -> IntervalPartition:
     """The partition into depth-`order` cylinders of the (possibly capped) map.
 

@@ -21,6 +21,7 @@ from .interval_partition import (
     BranchMap,
     IntervalPartition,
     PartitionError,
+    WORD_CAP,
     cylinder_derivative_sums,
 )
 
@@ -211,7 +212,7 @@ def pressure_cylinder_bracket(
     t: float,
     order: int,
     alphabet_cap: int | None = None,
-    word_cap: int = 1 << 21,
+    word_cap: int = WORD_CAP,
     threads: int = 1,
 ) -> PressureSample:
     """Bracket the pressure of the (capped) iterated system at depth `order`.
@@ -429,9 +430,13 @@ def bowen_root_linear(
     region from the right.
     """
     loglen = np.log(partition.lengths)
+    # the two bisections share most midpoints: reduce each exponent once
+    partials: dict[float, float] = {}
 
     def partial(t: float) -> float:
-        return compensated_sum(np.exp(t * loglen))
+        if t not in partials:
+            partials[t] = compensated_sum(np.exp(t * loglen))
+        return partials[t]
 
     def lower_curve(t: float) -> float:
         v = partition.series_verdict(t)
@@ -453,7 +458,7 @@ def bowen_root_cylinder(
     order: int,
     tol: float = 1e-6,
     alphabet_cap: int | None = None,
-    word_cap: int = 1 << 21,
+    word_cap: int = WORD_CAP,
     threads: int = 1,
     t_range: tuple[float, float] = (1e-6, 8.0),
 ) -> RootBracket:
@@ -464,8 +469,12 @@ def bowen_root_cylinder(
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
     """
 
+    samples: dict[float, PressureSample] = {}
+
     def sample(t: float) -> PressureSample:
-        return pressure_cylinder_bracket(bmap, t, order, alphabet_cap, word_cap, threads)
+        if t not in samples:
+            samples[t] = pressure_cylinder_bracket(bmap, t, order, alphabet_cap, word_cap, threads)
+        return samples[t]
 
     bracket = bowen_root(lambda t: sample(t).lower, lambda t: sample(t).upper, t_range, tol)
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"

@@ -102,6 +102,18 @@ def test_bowen_cylinder_restricted(tmp_path, capsys):
     assert doc["root_high"] - doc["root_low"] <= 2.0 * 0.54 * math.log(4.0) / 8 + 2e-6
 
 
+def test_bowen_cylinder_documented_defaults(tmp_path, capsys):
+    # no order given: the deepest order whose 64^order words fit the cap
+    cfg = _write_config(tmp_path, "c.ini", "[partition]\ngenerator = gauss\n\n[bowen]\nmethod = cylinder\n")
+    code, _ = _run(["bowen", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "bowen.json").read_text())
+    assert doc["status"] == "bracketed"
+    assert (doc["order"], doc["alphabet_cap"]) == (3, 64)
+    # Hensley: the digits 1..64 give a dimension of about 0.990
+    assert doc["root_low"] <= 0.99 <= doc["root_high"]
+
+
 def test_gaps_json(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 100000\n")
     code, _ = _run(["gaps", "--config", str(cfg), "--out", str(tmp_path)], capsys)

@@ -13,6 +13,7 @@ from presdim.interval_partition import (
     cylinder_derivative_sums,
     cylinder_words,
     make_branch_map,
+    max_cylinder_order,
     perturb_compactly,
     refine_partition,
     write_intervals_csv,
@@ -274,6 +275,16 @@ def test_cylinder_words_need_cap_for_unbounded_alphabet():
         cylinder_words(bmap, 2)
     words = cylinder_words(bmap, 2, alphabet_cap=10)
     assert len(words) == 100
+
+
+def test_max_cylinder_order_is_exact_at_the_cap():
+    assert max_cylinder_order(2) == 21
+    assert max_cylinder_order(64) == 3
+    assert max_cylinder_order(128) == 3  # 128^3 == 2^21 is allowed
+    assert max_cylinder_order(129) == 2
+    assert max_cylinder_order(10, word_cap=999) == 2
+    with pytest.raises(PartitionError, match="single-branch"):
+        max_cylinder_order(1)
 
 
 def test_cylinder_derivative_sums_threads_identical():

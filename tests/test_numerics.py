@@ -1,0 +1,129 @@
+"""Exact summation: compensated_sum returns math.fsum's bits on every input."""
+
+import math
+import struct
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from presdim import numerics
+from presdim.numerics import compensated_sum
+
+CUTOFF = numerics._KERNEL_MIN_TERMS
+BLOCK = numerics._BLOCK
+# both sides of the small-array cutoff and of block boundaries
+SIZES = [0, 1, 7, CUTOFF - 1, CUTOFF, CUTOFF + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_matches_fsum(values) -> None:
+    arr = np.asarray(values, dtype=float)
+    try:
+        expected = math.fsum(arr.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            compensated_sum(arr)
+        return
+    assert _bits(compensated_sum(arr)) == _bits(expected)
+
+
+def _random_terms(seed, size, e_low, e_span, negative_share, cancel):
+    rng = np.random.default_rng(seed)
+    mantissas = rng.integers(1 << 52, 1 << 53, size).astype(float)
+    exponents = rng.integers(e_low, e_low + e_span + 1, size)
+    # exponents below -1022 give subnormal (rounded) terms
+    terms = np.ldexp(mantissas, exponents - 53)
+    terms[rng.random(size) < negative_share] *= -1.0
+    if cancel and size:
+        # exact cancellation of a random half, leaving the rest and the low bits
+        half = rng.permutation(size)[: size // 2]
+        terms = np.concatenate([terms, -terms[half]])
+        rng.shuffle(terms)
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from(SIZES),
+    e_low=st.integers(-1080, 1000),
+    e_span=st.integers(0, 2000),
+    negative_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    cancel=st.booleans(),
+)
+def test_random_arrays_match_fsum(seed, size, e_low, e_span, negative_share, cancel):
+    assert_matches_fsum(_random_terms(seed, size, e_low, min(e_span, 1023 - e_low), negative_share, cancel))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pattern=st.lists(st.floats(width=64), min_size=1, max_size=12),
+    size=st.sampled_from(SIZES[1:]),
+)
+def test_tiled_edge_floats_match_fsum(pattern, size):
+    # hypothesis' float edge cases (-0.0, subnormals, huge, inf, nan) repeated
+    # up to kernel sizes
+    assert_matches_fsum(np.resize(np.array(pattern), size))
+
+
+@pytest.mark.parametrize("size", [3, 3 * CUTOFF])
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        [1e16, 1.0, -1e16],  # heavy cancellation
+        [-0.0],
+        [0.0, -0.0],
+        [1.0, 2.0**-53],  # ties round to even
+        [1.0, 2.0**-53, 2.0**-110],
+        [5e-324, -1e-310, 2.2250738585072014e-308],  # subnormals
+        [1e-300, -1e-300, 5e-324],
+        [1e300, 1.0, -1e300, 1e-300],
+        [np.inf, 1.0],
+        [np.inf, -np.inf],
+        [np.nan, 1.0],
+        [1e308, 1e308],  # overflow raises, as in fsum
+        [1e308, -1e308],
+    ],
+)
+def test_edge_patterns_match_fsum(pattern, size):
+    assert_matches_fsum(np.resize(np.array(pattern), size))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matches_mpmath_exact_sum(seed):
+    # an oracle independent of fsum: mpmath adds the terms exactly at 2,300
+    # bits and rounds once to the nearest double
+    terms = _random_terms(seed, 2 * BLOCK + 17, -400, 800, 0.5, True)
+    with mpmath.workprec(2300):
+        exact = mpmath.fsum(mpmath.mpf(float(x)) for x in terms)
+        expected = float(exact)
+    assert _bits(compensated_sum(terms)) == _bits(expected)
+
+
+def test_results_at_known_values():
+    assert compensated_sum(np.tile([1e16, 1.0, -1e16], CUTOFF)) == float(CUTOFF)
+    assert _bits(compensated_sum(np.full(2 * CUTOFF, -0.0))) == _bits(0.0)
+
+
+def test_span_split_keeps_exact_total(monkeypatch):
+    # the float bins are flushed to integers every _SPAN terms; a small span
+    # exercises the split without a 2^26-term array
+    terms = _random_terms(7, 5 * BLOCK + 3, -60, 120, 0.5, True)
+    expected = math.fsum(terms.tolist())
+    monkeypatch.setattr(numerics, "_SPAN", BLOCK + 1)
+    assert _bits(compensated_sum(terms)) == _bits(expected)
+
+
+def test_order_and_chunking_do_not_matter():
+    terms = _random_terms(11, 4 * BLOCK, -200, 400, 0.5, True)
+    total = compensated_sum(terms)
+    assert _bits(compensated_sum(terms[::-1])) == _bits(total)
+    assert _bits(compensated_sum(np.random.default_rng(3).permutation(terms))) == _bits(total)
+    # a 2-D input is summed over all its entries
+    assert _bits(compensated_sum(terms.reshape(2, -1))) == _bits(total)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from presdim import pressure
 from presdim.interval_partition import PartitionError, build_partition, make_branch_map, refine_partition
 from presdim.pressure import (
     CONVERGES_AT_CRITICAL,
@@ -210,3 +211,34 @@ def test_bowen_root_cylinder_threads_identical():
     one = bowen_root_cylinder(bmap, 8, tol=1e-6, threads=1)
     four = bowen_root_cylinder(bmap, 8, tol=1e-6, threads=4)
     assert (one.lower, one.upper) == (four.lower, four.upper)
+
+
+def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
+    reduced = []
+    real_sum = pressure.compensated_sum
+
+    def counting_sum(values):
+        reduced.append(values.tobytes())
+        return real_sum(values)
+
+    monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
+    br = bowen_root_linear(build_partition("gauss", 20_000), tol=1e-9)
+    # the lower and upper bisections share their midpoints
+    assert len(reduced) == len(set(reduced)) > 30
+    # same bracket as when every curve evaluation ran its own reduction
+    assert (br.lower, br.upper) == (0.9999999980912281, 1.000000001953873)
+
+
+def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
+    sampled = []
+    real_bracket = pressure.pressure_cylinder_bracket
+
+    def counting_bracket(bmap, t, *args):
+        sampled.append(t)
+        return real_bracket(bmap, t, *args)
+
+    monkeypatch.setattr(pressure, "pressure_cylinder_bracket", counting_bracket)
+    bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
+    br = bowen_root_cylinder(bmap, 13, tol=1e-6)
+    assert len(sampled) == len(set(sampled)) > 20
+    assert (br.lower, br.upper) == (0.526565962774217, 0.5364785450314877)

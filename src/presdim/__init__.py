@@ -19,7 +19,6 @@ configs and emits deterministic CSV/JSON artifacts.
 
 from .interval_partition import (
     BranchMap,
-    CylinderWord,
     IntervalPartition,
     PartitionError,
     SeriesVerdict,

@@ -247,6 +247,8 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
             start, stop, step = (float(tok) for tok in grid_raw.split(":"))
         except ValueError as exc:
             raise ConfigError("config error: [pressure] t_grid must be start:stop:step") from exc
+        if not (step > 0 and stop >= start and math.isfinite(stop - start)):
+            raise ConfigError("config error: [pressure] t_grid needs step > 0 and finite start <= stop")
         count = int(round((stop - start) / step)) + 1
         ts = [start + i * step for i in range(count)]
     else:
@@ -374,7 +376,7 @@ def _cmd_orbit(args, cfg, cfg_hash) -> int:
     cloud = _orbit_cloud(cfg)
     dim = cloud.points.shape[1]
     header = ",".join(f"x{i+1}" for i in range(dim))
-    rows = (",".join(_fmt(c) for c in row) for row in cloud.points)
+    rows = (",".join(map(repr, row.tolist())) for row in cloud.points)
     path = _write_lines(args.out, "orbit.csv", itertools.chain([header], rows))
     print(f"wrote {path} ({cloud.count} unit vectors)")
     return EXIT_OK
@@ -729,7 +731,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None if name == "selftest" else ".",
                        help="output directory for CSV/JSON artifacts")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (outputs do not depend on this)")
+                       help="threads for `bowen method=cylinder` sums, split by leading "
+                            "symbol; the speedup depends on the alphabet, and outputs "
+                            "do not depend on this")
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for the relevant computation")
         p.add_argument("--truncation", type=int, default=None,

@@ -27,7 +27,6 @@ __all__ = [
     "build_partition",
     "BranchMap",
     "make_branch_map",
-    "CylinderWord",
     "cylinder_words",
     "cylinder_derivative_sums",
     "max_cylinder_order",
@@ -631,18 +630,9 @@ def make_branch_map(partition: IntervalPartition, kind: str = "auto") -> BranchM
     raise PartitionError(f"unknown branch map kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CylinderWord:
-    """A depth-n cylinder: its symbol word, interval, and derivative range."""
-
-    symbols: tuple[int, ...]
-    left: float
-    right: float
-    deriv_inf: float
-    deriv_sup: float
-
-
 def _check_enumeration_cap(branches: int, order: int, word_cap: int) -> int:
+    if order < 1:
+        raise PartitionError("cylinder order must be >= 1")
     count = branches**order
     if count > word_cap:
         raise PartitionError(
@@ -673,41 +663,47 @@ def _effective_alphabet(bmap: BranchMap, alphabet_cap: int | None) -> int:
     return m
 
 
-def _gauss_tables(digits: Sequence[int], order: int):
-    """Continuant coefficient arrays (p', p, q', q) for all words, lex order.
+def _prepend(bmap: BranchMap, tables: tuple, lead: int) -> tuple:
+    """Composition tables of the words (lead, w) for every tabulated word w.
 
-    Inverse branches are Moebius maps y -> 1/(d + y); a composed word w gives
-    F_w(y) = (p' y + p)/(q' y + q) with |det| = 1, so
-    |F_w'(y)| = (q' y + q)^(-2) and the cylinder is [F_w(0), F_w(1)] sorted.
+    Gauss words carry (p', p, q', q): inverse branches are Moebius maps
+    y -> 1/(d + y), a word w composes to F_w(y) = (p' y + p)/(q' y + q) with
+    |det| = 1, and prepending digit d maps (p', p, q', q) to
+    (q', q, p' + d q', p + d q).  Affine words carry (offset, scale) with
+    F_w(y) = offset + scale y.
     """
-    pp = np.array([1.0])
-    p = np.array([0.0])
-    qp = np.array([0.0])
-    q = np.array([1.0])
-    ds = np.asarray(digits, dtype=float)
-    for _ in range(order):
-        # prepend digit d: (p', p, q', q) <- (q', q, p' + d q', p + d q)
-        pp, p, qp, q = (
-            np.repeat(qp[None, :], len(ds), axis=0).ravel(),
-            np.repeat(q[None, :], len(ds), axis=0).ravel(),
-            (pp[None, :] + ds[:, None] * qp[None, :]).ravel(),
-            (p[None, :] + ds[:, None] * q[None, :]).ravel(),
-        )
-    return pp, p, qp, q
+    if bmap.kind == "gauss-analytic":
+        pp, p, qp, q = tables
+        d = float(bmap.digits[lead])
+        return qp, q, pp + d * qp, p + d * q
+    off, sc = tables
+    ln = bmap.partition.lengths[lead]
+    return bmap.partition.left[lead] + ln * off, ln * sc
 
 
-def _linear_tables(partition: IntervalPartition, branches: int, order: int):
-    """Affine composition tables (offset, scale) for all words, lex order."""
-    a = partition.left[:branches]
-    ln = partition.lengths[:branches]
-    off = np.array([0.0])
-    sc = np.array([1.0])
-    for _ in range(order):
-        off, sc = (
-            (a[:, None] + ln[:, None] * off[None, :]).ravel(),
-            (ln[:, None] * sc[None, :]).ravel(),
-        )
-    return off, sc
+def _word_tables(bmap: BranchMap, m: int, depth: int) -> tuple:
+    """Composition tables of all depth-`depth` words over the first m branches, lex order."""
+    if bmap.kind == "gauss-analytic":
+        tables = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
+    else:
+        tables = (np.zeros(1), np.ones(1))
+    for _ in range(depth):
+        chunks = [_prepend(bmap, tables, lead) for lead in range(m)]
+        tables = tuple(np.concatenate(col) for col in zip(*chunks))
+    return tables
+
+
+def _derivative_range(bmap: BranchMap, tables: tuple, hull: tuple[float, float]):
+    """(inf, sup) of |(T^n)'| over each tabulated cylinder ∩ invariant hull.
+
+    |F_w'(y)| = (q' y + q)^-2 is monotone in y, so the ends of the hull give
+    the range of |(T^n)'| = 1/|F_w'|; affine words have |(T^n)'| = 1/scale.
+    """
+    if bmap.kind == "gauss-analytic":
+        _, _, qp, q = tables
+        return (qp * hull[0] + q) ** 2, (qp * hull[1] + q) ** 2
+    inv = 1.0 / tables[1]
+    return inv, inv
 
 
 def cylinder_words(
@@ -715,34 +711,36 @@ def cylinder_words(
     order: int,
     alphabet_cap: int | None = None,
     word_cap: int = WORD_CAP,
-) -> list[CylinderWord]:
-    """Enumerate all depth-`order` cylinders (lexicographic symbol order)."""
-    if order < 1:
-        raise PartitionError("cylinder order must be >= 1")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All depth-`order` cylinders as read-only arrays in lexicographic order.
+
+    Returns (symbols, left, right, deriv_inf, deriv_sup): symbols has shape
+    (count, order) and holds each word's branch labels (gauss digits, or
+    1-based branch indices for affine maps); row i of every array is word i,
+    whose cylinder is [left, right] and whose iterate has derivative range
+    [deriv_inf, deriv_sup] over cylinder ∩ invariant hull.
+    """
     m = _effective_alphabet(bmap, alphabet_cap)
     count = _check_enumeration_cap(m, order, word_cap)
-    hull_lo, hull_hi = bmap.invariant_hull()
-
-    symbols = np.indices((m,) * order).reshape(order, count).T + 1
+    tables = _word_tables(bmap, m, order)
     if bmap.kind == "gauss-analytic":
-        digs = bmap.digits[:m]
-        pp, p, qp, q = _gauss_tables(digs, order)
-        f0 = p / q
-        f1 = (pp + p) / (qp + q)
+        labels = np.asarray(bmap.digits[:m])
+        pp, p, qp, q = tables
+        f0, f1 = p / q, (pp + p) / (qp + q)
         left, right = np.minimum(f0, f1), np.maximum(f0, f1)
-        deriv_inf = (qp * hull_lo + q) ** 2
-        deriv_sup = (qp * hull_hi + q) ** 2
-        sym_lookup = np.asarray(digs, dtype=int)
-        symbols = sym_lookup[symbols - 1]
     else:
-        off, sc = _linear_tables(bmap.partition, m, order)
-        left, right = off, off + sc
-        deriv_inf = deriv_sup = 1.0 / sc
-    return [
-        CylinderWord(tuple(int(s) for s in symbols[i]), float(left[i]), float(right[i]),
-                     float(deriv_inf[i]), float(deriv_sup[i]))
-        for i in range(count)
-    ]
+        labels = np.arange(1, m + 1)
+        left, right = tables[0], tables[0] + tables[1]
+    deriv_inf, deriv_sup = _derivative_range(bmap, tables, bmap.invariant_hull())
+    symbols = np.empty((count, order), dtype=labels.dtype)
+    grid = symbols.reshape((m,) * order + (order,))
+    for k in range(order):
+        # symbol k varies along axis k of the lexicographic grid
+        grid[..., k] = labels.reshape((m,) + (1,) * (order - 1 - k))
+    out = (symbols, left, right, deriv_inf, deriv_sup)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def cylinder_derivative_sums(
@@ -759,35 +757,20 @@ def cylinder_derivative_sums(
     invariant hull.  Work is chunked by leading symbol; chunk partial sums are
     combined in fixed symbol order, so results do not depend on `threads`.
     """
-    if order < 1:
-        raise PartitionError("cylinder order must be >= 1")
     m = _effective_alphabet(bmap, alphabet_cap)
     _check_enumeration_cap(m, order, word_cap)
-    hull_lo, hull_hi = bmap.invariant_hull()
+    hull = bmap.invariant_hull()
     ts = [float(t) for t in exponents]
     # words with a fixed leading symbol share the depth order-1 tables of
     # their suffixes; each chunk prepends its lead symbol to them
-    if bmap.kind == "gauss-analytic":
-        digs = bmap.digits[:m]
-        pp, p, qp, q = _gauss_tables(digs, order - 1)
-    else:
-        part = bmap.partition
-        _, sc = _linear_tables(part, m, order - 1)
+    suffixes = _word_tables(bmap, m, order - 1)
 
     def chunk_sums(lead: int) -> list[tuple[float, float]]:
-        if bmap.kind == "gauss-analytic":
-            d = float(digs[lead])
-            qp_full = pp + d * qp
-            q_full = p + d * q
-            inf_d = (qp_full * hull_lo + q_full) ** 2
-            sup_d = (qp_full * hull_hi + q_full) ** 2
-        else:
-            sc_full = part.lengths[lead] * sc
-            inf_d = sup_d = 1.0 / sc_full
-        out = []
-        for t in ts:
-            out.append((compensated_sum(sup_d ** (-t)), compensated_sum(inf_d ** (-t))))
-        return out
+        # keep the chunk's word tables bound until its sums are done: freeing
+        # them first made 2-thread roots about 15% slower (2-vCPU VM)
+        words = _prepend(bmap, suffixes, lead)
+        inf_d, sup_d = _derivative_range(bmap, words, hull)
+        return [(compensated_sum(sup_d ** (-t)), compensated_sum(inf_d ** (-t))) for t in ts]
 
     if threads > 1 and m > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -797,12 +780,8 @@ def cylinder_derivative_sums(
     else:
         per_lead = [chunk_sums(lead) for lead in range(m)]
 
-    results = []
-    for j in range(len(ts)):
-        sup_parts = np.array([per_lead[lead][j][0] for lead in range(m)])
-        inf_parts = np.array([per_lead[lead][j][1] for lead in range(m)])
-        results.append((compensated_sum(sup_parts), compensated_sum(inf_parts)))
-    return results
+    parts = np.array(per_lead).reshape(m, len(ts), 2)
+    return [(compensated_sum(parts[:, j, 0]), compensated_sum(parts[:, j, 1])) for j in range(len(ts))]
 
 
 def refine_partition(
@@ -816,9 +795,7 @@ def refine_partition(
     The result is an explicit finite partition (no tail model): with an
     alphabet cap it describes the capped subsystem, not the full map.
     """
-    words = cylinder_words(bmap, order, alphabet_cap, word_cap)
-    left = np.array([w.left for w in words])
-    right = np.array([w.right for w in words])
+    _, left, right, _, _ = cylinder_words(bmap, order, alphabet_cap, word_cap)
     order_ix = np.argsort(-right, kind="stable")
     return IntervalPartition(
         left[order_ix],

@@ -98,10 +98,6 @@ class DichotomyReport:
     note: str
 
 
-def _shell_constants(group: ParabolicGroupSpec) -> tuple[float, float, int]:
-    return group.sigma_min, group.sigma_max, group.rank
-
-
 def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str, float | None, str]:
     """Certified convergence class of the tail beyond |N|_inf = radius.
 
@@ -112,7 +108,7 @@ def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    smin, smax, k = _shell_constants(group)
+    smin, smax, k = group.sigma_min, group.sigma_max, group.rank
     if 2.0 * s > k:
         bound = (2.0 * k * 3.0 ** (k - 1)
                  * smin ** (-2.0 * s)

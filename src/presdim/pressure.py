@@ -22,6 +22,7 @@ from .interval_partition import (
     IntervalPartition,
     PartitionError,
     WORD_CAP,
+    _effective_alphabet,
     cylinder_derivative_sums,
 )
 
@@ -227,7 +228,6 @@ def pressure_cylinder_bracket(
     with C the distortion constant of the map.
     """
     (s_sup, s_inf), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap, word_cap, threads)
-    m = bmap.branch_count if alphabet_cap is None else min(bmap.branch_count, alphabet_cap)
     lower = math.log(s_sup) / order
     upper = math.log(s_inf) / order
     return PressureSample(
@@ -237,7 +237,7 @@ def pressure_cylinder_bracket(
         upper=upper,
         status="certified",
         evidence="per-cylinder derivative ranges over the invariant hull",
-        truncation=m**order,
+        truncation=_effective_alphabet(bmap, alphabet_cap) ** order,
         tail_bound=0.0,
         method=f"cylinder-bracket(order={order})",
     )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from presdim import cli
@@ -228,12 +229,16 @@ def test_bad_generator_exits_2(tmp_path, capsys):
 
 
 def test_malformed_grid_exits_2(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path, "g.ini",
-        "[partition]\ngenerator = gauss\ntruncation = 1000\n\n[pressure]\nt_grid = 0.4:1.2\n",
-    )
-    code, out = _run(["pressure", "--config", str(cfg), "--out", str(tmp_path)], capsys)
-    assert code == 2
+    # a missing field, a zero step, and a stop below the start
+    for grid in ("0.4:1.2", "1:2:0", "2:1:0.5"):
+        cfg = _write_config(
+            tmp_path, "g.ini",
+            f"[partition]\ngenerator = gauss\ntruncation = 1000\n\n[pressure]\nt_grid = {grid}\n",
+        )
+        code, out = _run(["pressure", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 2, grid
+        assert "t_grid" in out.err
+    assert not (tmp_path / "pressure.csv").exists()
 
 
 def test_invalid_flag_values_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Construction, certified series verdicts, and cylinder machinery."""
 
 import csv
+import itertools
 import math
 from fractions import Fraction
 
@@ -237,44 +238,70 @@ def test_linear_branch_map_for_dyadic():
 # cylinders: the dynamic programming is checked against direct composition
 
 
-def _compose_gauss(symbols):
-    """Endpoints of the cylinder C(d1..dk) by exact continued fractions."""
-    lo, hi = Fraction(0), Fraction(1)
-    for d in reversed(symbols):
-        lo, hi = 1 / (d + hi), 1 / (d + lo)
-    return lo, hi
+def _compose_exact(bmap, symbols, y):
+    """F_w(y) and |(T^n)'(F_w(y))| for the word w by exact rational composition."""
+    x, deriv = Fraction(y), Fraction(1)
+    for s in reversed(symbols):
+        if bmap.kind == "gauss-analytic":
+            x = 1 / (s + x)
+            deriv /= x * x  # |T'(x)| = x^-2 on every reciprocal branch
+        else:
+            ln = Fraction(float(bmap.partition.lengths[s - 1]))
+            x = Fraction(float(bmap.partition.left[s - 1])) + ln * x
+            deriv /= ln
+    return x, deriv
+
+
+_CYLINDER_CASES = [  # (generator, build kwargs, largest order, alphabet cap)
+    ("gauss-restricted", {"digits": (1, 2)}, 4, None),
+    ("dyadic", {"truncation": 5}, 3, None),  # every endpoint is exact in binary
+    ("gauss", {"truncation": 100}, 2, 7),
+]
 
 
 def test_cylinder_words_match_exact_composition():
-    part = build_partition("gauss-restricted", digits=(1, 2))
-    bmap = make_branch_map(part)
-    for order in (1, 2, 3, 4):
-        words = cylinder_words(bmap, order)
-        assert len(words) == 2 ** order
-        by_sym = {w.symbols: w for w in words}
-        for sym in by_sym:
-            lo, hi = _compose_gauss(sym)
-            w = by_sym[sym]
-            assert w.left == pytest.approx(float(lo), abs=1e-15)
-            assert w.right == pytest.approx(float(hi), abs=1e-15)
-            # |(T^k)'| at the endpoints must lie inside the certified range
-            deriv = 1.0 / (hi - lo)  # mean value: some point attains this
-            assert w.deriv_inf <= float(deriv) <= w.deriv_sup
+    for generator, kwargs, max_order, cap in _CYLINDER_CASES:
+        _check_cylinder_words(make_branch_map(build_partition(generator, **kwargs)), max_order, cap)
+
+
+def _check_cylinder_words(bmap, max_order, cap):
+    labels = bmap.digits[:cap] if bmap.digits else tuple(range(1, bmap.branch_count + 1))
+    hull_lo, hull_hi = bmap.invariant_hull()
+    for order in range(1, max_order + 1):
+        symbols, left, right, deriv_inf, deriv_sup = cylinder_words(bmap, order, alphabet_cap=cap)
+        assert [tuple(row) for row in symbols.tolist()] == list(itertools.product(labels, repeat=order))
+        assert not any(a.flags.writeable for a in (symbols, left, right, deriv_inf, deriv_sup))
+        for i, sym in enumerate(symbols.tolist()):
+            (f0, _), (f1, _) = _compose_exact(bmap, sym, 0), _compose_exact(bmap, sym, 1)
+            lo, hi = min(f0, f1), max(f0, f1)
+            _, d_lo = _compose_exact(bmap, sym, hull_lo)
+            _, d_hi = _compose_exact(bmap, sym, hull_hi)
+            if bmap.kind == "linear-full":
+                assert (left[i], right[i]) == (lo, hi)
+                assert deriv_inf[i] == deriv_sup[i] == d_lo == d_hi
+            else:
+                assert left[i] == pytest.approx(float(lo), abs=1e-15)
+                assert right[i] == pytest.approx(float(hi), abs=1e-15)
+                # the range ends are |(T^n)'| at the images of the hull ends
+                assert deriv_inf[i] == pytest.approx(float(d_lo), rel=1e-14)
+                assert deriv_sup[i] == pytest.approx(float(d_hi), rel=1e-14)
+            # mean value: some point of the cylinder attains 1/length
+            assert deriv_inf[i] <= float(1 / (hi - lo)) <= deriv_sup[i]
 
 
 def test_cylinder_distortion_bound():
     part = build_partition("gauss-restricted", digits=(1, 2))
     bmap = make_branch_map(part)
-    for w in cylinder_words(bmap, 6):
-        assert w.deriv_sup / w.deriv_inf <= 4.0 + 1e-12
+    _, _, _, deriv_inf, deriv_sup = cylinder_words(bmap, 6)
+    assert np.all(deriv_sup / deriv_inf <= 4.0 + 1e-12)
 
 
 def test_cylinder_words_need_cap_for_unbounded_alphabet():
     bmap = make_branch_map(build_partition("gauss", 100))
     with pytest.raises(PartitionError, match="alphabet_cap"):
         cylinder_words(bmap, 2)
-    words = cylinder_words(bmap, 2, alphabet_cap=10)
-    assert len(words) == 100
+    symbols, *_ = cylinder_words(bmap, 2, alphabet_cap=10)
+    assert symbols.shape == (100, 2)
 
 
 def test_max_cylinder_order_is_exact_at_the_cap():
@@ -293,11 +320,11 @@ def test_cylinder_derivative_sums_threads_identical():
     one = cylinder_derivative_sums(bmap, 9, exps, threads=1)
     four = cylinder_derivative_sums(bmap, 9, exps, threads=4)
     assert one == four  # compensated sums are order independent
-    words = cylinder_words(bmap, 9)
-    lo = math.fsum(w.deriv_sup ** -0.5 for w in words)
-    hi = math.fsum(w.deriv_inf ** -0.5 for w in words)
-    assert one[0][0] == pytest.approx(lo, rel=1e-15)
-    assert one[0][1] == pytest.approx(hi, rel=1e-15)
+    _, _, _, deriv_inf, deriv_sup = cylinder_words(bmap, 9)
+    for t, (lo, hi) in zip(exps, one):
+        # per-lead partial sums are rounded once each before they are combined
+        assert lo == pytest.approx(math.fsum((deriv_sup ** -t).tolist()), rel=1e-15)
+        assert hi == pytest.approx(math.fsum((deriv_inf ** -t).tolist()), rel=1e-15)
 
 
 def test_refine_partition_products():

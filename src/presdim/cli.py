@@ -28,25 +28,7 @@ from .boxdim import (
     estimate_box_dimension,
     gap_exponent_bounds,
 )
-from .hyperbolic import (
-    HALF_SPACE,
-    ParabolicGroupSpec,
-    ball_point,
-    base_point,
-    boundary_infinity,
-    boundary_plane_point,
-    boundary_sphere_point,
-    bourdon_metric,
-    busemann,
-    distance,
-    gromov_product,
-    half_space_point,
-    parabolic_orbit,
-    point_on_boundary_geodesic,
-    spherical_metric,
-    to_ball,
-    translate,
-)
+from .hyperbolic import ParabolicGroupSpec, boundary_plane_point, identity_suite, parabolic_orbit
 from .interval_partition import PartitionError, build_partition, make_branch_map, max_cylinder_order
 from .poincare import counting_exponent, critical_exponent, poincare_partial
 from .pressure import (
@@ -578,117 +560,13 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
 # geometry selftest
 
 
-def _random_half_space_points(rng, count, ambient):
-    horizontal = rng.normal(0.0, 2.0, size=(count, ambient - 1))
-    heights = np.exp(rng.normal(0.0, 0.7, size=count))
-    return [half_space_point(np.append(h, t)) for h, t in zip(horizontal, heights)]
-
-
-def _random_circle_boundary(rng, count):
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return [boundary_sphere_point([math.cos(a), math.sin(a)]) for a in angles]
-
-
-def _suite_results(trials: int) -> list[dict]:
-    rng = np.random.default_rng(20260813)
-    results = []
-
-    def record(name, tolerance, errors):
-        worst = float(max(errors)) if errors else 0.0
-        passed = sum(1 for e in errors if e <= tolerance)
-        results.append({
-            "name": name, "passed": passed, "total": len(errors),
-            "tolerance": tolerance, "max_error": worst,
-        })
-
-    disk_base = ball_point([0.0, 0.0])
-    xs = _random_circle_boundary(rng, trials)
-    ys = _random_circle_boundary(rng, trials)
-    errs = []
-    for xi, eta in zip(xs, ys):
-        if np.array_equal(xi.coords, eta.coords):
-            continue
-        errs.append(abs(bourdon_metric(xi, eta, disk_base)
-                        - math.sin(0.5 * spherical_metric(xi, eta))))
-    record("bourdon equals sine of half angle (disk)", 1e-9, errs)
-
-    pts = _random_half_space_points(rng, 3 * trials, 3)
-    us = rng.normal(0.0, 2.0, size=(trials, 2))
-    errs_cocycle = []
-    errs_bound = []
-    for i in range(trials):
-        p, q, r = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
-        xi = boundary_plane_point(us[i]) if i % 2 else boundary_infinity()
-        b_pq = busemann(xi, p, q)
-        errs_cocycle.append(abs(b_pq + busemann(xi, q, r) - busemann(xi, p, r)))
-        errs_bound.append(max(0.0, abs(b_pq) - distance(p, q)))
-    record("busemann cocycle", 1e-10, errs_cocycle)
-    record("busemann bounded by distance", 1e-10, errs_bound)
-
-    errs = []
-    bases = _random_half_space_points(rng, trials, 2)
-    for i in range(trials):
-        u = rng.normal(0.0, 3.0)
-        v = u + abs(rng.normal(0.0, 2.0)) + 1e-3
-        xi = boundary_plane_point([u])
-        eta = boundary_plane_point([v])
-        s1, s2 = sorted(rng.uniform(0.15, 0.85, size=2))
-        g1 = gromov_product(xi, eta, bases[i], z=point_on_boundary_geodesic(xi, eta, s1))
-        g2 = gromov_product(xi, eta, bases[i], z=point_on_boundary_geodesic(xi, eta, s2))
-        errs.append(abs(g1 - g2))
-    record("gromov product independent of z", 1e-10, errs)
-
-    group = ParabolicGroupSpec(2, 1, [[1.0]])
-    o2 = base_point(HALF_SPACE, 2)
-    errs = []
-    for v in rng.uniform(0.01, 50.0, size=trials):
-        moved = half_space_point([v, 1.0])
-        errs.append(abs(distance(o2, moved) - 2.0 * math.asinh(0.5 * v)))
-    record("arccosh distance equals 2 arcsinh on horospheres", 1e-12, errs)
-
-    errs = []
-    triple = _random_half_space_points(rng, 3 * trials, 3)
-    for i in range(trials):
-        p, q, r = triple[3 * i], triple[3 * i + 1], triple[3 * i + 2]
-        errs.append(max(0.0, distance(p, q) - distance(p, r) - distance(r, q)))
-    record("triangle inequality", 1e-10, errs)
-
-    errs = []
-    pairs = _random_half_space_points(rng, 2 * trials, 2)
-    for i in range(trials):
-        p, q = pairs[2 * i], pairs[2 * i + 1]
-        shift = [float(rng.integers(-40, 41))]
-        errs.append(abs(distance(translate(group, shift, p), translate(group, shift, q))
-                        - distance(p, q)))
-    record("parabolic isometry invariance", 1e-10, errs)
-
-    errs = []
-    zs = _random_circle_boundary(rng, trials)
-    for xi, eta, rho in zip(xs, ys, zs):
-        if np.array_equal(xi.coords, rho.coords) or np.array_equal(eta.coords, rho.coords):
-            continue
-        lhs = bourdon_metric(xi, eta, disk_base)
-        rhs = bourdon_metric(xi, rho, disk_base) + bourdon_metric(rho, eta, disk_base)
-        errs.append(max(0.0, lhs - rhs))
-    record("bourdon triangle inequality (disk)", 1e-10, errs)
-
-    errs = []
-    for p, q in zip(pts[:trials], pts[trials:2 * trials]):
-        errs.append(abs(distance(to_ball(p), to_ball(q)) - distance(p, q)))
-    record("model conversion preserves distance", 1e-9, errs)
-
-    return results
-
-
 def _cmd_selftest(args, cfg, cfg_hash) -> int:
-    trials = 10_000
-    if cfg is not None:
-        trials = _get_int(cfg, "selftest", "trials", trials)
-    results = _suite_results(trials)
-    all_ok = True
+    trials = 10_000 if cfg is None else _get_int(cfg, "selftest", "trials", 10_000)
+    if trials < 1:
+        raise ConfigError(f"config error: [selftest] trials must be >= 1 (got {trials})")
+    results = identity_suite(trials, np.random.default_rng(20260813))
+    all_ok = all(res["passed"] == res["total"] for res in results)
     for res in results:
-        ok = res["passed"] == res["total"]
-        all_ok = all_ok and ok
         print(f"{res['name']}: {res['passed']}/{res['total']} within {res['tolerance']:g} "
               f"(max error {res['max_error']:.3e})")
     if args.out is not None:

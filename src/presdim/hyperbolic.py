@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdim import PointCloud
-from .numerics import acosh1p
+from .numerics import _libm, acosh1p
 
 __all__ = [
     "HALF_SPACE",
@@ -52,6 +52,7 @@ __all__ = [
     "orbit_distance",
     "parabolic_orbit",
     "comparison_triangle_check",
+    "identity_suite",
 ]
 
 HALF_SPACE = "upper-half-space"
@@ -180,63 +181,176 @@ def boundary_sphere_point(v) -> BoundaryPoint:
     return BoundaryPoint(BALL, np.asarray(v, dtype=float))
 
 
+# ---------------------------------------------------------------------------
+# array kernels, each formula once, on (N, n) rows; a boundary row u has a flag at_inf (its
+# row is then unread).  Through _libm and _dot each row gets the bits of a scalar evaluation.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b, rounded as np.dot of two vectors (einsum, sum(axis=1) round differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _invert(x: np.ndarray) -> np.ndarray:
     """J(x) = -e_n + 2(x + e_n)/|x + e_n|^2, the model-swapping involution."""
     y = x.copy()
-    y[-1] += 1.0
-    nn = float(np.dot(y, y))
-    if nn == 0.0:
-        raise ValueError("inversion pole")
-    y *= 2.0 / nn
-    y[-1] -= 1.0
+    y[:, -1] += 1.0
+    y *= (2.0 / _dot(y, y))[:, None]
+    y[:, -1] -= 1.0
     return y
+
+
+def _sphere_to_plane(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows to (plane rows, at_inf); rows with 1 + v_n <= tol go to infinity."""
+    denom = 1.0 + v[:, -1]
+    at_inf = denom <= _MODEL_TOL
+    return v[:, :-1] / np.where(at_inf, 1.0, denom)[:, None], at_inf
+
+
+def _plane_to_sphere(u: np.ndarray) -> np.ndarray:
+    """u -> (2u, 1 - |u|^2)/(1 + |u|^2) on rows of the boundary plane."""
+    nn = np.einsum("ij,ij->i", u, u)
+    scale = 1.0 / (1.0 + nn)
+    return np.column_stack([2.0 * u * scale[:, None], (1.0 - nn) * scale])
+
+
+def _distance(x: np.ndarray, y: np.ndarray, model: str) -> np.ndarray:
+    diff = x - y
+    d2 = _dot(diff, diff)
+    if model == HALF_SPACE:
+        return acosh1p(d2 / (2.0 * x[:, -1] * y[:, -1]))
+    return acosh1p(2.0 * d2 / ((1.0 - _dot(x, x)) * (1.0 - _dot(y, y))))
+
+
+def _busemann(u: np.ndarray, at_inf: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    out = np.empty(len(p))
+    out[at_inf] = _libm(math.log, q[at_inf, -1] / p[at_inf, -1])
+    fin = ~at_inf
+    pn, qn = p[fin, -1], q[fin, -1]
+    dp, dq = p[fin, :-1] - u[fin], q[fin, :-1] - u[fin]
+    np2, nq2 = _dot(dp, dp) + pn * pn, _dot(dq, dq) + qn * qn
+    if np.any(np2 == 0.0) or np.any(nq2 == 0.0):
+        raise ValueError("Busemann denominator vanishes at the boundary point")
+    out[fin] = _libm(math.log, np2 / pn) - _libm(math.log, nq2 / qn)
+    return out
+
+
+def _same_boundary(u, u_inf, v, v_inf) -> np.ndarray:
+    return (u_inf & v_inf) | (~u_inf & ~v_inf & np.all(u == v, axis=1))
+
+
+def _frame(u, u_inf, v, v_inf):
+    """Rows on vertical lines (an end at infinity) with their foot, and the
+    center, radius and unit direction of the other rows' semicircles."""
+    line, arc = u_inf | v_inf, ~(u_inf | v_inf)
+    chord = v[arc] - u[arc]
+    radius = 0.5 * np.sqrt(_dot(chord, chord))
+    foot = np.where(u_inf[:, None], v, u)[line]
+    return line, foot, 0.5 * (u[arc] + v[arc]), radius, chord / (2.0 * radius)[:, None]
+
+
+def _closest_on_geodesic(u, u_inf, v, v_inf, p: np.ndarray) -> np.ndarray:
+    """Closest point of the geodesic (u, v) to p, all in the half-space.
+
+    Vertical line over u (an end at infinity): cosh d is least at height |p - (u, 0)|.
+    Semicircle with center c, radius R, direction e: with beta = (p_x - c) . e and
+    A = |p_x - c|^2 + R^2 + p_n^2, the least cosh d is at cos(theta*) = 2 R beta / A,
+    which lies in (-1, 1) for interior p.
+    """
+    out = np.empty(p.shape)
+    px, pn = p[:, :-1], p[:, -1]
+    line, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
+    du = px[line] - foot
+    out[line, :-1] = foot
+    out[line, -1] = np.sqrt(_dot(du, du) + pn[line] * pn[line])
+    w = px[~line] - c
+    cos_t = 2.0 * radius * _dot(w, e) / (_dot(w, w) + radius * radius + pn[~line] * pn[~line])
+    out[~line, :-1] = c + (radius * cos_t)[:, None] * e
+    out[~line, -1] = radius * np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
+    if np.any(out[:, -1] <= _MODEL_TOL):
+        raise ValueError("half-space points need a positive last coordinate")
+    return out
+
+
+def _geodesic_point(u, u_inf, v, v_inf, s: np.ndarray) -> np.ndarray:
+    """Point of the geodesic (u, v) at parameter s: angle pi*(1-s) or height s/(1-s)."""
+    out = np.empty((len(s), u.shape[1] + 1))
+    line, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
+    out[line, :-1] = foot
+    out[line, -1] = s[line] / (1.0 - s[line])
+    theta = math.pi * (1.0 - s[~line])
+    out[~line, :-1] = c + (radius * _libm(math.cos, theta))[:, None] * e
+    out[~line, -1] = radius * _libm(math.sin, theta)
+    return out
+
+
+def _gromov(u, u_inf, v, v_inf, base: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return 0.5 * (_busemann(u, u_inf, base, z) + _busemann(v, v_inf, base, z))
+
+
+def _bourdon(u, u_inf, v, v_inf, base: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(u))
+    k = ~_same_boundary(u, u_inf, v, v_inf)
+    ends = (u[k], u_inf[k], v[k], v_inf[k])
+    z = _closest_on_geodesic(*ends, base[k])
+    out[k] = _libm(math.exp, -_gromov(*ends, base[k], z))
+    return out
+
+
+def _spherical(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _libm(math.acos, np.clip(_dot(a, b), -1.0, 1.0))
+
+
+def _orbit_distance(shift: np.ndarray) -> np.ndarray:
+    """d(o, o + shift) = 2 arcsinh(|shift| / 2) for horizontal shift rows, o the base point."""
+    return 2.0 * _libm(math.asinh, 0.5 * np.sqrt(_dot(shift, shift)))
+
+
+def _translate(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Shift the first shift.shape[1] coordinates of each row (the horizontal part)."""
+    out = x.copy()
+    out[:, :shift.shape[1]] += shift
+    return out
+
+
+# ---------------------------------------------------------------------------
+# object API: validation, then the kernels on a batch of one
+
+
+def _convert(obj, model: str):
+    if not isinstance(obj, (HyperbolicPoint, BoundaryPoint)):
+        raise TypeError("expected a HyperbolicPoint or BoundaryPoint")
+    if obj.model == model:
+        return obj
+    if isinstance(obj, HyperbolicPoint):
+        return HyperbolicPoint(model, _invert(obj.coords[None])[0])
+    if model == HALF_SPACE:
+        u, at_inf = _sphere_to_plane(obj.coords[None])
+        return boundary_infinity() if at_inf[0] else BoundaryPoint(HALF_SPACE, u[0])
+    if obj.at_infinity:
+        raise ValueError("converting infinity needs an ambient dimension; "
+                         "use boundary_sphere_point on -e_n directly")
+    return BoundaryPoint(BALL, _plane_to_sphere(obj.coords[None])[0])
 
 
 def to_half_space(obj):
     """Convert a point or boundary point to the half-space model."""
-    if isinstance(obj, HyperbolicPoint):
-        if obj.model == HALF_SPACE:
-            return obj
-        return HyperbolicPoint(HALF_SPACE, _invert(obj.coords))
-    if isinstance(obj, BoundaryPoint):
-        if obj.model == HALF_SPACE:
-            return obj
-        v = obj.coords
-        denom = 1.0 + float(v[-1])
-        if denom <= _MODEL_TOL:
-            return boundary_infinity()
-        return BoundaryPoint(HALF_SPACE, v[:-1] / denom)
-    raise TypeError("expected a HyperbolicPoint or BoundaryPoint")
+    return _convert(obj, HALF_SPACE)
 
 
 def to_ball(obj):
     """Convert a point or boundary point to the ball model."""
-    if isinstance(obj, HyperbolicPoint):
-        if obj.model == BALL:
-            return obj
-        return HyperbolicPoint(BALL, _invert(obj.coords))
-    if isinstance(obj, BoundaryPoint):
-        if obj.model == BALL:
-            return obj
-        if obj.at_infinity:
-            raise ValueError("converting infinity needs an ambient dimension; "
-                             "use boundary_sphere_point on -e_n directly")
-        u = obj.coords
-        nn = float(np.dot(u, u))
-        out = np.empty(u.size + 1)
-        out[:-1] = 2.0 * u
-        out[-1] = 1.0 - nn
-        out /= 1.0 + nn
-        return BoundaryPoint(BALL, out)
-    raise TypeError("expected a HyperbolicPoint or BoundaryPoint")
+    return _convert(obj, BALL)
 
 
-def _as_pair_half_space(p: HyperbolicPoint, q: HyperbolicPoint):
-    if p.ambient != q.ambient:
-        raise ValueError("points live in different dimensions")
-    if p.model == q.model == BALL:
-        return p, q, BALL
-    return to_half_space(p), to_half_space(q), HALF_SPACE
+def _boundary_rows(dim: int, *points: BoundaryPoint) -> list[np.ndarray]:
+    """(u, at_inf) per boundary point, each a half-space batch of one in R^dim."""
+    rows = []
+    for xi in map(to_half_space, points):
+        if not xi.at_infinity and xi.coords.size != dim:
+            raise ValueError("boundary point dimension mismatch")
+        rows += [np.zeros((1, dim)) if xi.at_infinity else xi.coords[None], np.array([xi.at_infinity])]
+    return rows
 
 
 def distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
@@ -246,31 +360,10 @@ def distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
     arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))).  Both evaluate through
     acosh1p for full relative accuracy at small separations.
     """
-    p2, q2, model = _as_pair_half_space(p, q)
-    diff = p2.coords - q2.coords
-    d2 = float(np.dot(diff, diff))
-    if model == HALF_SPACE:
-        return acosh1p(d2 / (2.0 * p2.coords[-1] * q2.coords[-1]))
-    wp = 1.0 - float(np.dot(p2.coords, p2.coords))
-    wq = 1.0 - float(np.dot(q2.coords, q2.coords))
-    return acosh1p(2.0 * d2 / (wp * wq))
-
-
-def _busemann_half_space(xi: BoundaryPoint, p: HyperbolicPoint, q: HyperbolicPoint) -> float:
-    pn = p.coords[-1]
-    qn = q.coords[-1]
-    if xi.at_infinity:
-        return math.log(qn / pn)
-    u = xi.coords
-    if u.size != p.ambient - 1:
-        raise ValueError("boundary point dimension mismatch")
-    dp = p.coords[:-1] - u
-    dq = q.coords[:-1] - u
-    np2 = float(np.dot(dp, dp)) + pn * pn
-    nq2 = float(np.dot(dq, dq)) + qn * qn
-    if np2 == 0.0 or nq2 == 0.0:
-        raise ValueError("Busemann denominator vanishes at the boundary point")
-    return math.log(np2 / pn) - math.log(nq2 / qn)
+    if p.ambient != q.ambient:
+        raise ValueError("points live in different dimensions")
+    model, convert = (BALL, to_ball) if p.model == q.model == BALL else (HALF_SPACE, to_half_space)
+    return float(_distance(convert(p).coords[None], convert(q).coords[None], model)[0])
 
 
 def busemann(xi: BoundaryPoint, p: HyperbolicPoint, q: HyperbolicPoint) -> float:
@@ -283,46 +376,8 @@ def busemann(xi: BoundaryPoint, p: HyperbolicPoint, q: HyperbolicPoint) -> float
     """
     if p.ambient != q.ambient:
         raise ValueError("points live in different dimensions")
-    return _busemann_half_space(to_half_space(xi), to_half_space(p), to_half_space(q))
-
-
-def _same_boundary(xi: BoundaryPoint, eta: BoundaryPoint) -> bool:
-    if xi.at_infinity or eta.at_infinity:
-        return xi.at_infinity and eta.at_infinity
-    if xi.coords.size != eta.coords.size:
-        return False
-    return bool(np.array_equal(xi.coords, eta.coords))
-
-
-def _closest_on_geodesic(xi: BoundaryPoint, eta: BoundaryPoint,
-                         p: HyperbolicPoint) -> HyperbolicPoint:
-    """Closest point of the geodesic (xi, eta) to p, all in the half-space.
-
-    Vertical line over u (one endpoint at infinity): the minimum of
-    cosh d sits at height h = |p - (u, 0)|.  Semicircle with center c and
-    radius R: with beta = (p_x - c) . e and A = |p_x - c|^2 + R^2 + p_n^2,
-    minimizing cosh d over the angle gives cos(theta*) = 2 R beta / A,
-    which always lies in (-1, 1) for interior p.
-    """
-    px = p.coords[:-1]
-    pn = p.coords[-1]
-    if xi.at_infinity or eta.at_infinity:
-        u = eta.coords if xi.at_infinity else xi.coords
-        du = px - u
-        h = math.sqrt(float(np.dot(du, du)) + pn * pn)
-        return HyperbolicPoint(HALF_SPACE, np.append(u, h))
-    u = xi.coords
-    v = eta.coords
-    chord = v - u
-    width = float(np.linalg.norm(chord))
-    c = 0.5 * (u + v)
-    radius = 0.5 * width
-    e = chord / width
-    beta = float(np.dot(px - c, e))
-    amp = float(np.dot(px - c, px - c)) + radius * radius + pn * pn
-    cos_t = 2.0 * radius * beta / amp
-    sin_t = math.sqrt(max(1.0 - cos_t * cos_t, 0.0))
-    return HyperbolicPoint(HALF_SPACE, np.append(c + radius * cos_t * e, radius * sin_t))
+    u, at_inf = _boundary_rows(p.ambient - 1, xi)
+    return float(_busemann(u, at_inf, to_half_space(p).coords[None], to_half_space(q).coords[None])[0])
 
 
 def point_on_boundary_geodesic(xi: BoundaryPoint, eta: BoundaryPoint, s: float) -> HyperbolicPoint:
@@ -333,22 +388,11 @@ def point_on_boundary_geodesic(xi: BoundaryPoint, eta: BoundaryPoint, s: float) 
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly between 0 and 1")
-    xi = to_half_space(xi)
-    eta = to_half_space(eta)
-    if _same_boundary(xi, eta):
+    finite = [b.coords.size for b in map(to_half_space, (xi, eta)) if not b.at_infinity]
+    ends = _boundary_rows(finite[0] if finite else 1, xi, eta)
+    if _same_boundary(*ends)[0]:
         raise ValueError("boundary points coincide; no geodesic")
-    if xi.at_infinity or eta.at_infinity:
-        u = eta.coords if xi.at_infinity else xi.coords
-        return HyperbolicPoint(HALF_SPACE, np.append(u, s / (1.0 - s)))
-    u = xi.coords
-    v = eta.coords
-    c = 0.5 * (u + v)
-    radius = 0.5 * float(np.linalg.norm(v - u))
-    e = (v - u) / (2.0 * radius)
-    theta = math.pi * (1.0 - s)
-    return HyperbolicPoint(
-        HALF_SPACE, np.append(c + radius * math.cos(theta) * e, radius * math.sin(theta))
-    )
+    return HyperbolicPoint(HALF_SPACE, _geodesic_point(*ends, np.array([float(s)]))[0])
 
 
 def gromov_product(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint,
@@ -360,14 +404,12 @@ def gromov_product(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint,
     exact consequence of the Busemann cocycle), so callers may pass any
     other z from point_on_boundary_geodesic to cross-check.
     """
-    xi_h = to_half_space(xi)
-    eta_h = to_half_space(eta)
-    if _same_boundary(xi_h, eta_h):
+    base_h = to_half_space(base).coords[None]
+    ends = _boundary_rows(base_h.shape[1] - 1, xi, eta)
+    if _same_boundary(*ends)[0]:
         raise ValueError("boundary points coincide; the Gromov product is +infinity")
-    base_h = to_half_space(base)
-    z_h = _closest_on_geodesic(xi_h, eta_h, base_h) if z is None else to_half_space(z)
-    return 0.5 * (_busemann_half_space(xi_h, base_h, z_h)
-                  + _busemann_half_space(eta_h, base_h, z_h))
+    z_h = _closest_on_geodesic(*ends, base_h) if z is None else to_half_space(z).coords[None]
+    return float(_gromov(*ends, base_h, z_h)[0])
 
 
 def bourdon_metric(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint) -> float:
@@ -376,11 +418,8 @@ def bourdon_metric(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint)
     With the ball origin as base this takes values in [0, 1] and equals
     sin of half the angle subtended at the origin.
     """
-    xi_h = to_half_space(xi)
-    eta_h = to_half_space(eta)
-    if _same_boundary(xi_h, eta_h):
-        return 0.0
-    return math.exp(-gromov_product(xi_h, eta_h, base))
+    base_h = to_half_space(base).coords[None]
+    return float(_bourdon(*_boundary_rows(base_h.shape[1] - 1, xi, eta), base_h)[0])
 
 
 def spherical_metric(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
@@ -389,7 +428,7 @@ def spherical_metric(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
         raise ValueError("the spherical metric needs ball-model boundary points")
     if xi.coords.size != eta.coords.size:
         raise ValueError("boundary point dimension mismatch")
-    return math.acos(min(1.0, max(-1.0, float(np.dot(xi.coords, eta.coords)))))
+    return float(_spherical(xi.coords[None], eta.coords[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,30 +490,24 @@ def translate(group: ParabolicGroupSpec, coeffs, obj):
     Acts on interior points (any model; the model is preserved) and on
     boundary points; infinity is fixed.
     """
-    v = group.displacement(coeffs)
-    if isinstance(obj, HyperbolicPoint):
-        if obj.ambient != group.ambient:
-            raise ValueError("point dimension does not match the group")
-        if obj.model == BALL:
-            return to_ball(translate(group, coeffs, to_half_space(obj)))
-        out = obj.coords.copy()
-        out[:-1] += v
-        return HyperbolicPoint(HALF_SPACE, out)
+    v = group.displacement(coeffs)[None]
+    if not isinstance(obj, (HyperbolicPoint, BoundaryPoint)):
+        raise TypeError("expected a HyperbolicPoint or BoundaryPoint")
+    if obj.model == BALL:
+        return to_ball(translate(group, coeffs, to_half_space(obj)))
     if isinstance(obj, BoundaryPoint):
-        if obj.model == BALL:
-            return to_ball(translate(group, coeffs, to_half_space(obj)))
         if obj.at_infinity:
             return obj
         if obj.coords.size != group.ambient - 1:
             raise ValueError("boundary point dimension does not match the group")
-        return BoundaryPoint(HALF_SPACE, obj.coords + v)
-    raise TypeError("expected a HyperbolicPoint or BoundaryPoint")
+    elif obj.ambient != group.ambient:
+        raise ValueError("point dimension does not match the group")
+    return type(obj)(HALF_SPACE, _translate(obj.coords[None], v)[0])
 
 
 def orbit_distance(group: ParabolicGroupSpec, coeffs) -> float:
     """d(o, N.o) = 2 arcsinh(|sum_i N_i alpha_i| / 2) at the base o."""
-    v = group.displacement(coeffs)
-    return 2.0 * math.asinh(0.5 * float(np.linalg.norm(v)))
+    return float(_orbit_distance(group.displacement(coeffs)[None])[0])
 
 
 def _lattice_grid(rank: int, radius: int) -> np.ndarray:
@@ -500,13 +533,8 @@ def parabolic_orbit(group: ParabolicGroupSpec, xi: BoundaryPoint, radius: int) -
         raise ValueError("boundary point dimension does not match the group")
     lattice = _lattice_grid(group.rank, radius).astype(float)
     plane = xi.coords[None, :] + lattice @ group.alphas
-    nn = np.einsum("ij,ij->i", plane, plane)
-    scale = 1.0 / (1.0 + nn)
-    sphere = np.empty((plane.shape[0], group.ambient))
-    sphere[:, :-1] = 2.0 * plane * scale[:, None]
-    sphere[:, -1] = (1.0 - nn) * scale
     label = f"parabolic-orbit(ambient={group.ambient}, rank={group.rank}, radius={radius})"
-    return PointCloud(sphere, "sphere", label)
+    return PointCloud(_plane_to_sphere(plane), "sphere", label)
 
 
 @dataclass(frozen=True)
@@ -556,3 +584,84 @@ def comparison_triangle_check(x: HyperbolicPoint, y: HyperbolicPoint,
         side_xy=c, side_zx=a, side_zy=b, angle_at_z=angle, min_angle=min_angle,
         slack=slack, constant=constant, passed=slack >= -constant,
     )
+
+
+def identity_suite(trials: int, rng: np.random.Generator) -> list[dict]:
+    """Check nine identities of this module on `trials` random inputs each.
+
+    One record per identity: name, tolerance, total (trials checked; coincident
+    boundary points are skipped), passed (within tolerance) and max_error.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    results = []
+
+    def record(name, tolerance, errors):
+        worst = float(errors.max()) if errors.size else 0.0
+        results.append({"name": name, "passed": int(np.sum(errors <= tolerance)), "total": errors.size,
+                        "tolerance": tolerance, "max_error": worst})
+
+    def interior(count, ambient):
+        return np.column_stack([rng.normal(0.0, 2.0, size=(count, ambient - 1)),
+                                np.exp(rng.normal(0.0, 0.7, size=count))])
+
+    def circle(count):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        return np.column_stack([_libm(math.cos, angles), _libm(math.sin, angles)])
+
+    xs, ys = circle(trials), circle(trials)
+    pts = interior(3 * trials, 3)
+    us = rng.normal(0.0, 2.0, size=(trials, 2))
+    bases = interior(trials, 2)
+    # per-trial draws: batched normals read the stream differently
+    chords = np.array([(rng.normal(0.0, 3.0), rng.normal(0.0, 2.0), *rng.uniform(0.15, 0.85, size=2))
+                       for _ in range(trials)])
+    horo = rng.uniform(0.01, 50.0, size=(trials, 1))
+    triple = interior(3 * trials, 3)
+    pairs = interior(2 * trials, 2)
+    # scalar draws: batched bounded integers read the stream differently
+    shifts = np.array([[float(rng.integers(-40, 41))] for _ in range(trials)])
+    zs = circle(trials)
+
+    def disk_bourdon(a, b):
+        origin = np.broadcast_to(_invert(np.zeros((1, 2))), a.shape)
+        return _bourdon(*_sphere_to_plane(a), *_sphere_to_plane(b), origin)
+
+    keep = ~np.all(xs == ys, axis=1)
+    record("bourdon equals sine of half angle (disk)", 1e-9, np.abs(
+        disk_bourdon(xs[keep], ys[keep]) - _libm(math.sin, 0.5 * _spherical(xs[keep], ys[keep]))))
+
+    p, q, r = pts[0::3], pts[1::3], pts[2::3]
+    xi_inf = np.arange(trials) % 2 == 0
+    b_pq = _busemann(us, xi_inf, p, q)
+    record("busemann cocycle", 1e-10,
+           np.abs(b_pq + _busemann(us, xi_inf, q, r) - _busemann(us, xi_inf, p, r)))
+    record("busemann bounded by distance", 1e-10, np.maximum(np.abs(b_pq) - _distance(p, q, HALF_SPACE), 0.0))
+
+    u, v = chords[:, :1], chords[:, :1] + np.abs(chords[:, 1:2]) + 1e-3
+    s = np.sort(chords[:, 2:], axis=1)
+    line = np.zeros(trials, dtype=bool)
+    g1, g2 = (_gromov(u, line, v, line, bases, _geodesic_point(u, line, v, line, s[:, k])) for k in (0, 1))
+    record("gromov product independent of z", 1e-10, np.abs(g1 - g2))
+
+    moved = _distance(np.array([[0.0, 1.0]]), np.hstack([horo, np.ones_like(horo)]), HALF_SPACE)
+    record("arccosh distance equals 2 arcsinh on horospheres", 1e-12, np.abs(moved - _orbit_distance(horo)))
+
+    p, q, r = triple[0::3], triple[1::3], triple[2::3]
+    record("triangle inequality", 1e-10, np.maximum(
+        _distance(p, q, HALF_SPACE) - _distance(p, r, HALF_SPACE) - _distance(r, q, HALF_SPACE), 0.0))
+
+    shift = shifts @ ParabolicGroupSpec(2, 1, [[1.0]]).alphas
+    p, q = pairs[0::2], pairs[1::2]
+    record("parabolic isometry invariance", 1e-10, np.abs(
+        _distance(_translate(p, shift), _translate(q, shift), HALF_SPACE) - _distance(p, q, HALF_SPACE)))
+
+    keep = ~(np.all(xs == zs, axis=1) | np.all(ys == zs, axis=1))
+    x, y, z = xs[keep], ys[keep], zs[keep]
+    record("bourdon triangle inequality (disk)", 1e-10, np.maximum(
+        disk_bourdon(x, y) - (disk_bourdon(x, z) + disk_bourdon(z, y)), 0.0))
+
+    p, q = pts[:trials], pts[trials:2 * trials]
+    record("model conversion preserves distance", 1e-9, np.abs(
+        _distance(_invert(p), _invert(q), BALL) - _distance(p, q, HALF_SPACE)))
+    return results

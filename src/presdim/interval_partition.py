@@ -706,6 +706,18 @@ def _derivative_range(bmap: BranchMap, tables: tuple, hull: tuple[float, float])
     return inv, inv
 
 
+def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None, word_cap: int):
+    """(m, tables, left, right) of all depth-`order` cylinders, lexicographic order."""
+    m = _effective_alphabet(bmap, alphabet_cap)
+    _check_enumeration_cap(m, order, word_cap)
+    tables = _word_tables(bmap, m, order)
+    if bmap.kind == "gauss-analytic":
+        pp, p, qp, q = tables
+        f0, f1 = p / q, (pp + p) / (qp + q)
+        return m, tables, np.minimum(f0, f1), np.maximum(f0, f1)
+    return m, tables, tables[0], tables[0] + tables[1]
+
+
 def cylinder_words(
     bmap: BranchMap,
     order: int,
@@ -720,19 +732,10 @@ def cylinder_words(
     whose cylinder is [left, right] and whose iterate has derivative range
     [deriv_inf, deriv_sup] over cylinder ∩ invariant hull.
     """
-    m = _effective_alphabet(bmap, alphabet_cap)
-    count = _check_enumeration_cap(m, order, word_cap)
-    tables = _word_tables(bmap, m, order)
-    if bmap.kind == "gauss-analytic":
-        labels = np.asarray(bmap.digits[:m])
-        pp, p, qp, q = tables
-        f0, f1 = p / q, (pp + p) / (qp + q)
-        left, right = np.minimum(f0, f1), np.maximum(f0, f1)
-    else:
-        labels = np.arange(1, m + 1)
-        left, right = tables[0], tables[0] + tables[1]
+    m, tables, left, right = _cylinder_bounds(bmap, order, alphabet_cap, word_cap)
+    labels = np.asarray(bmap.digits[:m]) if bmap.kind == "gauss-analytic" else np.arange(1, m + 1)
     deriv_inf, deriv_sup = _derivative_range(bmap, tables, bmap.invariant_hull())
-    symbols = np.empty((count, order), dtype=labels.dtype)
+    symbols = np.empty((left.size, order), dtype=labels.dtype)
     grid = symbols.reshape((m,) * order + (order,))
     for k in range(order):
         # symbol k varies along axis k of the lexicographic grid
@@ -795,7 +798,7 @@ def refine_partition(
     The result is an explicit finite partition (no tail model): with an
     alphabet cap it describes the capped subsystem, not the full map.
     """
-    _, left, right, _, _ = cylinder_words(bmap, order, alphabet_cap, word_cap)
+    left, right = _cylinder_bounds(bmap, order, alphabet_cap, word_cap)[2:]
     order_ix = np.argsort(-right, kind="stable")
     return IntervalPartition(
         left[order_ix],

@@ -87,10 +87,20 @@ def compensated_sum(values: np.ndarray) -> float:
     return total / (1 << (_EXP_OFFSET + 53))
 
 
-def acosh1p(u: float) -> float:
-    """arccosh(1 + u) for u >= 0 without cancellation near u = 0."""
-    if u < 0:
-        if u > -1e-12:  # tolerate roundoff from distance quadratic forms
-            return 0.0
-        raise ValueError(f"acosh1p needs u >= 0, got {u}")
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn from `math` on every element of x: numpy's SIMD log, exp, acos, ...
+    differ from libm in the last bit for some inputs, depending on the CPU."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def acosh1p(u):
+    """arccosh(1 + u) for u >= 0 without cancellation near u = 0, on a float or an array.
+
+    u in (-1e-12, 0) is roundoff from distance quadratic forms and gives 0.
+    """
+    arr = np.asarray(u, dtype=float)
+    if (arr <= -1e-12).any():
+        raise ValueError(f"acosh1p needs u >= 0, got {float(arr.min())}")
+    arr = np.where(arr < 0.0, 0.0, arr)
+    out = _libm(math.log1p, arr + np.sqrt(arr * (arr + 2.0)))
+    return float(out) if out.ndim == 0 else out

@@ -18,20 +18,12 @@ from presdim.boxdim import PointCloud, estimate_box_dimension, gap_exponent_boun
 from presdim.hyperbolic import (
     HALF_SPACE,
     ParabolicGroupSpec,
-    ball_point,
     base_point,
-    boundary_infinity,
     boundary_plane_point,
-    boundary_sphere_point,
-    bourdon_metric,
-    busemann,
-    distance,
     gromov_product,
-    half_space_point,
+    identity_suite,
     orbit_distance,
     parabolic_orbit,
-    point_on_boundary_geodesic,
-    spherical_metric,
     translate,
 )
 from presdim.interval_partition import build_partition, make_branch_map, refine_partition
@@ -215,62 +207,9 @@ def test_criterion_07_orbit_box_dimension_and_three_way_check(tmp_path, capsys):
 
 def test_criterion_08_geometry_identity_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(918273645)
-    trials = 10_000
-
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(trials, 2))
-    o_disk = ball_point([0.0, 0.0])
-    bourdon_err = 0.0
-    for a, b in angles:
-        if abs(a - b) < 1e-12:
-            continue
-        xi = boundary_sphere_point([math.cos(a), math.sin(a)])
-        eta = boundary_sphere_point([math.cos(b), math.sin(b)])
-        gap = abs(bourdon_metric(xi, eta, o_disk) - math.sin(0.5 * spherical_metric(xi, eta)))
-        bourdon_err = max(bourdon_err, gap)
-
-    def rand_point():
-        h = rng.normal(0.0, 2.0, size=2)
-        return half_space_point([h[0], h[1], math.exp(rng.normal(0.0, 0.7))])
-
-    cocycle_err = bound_err = 0.0
-    for i in range(trials):
-        p, q, r = rand_point(), rand_point(), rand_point()
-        xi = boundary_plane_point(rng.normal(0.0, 2.0, size=2)) if i % 2 else boundary_infinity()
-        b_pq = busemann(xi, p, q)
-        cocycle_err = max(cocycle_err, abs(b_pq + busemann(xi, q, r) - busemann(xi, p, r)))
-        bound_err = max(bound_err, abs(b_pq) - distance(p, q))
-
-    z_err = 0.0
-    for _ in range(trials):
-        u = rng.normal(0.0, 3.0)
-        xi = boundary_plane_point([u])
-        eta = boundary_plane_point([u + abs(rng.normal(0.0, 2.0)) + 1e-3])
-        base = half_space_point([rng.normal(0.0, 2.0), math.exp(rng.normal(0.0, 0.7))])
-        s1, s2 = sorted(rng.uniform(0.15, 0.85, size=2))
-        g1 = gromov_product(xi, eta, base, z=point_on_boundary_geodesic(xi, eta, s1))
-        g2 = gromov_product(xi, eta, base, z=point_on_boundary_geodesic(xi, eta, s2))
-        z_err = max(z_err, abs(g1 - g2))
-
-    o2 = base_point(HALF_SPACE, 2)
-    horo_err = 0.0
-    for v in rng.uniform(0.01, 50.0, size=trials):
-        horo_err = max(
-            horo_err, abs(distance(o2, half_space_point([v, 1.0])) - 2.0 * math.asinh(0.5 * v))
-        )
-
-    ok = (
-        bourdon_err <= 1e-9
-        and cocycle_err <= 1e-10
-        and bound_err <= 1e-10
-        and z_err <= 1e-10
-        and horo_err <= 1e-12
-    )
-    detail = (
-        f"bourdon {bourdon_err:.2e} <= 1e-9, cocycle {cocycle_err:.2e} <= 1e-10, "
-        f"B<=d defect {max(bound_err, 0.0):.2e} <= 1e-10, z-indep {z_err:.2e} <= 1e-10, "
-        f"horosphere {horo_err:.2e} <= 1e-12"
-    )
+    results = identity_suite(10_000, np.random.default_rng(918273645))
+    ok = len(results) == 9 and all(r["passed"] == r["total"] == 10_000 for r in results)
+    detail = ", ".join(f"{r['name']} {r['max_error']:.2e} <= {r['tolerance']:g}" for r in results)
     _verdict(8, ok, detail, time.perf_counter() - t0, 10.0)
 
 

@@ -241,6 +241,16 @@ def test_malformed_grid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "pressure.csv").exists()
 
 
+def test_selftest_trials_below_one_exit_2(tmp_path, capsys):
+    for trials in (0, -1):
+        cfg = _write_config(tmp_path, "s.ini", f"[selftest]\ntrials = {trials}\n")
+        code, out = _run(["selftest", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 2, trials
+        assert "[selftest] trials" in out.err
+        assert "PASS" not in out.out
+    assert not (tmp_path / "selftest.json").exists()
+
+
 def test_invalid_flag_values_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 1000\n")
     code, _ = _run(["s-infinity", "--config", str(cfg), "--threads", "0"], capsys)

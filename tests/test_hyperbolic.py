@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from presdim.hyperbolic import (
     distance,
     gromov_product,
     half_space_point,
+    identity_suite,
     orbit_distance,
     parabolic_orbit,
     point_on_boundary_geodesic,
@@ -28,6 +30,7 @@ from presdim.hyperbolic import (
     to_half_space,
     translate,
 )
+from presdim.numerics import acosh1p
 
 RNG_SEED = 20260813
 
@@ -325,3 +328,194 @@ def test_right_angle_slack_within_constant():
         assert rep.slack >= -c
         assert rep.slack <= 0.0 + 1e-12  # triangle inequality side
         assert rep.constant == pytest.approx(2.0 * math.log(2.0 / (1.0 - math.cos(min_angle / 2.0))))
+
+
+# ---------------------------------------------------------------------------
+# array kernels: 50-digit references, errors kept by the batch-of-one API
+
+
+def _mp_acosh1p(x):
+    return mpmath.acosh(1 + x)
+
+
+def _mp_norm2(x):
+    return mpmath.fsum(mpmath.mpf(float(c)) ** 2 for c in x)
+
+
+def _mp_invert(x):
+    # J(x) = -e_n + 2(x + e_n)/|x + e_n|^2, exchanging ball and half-space
+    y = [mpmath.mpf(float(c)) for c in x]
+    y[-1] += 1
+    nn = mpmath.fsum(c * c for c in y)
+    out = [2 * c / nn for c in y]
+    out[-1] -= 1
+    return out
+
+
+def _mp_busemann_ball(xi, p, q):
+    # ball Busemann function log(|x - xi|^2 / (1 - |x|^2)), a formula the module does not use
+    def b(x):
+        return mpmath.log(_mp_norm2([mpmath.mpf(float(a)) - float(c) for a, c in zip(x, xi)])
+                          / (1 - _mp_norm2(x)))
+    return b(p) - b(q)
+
+
+def _mp_gromov(u, v, base):
+    # e^{-2 (u|v)_o} = h^2 |u - v|^2 / ((|u - x|^2 + h^2)(|v - x|^2 + h^2)) at o = (x, h);
+    # v = None is the point at infinity
+    x, h = base[:-1], mpmath.mpf(float(base[-1]))
+    du = _mp_norm2([mpmath.mpf(float(a)) - float(c) for a, c in zip(u, x)]) + h * h
+    if v is None:
+        return -mpmath.log(h * h / du) / 2
+    dv = _mp_norm2([mpmath.mpf(float(a)) - float(c) for a, c in zip(v, x)]) + h * h
+    uv = _mp_norm2([mpmath.mpf(float(a)) - float(c) for a, c in zip(u, v)])
+    return -mpmath.log(h * h * uv / (du * dv)) / 2
+
+
+def _close(value, ref, rel=1e-12):
+    assert abs(value - float(ref)) <= rel * (1.0 + abs(float(ref))), (value, ref)
+
+
+def test_distance_matches_mpmath():
+    rng = np.random.default_rng(RNG_SEED + 20)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            p, q = _random_half_space(rng), _random_half_space(rng)
+            ref = _mp_acosh1p(_mp_norm2(p.coords - q.coords) / (2 * mpmath.mpf(p.height) * q.height))
+            _close(distance(p, q), ref)
+            b, c = _random_ball(rng), _random_ball(rng)
+            diff = [mpmath.mpf(float(s)) - float(t) for s, t in zip(b.coords, c.coords)]
+            ref = _mp_acosh1p(2 * _mp_norm2(diff) / ((1 - _mp_norm2(b.coords)) * (1 - _mp_norm2(c.coords))))
+            _close(distance(b, c), ref)
+
+
+def test_busemann_matches_mpmath():
+    rng = np.random.default_rng(RNG_SEED + 21)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            p, q = _random_half_space(rng), _random_half_space(rng)
+            _close(busemann(boundary_infinity(), p, q), mpmath.log(mpmath.mpf(q.height) / p.height))
+            xi = _random_boundary(rng)
+            ball_xi = [float(c) for c in to_ball(xi).coords]
+            ref = _mp_busemann_ball(ball_xi, _mp_invert(p.coords), _mp_invert(q.coords))
+            _close(busemann(xi, p, q), ref, rel=1e-11)
+            # ball-model inputs are converted first
+            b, c = _random_ball(rng), _random_ball(rng)
+            v = rng.normal(size=3)
+            eta = boundary_sphere_point(v / np.linalg.norm(v))
+            _close(busemann(eta, b, c), _mp_busemann_ball(eta.coords, b.coords, c.coords), rel=1e-11)
+
+
+def test_gromov_product_matches_mpmath():
+    rng = np.random.default_rng(RNG_SEED + 22)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            base = _random_half_space(rng)
+            xi, eta = _random_boundary(rng), _random_boundary(rng)
+            ref = _mp_gromov(xi.coords, eta.coords, base.coords)
+            _close(gromov_product(xi, eta, base), ref, rel=1e-11)
+            z = point_on_boundary_geodesic(xi, eta, rng.uniform(0.1, 0.9))
+            _close(gromov_product(xi, eta, base, z=z), ref, rel=1e-11)
+            ref = _mp_gromov(xi.coords, None, base.coords)
+            _close(gromov_product(xi, boundary_infinity(), base), ref, rel=1e-11)
+            z = point_on_boundary_geodesic(boundary_infinity(), xi, rng.uniform(0.1, 0.9))
+            _close(gromov_product(boundary_infinity(), xi, base, z=z), ref, rel=1e-11)
+
+
+def test_batch_of_one_api_keeps_its_errors():
+    base = base_point(HALF_SPACE, 2)
+    for a, b in ((boundary_infinity(), boundary_infinity()),
+                 (boundary_plane_point([0.5]), boundary_plane_point([0.5]))):
+        with pytest.raises(ValueError, match="coincide"):
+            gromov_product(a, b, base)
+        with pytest.raises(ValueError, match="coincide"):
+            point_on_boundary_geodesic(a, b, 0.5)
+        assert bourdon_metric(a, b, base) == 0.0
+    # only a point at height 0 reaches it, so bypass the constructor's check
+    flat = half_space_point([0.5, 1.0])
+    object.__setattr__(flat, "coords", np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="denominator"):
+        busemann(boundary_plane_point([0.5]), flat, base)
+    assert acosh1p(-1e-13) == 0.0
+    for bad in (-1e-11, np.array([0.0, -0.5])):
+        with pytest.raises(ValueError, match="u >= 0"):
+            acosh1p(bad)
+    assert acosh1p(np.array([0.0, 1.5]))[1] == acosh1p(1.5) == math.acosh(2.5)
+    # 1 + v_n <= 1e-12 maps to infinity, exactly at -e_n and just beside it
+    for v in ([0.0, -1.0], [1e-7, -math.cos(1e-7)]):
+        south = boundary_sphere_point(v)
+        assert to_half_space(south).at_infinity
+        # sin of half the angle between the two points, whose cosine is -0.8
+        east = boundary_sphere_point([0.6, 0.8])
+        assert bourdon_metric(south, east, base_point(BALL, 2)) == pytest.approx(math.sqrt(0.9), abs=1e-14)
+
+
+def _object_api_errors(trials, rng):
+    """Per-trial errors of the nine identities through the object API, drawn as identity_suite draws."""
+
+    def half_space_points(count, ambient):
+        horizontal = rng.normal(0.0, 2.0, size=(count, ambient - 1))
+        heights = np.exp(rng.normal(0.0, 0.7, size=count))
+        return [half_space_point(np.append(h, t)) for h, t in zip(horizontal, heights)]
+
+    def circle(count):
+        return [boundary_sphere_point([math.cos(a), math.sin(a)])
+                for a in rng.uniform(0.0, 2.0 * math.pi, size=count)]
+
+    errors = []
+    disk = base_point(BALL, 2)
+    xs, ys = circle(trials), circle(trials)
+    errors.append([abs(bourdon_metric(x, y, disk) - math.sin(0.5 * spherical_metric(x, y)))
+                   for x, y in zip(xs, ys) if not np.array_equal(x.coords, y.coords)])
+    pts = half_space_points(3 * trials, 3)
+    us = rng.normal(0.0, 2.0, size=(trials, 2))
+    cocycle, bound = [], []
+    for i in range(trials):
+        p, q, r = pts[3 * i:3 * i + 3]
+        xi = boundary_plane_point(us[i]) if i % 2 else boundary_infinity()
+        b_pq = busemann(xi, p, q)
+        cocycle.append(abs(b_pq + busemann(xi, q, r) - busemann(xi, p, r)))
+        bound.append(max(0.0, abs(b_pq) - distance(p, q)))
+    errors += [cocycle, bound]
+    bases = half_space_points(trials, 2)
+    errors.append([])
+    for base in bases:
+        u = rng.normal(0.0, 3.0)
+        xi, eta = boundary_plane_point([u]), boundary_plane_point([u + abs(rng.normal(0.0, 2.0)) + 1e-3])
+        g1, g2 = (gromov_product(xi, eta, base, z=point_on_boundary_geodesic(xi, eta, s))
+                  for s in sorted(rng.uniform(0.15, 0.85, size=2)))
+        errors[-1].append(abs(g1 - g2))
+    o2 = base_point(HALF_SPACE, 2)
+    errors.append([abs(distance(o2, half_space_point([v, 1.0])) - 2.0 * math.asinh(0.5 * v))
+                   for v in rng.uniform(0.01, 50.0, size=trials)])
+    triple = half_space_points(3 * trials, 3)
+    errors.append([max(0.0, distance(p, q) - distance(p, r) - distance(r, q))
+                   for p, q, r in zip(triple[0::3], triple[1::3], triple[2::3])])
+    pairs = half_space_points(2 * trials, 2)
+    group = ParabolicGroupSpec(2, 1, [[1.0]])
+    errors.append([])
+    for p, q in zip(pairs[0::2], pairs[1::2]):
+        shift = [float(rng.integers(-40, 41))]
+        errors[-1].append(abs(distance(translate(group, shift, p), translate(group, shift, q))
+                              - distance(p, q)))
+    zs = circle(trials)
+    errors.append([max(0.0, bourdon_metric(x, y, disk) - (bourdon_metric(x, z, disk) + bourdon_metric(z, y, disk)))
+                   for x, y, z in zip(xs, ys, zs)
+                   if not (np.array_equal(x.coords, z.coords) or np.array_equal(y.coords, z.coords))])
+    errors.append([abs(distance(to_ball(p), to_ball(q)) - distance(p, q))
+                   for p, q in zip(pts[:trials], pts[trials:2 * trials])])
+
+    return errors
+
+
+def test_identity_suite_matches_object_api():
+    # many small samples: a max error is a few ulps, so one large sample hides changed inputs
+    for seed, trials in [(7, 300), *((seed, 12) for seed in range(12))]:
+        records = identity_suite(trials, np.random.default_rng(seed))
+        errors = _object_api_errors(trials, np.random.default_rng(seed))
+        assert len(records) == len(errors) == 9
+        for rec, errs in zip(records, errors):
+            expected = sum(e <= rec["tolerance"] for e in errs), len(errs), max(errs, default=0.0)
+            assert (rec["passed"], rec["total"], rec["max_error"]) == expected, (seed, rec["name"])
+    with pytest.raises(ValueError, match="trials"):
+        identity_suite(0, np.random.default_rng(0))

@@ -1,10 +1,10 @@
 """Command-line front end: config ingestion, computations, CSV/JSON artifacts.
 
 Every run is driven by one INI config file; flags only select the config,
-the output directory, worker threads, and optional tolerance/truncation
-overrides.  Reports embed the config hash, truncations, and tolerances.
-Outputs are deterministic: identical configs produce byte-identical files
-regardless of the thread count.
+the output directory, and optional tolerance/truncation overrides.
+`--threads` is accepted and has no effect: every command runs serially.
+Reports embed the config hash, truncations, and tolerances.  Outputs are
+deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success (including mathematically inconclusive verification),
 1 failed verification assertion, 2 usage or config error.
@@ -275,14 +275,13 @@ def _cmd_bowen(args, cfg, cfg_hash) -> int:
         extras = {}
     elif method == "cylinder":
         cap = _get_int(cfg, "bowen", "alphabet_cap", 64)
+        if cap < 1:
+            raise ConfigError(f"config error: [bowen] alphabet_cap must be >= 1 (got {cap})")
         order = _get_int(cfg, "bowen", "order")
         if order is None:
             order = max_cylinder_order(cap)
         bmap = make_branch_map(partition)
-        bracket = bowen_root_cylinder(
-            bmap, order=order, alphabet_cap=cap,
-            t_range=(t_low, t_high), tol=tol, threads=args.threads,
-        )
+        bracket = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap, t_range=(t_low, t_high))
         extras = {"order": order, "alphabet_cap": cap}
     else:
         raise ConfigError(f"config error: [bowen] method must be linear or cylinder (got {method!r})")
@@ -609,9 +608,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None if name == "selftest" else ".",
                        help="output directory for CSV/JSON artifacts")
         p.add_argument("--threads", type=int, default=1,
-                       help="threads for `bowen method=cylinder` sums, split by leading "
-                            "symbol; the speedup depends on the alphabet, and outputs "
-                            "do not depend on this")
+                       help="accepted for compatibility; has no effect (every command "
+                            "runs serially)")
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for the relevant computation")
         p.add_argument("--truncation", type=int, default=None,

@@ -746,6 +746,29 @@ def cylinder_words(
     return out
 
 
+def _cylinder_sums(bmap: BranchMap, order: int, exponents: Sequence[float], sides: Sequence[str],
+                   alphabet_cap: int | None, word_cap: int) -> np.ndarray:
+    """sum_w D_w^-t over depth-n cylinders, a row per t and a column per side ("sup" or "inf").
+
+    D_w is the derivative range of the n-th iterate over cylinder w ∩
+    invariant hull.  Words go one leading symbol at a time, so memory stays
+    at the size of the depth n-1 suffix tables; each lead's sum is rounded
+    once, and the leads' sums are then added exactly.
+    """
+    m = _effective_alphabet(bmap, alphabet_cap)
+    _check_enumeration_cap(m, order, word_cap)
+    hull = bmap.invariant_hull()
+    ts = [float(t) for t in exponents]
+    suffixes = _word_tables(bmap, m, order - 1)
+    per_lead = np.empty((m, len(ts), len(sides)))
+    for lead in range(m):
+        inf_d, sup_d = _derivative_range(bmap, _prepend(bmap, suffixes, lead), hull)
+        ends = {"inf": inf_d, "sup": sup_d}
+        per_lead[lead] = [[compensated_sum(ends[side] ** -t) for side in sides] for t in ts]
+    return np.array([[compensated_sum(per_lead[:, j, k]) for k in range(len(sides))]
+                     for j in range(len(ts))])
+
+
 def cylinder_derivative_sums(
     bmap: BranchMap,
     order: int,
@@ -757,34 +780,11 @@ def cylinder_derivative_sums(
     """For each t, return (sum_w sup_w^-t, sum_w inf_w^-t) over depth-n cylinders.
 
     sup/inf are the derivative range of the n-th iterate over cylinder ∩
-    invariant hull.  Work is chunked by leading symbol; chunk partial sums are
-    combined in fixed symbol order, so results do not depend on `threads`.
+    invariant hull.  The sums run serially; `threads` is accepted for
+    existing callers and has no effect.
     """
-    m = _effective_alphabet(bmap, alphabet_cap)
-    _check_enumeration_cap(m, order, word_cap)
-    hull = bmap.invariant_hull()
-    ts = [float(t) for t in exponents]
-    # words with a fixed leading symbol share the depth order-1 tables of
-    # their suffixes; each chunk prepends its lead symbol to them
-    suffixes = _word_tables(bmap, m, order - 1)
-
-    def chunk_sums(lead: int) -> list[tuple[float, float]]:
-        # keep the chunk's word tables bound until its sums are done: freeing
-        # them first made 2-thread roots about 15% slower (2-vCPU VM)
-        words = _prepend(bmap, suffixes, lead)
-        inf_d, sup_d = _derivative_range(bmap, words, hull)
-        return [(compensated_sum(sup_d ** (-t)), compensated_sum(inf_d ** (-t))) for t in ts]
-
-    if threads > 1 and m > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_lead = list(pool.map(chunk_sums, range(m)))
-    else:
-        per_lead = [chunk_sums(lead) for lead in range(m)]
-
-    parts = np.array(per_lead).reshape(m, len(ts), 2)
-    return [(compensated_sum(parts[:, j, 0]), compensated_sum(parts[:, j, 1])) for j in range(len(ts))]
+    sums = _cylinder_sums(bmap, order, exponents, ("sup", "inf"), alphabet_cap, word_cap)
+    return [tuple(row) for row in sums.tolist()]
 
 
 def refine_partition(

@@ -1,7 +1,7 @@
 """Deterministic summation and numerically stable scalar helpers.
 
-Reductions in this package must not depend on chunking or thread count, so
-every series total is accumulated exactly and rounded once.  The exact sum
+Reductions in this package must not depend on how their terms are chunked,
+so every series total is accumulated exactly and rounded once.  The exact sum
 bins each term by its binary exponent (a superaccumulator: Neal, "Fast exact
 summation using small and large superaccumulators", arXiv:1505.05571):
 within one exponent the terms are integers times a common power of two, and
@@ -77,8 +77,7 @@ def compensated_sum(values: np.ndarray) -> float:
     and terms near overflow go to math.fsum itself, and both paths return
     the same bits.  The total is exact before its one rounding, so it is a
     pure function of the multiset of values: callers may produce `values`
-    in any chunk order (including from worker threads) and still obtain
-    bit-identical totals.
+    in any chunk order and still obtain bit-identical totals.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size < _KERNEL_MIN_TERMS or not max(arr.max(), -arr.min()) < _KERNEL_MAX_ABS:

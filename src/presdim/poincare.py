@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .hyperbolic import ParabolicGroupSpec, _lattice_grid
-from .numerics import compensated_sum
+from .hyperbolic import ParabolicGroupSpec, _lattice_grid, _orbit_distance
+from .numerics import _libm, compensated_sum
 from .pressure import CriticalExponentEstimate, DIVERGES_AT_CRITICAL
 
 __all__ = [
@@ -125,8 +125,7 @@ def _gauge_terms(group: ParabolicGroupSpec, s: float, radius: int) -> np.ndarray
     lattice = _lattice_grid(group.rank, radius)
     interior = np.any(lattice != 0, axis=1)
     disp = lattice[interior].astype(float) @ group.alphas
-    r = np.linalg.norm(disp, axis=1)
-    return np.exp(-2.0 * s * np.arcsinh(0.5 * r))
+    return _libm(math.exp, -s * _orbit_distance(disp))
 
 
 def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> PoincareSample:

@@ -22,6 +22,7 @@ from .interval_partition import (
     IntervalPartition,
     PartitionError,
     WORD_CAP,
+    _cylinder_sums,
     _effective_alphabet,
     cylinder_derivative_sums,
 )
@@ -214,7 +215,6 @@ def pressure_cylinder_bracket(
     order: int,
     alphabet_cap: int | None = None,
     word_cap: int = WORD_CAP,
-    threads: int = 1,
 ) -> PressureSample:
     """Bracket the pressure of the (capped) iterated system at depth `order`.
 
@@ -227,7 +227,7 @@ def pressure_cylinder_bracket(
     and both hold for every depth n.  The width is at most 2 t log(C) / n
     with C the distortion constant of the map.
     """
-    (s_sup, s_inf), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap, word_cap, threads)
+    (s_sup, s_inf), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap, word_cap)
     lower = math.log(s_sup) / order
     upper = math.log(s_inf) / order
     return PressureSample(
@@ -459,7 +459,6 @@ def bowen_root_cylinder(
     tol: float = 1e-6,
     alphabet_cap: int | None = None,
     word_cap: int = WORD_CAP,
-    threads: int = 1,
     t_range: tuple[float, float] = (1e-6, 8.0),
 ) -> RootBracket:
     """Bracket the pressure root of an iterated system via depth-n cylinders.
@@ -469,13 +468,11 @@ def bowen_root_cylinder(
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
     """
 
-    samples: dict[float, PressureSample] = {}
+    def curve(side: str) -> Callable[[float], float]:
+        # the two bisections share only their first few exponents, so each
+        # curve reduces only its own side; a bisection never repeats an exponent
+        return lambda t: math.log(_cylinder_sums(bmap, order, [t], (side,), alphabet_cap, word_cap)[0, 0]) / order
 
-    def sample(t: float) -> PressureSample:
-        if t not in samples:
-            samples[t] = pressure_cylinder_bracket(bmap, t, order, alphabet_cap, word_cap, threads)
-        return samples[t]
-
-    bracket = bowen_root(lambda t: sample(t).lower, lambda t: sample(t).upper, t_range, tol)
+    bracket = bowen_root(curve("sup"), curve("inf"), t_range, tol)
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"
     return RootBracket(bracket.lower, bracket.upper, bracket.status, evidence)

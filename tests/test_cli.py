@@ -113,6 +113,21 @@ def test_bowen_cylinder_documented_defaults(tmp_path, capsys):
     assert (doc["order"], doc["alphabet_cap"]) == (3, 64)
     # Hensley: the digits 1..64 give a dimension of about 0.990
     assert doc["root_low"] <= 0.99 <= doc["root_high"]
+    # the same bits as when each exponent reduced both sides
+    assert (doc["root_low"], doc["root_high"]) == (0.9435627018337681, 1.0570560744404958)
+
+
+def test_bowen_alphabet_cap_below_one_exits_2(tmp_path, capsys):
+    for cap in (0, -3):
+        for order in ("", "order = 2\n"):
+            cfg = _write_config(
+                tmp_path, "c.ini",
+                f"[partition]\ngenerator = gauss\n\n[bowen]\nmethod = cylinder\n{order}alphabet_cap = {cap}\n",
+            )
+            code, out = _run(["bowen", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+            assert code == 2, (cap, order)
+            assert "[bowen] alphabet_cap" in out.err
+    assert not (tmp_path / "bowen.json").exists()
 
 
 def test_gaps_json(tmp_path, capsys):

@@ -206,13 +206,6 @@ def test_bowen_root_cylinder_restricted_digits():
     assert fine.upper - fine.lower < coarse.upper - coarse.lower
 
 
-def test_bowen_root_cylinder_threads_identical():
-    bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
-    one = bowen_root_cylinder(bmap, 8, tol=1e-6, threads=1)
-    four = bowen_root_cylinder(bmap, 8, tol=1e-6, threads=4)
-    assert (one.lower, one.upper) == (four.lower, four.upper)
-
-
 def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
     reduced = []
     real_sum = pressure.compensated_sum
@@ -230,15 +223,25 @@ def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
 
 
 def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
-    sampled = []
-    real_bracket = pressure.pressure_cylinder_bracket
+    reduced = []
+    real_sums = pressure._cylinder_sums
 
-    def counting_bracket(bmap, t, *args):
-        sampled.append(t)
-        return real_bracket(bmap, t, *args)
+    def counting_sums(bmap, order, exponents, sides, *args):
+        reduced.extend((t, side) for t in exponents for side in sides)
+        return real_sums(bmap, order, exponents, sides, *args)
 
-    monkeypatch.setattr(pressure, "pressure_cylinder_bracket", counting_bracket)
+    monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, 13, tol=1e-6)
-    assert len(sampled) == len(set(sampled)) > 20
+    # each (exponent, side) pair is reduced once; the lower curve reads only
+    # sup-side sums and the upper only inf-side ones, 25 each, where sampling
+    # both sides at every exponent took 80 reductions
+    assert len(reduced) == len(set(reduced)) == 50
     assert (br.lower, br.upper) == (0.526565962774217, 0.5364785450314877)
+
+
+def test_bowen_root_cylinder_capped_gauss_pinned():
+    # the same bits as when each exponent reduced both sides
+    bmap = make_branch_map(build_partition("gauss", 1000))
+    br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=8)
+    assert (br.lower, br.upper) == (0.8644727579992413, 0.9602026665654778)

@@ -223,16 +223,20 @@ def _distance(x: np.ndarray, y: np.ndarray, model: str) -> np.ndarray:
 
 
 def _busemann(u: np.ndarray, at_inf: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.empty(len(p))
-    out[at_inf] = _libm(math.log, q[at_inf, -1] / p[at_inf, -1])
-    fin = ~at_inf
-    pn, qn = p[fin, -1], q[fin, -1]
-    dp, dq = p[fin, :-1] - u[fin], q[fin, :-1] - u[fin]
+    if at_inf.all():
+        return _libm(math.log, q[:, -1] / p[:, -1])
+    if at_inf.any():
+        # mixed rows: each kind on its own (the per-row arithmetic is the same)
+        out = np.empty(len(p))
+        for rows in (at_inf, ~at_inf):
+            out[rows] = _busemann(u[rows], at_inf[rows], p[rows], q[rows])
+        return out
+    pn, qn = p[:, -1], q[:, -1]
+    dp, dq = p[:, :-1] - u, q[:, :-1] - u
     np2, nq2 = _dot(dp, dp) + pn * pn, _dot(dq, dq) + qn * qn
     if np.any(np2 == 0.0) or np.any(nq2 == 0.0):
         raise ValueError("Busemann denominator vanishes at the boundary point")
-    out[fin] = _libm(math.log, np2 / pn) - _libm(math.log, nq2 / qn)
-    return out
+    return _libm(math.log, np2 / pn) - _libm(math.log, nq2 / qn)
 
 
 def _same_boundary(u, u_inf, v, v_inf) -> np.ndarray:
@@ -241,12 +245,22 @@ def _same_boundary(u, u_inf, v, v_inf) -> np.ndarray:
 
 def _frame(u, u_inf, v, v_inf):
     """Rows on vertical lines (an end at infinity) with their foot, and the
-    center, radius and unit direction of the other rows' semicircles."""
-    line, arc = u_inf | v_inf, ~(u_inf | v_inf)
+    center, radius and unit direction of the other (arc) rows' semicircles.
+
+    line and arc select the rows; when every row is of one kind they are
+    slices, so no boolean-mask copies are made.
+    """
+    line = u_inf | v_inf
+    if line.all():
+        line, arc = slice(None), slice(0, 0)
+    elif not line.any():
+        line, arc = slice(0, 0), slice(None)
+    else:
+        arc = ~line
     chord = v[arc] - u[arc]
     radius = 0.5 * np.sqrt(_dot(chord, chord))
     foot = np.where(u_inf[:, None], v, u)[line]
-    return line, foot, 0.5 * (u[arc] + v[arc]), radius, chord / (2.0 * radius)[:, None]
+    return line, arc, foot, 0.5 * (u[arc] + v[arc]), radius, chord / (2.0 * radius)[:, None]
 
 
 def _closest_on_geodesic(u, u_inf, v, v_inf, p: np.ndarray) -> np.ndarray:
@@ -259,14 +273,14 @@ def _closest_on_geodesic(u, u_inf, v, v_inf, p: np.ndarray) -> np.ndarray:
     """
     out = np.empty(p.shape)
     px, pn = p[:, :-1], p[:, -1]
-    line, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
+    line, arc, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
     du = px[line] - foot
     out[line, :-1] = foot
     out[line, -1] = np.sqrt(_dot(du, du) + pn[line] * pn[line])
-    w = px[~line] - c
-    cos_t = 2.0 * radius * _dot(w, e) / (_dot(w, w) + radius * radius + pn[~line] * pn[~line])
-    out[~line, :-1] = c + (radius * cos_t)[:, None] * e
-    out[~line, -1] = radius * np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
+    w = px[arc] - c
+    cos_t = 2.0 * radius * _dot(w, e) / (_dot(w, w) + radius * radius + pn[arc] * pn[arc])
+    out[arc, :-1] = c + (radius * cos_t)[:, None] * e
+    out[arc, -1] = radius * np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
     if np.any(out[:, -1] <= _MODEL_TOL):
         raise ValueError("half-space points need a positive last coordinate")
     return out
@@ -275,12 +289,12 @@ def _closest_on_geodesic(u, u_inf, v, v_inf, p: np.ndarray) -> np.ndarray:
 def _geodesic_point(u, u_inf, v, v_inf, s: np.ndarray) -> np.ndarray:
     """Point of the geodesic (u, v) at parameter s: angle pi*(1-s) or height s/(1-s)."""
     out = np.empty((len(s), u.shape[1] + 1))
-    line, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
+    line, arc, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
     out[line, :-1] = foot
     out[line, -1] = s[line] / (1.0 - s[line])
-    theta = math.pi * (1.0 - s[~line])
-    out[~line, :-1] = c + (radius * _libm(math.cos, theta))[:, None] * e
-    out[~line, -1] = radius * _libm(math.sin, theta)
+    theta = math.pi * (1.0 - s[arc])
+    out[arc, :-1] = c + (radius * _libm(math.cos, theta))[:, None] * e
+    out[arc, -1] = radius * _libm(math.sin, theta)
     return out
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz
 
-from .numerics import compensated_sum
+from .numerics import _LIBM_ERR, _U, _down, _up, _zeta_interval, compensated_sum
 
 __all__ = [
     "PartitionError",
@@ -108,11 +107,12 @@ class _GaussLengths(_LengthModel):
     def series_verdict(self, t, m):
         if t <= 0.5:
             return SeriesVerdict("diverges", "harmonic minorant: terms >= (n+1)^(-2t) with 2t <= 1")
-        z = float(_hurwitz(2.0 * t, m + 1))
+        z_lo, z_hi = _zeta_interval(2.0 * t, m + 1)
         # (n(n+1))^-t = n^-2t (1+1/n)^-t with the second factor in
-        # [(1+1/(m+1))^-t, 1] for n > m
-        lo = z * (1.0 + 1.0 / (m + 1)) ** (-t)
-        return SeriesVerdict("converges", "Hurwitz zeta sandwich", lo, z)
+        # [(1+1/(m+1))^-t, 1] for n > m; the rounded base 1+1/(m+1) is off by
+        # at most 1.5u, which the power turns into 1.5 t u
+        factor = _down((1.0 + 1.0 / (m + 1)) ** (-t), (2.0 * t + 1.0) * _U + _LIBM_ERR)
+        return SeriesVerdict("converges", "Hurwitz zeta sandwich", _down(z_lo * factor), z_hi)
 
 
 class _DyadicLengths(_LengthModel):
@@ -163,10 +163,12 @@ class _PowerLawLengths(_LengthModel):
         p, q = self.exponent, self.exponent - 1.0
         if p * t <= 1.0:
             return SeriesVerdict("diverges", "integral-test minorant q^t sum (n+1)^(-pt), pt <= 1")
-        # mean value theorem: q (n+1)^-p <= length_n <= q n^-p
+        # mean value theorem: q (n+1)^-p <= length_n <= q n^-p; q = p - 1 is exact, and
+        # zeta(s, a) falls as s grows, so the rounded p t is widened outward
         scale = q ** t
-        lo = scale * float(_hurwitz(p * t, m + 2))
-        hi = scale * float(_hurwitz(p * t, m + 1))
+        s, s_lo = _up(p * t), _down(p * t)
+        lo = _down(_down(scale, _LIBM_ERR) * _zeta_interval(s, m + 2)[0])
+        hi = _up(_up(scale, _LIBM_ERR) * _zeta_interval(s_lo, m + 1)[1]) if s_lo > 1.0 else None
         return SeriesVerdict("converges", "mean-value sandwich with Hurwitz zeta", lo, hi)
 
 
@@ -202,7 +204,9 @@ class _LogSquaredLengths(_LengthModel):
             return SeriesVerdict("converges", "telescoping exact tail", tail, tail)
         # length_n <= log2 / ((n+1) log^2(n+1)); pull the slowly varying log
         # factor out at the truncation boundary
-        hi = (math.log(2.0) ** t) * math.log(m + 2.0) ** (-2.0 * t) * float(_hurwitz(t, m + 2))
+        # two logs and two powers of them: 1 ulp each, scaled by t and 2t in the powers
+        factor = (math.log(2.0) ** t) * math.log(m + 2.0) ** (-2.0 * t)
+        hi = _up(_up(factor, (3.0 * t + 2.5) * _LIBM_ERR) * _zeta_interval(t, m + 2)[1])
         return SeriesVerdict("converges", "majorant with boundary log factor (lower bound 0)", 0.0, hi)
 
 
@@ -271,7 +275,7 @@ class _OscillatingLengths(_LengthModel):
         r_min, r_max = self.ratio_window(max(m // 2, 16) if m > 32 else 16)
         if t > 0.5:
             # certified: length_n <= h(n) * dphi <= (1/n) * 2 log(1+1/n) <= 2/n^2
-            hi = (2.0 ** t) * float(_hurwitz(2.0 * t, m + 1))
+            hi = _up(_up(2.0 ** t, _LIBM_ERR) * _zeta_interval(2.0 * t, m + 1)[1])
             return SeriesVerdict("converges", "majorant 2 n^(-2) with Hurwitz tail", 0.0, hi)
         if t > r_max + self._RATIO_PAD:
             return SeriesVerdict(

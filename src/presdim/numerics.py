@@ -6,7 +6,10 @@ bins each term by its binary exponent (a superaccumulator: Neal, "Fast exact
 summation using small and large superaccumulators", arXiv:1505.05571):
 within one exponent the terms are integers times a common power of two, and
 numpy adds integers below 2^53 exactly.  The hyperbolic distance formulas
-need arccosh(1 + u) evaluated without cancellation for small u.
+need arccosh(1 + u) evaluated without cancellation for small u.  Certified
+power-sum tails need the Hurwitz zeta function with an error bound
+(Euler-Maclaurin; Johansson, "Rigorous high-precision computation of the
+Hurwitz zeta function and its derivatives", arXiv:1309.2877).
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import numpy as np
 __all__ = [
     "compensated_sum",
     "acosh1p",
+    "hurwitz_zeta",
 ]
 
 # Below this size math.fsum over a list is faster than the binned kernel
@@ -103,3 +107,110 @@ def acosh1p(u):
     arr = np.where(arr < 0.0, 0.0, arr)
     out = _libm(math.log1p, arr + np.sqrt(arr * (arr + 2.0)))
     return float(out) if out.ndim == 0 else out
+
+
+# unit roundoff, and the smallest subnormal: the absolute error of one rounding below the
+# normal range is at most half of it
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
+# libm pow, log and exp are within 1 ulp (relative 2u); twice that is budgeted
+_LIBM_ERR = 4.0 * _U
+# B_2j / (2j)! for j = 1..16, each correctly rounded (relative error <= u/2)
+_EM_COEFFS = (
+    1.0 / 12.0, -1.0 / 720.0, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+    8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24, -5.744790668872202e-26,
+)
+
+
+def _up(x: float, rel: float = 0.0) -> float:
+    """An upper bound for X >= 0 from x with |x - X| <= rel X, 4u <= rel <= 1/8;
+    rel = 0 means that x is X rounded to nearest once."""
+    return math.nextafter(x * (1.0 + 2.0 * rel), math.inf)
+
+
+def _down(x: float, rel: float = 0.0) -> float:
+    """A lower bound (>= 0) for X >= 0 from x, under the assumptions of _up."""
+    return max(0.0, math.nextafter(x * (1.0 - 2.0 * rel), -math.inf))
+
+
+def _em_tail(s: float, x: float, base_err: float) -> tuple[float, float]:
+    """sum_{k >= 0} (x + k)^-s by Euler-Maclaurin at x, with an absolute error bound.
+
+    The tail is x^(1-s) times S = 1/(s-1) + 1/(2x) + sum_j B_2j/(2j)! (s)_(2j-1) x^-2j;
+    x^-s is completely monotone, so the remainder after any term is at most the
+    first omitted term (Johansson 2015).  Terms are added until one is below u
+    relative to 1/(s-1); the table covers that for x >= 12 and x >= 0.6 s + 8.
+    base_err is the relative error of x itself (0 when exact).
+    """
+    p = x ** (1.0 - s)
+    inv2 = 1.0 / x
+    inv2 *= inv2
+    scaled = [1.0 / (s - 1.0), 0.5 / x]
+    errs = [_U * scaled[0], (_U + base_err) * scaled[1]]
+    f = s * inv2  # (s)_(2j-1) x^-2j
+    for j, c in enumerate(_EM_COEFFS, 1):
+        term = c * f
+        if abs(term) <= _U * scaled[0] or j == len(_EM_COEFFS):
+            omitted = abs(term) * (1.0 + (8 * j + 1) * _U + 2 * j * base_err)
+            break
+        scaled.append(term)
+        # inv2 carries 3u, and each step multiplies it in with five roundings: <= 8u per
+        # term, plus 2u per power of x^-2 when x itself is rounded
+        errs.append((8 * j * _U + 2 * j * base_err) * abs(term))
+        f *= (s + (2 * j - 1)) * inv2
+        f *= s + 2 * j
+    total = math.fsum(scaled)
+    size = math.fsum(map(abs, scaled)) + omitted
+    err = (p * (math.fsum(errs) + omitted + _U * size)
+           + (_LIBM_ERR + (s - 1.0) * base_err + _U) * p * size
+           # p may be subnormal or 0 (pow error <= 2^-1074), and the product may round there
+           + 2.0 * _TINY * size + _TINY)
+    return p * total, err
+
+
+def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
+    """The Hurwitz zeta function sum_{k >= 0} (a + k)^-s with a rigorous error bound.
+
+    Returns (value, bound) with |value - zeta(s, a)| <= bound, for real s > 1 and
+    a >= 1.  Terms (a + k)^-s below the shift max(12, ceil(0.6 s) + 8) are summed
+    exactly with math.fsum; the rest is the Euler-Maclaurin tail, whose remainder
+    is at most its first omitted Bernoulli term.  The bound adds that remainder to
+    a rounding budget for every pow, product and sum (1 ulp per libm call budgeted
+    as 2, u per rounding, 2^-1074 per result below the normal range), so the value
+    is within a few ulps and value + bound never falls below the exact sum, even
+    when it underflows.
+    """
+    s, a = float(s), float(a)
+    if not (math.isfinite(s) and math.isfinite(a) and s > 1.0 and a >= 1.0):
+        raise ValueError(f"hurwitz_zeta needs finite s > 1 and a >= 1, got s={s}, a={a}")
+    # a + k is exact for integer a; otherwise each base carries a relative error <= u
+    base_err = 0.0 if a.is_integer() else 1.01 * _U
+    shift = max(12, math.ceil(0.6 * s) + 8)
+    parts, errs = [], []
+    k = 0
+    while a + k < shift:
+        x = a + k
+        h = x ** -s
+        if h == 0.0:
+            # x^-s < 2^-1074, and the rest is at most x^-s (1 + x/(s-1))
+            errs.append(2.0 * _TINY * (1.0 + x / (s - 1.0)))
+            break
+        parts.append(h)
+        errs.append((_LIBM_ERR + s * base_err) * h + _TINY)
+        k += 1
+    else:
+        tail, err = _em_tail(s, a + k, base_err)
+        parts.append(tail)
+        errs.append(err)
+    value = math.fsum(parts)
+    errs += [_U * value, _TINY]
+    # each error term is a product of a few rounded factors: 16u covers their rounding
+    return value, _up(math.fsum(errs), 16.0 * _U)
+
+
+def _zeta_interval(s: float, a: float) -> tuple[float, float]:
+    """[lo, hi] containing zeta(s, a), rounded outward."""
+    value, bound = hurwitz_zeta(s, a)
+    return _down(value - bound), _up(value + bound)

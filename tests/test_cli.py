@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import presdim
 from presdim import cli
 
 
@@ -282,3 +287,43 @@ def test_inline_comments_in_config(tmp_path, capsys):
     code, _ = _run(["s-infinity", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0
     assert json.loads((tmp_path / "s_infinity.json").read_text())["truncation"] == 1000
+
+
+# A fresh interpreter in which importing scipy fails: presdim must neither need it
+# nor load it, also on the certified-tail paths (Gauss pressure, Poincare tail).
+WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from presdim import cli
+
+out, pressure_cfg, poincare_cfg = sys.argv[1:]
+codes = [cli.main(["pressure", "--config", pressure_cfg, "--out", out + "/pressure"]),
+         cli.main(["poincare", "--config", poincare_cfg, "--out", out + "/poincare"])]
+assert codes == [0, 0], codes
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    pressure_cfg = _write_config(
+        tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 1000\n\n[pressure]\nt_list = 0.75 1.5\n"
+    )
+    poincare_cfg = _write_config(
+        tmp_path, "p.ini", "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 1.5\nradius = 50\n"
+    )
+    src = str(Path(presdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path), str(pressure_cfg), str(poincare_cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "pressure" / "pressure.csv").exists()
+    assert json.loads((tmp_path / "poincare" / "poincare.json").read_text())["tail_bound"] > 0.0

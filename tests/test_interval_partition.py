@@ -5,8 +5,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from presdim.interval_partition import (
     PartitionError,
@@ -158,6 +161,59 @@ def test_oscillating_verdict_three_regimes():
     assert part.series_verdict(0.2).status == "diverges"
     # inside the asymptotic ratio window nothing is certified
     assert part.series_verdict(0.40).status == "undetermined"
+
+
+# ---------------------------------------------------------------------------
+# certified tails against 50-digit mpmath references
+
+
+def _mp_tail(term, m):
+    """sum_{n > m} term(n) by mpmath nsum (Euler-Maclaurin); call inside workdps(50)."""
+    return mpmath.nsum(term, [m + 1, mpmath.inf], method="euler-maclaurin")
+
+
+@pytest.mark.parametrize("t, m", [(1.3, 1000), (2.5, 100), (1.3, 10**6), (2.5, 10**6)])
+def test_gauss_verdict_encloses_exact_tail(t, m):
+    v = build_partition("gauss", 10).model.series_verdict(t, m)
+    with mpmath.workdps(50):
+        T = mpmath.mpf(t)
+        assert v.tail_low <= _mp_tail(lambda n: (n * (n + 1)) ** -T, m) <= v.tail_high
+
+
+@pytest.mark.parametrize("p, t, m", [(1.5, 2.0, 100), (1.5, 2.0, 10**6), (2.5, 0.8, 1000), (2.5, 1.3, 10**6)])
+def test_power_law_verdict_encloses_exact_tail(p, t, m):
+    v = build_partition("power-law", 10, exponent=p).model.series_verdict(t, m)
+    with mpmath.workdps(50):
+        T, q = mpmath.mpf(t), mpmath.mpf(p) - 1
+        assert v.tail_low <= _mp_tail(lambda n: (n ** -q - (n + 1) ** -q) ** T, m) <= v.tail_high
+
+
+_P = 1.7
+# the comparison sums behind each zeta verdict, (generator kwargs, lower or None, upper),
+# as functions of (t, m) in mpmath
+ZETA_TEMPLATES = {
+    "gauss": ({}, lambda t, m: mpmath.zeta(2 * t, m + 1) * (1 + mpmath.mpf(1) / (m + 1)) ** -t,
+              lambda t, m: mpmath.zeta(2 * t, m + 1)),
+    "power-law": ({"exponent": _P}, lambda t, m: (_P - 1) ** t * mpmath.zeta(_P * t, m + 2),
+                  lambda t, m: (_P - 1) ** t * mpmath.zeta(_P * t, m + 1)),
+    "log-squared": ({}, None, lambda t, m: mpmath.log(2) ** t * mpmath.log(m + 2) ** (-2 * t) * mpmath.zeta(t, m + 2)),
+    "oscillating": ({}, None, lambda t, m: 2 ** t * mpmath.zeta(2 * t, m + 1)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(ZETA_TEMPLATES)), t=st.floats(0.55, 4.0), m=st.integers(1, 10**6))
+def test_zeta_verdicts_round_outward(name, t, m):
+    # the sandwich templates themselves, not just the exact tails, lie inside
+    # [tail_low, tail_high]: every zeta value and product is rounded outward
+    kwargs, lower, upper = ZETA_TEMPLATES[name]
+    v = build_partition(name, 10, **kwargs).model.series_verdict(t, m)
+    assume(v.tail_high is not None and "telescoping" not in v.evidence)
+    with mpmath.workdps(50):
+        T = mpmath.mpf(t)
+        assert upper(T, m) <= v.tail_high
+        if lower is not None:
+            assert v.tail_low <= lower(T, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Exact summation: compensated_sum returns math.fsum's bits on every input."""
+"""Exact summation returns math.fsum's bits; hurwitz_zeta encloses the exact value."""
 
 import math
 import struct
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presdim import numerics
-from presdim.numerics import compensated_sum
+from presdim.numerics import compensated_sum, hurwitz_zeta
 
 CUTOFF = numerics._KERNEL_MIN_TERMS
 BLOCK = numerics._BLOCK
@@ -127,3 +128,68 @@ def test_order_and_chunking_do_not_matter():
     assert _bits(compensated_sum(np.random.default_rng(3).permutation(terms))) == _bits(total)
     # a 2-D input is summed over all its entries
     assert _bits(compensated_sum(terms.reshape(2, -1))) == _bits(total)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta with an error bound
+
+
+def test_euler_maclaurin_coefficients_are_correctly_rounded():
+    for j, c in enumerate(numerics._EM_COEFFS, 1):
+        num, den = mpmath.bernfrac(2 * j)
+        assert c == float(Fraction(int(num), int(den)) / math.factorial(2 * j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=st.floats(1.0, 8.0, exclude_min=True),
+    a=st.one_of(st.integers(1, 10**6 + 1).map(float), st.floats(1.0, 1e6 + 1)),
+)
+def test_hurwitz_zeta_encloses_mpmath(s, a):
+    value, bound = hurwitz_zeta(s, a)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(value) - mpmath.zeta(s, a)) <= bound
+    assert bound <= 1e-14 * value
+
+
+@pytest.mark.parametrize("s, a", [
+    (1.0, 2.0), (0.5, 2.0), (-3.0, 2.0), (2.0, 0.999), (2.0, 0.0), (2.0, -1.0),
+    (math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf),
+])
+def test_hurwitz_zeta_rejects_outside_domain(s, a):
+    with pytest.raises(ValueError):
+        hurwitz_zeta(s, a)
+
+
+@pytest.mark.parametrize("s, a", [
+    (40.0, 13.0),  # the shift grows with s: 32 head terms
+    (100.0, 20.0),
+    (1000.0, 300.0),
+    (50.0, 1e6 + 1),  # about 2e-296, normal
+    (52.5, 1e6 + 1),  # subnormal
+    (60.0, 1e6 + 1),  # below the smallest subnormal
+    (200.0, 1e4),
+    (3000.0, 1.0),  # head term 1, the rest underflows
+    (1e5, 3.0),
+])
+def test_hurwitz_zeta_large_s_and_underflow(s, a):
+    value, bound = hurwitz_zeta(s, a)
+    # mpmath needs far more than 50 digits to resolve zeta at large s and a
+    with mpmath.workdps(400):
+        exact = mpmath.zeta(s, a)
+        assert mpmath.mpf(value) - bound <= exact <= mpmath.mpf(value) + bound
+        # the interval the tails use, rounded outward: its upper end stays
+        # above the exact value even where the value underflows
+        lo, hi = numerics._zeta_interval(s, a)
+        assert 0.0 <= lo <= exact <= hi
+    if value > 1e-290:
+        assert bound <= 1e-14 * value
+
+
+@pytest.mark.parametrize("s, x", [(3.0, 1.0), (8.0, 1.0), (30.0, 2.0), (60.0, 4.0)])
+def test_euler_maclaurin_remainder_bounds_a_short_tail(s, x):
+    # far below the shift the expansion runs to the end of its table, and the
+    # first omitted term carries most of the error bound: it must still enclose
+    value, err = numerics._em_tail(s, x, 0.0)
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(value) - mpmath.zeta(s, x)) <= err

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from presdim.hyperbolic import ParabolicGroupSpec, orbit_distance
 from presdim.poincare import (
@@ -99,6 +101,31 @@ def test_classify_tail_threshold():
     assert classify_tail(G2, 1.01, 50)[0] == CONVERGENT_WITH_BOUND
     assert classify_tail(G2, 1.0, 50)[0] == DIVERGENT_MINORANT
     assert classify_tail(G2, 0.7, 50)[0] == DIVERGENT_MINORANT
+
+
+@pytest.mark.parametrize("group, s, radius", [(G1, 1.5, 200), (G1, 1.2, 1000), (G32, 1.5, 200), (G32, 1.0, 100)])
+def test_classify_tail_encloses_exact_rank_one_tail(group, s, radius):
+    # rank 1: the shell |N| = n is the two points +-n, at distance 2 arcsinh(n |alpha| / 2)
+    bound = classify_tail(group, s, radius)[1]
+    with mpmath.workdps(50):
+        alpha = mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(c)) ** 2 for c in group.alphas[0]))
+        S = mpmath.mpf(s)
+        exact = 2 * mpmath.nsum(lambda n: mpmath.exp(-2 * S * mpmath.asinh(n * alpha / 2)),
+                                [radius + 1, mpmath.inf], method="euler-maclaurin")
+        assert exact <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=st.sampled_from([G1, G2, G2_SKEW, G32]), s=st.floats(0.55, 4.0), radius=st.integers(1, 10**5))
+def test_classify_tail_bound_rounds_outward(group, s, radius):
+    # the bound is never below its majorant 2k 3^(k-1) sigma_min^(-2s) zeta(2s-k+1, radius+1)
+    k = group.rank
+    assume(2 * s > k)
+    bound = classify_tail(group, s, radius)[1]
+    with mpmath.workdps(50):
+        S = mpmath.mpf(s)
+        zeta = mpmath.zeta(2 * S - k + 1, radius + 1)
+        assert 2 * k * 3 ** (k - 1) * mpmath.mpf(group.sigma_min) ** (-2 * S) * zeta <= bound
 
 
 def test_partial_sum_input_validation():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval_partition import IntervalPartition, PartitionError
+from .interval_partition import IntervalPartition, PartitionError, _dedup_sorted
 
 __all__ = [
     "PointCloud",
@@ -31,7 +31,6 @@ __all__ = [
     "gap_exponent_bounds",
 ]
 
-_LINE_DEDUP_TOL = 1e-15
 # cell indices for unit-sphere coordinates must fit the 21-bit packed keys
 _MIN_SPHERE_DELTA = 2.0 ** -19
 _SATURATION_FRACTION = 0.9
@@ -57,11 +56,7 @@ class PointCloud:
         if self.kind == "line":
             if pts.ndim != 1 or pts.size == 0:
                 raise ValueError("line cloud needs a non-empty 1-d array")
-            pts = np.sort(pts)
-            keep = np.empty(pts.size, dtype=bool)
-            keep[0] = True
-            np.greater(np.diff(pts), _LINE_DEDUP_TOL, out=keep[1:])
-            pts = pts[keep]
+            pts = _dedup_sorted(np.sort(pts))
         elif self.kind == "sphere":
             if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 2:
                 raise ValueError("sphere cloud needs a non-empty (N, d) array with d >= 2")
@@ -247,11 +242,7 @@ def estimate_box_dimension(cloud: PointCloud, deltas: np.ndarray) -> DimensionEs
     return DimensionEstimate(lo, hi, deltas, counts, slopes, used, saturated, note)
 
 
-def gap_exponent_bounds(
-    partition: IntervalPartition,
-    n_min: int = 16,
-    fit_points: int = 48,
-) -> GapExponentEstimate:
+def gap_exponent_bounds(partition: IntervalPartition, n_min: int = 16) -> GapExponentEstimate:
     """Window extremes and drift-corrected bounds for the sorted gap ratios.
 
     For lengths sorted decreasingly, r_n = log n / (-log length_(n)); the
@@ -277,7 +268,7 @@ def gap_exponent_bounds(
     fitted = None
     gamma = None
     residual = None
-    grid = np.unique(np.geomspace(n_min, n_total, fit_points).astype(np.int64))
+    grid = np.unique(np.geomspace(n_min, n_total, 48).astype(np.int64))
     if grid.size >= 8:
         x = np.log(grid.astype(float))
         g = neg_log[grid - 1] - x

@@ -29,7 +29,7 @@ from .boxdim import (
     gap_exponent_bounds,
 )
 from .hyperbolic import ParabolicGroupSpec, boundary_plane_point, identity_suite, parabolic_orbit
-from .interval_partition import PartitionError, build_partition, make_branch_map, max_cylinder_order
+from .interval_partition import build_partition, make_branch_map, max_cylinder_order
 from .poincare import counting_exponent, critical_exponent, poincare_partial
 from .pressure import (
     bowen_root_cylinder,
@@ -122,7 +122,7 @@ def _partition_from(cfg, truncation_override: int | None):
             raise ConfigError(f"config error: [partition] digits must list integers") from exc
     try:
         return build_partition(generator, truncation, **kwargs)
-    except (PartitionError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error: [partition] {exc}") from exc
 
 
@@ -155,16 +155,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_text(out_dir: str, name: str, text: str) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
-def _write_lines(out_dir: str, name: str, lines: Iterable[str]) -> Path:
-    """Write CSV rows one at a time, each ended by a newline.
+def _write(out_dir: str, name: str, lines: Iterable[str]) -> Path:
+    """Write the lines one at a time, each ended by a newline.
 
     Orbit CSVs hold up to a million rows; joining them first would make the
     joined text and its encoded copy the command's peak memory.
@@ -180,7 +172,7 @@ def _write_lines(out_dir: str, name: str, lines: Iterable[str]) -> Path:
 def _report_json(command: str, cfg_hash: str, payload: dict) -> str:
     doc = {"command": command, "config_hash": cfg_hash}
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
 
 
 def _sample_row(sample) -> str:
@@ -239,7 +231,7 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
     samples = pressure_over_grid(partition, ts)
     lines = ["t,lower,upper,method,truncation,tail_bound"]
     lines.extend(_sample_row(s) for s in samples)
-    path = _write_lines(args.out, "pressure.csv", lines)
+    path = _write(args.out, "pressure.csv", lines)
     print(f"wrote {path} ({len(samples)} rows)")
     return EXIT_OK
 
@@ -258,7 +250,7 @@ def _cmd_s_infinity(args, cfg, cfg_hash) -> int:
         "divergence_behavior": est.divergence_behavior,
         "evidence": est.evidence,
     }
-    path = _write_text(args.out, "s_infinity.json", _report_json("s-infinity", cfg_hash, payload))
+    path = _write(args.out, "s_infinity.json", [_report_json("s-infinity", cfg_hash, payload)])
     print(f"s_infinity bracket [{_fmt(est.s_low)}, {_fmt(est.s_high)}] ({est.status})")
     print(f"wrote {path}")
     return EXIT_OK
@@ -296,7 +288,7 @@ def _cmd_bowen(args, cfg, cfg_hash) -> int:
         "evidence": bracket.evidence,
     }
     payload.update(extras)
-    path = _write_text(args.out, "bowen.json", _report_json("bowen", cfg_hash, payload))
+    path = _write(args.out, "bowen.json", [_report_json("bowen", cfg_hash, payload)])
     print(f"bowen root in [{_fmt(bracket.lower)}, {_fmt(bracket.upper)}] ({bracket.status})")
     print(f"wrote {path}")
     return EXIT_OK
@@ -333,8 +325,8 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
     rows.extend(f"{_fmt(d)},{int(c)},{algorithm}" for d, c in zip(est.deltas, est.counts))
     payload = {"source": source, "cloud_size": cloud.count, "label": cloud.label}
     payload.update(_estimate_payload(est))
-    path_csv = _write_lines(args.out, "boxdim_counts.csv", rows)
-    path_json = _write_text(args.out, "boxdim.json", _report_json("boxdim", cfg_hash, payload))
+    path_csv = _write(args.out, "boxdim_counts.csv", rows)
+    path_json = _write(args.out, "boxdim.json", [_report_json("boxdim", cfg_hash, payload)])
     print(f"box dimension window [{_fmt(est.lower_dim)}, {_fmt(est.upper_dim)}]")
     print(f"wrote {path_csv}")
     print(f"wrote {path_json}")
@@ -347,7 +339,7 @@ def _cmd_gaps(args, cfg, cfg_hash) -> int:
     gb = gap_exponent_bounds(partition, n_min=n_min)
     payload = {"generator": partition.generator, "truncation": partition.count}
     payload.update(_gaps_payload(gb))
-    path = _write_text(args.out, "gaps.json", _report_json("gaps", cfg_hash, payload))
+    path = _write(args.out, "gaps.json", [_report_json("gaps", cfg_hash, payload)])
     print(f"gap exponent bounds [{_fmt(gb.L_lower)}, {_fmt(gb.L_upper)}]")
     print(f"wrote {path}")
     return EXIT_OK
@@ -358,7 +350,7 @@ def _cmd_orbit(args, cfg, cfg_hash) -> int:
     dim = cloud.points.shape[1]
     header = ",".join(f"x{i+1}" for i in range(dim))
     rows = (",".join(map(repr, row.tolist())) for row in cloud.points)
-    path = _write_lines(args.out, "orbit.csv", itertools.chain([header], rows))
+    path = _write(args.out, "orbit.csv", itertools.chain([header], rows))
     print(f"wrote {path} ({cloud.count} unit vectors)")
     return EXIT_OK
 
@@ -381,7 +373,7 @@ def _cmd_poincare(args, cfg, cfg_hash) -> int:
         "ambient": group.ambient,
         "rank": group.rank,
     }
-    path = _write_text(args.out, "poincare.json", _report_json("poincare", cfg_hash, payload))
+    path = _write(args.out, "poincare.json", [_report_json("poincare", cfg_hash, payload)])
     print(f"partial sum {_fmt(sample.partial_sum)} ({sample.tail_classification})")
     print(f"wrote {path}")
     return EXIT_OK
@@ -407,8 +399,8 @@ def _cmd_counting(args, cfg, cfg_hash) -> int:
         "levels": levels,
         "final_slope": fn.final_slope,
     }
-    path_csv = _write_lines(args.out, "counting.csv", rows)
-    path_json = _write_text(args.out, "counting.json", _report_json("counting", cfg_hash, payload))
+    path_csv = _write(args.out, "counting.csv", rows)
+    path_json = _write(args.out, "counting.json", [_report_json("counting", cfg_hash, payload)])
     print(f"final slope {_fmt(fn.final_slope)}")
     print(f"wrote {path_csv}")
     print(f"wrote {path_json}")
@@ -507,7 +499,7 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
         "note": note,
         "overall": overall,
     }
-    path = _write_text(args.out, "verify_main.json", _report_json("verify-main", cfg_hash, payload))
+    path = _write(args.out, "verify_main.json", [_report_json("verify-main", cfg_hash, payload)])
     print(f"overall: {overall}")
     print(f"wrote {path}")
     return code
@@ -549,7 +541,7 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
         "assertions": assertions,
         "overall": overall,
     }
-    path = _write_text(args.out, "verify_hdim.json", _report_json("verify-hdim", cfg_hash, payload))
+    path = _write(args.out, "verify_hdim.json", [_report_json("verify-hdim", cfg_hash, payload)])
     print(f"overall: {overall}")
     print(f"wrote {path}")
     return code
@@ -570,7 +562,7 @@ def _cmd_selftest(args, cfg, cfg_hash) -> int:
               f"(max error {res['max_error']:.3e})")
     if args.out is not None:
         payload = {"trials": trials, "results": results, "overall": PASS if all_ok else FAIL}
-        path = _write_text(args.out, "selftest.json", _report_json("selftest", cfg_hash or "", payload))
+        path = _write(args.out, "selftest.json", [_report_json("selftest", cfg_hash or "", payload)])
         print(f"wrote {path}")
     print(f"overall: {PASS if all_ok else FAIL}")
     return EXIT_OK if all_ok else EXIT_ASSERTION
@@ -632,10 +624,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             cfg, cfg_hash = _load_config(args.config)
         return handler(args, cfg, cfg_hash)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PartitionError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .boxdim import PointCloud
-from .numerics import _libm, acosh1p
+from .numerics import _U, _libm, acosh1p
 
 __all__ = [
     "HALF_SPACE",
@@ -445,6 +446,41 @@ def spherical_metric(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     return float(_spherical(xi.coords[None], eta.coords[None])[0])
 
 
+def _is_psd(m: list[list[Fraction]]) -> bool:
+    """Exact test that a symmetric matrix is positive semidefinite, by elimination.
+
+    A negative pivot fails; a zero pivot needs the rest of its column to be zero.
+    """
+    m = [row[:] for row in m]
+    for i, row in enumerate(m):
+        if row[i] < 0 or (row[i] == 0 and any(row[i + 1:])):
+            return False
+        if row[i] == 0:
+            continue
+        for lower in m[i + 1:]:
+            f = lower[i] / row[i]
+            lower[i + 1:] = [a - f * b for a, b in zip(lower[i + 1:], row[i + 1:])]
+    return True
+
+
+def _certified_sigma_min(alphas: np.ndarray, estimate: float) -> float:
+    """The least singular value of alphas rounded down: `estimate` if it passes, else
+    the first value below it that does.
+
+    s passes when G - s^2 I is positive semidefinite in exact rationals, with
+    G = alphas alphas^T the Gram matrix, which proves s <= sigma_min.  A failing
+    s steps down by one ulp, then by doubling relative steps; s = 0 always passes.
+    """
+    rows = [[Fraction(x) for x in row] for row in alphas.tolist()]
+    gram = [[sum(a * b for a, b in zip(r, c)) for c in rows] for r in rows]
+    s, step = estimate, 0.0
+    while not _is_psd([[g - (Fraction(s) ** 2 if i == j else 0) for j, g in enumerate(row)]
+                       for i, row in enumerate(gram)]):
+        s = math.nextafter(s * (1.0 - step * _U), 0.0)
+        step = max(1.0, 2.0 * step)
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class ParabolicGroupSpec:
     """Rank-k group of horizontal translations of the upper half-space H^n.
@@ -475,7 +511,7 @@ class ParabolicGroupSpec:
             raise ValueError("translation vectors must be linearly independent")
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "_sigma_min", float(sing[self.rank - 1]))
+        object.__setattr__(self, "_sigma_min", _certified_sigma_min(alphas, float(sing[self.rank - 1])))
         object.__setattr__(self, "_sigma_max", float(sing[0]))
 
     @property

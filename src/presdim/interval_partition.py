@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "write_intervals_csv",
 ]
 
-_ENDPOINT_DEDUP_TOL = 1e-15
+_DEDUP_TOL = 1e-15
 _TILING_TOL = 1e-12
 # default limit on the number of cylinder words one enumeration may build
 WORD_CAP = 1 << 21
@@ -43,6 +43,14 @@ WORD_CAP = 1 << 21
 
 class PartitionError(ValueError):
     """Invalid partition data or an operation outside a generator's domain."""
+
+
+def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
+    """A non-empty ascending array without the points within 1e-15 of their predecessor."""
+    keep = np.empty(pts.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(pts), _DEDUP_TOL, out=keep[1:])
+    return pts[keep]
 
 
 @dataclass(frozen=True)
@@ -68,17 +76,10 @@ class SeriesVerdict:
 class _LengthModel:
     """Closed-form endpoint/length data for indices beyond the truncation."""
 
-    tag = "abstract"
-    unbounded = True
     # exact exponent separating convergence from divergence, if known
     critical_t: float | None = None
-    boundary_status: str | None = None
-    boundary_evidence: str | None = None
 
     def right_endpoint(self, n: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def log_length(self, n: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def length_tail_exact(self, m: int) -> float:
@@ -92,17 +93,10 @@ class _LengthModel:
 class _GaussLengths(_LengthModel):
     """h(n) = 1/n, lengths 1/(n(n+1))."""
 
-    tag = "gauss"
     critical_t = 0.5
-    boundary_status = "diverges"
-    boundary_evidence = "harmonic minorant: terms >= (n+1)^(-1) at t = 1/2"
 
     def right_endpoint(self, n):
         return 1.0 / np.asarray(n, dtype=float)
-
-    def log_length(self, n):
-        n = np.asarray(n, dtype=float)
-        return -np.log(n) - np.log(n + 1.0)
 
     def series_verdict(self, t, m):
         if t <= 0.5:
@@ -118,16 +112,11 @@ class _GaussLengths(_LengthModel):
 class _DyadicLengths(_LengthModel):
     """h(n) = 2^(1-n), lengths 2^(-n); geometric tails are exact."""
 
-    tag = "dyadic"
     critical_t = 0.0
-    boundary_status = "converges"
     boundary_evidence = "geometric series converges for every t > 0 (boundary convention at 0)"
 
     def right_endpoint(self, n):
         return np.exp2(1.0 - np.asarray(n, dtype=float))
-
-    def log_length(self, n):
-        return -np.asarray(n, dtype=float) * math.log(2.0)
 
     def series_verdict(self, t, m):
         if t <= 0.0:
@@ -140,24 +129,15 @@ class _DyadicLengths(_LengthModel):
 class _PowerLawLengths(_LengthModel):
     """h(n) = n^(1-p), lengths asymptotically (p-1) n^(-p), p > 1."""
 
-    tag = "power-law"
 
     def __init__(self, exponent: float):
         if not exponent > 1.0:
             raise PartitionError(f"power-law exponent must exceed 1, got {exponent}")
         self.exponent = float(exponent)
         self.critical_t = 1.0 / self.exponent
-        self.boundary_status = "diverges"
-        self.boundary_evidence = "integral-test minorant sum (n+1)^(-1) at t = 1/p"
 
     def right_endpoint(self, n):
         return np.asarray(n, dtype=float) ** (1.0 - self.exponent)
-
-    def log_length(self, n):
-        n = np.asarray(n, dtype=float)
-        q = self.exponent - 1.0
-        # length = n^-q (1 - (1+1/n)^-q), stable for large n
-        return -q * np.log(n) + np.log(-np.expm1(-q * np.log1p(1.0 / n)))
 
     def series_verdict(self, t, m):
         p, q = self.exponent, self.exponent - 1.0
@@ -175,22 +155,10 @@ class _PowerLawLengths(_LengthModel):
 class _LogSquaredLengths(_LengthModel):
     """h(n) = log(2)/log(n+1), lengths asymptotically log(2)/(n log^2 n)."""
 
-    tag = "log-squared"
     critical_t = 1.0
-    boundary_status = "converges"
-    boundary_evidence = "telescoping: exact tail h(m+1) at t = 1"
 
     def right_endpoint(self, n):
         return math.log(2.0) / np.log(np.asarray(n, dtype=float) + 1.0)
-
-    def log_length(self, n):
-        n = np.asarray(n, dtype=float)
-        return (
-            math.log(math.log(2.0))
-            + np.log(np.log1p(1.0 / (n + 1.0)))
-            - np.log(np.log(n + 1.0))
-            - np.log(np.log(n + 2.0))
-        )
 
     def series_verdict(self, t, m):
         if t < 1.0:
@@ -213,50 +181,31 @@ class _LogSquaredLengths(_LengthModel):
 class _OscillatingLengths(_LengthModel):
     """Alternating local decay exponents so the gap ratios have no limit.
 
-    h(n) = exp(-phi(log n)) with phi piecewise linear: slope 1 on [0, x0],
+    h(n) = exp(-phi(log n)) with phi piecewise linear: slope 1 on [0, 3],
     then slopes alternating 2, 1, 2, ... on consecutive blocks
-    [x0 r^j, x0 r^(j+1)].  Lengths behave like n^(-2) at the end of slope-1
+    [3^(j+1), 3^(j+2)].  Lengths behave like n^(-2) at the end of slope-1
     blocks and n^(-3) at the end of slope-2 blocks, so the running ratios
     log n / (-log length) oscillate between roughly 1/3 and 1/2 forever.
     """
 
-    tag = "oscillating"
-    critical_t = None
-
-    def __init__(self, first_boundary: float = 3.0, block_ratio: float = 3.0):
-        if first_boundary <= 0 or block_ratio <= 1:
-            raise PartitionError("oscillating blocks need first_boundary > 0, block_ratio > 1")
-        self.first_boundary = float(first_boundary)
-        self.block_ratio = float(block_ratio)
-
-    def _phi_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _phi(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.minimum(x, self.first_boundary)
-        slope_at = np.where(x <= self.first_boundary, 1.0, 0.0)
-        lo = self.first_boundary
-        slope = 2.0
-        # 64 blocks cover x up to first_boundary * ratio^64, far past float range
-        for _ in range(64):
-            hi = lo * self.block_ratio
-            out = out + slope * (np.clip(x, lo, hi) - lo)
-            inside = (x > lo) & (x <= hi)
-            slope_at = np.where(inside, slope, slope_at)
-            lo = hi
-            slope = 3.0 - slope
-            if lo > 1e12:
-                break
-        slope_at = np.where(slope_at == 0.0, slope, slope_at)
-        return out, slope_at
+        out = np.minimum(x, 3.0)
+        lo, slope, top = 3.0, 2.0, x.max()
+        # blocks starting at or past every x would each add an exact +0.0
+        while lo < top:
+            out = out + slope * (np.clip(x, lo, 3.0 * lo) - lo)
+            lo, slope = 3.0 * lo, 3.0 - slope
+        return out
 
     def right_endpoint(self, n):
-        x = np.log(np.asarray(n, dtype=float))
-        return np.exp(-self._phi_and_slope(x)[0])
+        return np.exp(-self._phi(np.log(np.asarray(n, dtype=float))))
 
     def log_length(self, n):
         n = np.asarray(n, dtype=float)
-        phi_n, _ = self._phi_and_slope(np.log(n))
-        phi_n1, _ = self._phi_and_slope(np.log(n + 1.0))
-        dphi = phi_n1 - phi_n
+        phi_n = self._phi(np.log(n))
+        dphi = self._phi(np.log(n + 1.0)) - phi_n
         # length = h(n)(1 - exp(-dphi)); dphi ~ slope/n so keep it in log form
         return -phi_n + np.log(-np.expm1(-dphi))
 
@@ -264,8 +213,8 @@ class _OscillatingLengths(_LengthModel):
     # ratio sequence by more than this
     _RATIO_PAD = 0.005
 
-    def ratio_window(self, n_lo: int = 16, n_hi: int = 10**12, samples: int = 800) -> tuple[float, float]:
-        grid = np.unique(np.geomspace(max(n_lo, 2), n_hi, samples).astype(np.int64))
+    def ratio_window(self, n_lo: int = 16) -> tuple[float, float]:
+        grid = np.unique(np.geomspace(max(n_lo, 2), 10**12, 800).astype(np.int64))
         r = np.log(grid.astype(float)) / (-self.log_length(grid))
         return float(r.min()), float(r.max())
 
@@ -354,15 +303,13 @@ class IntervalPartition:
 
     @property
     def unbounded(self) -> bool:
-        return self.model is not None and self.model.unbounded
+        return self.model is not None
 
     def endpoints(self) -> np.ndarray:
         """Deduplicated, ascending endpoint set of the materialized intervals."""
-        pts = np.sort(np.concatenate([self.left, self.right]))
-        keep = np.empty(pts.size, dtype=bool)
-        keep[0] = True
-        np.greater(np.diff(pts), _ENDPOINT_DEDUP_TOL, out=keep[1:])
-        return pts[keep]
+        pts = np.concatenate([self.left, self.right])
+        pts.sort()
+        return _dedup_sorted(pts)
 
     def total_length(self) -> float:
         return compensated_sum(self.lengths)
@@ -386,14 +333,12 @@ class IntervalPartition:
 # construction
 
 
-_MODEL_BUILDERS: dict[str, Callable[..., _LengthModel]] = {
-    "gauss": lambda **kw: _GaussLengths(),
-    "dyadic": lambda **kw: _DyadicLengths(),
-    "power-law": lambda exponent=2.0, **kw: _PowerLawLengths(exponent),
-    "log-squared": lambda **kw: _LogSquaredLengths(),
-    "oscillating": lambda first_boundary=3.0, block_ratio=3.0, **kw: _OscillatingLengths(
-        first_boundary, block_ratio
-    ),
+_MODELS = {
+    "gauss": _GaussLengths,
+    "dyadic": _DyadicLengths,
+    "power-law": _PowerLawLengths,
+    "log-squared": _LogSquaredLengths,
+    "oscillating": _OscillatingLengths,
 }
 
 
@@ -404,8 +349,6 @@ def build_partition(
     exponent: float | None = None,
     digits: Sequence[int] | None = None,
     intervals: Iterable[tuple[float, float]] | None = None,
-    enforce_accumulation: bool = True,
-    **model_params,
 ) -> IntervalPartition:
     """Materialize a partition from a named generator.
 
@@ -415,31 +358,27 @@ def build_partition(
     `exponent` (> 1, the length decay rate); gauss-restricted takes `digits`
     (a finite set of branch digits); explicit takes `intervals`.
 
-    Unbounded generators are checked to accumulate endpoints only at 0
-    (automatic for the built-ins; the check can be disabled with
-    enforce_accumulation=False).
+    Unbounded generators are checked to accumulate endpoints only at 0.
     """
-    params: dict = {}
     if digits is not None and generator != "gauss-restricted":
         raise PartitionError("digits only apply to the gauss-restricted generator")
     if exponent is not None and generator != "power-law":
         raise PartitionError("exponent only applies to the power-law generator")
-    if generator in _MODEL_BUILDERS:
+    if generator in _MODELS:
         if truncation is None or truncation < 1:
             raise PartitionError("unbounded generators need truncation >= 1")
         if generator == "dyadic" and truncation > 1000:
             raise PartitionError("dyadic lengths underflow float64 past n = 1074; use truncation <= 1000")
+        params = {}
         if generator == "power-law":
             if exponent is None:
                 raise PartitionError("power-law needs exponent")
-            model_params["exponent"] = exponent
             params["exponent"] = exponent
-        model = _MODEL_BUILDERS[generator](**model_params)
-        params.update(model_params)
+        model = _MODELS[generator](**params)
         n = np.arange(1, truncation + 2, dtype=float)
         h = model.right_endpoint(n)
         left, right = h[1:], h[:-1]
-        if enforce_accumulation and not (np.all(np.diff(h) < 0) and h[-1] < h[0]):
+        if not (np.all(np.diff(h) < 0) and h[-1] < h[0]):
             raise PartitionError("generator endpoints fail to decrease toward 0")
         return IntervalPartition(left, right, generator, params, model)
 
@@ -583,13 +522,13 @@ class BranchMap:
             return 0.0
         return 16.0
 
-    def expansion_margin(self, samples_per_branch: int = 5) -> float:
-        """min |T'| - 1 over interior sample points (positive = expanding).
+    def expansion_margin(self) -> float:
+        """min |T'| - 1 over five interior sample points per branch (positive = expanding).
 
         Sampling stays strictly inside each branch: the first reciprocal
         branch has |T'| = 1 exactly at its right endpoint.
         """
-        u = (np.arange(1, samples_per_branch + 1)) / (samples_per_branch + 1.0)
+        u = np.arange(1, 6) / 6.0
         a = self.partition.left[:, None]
         b = self.partition.right[:, None]
         x = a + (b - a) * u[None, :]
@@ -634,18 +573,6 @@ def make_branch_map(partition: IntervalPartition, kind: str = "auto") -> BranchM
     raise PartitionError(f"unknown branch map kind {kind!r}")
 
 
-def _check_enumeration_cap(branches: int, order: int, word_cap: int) -> int:
-    if order < 1:
-        raise PartitionError("cylinder order must be >= 1")
-    count = branches**order
-    if count > word_cap:
-        raise PartitionError(
-            f"{branches}^{order} = {count} cylinder words exceed the enumeration cap "
-            f"{word_cap}; lower the order or alphabet, or raise word_cap"
-        )
-    return count
-
-
 def max_cylinder_order(branches: int, word_cap: int = WORD_CAP) -> int:
     """Largest depth n >= 1 with branches^n <= word_cap, in exact integers."""
     if branches < 2:
@@ -656,7 +583,8 @@ def max_cylinder_order(branches: int, word_cap: int = WORD_CAP) -> int:
     return n
 
 
-def _effective_alphabet(bmap: BranchMap, alphabet_cap: int | None) -> int:
+def _effective_alphabet(bmap: BranchMap, alphabet_cap: int | None, order: int) -> int:
+    """Branches m of a depth-`order` enumeration, checked against WORD_CAP words."""
     m = bmap.branch_count
     if alphabet_cap is not None:
         m = min(m, int(alphabet_cap))
@@ -664,6 +592,13 @@ def _effective_alphabet(bmap: BranchMap, alphabet_cap: int | None) -> int:
         raise PartitionError("alphabet cap leaves no branches")
     if bmap.alphabet_unbounded and alphabet_cap is None:
         raise PartitionError("unbounded alphabet: cylinder enumeration needs alphabet_cap")
+    if order < 1:
+        raise PartitionError("cylinder order must be >= 1")
+    if m**order > WORD_CAP:
+        raise PartitionError(
+            f"{m}^{order} = {m**order} cylinder words exceed the enumeration cap "
+            f"{WORD_CAP}; lower the order or alphabet"
+        )
     return m
 
 
@@ -710,10 +645,9 @@ def _derivative_range(bmap: BranchMap, tables: tuple, hull: tuple[float, float])
     return inv, inv
 
 
-def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None, word_cap: int):
+def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None):
     """(m, tables, left, right) of all depth-`order` cylinders, lexicographic order."""
-    m = _effective_alphabet(bmap, alphabet_cap)
-    _check_enumeration_cap(m, order, word_cap)
+    m = _effective_alphabet(bmap, alphabet_cap, order)
     tables = _word_tables(bmap, m, order)
     if bmap.kind == "gauss-analytic":
         pp, p, qp, q = tables
@@ -722,12 +656,7 @@ def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None, word
     return m, tables, tables[0], tables[0] + tables[1]
 
 
-def cylinder_words(
-    bmap: BranchMap,
-    order: int,
-    alphabet_cap: int | None = None,
-    word_cap: int = WORD_CAP,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def cylinder_words(bmap: BranchMap, order: int, alphabet_cap: int | None = None) -> tuple[np.ndarray, ...]:
     """All depth-`order` cylinders as read-only arrays in lexicographic order.
 
     Returns (symbols, left, right, deriv_inf, deriv_sup): symbols has shape
@@ -736,7 +665,7 @@ def cylinder_words(
     whose cylinder is [left, right] and whose iterate has derivative range
     [deriv_inf, deriv_sup] over cylinder ∩ invariant hull.
     """
-    m, tables, left, right = _cylinder_bounds(bmap, order, alphabet_cap, word_cap)
+    m, tables, left, right = _cylinder_bounds(bmap, order, alphabet_cap)
     labels = np.asarray(bmap.digits[:m]) if bmap.kind == "gauss-analytic" else np.arange(1, m + 1)
     deriv_inf, deriv_sup = _derivative_range(bmap, tables, bmap.invariant_hull())
     symbols = np.empty((left.size, order), dtype=labels.dtype)
@@ -751,7 +680,7 @@ def cylinder_words(
 
 
 def _cylinder_sums(bmap: BranchMap, order: int, exponents: Sequence[float], sides: Sequence[str],
-                   alphabet_cap: int | None, word_cap: int) -> np.ndarray:
+                   alphabet_cap: int | None) -> np.ndarray:
     """sum_w D_w^-t over depth-n cylinders, a row per t and a column per side ("sup" or "inf").
 
     D_w is the derivative range of the n-th iterate over cylinder w ∩
@@ -759,8 +688,7 @@ def _cylinder_sums(bmap: BranchMap, order: int, exponents: Sequence[float], side
     at the size of the depth n-1 suffix tables; each lead's sum is rounded
     once, and the leads' sums are then added exactly.
     """
-    m = _effective_alphabet(bmap, alphabet_cap)
-    _check_enumeration_cap(m, order, word_cap)
+    m = _effective_alphabet(bmap, alphabet_cap, order)
     hull = bmap.invariant_hull()
     ts = [float(t) for t in exponents]
     suffixes = _word_tables(bmap, m, order - 1)
@@ -773,36 +701,25 @@ def _cylinder_sums(bmap: BranchMap, order: int, exponents: Sequence[float], side
                      for j in range(len(ts))])
 
 
-def cylinder_derivative_sums(
-    bmap: BranchMap,
-    order: int,
-    exponents: Sequence[float],
-    alphabet_cap: int | None = None,
-    word_cap: int = WORD_CAP,
-    threads: int = 1,
-) -> list[tuple[float, float]]:
+def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[float],
+                             alphabet_cap: int | None = None, threads: int = 1) -> list[tuple[float, float]]:
     """For each t, return (sum_w sup_w^-t, sum_w inf_w^-t) over depth-n cylinders.
 
     sup/inf are the derivative range of the n-th iterate over cylinder ∩
     invariant hull.  The sums run serially; `threads` is accepted for
     existing callers and has no effect.
     """
-    sums = _cylinder_sums(bmap, order, exponents, ("sup", "inf"), alphabet_cap, word_cap)
+    sums = _cylinder_sums(bmap, order, exponents, ("sup", "inf"), alphabet_cap)
     return [tuple(row) for row in sums.tolist()]
 
 
-def refine_partition(
-    bmap: BranchMap,
-    order: int,
-    alphabet_cap: int | None = None,
-    word_cap: int = WORD_CAP,
-) -> IntervalPartition:
+def refine_partition(bmap: BranchMap, order: int, alphabet_cap: int | None = None) -> IntervalPartition:
     """The partition into depth-`order` cylinders of the (possibly capped) map.
 
     The result is an explicit finite partition (no tail model): with an
     alphabet cap it describes the capped subsystem, not the full map.
     """
-    left, right = _cylinder_bounds(bmap, order, alphabet_cap, word_cap)[2:]
+    left, right = _cylinder_bounds(bmap, order, alphabet_cap)[2:]
     order_ix = np.argsort(-right, kind="stable")
     return IntervalPartition(
         left[order_ix],

@@ -21,7 +21,6 @@ from .interval_partition import (
     BranchMap,
     IntervalPartition,
     PartitionError,
-    WORD_CAP,
     _cylinder_sums,
     _effective_alphabet,
     cylinder_derivative_sums,
@@ -209,13 +208,8 @@ def pressure_over_grid(
     return [pressure_linear(partition, t) for t in exponents]
 
 
-def pressure_cylinder_bracket(
-    bmap: BranchMap,
-    t: float,
-    order: int,
-    alphabet_cap: int | None = None,
-    word_cap: int = WORD_CAP,
-) -> PressureSample:
+def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
+                              alphabet_cap: int | None = None) -> PressureSample:
     """Bracket the pressure of the (capped) iterated system at depth `order`.
 
     Writing D_w for the derivative range of the order-th iterate over
@@ -227,7 +221,7 @@ def pressure_cylinder_bracket(
     and both hold for every depth n.  The width is at most 2 t log(C) / n
     with C the distortion constant of the map.
     """
-    (s_sup, s_inf), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap, word_cap)
+    (s_sup, s_inf), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap)
     lower = math.log(s_sup) / order
     upper = math.log(s_inf) / order
     return PressureSample(
@@ -237,7 +231,7 @@ def pressure_cylinder_bracket(
         upper=upper,
         status="certified",
         evidence="per-cylinder derivative ranges over the invariant hull",
-        truncation=_effective_alphabet(bmap, alphabet_cap) ** order,
+        truncation=_effective_alphabet(bmap, alphabet_cap, order) ** order,
         tail_bound=0.0,
         method=f"cylinder-bracket(order={order})",
     )
@@ -287,11 +281,18 @@ def _behavior_at_threshold(partition: IntervalPartition, s_mid: float) -> tuple[
     )
 
 
-def find_s_infinity(
-    partition: IntervalPartition,
-    tol: float = 1e-6,
-    t_max: float = 64.0,
-) -> CriticalExponentEstimate:
+def _bisect(past_root: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] down to width <= tol; past_root(hi) and not past_root(lo) stay true."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if past_root(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> CriticalExponentEstimate:
     """Bracket the exponent separating divergence from convergence.
 
     Runs two monotone bisections against the certified series verdicts: one
@@ -312,8 +313,8 @@ def find_s_infinity(
     hi = 1.0
     while status(hi) != "converges":
         hi *= 2.0
-        if hi > t_max:
-            raise PartitionError(f"no certified convergence found for t <= {t_max}")
+        if hi > 64.0:
+            raise PartitionError("no certified convergence found for t <= 64.0")
     lo = hi
     while status(lo) != "diverges":
         lo *= 0.5
@@ -325,22 +326,8 @@ def find_s_infinity(
                 "all-converge",
             )
 
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if status(mid) == "converges":
-            b = mid
-        else:
-            a = mid
-    s_high = b
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if status(mid) == "diverges":
-            a = mid
-        else:
-            b = mid
-    s_low = a
+    s_high = _bisect(lambda t: status(t) == "converges", lo, hi, tol)[1]
+    s_low = _bisect(lambda t: status(t) != "diverges", lo, hi, tol)[0]
 
     behavior, behavior_evidence = _behavior_at_threshold(partition, 0.5 * (s_low + s_high))
     if s_high - s_low <= 3.0 * tol:
@@ -368,17 +355,6 @@ def classify_s_infinity_behavior(partition: IntervalPartition, tol: float = 1e-4
     return BoundaryClassification(verdict, est.s_low, est.s_high, est.evidence, annotation, _STABILITY_NOTE)
 
 
-def _bisect_root(curve: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a decreasing curve given curve(lo) > 0 >= curve(hi); midpoint of final bracket."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if curve(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bowen_root(
     lower_curve: Callable[[float], float],
     upper_curve: Callable[[float], float],
@@ -401,7 +377,8 @@ def bowen_root(
             return t_lo, "root-below-range"
         if curve(t_hi) > 0.0:
             return t_hi, "not-bracketed"
-        return _bisect_root(curve, t_lo, t_hi, tol), "ok"
+        lo, hi = _bisect(lambda t: not curve(t) > 0.0, t_lo, t_hi, tol)
+        return 0.5 * (lo + hi), "ok"
 
     root_lo, flag_lo = locate(lower_curve)
     root_hi, flag_hi = locate(upper_curve)
@@ -458,7 +435,6 @@ def bowen_root_cylinder(
     order: int,
     tol: float = 1e-6,
     alphabet_cap: int | None = None,
-    word_cap: int = WORD_CAP,
     t_range: tuple[float, float] = (1e-6, 8.0),
 ) -> RootBracket:
     """Bracket the pressure root of an iterated system via depth-n cylinders.
@@ -471,7 +447,7 @@ def bowen_root_cylinder(
     def curve(side: str) -> Callable[[float], float]:
         # the two bisections share only their first few exponents, so each
         # curve reduces only its own side; a bisection never repeats an exponent
-        return lambda t: math.log(_cylinder_sums(bmap, order, [t], (side,), alphabet_cap, word_cap)[0, 0]) / order
+        return lambda t: math.log(_cylinder_sums(bmap, order, [t], (side,), alphabet_cap)[0, 0]) / order
 
     bracket = bowen_root(curve("sup"), curve("inf"), t_range, tol)
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"

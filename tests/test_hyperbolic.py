@@ -1,11 +1,13 @@
 """Half-space/ball geometry: distances, Busemann functions, boundary metrics."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from presdim import hyperbolic
 from presdim.hyperbolic import (
     BALL,
     HALF_SPACE,
@@ -233,6 +235,38 @@ def test_group_validation():
         ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [2.0, 0.0]]))  # dependent
     g = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert g.fixed_point.at_infinity
+
+
+def test_sigma_min_is_a_certified_lower_bound():
+    # numpy's SVD value lies above the 50-digit value for about half of these matrices
+    rng = np.random.default_rng(RNG_SEED + 21)
+    for ambient, rank in [(3, 1), (3, 2), (4, 2), (4, 3)] * 100:
+        alphas = rng.normal(size=(rank, ambient - 1))
+        sigma = ParabolicGroupSpec(ambient, rank, alphas).sigma_min
+        with mpmath.workdps(50):
+            exact = min(mpmath.svd_r(mpmath.matrix(alphas.tolist()), compute_uv=False))
+            assert sigma <= exact
+            assert exact - sigma <= 1e-12 * exact
+    assert ParabolicGroupSpec(3, 2, np.eye(2)).sigma_min == 1.0
+    assert ParabolicGroupSpec(4, 3, np.eye(3)).sigma_min == 1.0
+
+
+def test_sigma_min_steps_down_from_a_high_estimate():
+    assert 1.0 - 3e-9 <= hyperbolic._certified_sigma_min(np.eye(2), 1.0 + 1e-9) <= 1.0
+    assert hyperbolic._certified_sigma_min(np.eye(2), 1.0) == 1.0
+    assert hyperbolic._certified_sigma_min(np.array([[1.0, 1.0]]), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("matrix, psd", [
+    ([[1, 1], [1, 1]], True),
+    ([[0, 0], [0, 0]], True),
+    ([[0, 1], [1, 0]], False),  # zero pivot with a nonzero column
+    ([[1, 2], [2, 1]], False),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+    ([[1, 0, 0], [0, 0, 0], [0, 0, -1e-300]], False),
+])
+def test_is_psd_exact(matrix, psd):
+    assert hyperbolic._is_psd([[Fraction(x) for x in row] for row in matrix]) is psd
 
 
 def test_translate_is_isometry_and_fixes_infinity():

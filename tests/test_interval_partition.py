@@ -70,6 +70,17 @@ def test_unknown_generator():
         build_partition("fibonacci", 10)
 
 
+@pytest.mark.parametrize("generator, kwargs", [
+    ("gauss", {"exponant": 2.0}),
+    ("oscillating", {"first_boundary": 5.0}),
+    ("gauss", {"enforce_accumulation": False}),
+])
+def test_unknown_keywords_rejected(generator, kwargs):
+    # a misspelled or retired keyword must not land silently in params
+    with pytest.raises(TypeError):
+        build_partition(generator, 10, **kwargs)
+
+
 def test_gauss_restricted_digits():
     part = build_partition("gauss-restricted", digits=(1, 2))
     # branch intervals [1/(d+1), 1/d] for d = 1, 2, sorted by right endpoint
@@ -153,6 +164,40 @@ def test_log_squared_verdict_exact_at_one():
     assert v.tail_low == v.tail_high
     assert v.tail_high == pytest.approx(math.log(2.0) / math.log(1002.0), rel=1e-14)
     assert part.series_verdict(0.999).status == "diverges"
+
+
+def _mp_oscillating_phi(x):
+    """phi(x) = min(x, 3) plus slope (2, 1, 2, ...) times the part of x in each block [3^j, 3^(j+1)]."""
+    phi, lo, slope = min(x, 3), mpmath.mpf(3), 2
+    while lo < x:
+        phi += slope * (min(x, 3 * lo) - lo)
+        lo, slope = 3 * lo, 3 - slope
+    return phi
+
+
+def test_oscillating_right_endpoint_matches_mpmath():
+    # n up to 1e300 reaches the sixth block (log n = 690.8 lies in [243, 729]); points
+    # next to the block boundaries 3^j check that no block is left out
+    edges = np.exp(3.0 ** np.arange(1, 6))
+    n = np.unique(np.concatenate([
+        np.arange(1.0, 2000.0), np.geomspace(1.0, 1e300, 2000),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), [1e300],
+    ]))
+    model = build_partition("oscillating", 10).model
+    # reference: every block up to 3^26 > 1e12, far past log of the largest float
+    x = np.log(n)
+    phi_all, lo, slope = np.minimum(x, 3.0), 3.0, 2.0
+    while lo <= 1e12:
+        phi_all = phi_all + slope * (np.clip(x, lo, lo * 3.0) - lo)
+        lo, slope = lo * 3.0, 3.0 - slope
+    assert np.array_equal(model._phi(x), phi_all)
+    h = model.right_endpoint(n)
+    with mpmath.workdps(50):
+        for ni, hi in zip(n.tolist(), h.tolist()):
+            ref = mpmath.exp(-_mp_oscillating_phi(mpmath.log(mpmath.mpf(ni))))
+            # log n is rounded (0.5 ulp of up to 691), and phi has slopes <= 2 over
+            # at most six blocks: 1e-12 relative, plus the subnormal spacing
+            assert abs(hi - ref) <= 1e-12 * ref + 2.0 ** -1074, ni
 
 
 def test_oscillating_verdict_three_regimes():
@@ -246,7 +291,8 @@ def test_write_intervals_csv(tmp_path):
     part = build_partition("dyadic", 4)
     path = tmp_path / "intervals.csv"
     write_intervals_csv(part, path)
-    rows = list(csv.reader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["n", "a_n", "b_n", "length"]
     assert len(rows) == 5
     assert float(rows[1][2]) == 1.0

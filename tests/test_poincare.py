@@ -128,6 +128,17 @@ def test_classify_tail_bound_rounds_outward(group, s, radius):
         assert 2 * k * 3 ** (k - 1) * mpmath.mpf(group.sigma_min) ** (-2 * S) * zeta <= bound
 
 
+def test_classify_tail_bound_holds_for_the_exact_sigma_min():
+    # the majorant with the 50-digit sigma_min, not numpy's rounded one, stays below the bound
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        group = ParabolicGroupSpec(3, 2, rng.normal(size=(2, 2)))
+        bound = classify_tail(group, 1.5, 10)[1]
+        with mpmath.workdps(50):
+            smin = min(mpmath.svd_r(mpmath.matrix(group.alphas.tolist()), compute_uv=False))
+            assert 12 * smin ** -3 * mpmath.zeta(2, 11) <= bound
+
+
 def test_partial_sum_input_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         poincare_partial(G1, -0.1, 10)

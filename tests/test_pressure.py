@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presdim import pressure
 from presdim.interval_partition import PartitionError, build_partition, make_branch_map, refine_partition
@@ -238,6 +240,16 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
     # both sides at every exponent took 80 reductions
     assert len(reduced) == len(set(reduced)) == 50
     assert (br.lower, br.upper) == (0.526565962774217, 0.5364785450314877)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=st.floats(-1.0, 3.0), tol=st.floats(1e-12, 1.0), strict=st.booleans())
+def test_bisect_keeps_the_root_bracketed(root, tol, strict):
+    past_root = (lambda t: t > root) if strict else (lambda t: t >= root)
+    lo, hi = pressure._bisect(past_root, -1.5, 3.5, tol)
+    assert hi - lo <= tol
+    assert past_root(hi) and not past_root(lo)
+    assert lo <= root <= hi
 
 
 def test_bowen_root_cylinder_capped_gauss_pinned():

@@ -43,8 +43,9 @@ _FIT_RESIDUAL_CAP = 0.02
 class PointCloud:
     """An immutable finite point set, either on the line or on a unit sphere.
 
-    Line clouds are deduplicated at 1e-15; sphere clouds hold unit vectors
-    (rows) deduplicated exactly.  `label` records how the cloud was built.
+    Line clouds are sorted and deduplicated at 1e-15; sphere clouds hold unit
+    vectors (rows) sorted lexicographically, duplicates kept, since occupied
+    cells ignore them.  `label` records how the cloud was built.
     """
 
     points: np.ndarray
@@ -63,7 +64,7 @@ class PointCloud:
             norms = np.linalg.norm(pts, axis=1)
             if not np.all(np.abs(norms - 1.0) < 1e-9):
                 raise ValueError("sphere cloud points must be unit vectors")
-            pts = np.unique(pts, axis=0)
+            pts = pts[np.lexsort(pts.T[::-1])]
         else:
             raise ValueError(f"unknown cloud kind {self.kind!r}")
         pts.setflags(write=False)
@@ -216,7 +217,7 @@ def estimate_box_dimension(cloud: PointCloud, deltas: np.ndarray) -> DimensionEs
     taken between consecutive usable levels; lower_dim/upper_dim are their
     min/max over the trailing half of the window, clamped to [0, ambient].
     """
-    deltas = np.sort(np.unique(np.asarray(deltas, dtype=float)))[::-1]
+    deltas = np.unique(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size < 8:
         raise ValueError("need a delta grid with at least 8 levels")
     if np.any(deltas <= 0):

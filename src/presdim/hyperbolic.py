@@ -59,6 +59,8 @@ __all__ = [
 HALF_SPACE = "upper-half-space"
 BALL = "ball"
 _MODEL_TOL = 1e-12
+# largest lattice cube (2 radius + 1)^rank that one enumeration may build
+_ENUMERATION_CAP = 20_000_000
 
 
 def _readonly(arr) -> np.ndarray:
@@ -562,6 +564,9 @@ def orbit_distance(group: ParabolicGroupSpec, coeffs) -> float:
 
 def _lattice_grid(rank: int, radius: int) -> np.ndarray:
     """All N in Z^rank with |N|_inf <= radius, lexicographic order."""
+    total = (2 * radius + 1) ** rank
+    if total > _ENUMERATION_CAP:
+        raise ValueError(f"lattice cube has {total} points, above the cap {_ENUMERATION_CAP}")
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=1)
@@ -572,7 +577,7 @@ def parabolic_orbit(group: ParabolicGroupSpec, xi: BoundaryPoint, radius: int) -
 
     The plane points xi + sum N_i alpha_i are pushed to the unit sphere by
     u -> (2u, 1-|u|^2)/(1+|u|^2); the cloud accumulates at the image -e_n of
-    the fixed point.  Points are deduplicated; the label records the build.
+    the fixed point.  The label records the build.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")

@@ -11,6 +11,7 @@ h(1) = 1: interval n is [h(n+1), h(n)], so truncation tails telescope exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -275,13 +276,8 @@ class IntervalPartition:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         lengths = right - left
-        order = np.argsort(-lengths, kind="stable")
-        sorted_lengths = lengths[order]
-        for arr in (lengths, order, sorted_lengths):
-            arr.setflags(write=False)
+        lengths.setflags(write=False)
         object.__setattr__(self, "_lengths", lengths)
-        object.__setattr__(self, "_sorted_lengths", sorted_lengths)
-        object.__setattr__(self, "_length_order", order)
 
     @property
     def count(self) -> int:
@@ -291,15 +287,19 @@ class IntervalPartition:
     def lengths(self) -> np.ndarray:
         return self._lengths
 
-    @property
+    @functools.cached_property
     def sorted_lengths(self) -> np.ndarray:
         """Lengths in decreasing order (the view used by gap exponents)."""
-        return self._sorted_lengths
+        lengths = self.lengths[self.length_order]
+        lengths.setflags(write=False)
+        return lengths
 
-    @property
+    @functools.cached_property
     def length_order(self) -> np.ndarray:
         """Permutation mapping sorted positions to original indices."""
-        return self._length_order
+        order = np.argsort(-self.lengths, kind="stable")
+        order.setflags(write=False)
+        return order
 
     @property
     def unbounded(self) -> bool:
@@ -358,7 +358,8 @@ def build_partition(
     `exponent` (> 1, the length decay rate); gauss-restricted takes `digits`
     (a finite set of branch digits); explicit takes `intervals`.
 
-    Unbounded generators are checked to accumulate endpoints only at 0.
+    Generator endpoints must decrease strictly: every interval needs positive
+    length.
     """
     if digits is not None and generator != "gauss-restricted":
         raise PartitionError("digits only apply to the gauss-restricted generator")
@@ -377,10 +378,7 @@ def build_partition(
         model = _MODELS[generator](**params)
         n = np.arange(1, truncation + 2, dtype=float)
         h = model.right_endpoint(n)
-        left, right = h[1:], h[:-1]
-        if not (np.all(np.diff(h) < 0) and h[-1] < h[0]):
-            raise PartitionError("generator endpoints fail to decrease toward 0")
-        return IntervalPartition(left, right, generator, params, model)
+        return IntervalPartition(h[1:], h[:-1], generator, params, model)
 
     if generator == "gauss-restricted":
         if not digits:

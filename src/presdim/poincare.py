@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import ParabolicGroupSpec, _lattice_grid, _orbit_distance
+from .hyperbolic import _ENUMERATION_CAP, ParabolicGroupSpec, _lattice_grid, _orbit_distance
 from .numerics import _LIBM_ERR, _libm, _up, _zeta_interval, compensated_sum
 from .pressure import CriticalExponentEstimate, DIVERGES_AT_CRITICAL, _bisect
 
@@ -43,8 +43,6 @@ __all__ = [
 CONVERGENT_WITH_BOUND = "convergent-with-bound"
 DIVERGENT_MINORANT = "divergent-minorant"
 UNDETERMINED_TAIL = "undetermined"
-
-_ENUMERATION_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,6 @@ def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> Poinca
         raise ValueError("s must be nonnegative")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    total = (2 * radius + 1) ** group.rank
-    if total > _ENUMERATION_CAP:
-        raise ValueError(f"lattice cube has {total} points, above the cap {_ENUMERATION_CAP}")
     partial = 1.0 + compensated_sum(_gauge_terms(group, s, radius))
     classification, bound, evidence = classify_tail(group, s, radius)
     return PoincareSample(float(s), partial, int(radius), classification, bound, evidence)

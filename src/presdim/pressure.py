@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .numerics import compensated_sum
 from .interval_partition import (
     BranchMap,
@@ -402,32 +400,25 @@ def bowen_root_linear(
 ) -> RootBracket:
     """Bracket the root of the pressure curve of a length partition.
 
-    Divergent or undetermined exponents count as +inf on both curves, which
-    keeps the bisections sound: they tighten toward the certified-convergent
-    region from the right.
+    Both curves are `pressure_linear` bounds: the upper curve is its upper
+    bound, the lower curve its lower bound except where convergence is
+    undetermined, which counts as +inf.  Divergent exponents are +inf on both
+    curves, which keeps the bisections sound: they tighten toward the
+    certified-convergent region from the right.
     """
-    loglen = np.log(partition.lengths)
-    # the two bisections share most midpoints: reduce each exponent once
-    partials: dict[float, float] = {}
+    # the two bisections share most midpoints: evaluate each exponent once
+    samples: dict[float, PressureSample] = {}
 
-    def partial(t: float) -> float:
-        if t not in partials:
-            partials[t] = compensated_sum(np.exp(t * loglen))
-        return partials[t]
+    def sample(t: float) -> PressureSample:
+        if t not in samples:
+            samples[t] = pressure_linear(partition, t)
+        return samples[t]
 
     def lower_curve(t: float) -> float:
-        v = partition.series_verdict(t)
-        if v.status != "converges":
-            return math.inf
-        return math.log(partial(t) + v.tail_low)
+        s = sample(t)
+        return math.inf if s.status == "undetermined" else s.lower
 
-    def upper_curve(t: float) -> float:
-        v = partition.series_verdict(t)
-        if v.status != "converges" or v.tail_high is None:
-            return math.inf
-        return math.log(partial(t) + v.tail_high)
-
-    return bowen_root(lower_curve, upper_curve, t_range, tol)
+    return bowen_root(lower_curve, lambda t: sample(t).upper, t_range, tol)
 
 
 def bowen_root_cylinder(

@@ -156,6 +156,8 @@ def test_orbit_csv(tmp_path, capsys):
     assert lines[0] == "x1,x2"
     assert len(lines) == 1 + 101
     assert "101 unit vectors" in out.out
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_poincare_identity_count(tmp_path, capsys):
@@ -259,6 +261,18 @@ def test_malformed_grid_exits_2(tmp_path, capsys):
         assert code == 2, grid
         assert "t_grid" in out.err
     assert not (tmp_path / "pressure.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["orbit", "boxdim", "verify-hdim"])
+def test_orbit_lattice_over_cap_exits_2(tmp_path, capsys, command):
+    # 2 * 10^7 + 1 lattice points exceed the enumeration cap of 2 * 10^7
+    text = GROUP21.replace("radius = 2000", "radius = 10000000")
+    text = text.replace("[boxdim]", "[boxdim]\nsource = orbit")
+    cfg = _write_config(tmp_path, "big.ini", text)
+    code, out = _run([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "[orbit] lattice cube has 20000001 points, above the cap" in out.err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_selftest_trials_below_one_exit_2(tmp_path, capsys):

@@ -300,6 +300,9 @@ def test_parabolic_orbit_counts_and_errors():
         parabolic_orbit(g1, boundary_infinity(), 10)
     g2 = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert parabolic_orbit(g2, boundary_plane_point([0.0, 0.0]), 7).count == 15 ** 2
+    # the lattice cap is checked before any point is allocated
+    with pytest.raises(ValueError, match="above the cap"):
+        parabolic_orbit(g2, boundary_plane_point([0.0, 0.0]), 10**6)
 
 
 def test_orbit_gaps_track_orbit_distance():

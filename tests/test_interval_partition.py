@@ -53,6 +53,9 @@ def test_dyadic_truncation_cap():
 def test_power_law_needs_exponent():
     with pytest.raises(PartitionError, match="exponent"):
         build_partition("power-law", 100)
+    # a decay this slow rounds h(1) and h(2) to the same float
+    with pytest.raises(PartitionError, match="every interval needs positive length"):
+        build_partition("power-law", 100, exponent=1 + 2**-52)
     part = build_partition("power-law", 100, exponent=1.5)
     h = np.arange(1, 102, dtype=float) ** (1.0 - 1.5)
     np.testing.assert_allclose(part.lengths, h[:-1] - h[1:], rtol=1e-14)
@@ -108,6 +111,7 @@ def test_sorted_lengths_decreasing():
     assert np.all(np.diff(s) <= 0)
     # length_order pairs each sorted slot with its interval index
     np.testing.assert_allclose(part.lengths[part.length_order], s)
+    assert not s.flags.writeable and not part.length_order.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,20 @@ def test_bowen_root_linear_power_law():
     assert br.upper - br.lower <= 1e-4
 
 
+@pytest.mark.parametrize("generator, truncation, kwargs", [
+    ("gauss", 20_000, {}),
+    ("dyadic", 1000, {}),
+    ("power-law", 200_000, {"exponent": 2.0}),
+    ("log-squared", 100_000, {}),
+])
+def test_bowen_root_linear_brackets_pressure_sign_change(generator, truncation, kwargs):
+    # the bracket ends are where the certified pressure bounds change sign
+    part = build_partition(generator, truncation, **kwargs)
+    br = bowen_root_linear(part)
+    assert br.status == "bracketed"
+    assert pressure_linear(part, br.lower).lower > 0 >= pressure_linear(part, br.upper).upper
+
+
 # ---------------------------------------------------------------------------
 # cylinder brackets (distortion-corrected iterates)
 

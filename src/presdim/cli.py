@@ -89,10 +89,10 @@ def _get_float(cfg, section, key, default=None):
     return _get_typed(cfg, section, key, float, default, "number")
 
 
-def _get_floats(cfg, section, key, default=None):
+def _get_floats(cfg, section, key):
     raw = _get(cfg, section, key)
     if raw is None:
-        return default
+        return None
     try:
         return [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
@@ -137,6 +137,16 @@ def _group_from(cfg) -> ParabolicGroupSpec:
         return ParabolicGroupSpec(ambient, rank, np.array(alphas, dtype=float))
     except ValueError as exc:
         raise ConfigError(f"config error: [group] {exc}") from exc
+
+
+def _counting_from(cfg, group: ParabolicGroupSpec):
+    """(t_max, levels, counting function) from the [counting] section."""
+    t_max = _get_float(cfg, "counting", "t_max", 25.0)
+    levels = _get_int(cfg, "counting", "levels", 50)
+    try:
+        return t_max, levels, counting_exponent(group, t_max=t_max, levels=levels)
+    except ValueError as exc:
+        raise ConfigError(f"config error: [counting] {exc}") from exc
 
 
 def _delta_grid(cfg) -> np.ndarray:
@@ -381,12 +391,7 @@ def _cmd_poincare(args, cfg, cfg_hash) -> int:
 
 def _cmd_counting(args, cfg, cfg_hash) -> int:
     group = _group_from(cfg)
-    t_max = _get_float(cfg, "counting", "t_max", 25.0)
-    levels = _get_int(cfg, "counting", "levels", 50)
-    try:
-        fn = counting_exponent(group, t_max=t_max, levels=levels)
-    except ValueError as exc:
-        raise ConfigError(f"config error: [counting] {exc}") from exc
+    t_max, levels, fn = _counting_from(cfg, group)
     rows = ["t,count,slope"]
     rows.extend(
         f"{_fmt(t)},{int(c)},{_fmt(s)}"
@@ -510,9 +515,7 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
     tol = args.tol if args.tol is not None else _get_float(cfg, "verify", "exponent_tol", 0.01)
     agreement = _get_float(cfg, "verify", "agreement", 0.1)
     est = critical_exponent(group, tol=tol)
-    t_max = _get_float(cfg, "counting", "t_max", 25.0)
-    levels = _get_int(cfg, "counting", "levels", 50)
-    fn = counting_exponent(group, t_max=t_max, levels=levels)
+    fn = _counting_from(cfg, group)[2]
     cloud = _orbit_cloud(cfg)
     box = estimate_box_dimension(cloud, _delta_grid(cfg))
 

@@ -555,20 +555,17 @@ class BranchMap:
         return m, big
 
 
-def make_branch_map(partition: IntervalPartition, kind: str = "auto") -> BranchMap:
-    if kind == "auto":
-        kind = "gauss-analytic" if partition.generator in ("gauss", "gauss-restricted") else "linear-full"
-    if kind == "linear-full":
-        return BranchMap("linear-full", partition, None)
-    if kind == "gauss-analytic":
-        if partition.generator == "gauss":
-            digits = tuple(range(1, partition.count + 1))
-        elif partition.generator == "gauss-restricted":
-            digits = tuple(partition.params["digits"])
-        else:
-            raise PartitionError("gauss-analytic branches need a gauss-type partition")
-        return BranchMap("gauss-analytic", partition, digits)
-    raise PartitionError(f"unknown branch map kind {kind!r}")
+def make_branch_map(partition: IntervalPartition) -> BranchMap:
+    """The branch map its generator implies.
+
+    gauss and gauss-restricted partitions get the reciprocal branches
+    x -> 1/x - d; every other partition gets the affine full branches.
+    """
+    if partition.generator == "gauss":
+        return BranchMap("gauss-analytic", partition, tuple(range(1, partition.count + 1)))
+    if partition.generator == "gauss-restricted":
+        return BranchMap("gauss-analytic", partition, tuple(partition.params["digits"]))
+    return BranchMap("linear-full", partition, None)
 
 
 def max_cylinder_order(branches: int, word_cap: int = WORD_CAP) -> int:
@@ -630,17 +627,18 @@ def _word_tables(bmap: BranchMap, m: int, depth: int) -> tuple:
     return tables
 
 
-def _derivative_range(bmap: BranchMap, tables: tuple, hull: tuple[float, float]):
-    """(inf, sup) of |(T^n)'| over each tabulated cylinder ∩ invariant hull.
+def _derivative_range(bmap: BranchMap, tables: tuple, y: float) -> np.ndarray:
+    """|(T^n)'| of each tabulated word at the hull end y.
 
-    |F_w'(y)| = (q' y + q)^-2 is monotone in y, so the ends of the hull give
-    the range of |(T^n)'| = 1/|F_w'|; affine words have |(T^n)'| = 1/scale.
+    |F_w'(y)| = (q' y + q)^-2 is monotone in y, so the two ends of the hull
+    give the range of |(T^n)'| = 1/|F_w'| over cylinder ∩ hull: the least
+    value at the left end, the greatest at the right.  Affine words have
+    |(T^n)'| = 1/scale at every y.
     """
     if bmap.kind == "gauss-analytic":
         _, _, qp, q = tables
-        return (qp * hull[0] + q) ** 2, (qp * hull[1] + q) ** 2
-    inv = 1.0 / tables[1]
-    return inv, inv
+        return (qp * y + q) ** 2
+    return 1.0 / tables[1]
 
 
 def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None):
@@ -665,7 +663,7 @@ def cylinder_words(bmap: BranchMap, order: int, alphabet_cap: int | None = None)
     """
     m, tables, left, right = _cylinder_bounds(bmap, order, alphabet_cap)
     labels = np.asarray(bmap.digits[:m]) if bmap.kind == "gauss-analytic" else np.arange(1, m + 1)
-    deriv_inf, deriv_sup = _derivative_range(bmap, tables, bmap.invariant_hull())
+    deriv_inf, deriv_sup = (_derivative_range(bmap, tables, y) for y in bmap.invariant_hull())
     symbols = np.empty((left.size, order), dtype=labels.dtype)
     grid = symbols.reshape((m,) * order + (order,))
     for k in range(order):
@@ -677,24 +675,26 @@ def cylinder_words(bmap: BranchMap, order: int, alphabet_cap: int | None = None)
     return out
 
 
-def _cylinder_sums(bmap: BranchMap, order: int, exponents: Sequence[float], sides: Sequence[str],
-                   alphabet_cap: int | None) -> np.ndarray:
+def _cylinder_sums(bmap: BranchMap, m: int, suffixes: tuple, exponents: Sequence[float],
+                   sides: Sequence[str]) -> np.ndarray:
     """sum_w D_w^-t over depth-n cylinders, a row per t and a column per side ("sup" or "inf").
 
     D_w is the derivative range of the n-th iterate over cylinder w ∩
-    invariant hull.  Words go one leading symbol at a time, so memory stays
-    at the size of the depth n-1 suffix tables; each lead's sum is rounded
-    once, and the leads' sums are then added exactly.
+    invariant hull.  `suffixes` holds the `_word_tables` of all depth n-1
+    words over the first m branches; they do not depend on t, so a caller
+    that sums at many exponents builds them once.  Words go one leading
+    symbol at a time, so memory stays at the size of the suffix tables, and
+    only the hull ends of the requested sides are evaluated.  Each lead's
+    sum is rounded once, and the leads' sums are then added exactly.
     """
-    m = _effective_alphabet(bmap, alphabet_cap, order)
     hull = bmap.invariant_hull()
+    ys = [{"inf": hull[0], "sup": hull[1]}[side] for side in sides]
     ts = [float(t) for t in exponents]
-    suffixes = _word_tables(bmap, m, order - 1)
     per_lead = np.empty((m, len(ts), len(sides)))
     for lead in range(m):
-        inf_d, sup_d = _derivative_range(bmap, _prepend(bmap, suffixes, lead), hull)
-        ends = {"inf": inf_d, "sup": sup_d}
-        per_lead[lead] = [[compensated_sum(ends[side] ** -t) for side in sides] for t in ts]
+        tables = _prepend(bmap, suffixes, lead)
+        ends = [_derivative_range(bmap, tables, y) for y in ys]
+        per_lead[lead] = [[compensated_sum(end ** -t) for end in ends] for t in ts]
     return np.array([[compensated_sum(per_lead[:, j, k]) for k in range(len(sides))]
                      for j in range(len(ts))])
 
@@ -704,10 +704,12 @@ def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[fl
     """For each t, return (sum_w sup_w^-t, sum_w inf_w^-t) over depth-n cylinders.
 
     sup/inf are the derivative range of the n-th iterate over cylinder ∩
-    invariant hull.  The sums run serially; `threads` is accepted for
-    existing callers and has no effect.
+    invariant hull.  One walk over the suffix tables serves both sides and
+    every t.  The sums run serially; `threads` is accepted for existing
+    callers and has no effect.
     """
-    sums = _cylinder_sums(bmap, order, exponents, ("sup", "inf"), alphabet_cap)
+    m = _effective_alphabet(bmap, alphabet_cap, order)
+    sums = _cylinder_sums(bmap, m, _word_tables(bmap, m, order - 1), exponents, ("sup", "inf"))
     return [tuple(row) for row in sums.tolist()]
 
 

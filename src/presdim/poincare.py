@@ -244,7 +244,8 @@ def verify_dichotomy(rule: str, param: float | None = None) -> DichotomyReport:
     The window is 400 geometric samples of n in [100, 10^6].  Ratios with
     limsup < 1 certify convergence, liminf > 1 certifies divergence, and a
     window straddling 1 is flagged as boundary.  Partial sums at the decade
-    checkpoints 10^2 .. 10^6 report the observed growth for consistency.
+    checkpoints 10^2 .. 10^6, each correctly rounded, report the observed
+    growth for consistency.
     """
     grid = np.unique(np.geomspace(100, 1_000_000, 400).astype(np.int64)).astype(float)
     log_inv = _rule_log_inverse(rule, param, grid)
@@ -263,8 +264,7 @@ def verify_dichotomy(rule: str, param: float | None = None) -> DichotomyReport:
     checkpoints = [10 ** e for e in range(2, 7)]
     n_all = np.arange(1, checkpoints[-1] + 1, dtype=float)
     terms = np.exp(-_rule_log_inverse(rule, param, n_all))
-    cumulative = np.cumsum(terms)
-    partial_sums = [float(cumulative[c - 1]) for c in checkpoints]
+    partial_sums = [compensated_sum(terms[:c]) for c in checkpoints]
     increments = [partial_sums[0]] + [
         partial_sums[i] - partial_sums[i - 1] for i in range(1, len(partial_sums))
     ]

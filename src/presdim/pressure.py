@@ -21,7 +21,7 @@ from .interval_partition import (
     PartitionError,
     _cylinder_sums,
     _effective_alphabet,
-    cylinder_derivative_sums,
+    _word_tables,
 )
 
 __all__ = [
@@ -120,7 +120,6 @@ class DistortionBounds:
 
     constant: float
     log_constant: float
-    order: int
     description: str
 
 
@@ -160,35 +159,23 @@ _CONVERGENT_ANNOTATION = (
 )
 
 
-def pressure_linear(
-    partition: IntervalPartition, t: float, truncation: int | None = None
-) -> PressureSample:
+def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
     """log sum length^t with certified tail bounds from the length model.
 
-    `truncation` restricts the materialized sum to the first k intervals
-    (endpoint order); tails are then taken past that index.  Finite explicit
-    partitions have zero tail and the sample is exact up to rounding.  t <= 0
-    on unbounded partitions is a divergence flag, not an exception.
+    The materialized intervals are summed exactly and the tail is taken past
+    the last of them.  Finite explicit partitions have zero tail and the
+    sample is exact up to rounding.  t <= 0 on unbounded partitions is a
+    divergence flag, not an exception.
     """
     t = float(t)
-    k = partition.count if truncation is None else min(int(truncation), partition.count)
-    if k < 1:
-        raise PartitionError("pressure needs at least one materialized interval")
-    if k == partition.count:
-        verdict = partition.series_verdict(t)
-    elif partition.model is None:
-        raise PartitionError("cannot truncate an explicit partition below its interval count")
-    elif t <= 0.0:
-        verdict = partition.series_verdict(t)
-    else:
-        verdict = partition.model.series_verdict(t, k)
-
+    k = partition.count
+    verdict = partition.series_verdict(t)
     if verdict.status == "diverges":
         return PressureSample(
             t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, k, math.inf, "linear-series"
         )
 
-    partial = compensated_sum(partition.lengths[:k] ** t)
+    partial = compensated_sum(partition.lengths ** t)
     lower = math.log(partial + verdict.tail_low)
     if verdict.status == "converges" and verdict.tail_high is not None:
         upper = math.log(partial + verdict.tail_high)
@@ -219,7 +206,8 @@ def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
     and both hold for every depth n.  The width is at most 2 t log(C) / n
     with C the distortion constant of the map.
     """
-    (s_sup, s_inf), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap)
+    m = _effective_alphabet(bmap, alphabet_cap, order)
+    (s_sup, s_inf), = _cylinder_sums(bmap, m, _word_tables(bmap, m, order - 1), [t], ("sup", "inf"))
     lower = math.log(s_sup) / order
     upper = math.log(s_inf) / order
     return PressureSample(
@@ -229,29 +217,24 @@ def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
         upper=upper,
         status="certified",
         evidence="per-cylinder derivative ranges over the invariant hull",
-        truncation=_effective_alphabet(bmap, alphabet_cap, order) ** order,
+        truncation=m**order,
         tail_bound=0.0,
         method=f"cylinder-bracket(order={order})",
     )
 
 
-def distortion_constant(bmap: BranchMap, order: int = 1) -> DistortionBounds:
-    """A uniform-in-depth bound C on sup/inf of |(T^n)'| over each cylinder.
+def distortion_constant(bmap: BranchMap) -> DistortionBounds:
+    """A bound C on sup/inf of |(T^n)'| over each cylinder, the same at every depth n.
 
     Affine branches have no distortion.  For the reciprocal branches the
     iterate derivative over a cylinder is (q' y + q)^2 with continuant
     coefficients 0 <= q' <= q, so the ratio is at most ((q + q')/q)^2 <= 4.
     """
-    if order < 1:
-        raise PartitionError("distortion order must be >= 1")
     if bmap.kind == "linear-full":
-        return DistortionBounds(
-            1.0, 0.0, order, "affine branches: iterate derivatives are constant on cylinders"
-        )
+        return DistortionBounds(1.0, 0.0, "affine branches: iterate derivatives are constant on cylinders")
     return DistortionBounds(
         4.0,
         math.log(4.0),
-        order,
         "reciprocal branches: continuant coefficients give sup/inf <= ((q+q')/q)^2 <= 4 at every depth",
     )
 
@@ -433,12 +416,15 @@ def bowen_root_cylinder(
     Uses the two curves of `pressure_cylinder_bracket` at a fixed depth; each
     is decreasing in t and they enclose the pressure at every depth, so their
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
+    The depth n-1 suffix tables do not depend on t and are built once.
     """
+    m = _effective_alphabet(bmap, alphabet_cap, order)
+    suffixes = _word_tables(bmap, m, order - 1)
 
     def curve(side: str) -> Callable[[float], float]:
         # the two bisections share only their first few exponents, so each
         # curve reduces only its own side; a bisection never repeats an exponent
-        return lambda t: math.log(_cylinder_sums(bmap, order, [t], (side,), alphabet_cap)[0, 0]) / order
+        return lambda t: math.log(_cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0]) / order
 
     bracket = bowen_root(curve("sup"), curve("inf"), t_range, tol)
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"

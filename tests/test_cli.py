@@ -13,6 +13,9 @@ import pytest
 
 import presdim
 from presdim import cli
+from presdim.boxdim import PointCloud, estimate_box_dimension
+from presdim.hyperbolic import ParabolicGroupSpec, boundary_plane_point, parabolic_orbit
+from presdim.interval_partition import build_partition
 
 
 def _write_config(tmp_path, name, text):
@@ -133,6 +136,41 @@ def test_bowen_alphabet_cap_below_one_exits_2(tmp_path, capsys):
             assert code == 2, (cap, order)
             assert "[bowen] alphabet_cap" in out.err
     assert not (tmp_path / "bowen.json").exists()
+
+
+GAUSS_BOXDIM = """\
+[partition]
+generator = gauss
+truncation = 20000
+
+[boxdim]
+source = endpoints
+j_min = 6
+j_max = 14
+"""
+
+
+@pytest.mark.parametrize("source", ["endpoints", "orbit"])
+def test_boxdim_counts_match_the_estimator(tmp_path, capsys, source):
+    if source == "endpoints":
+        text, algorithm = GAUSS_BOXDIM, "sorted-sweep"
+        cloud = PointCloud(build_partition("gauss", 20_000).endpoints(), "line")
+    else:
+        text, algorithm = GROUP21.replace("[boxdim]", "[boxdim]\nsource = orbit"), "grid-cells"
+        group = ParabolicGroupSpec(2, 1, np.array([[1.0]]))
+        cloud = parabolic_orbit(group, boundary_plane_point([0.0]), 2000)
+    cfg = _write_config(tmp_path, "b.ini", text)
+    code, out = _run(["boxdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    deltas = 2.0 ** -np.arange(6, 15)
+    est = estimate_box_dimension(cloud, deltas)
+    rows = (tmp_path / "boxdim_counts.csv").read_text().splitlines()
+    assert rows[0] == "delta,count,algorithm"
+    assert rows[1:] == [f"{d!r},{c},{algorithm}" for d, c in zip(deltas.tolist(), est.counts.tolist())]
+    doc = json.loads((tmp_path / "boxdim.json").read_text())
+    assert (doc["source"], doc["cloud_size"]) == (source, cloud.count)
+    assert doc["counts"] == est.counts.tolist()
+    assert (doc["lower_dim"], doc["upper_dim"]) == (est.lower_dim, est.upper_dim)
 
 
 def test_gaps_json(tmp_path, capsys):
@@ -273,6 +311,23 @@ def test_orbit_lattice_over_cap_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert "[orbit] lattice cube has 20000001 points, above the cap" in out.err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["counting", "verify-hdim"])
+def test_counting_levels_below_six_exit_2(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, "c.ini", GROUP21.replace("levels = 30", "levels = 3"))
+    code, out = _run([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "config error: [counting] need at least 6 levels" in out.err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_boxdim_unknown_source_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "b.ini", "[partition]\ngenerator = gauss\ntruncation = 100\n\n"
+                                           "[boxdim]\nsource = spiral\n")
+    code, out = _run(["boxdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "[boxdim] source must be endpoints or orbit (got 'spiral')" in out.err
 
 
 def test_selftest_trials_below_one_exit_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from presdim import poincare
 from presdim.hyperbolic import ParabolicGroupSpec, orbit_distance
 from presdim.poincare import (
     CONVERGENT_WITH_BOUND,
@@ -262,6 +263,13 @@ def test_dichotomy_divergent_power():
     rep = verify_dichotomy("power", 0.7)
     assert rep.verdict == "diverges"
     assert rep.consistent
+
+
+@pytest.mark.parametrize("rule, param", [("power", 2.0), ("harmonic", None), ("poincare-gauge", 0.6), ("power", 0.7)])
+def test_dichotomy_partial_sums_are_correctly_rounded(rule, param):
+    rep = verify_dichotomy(rule, param)
+    terms = np.exp(-poincare._rule_log_inverse(rule, param, np.arange(1.0, rep.checkpoints[-1] + 1.0)))
+    assert rep.partial_sums == tuple(math.fsum(terms[:c]) for c in rep.checkpoints)
 
 
 def test_dichotomy_rule_validation():

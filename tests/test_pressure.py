@@ -55,6 +55,16 @@ def test_pressure_certified_brackets_nest_with_truncation():
     assert fine.upper - fine.lower < 0.01 * (coarse.upper - coarse.lower)
 
 
+@pytest.mark.parametrize("t, status", [(0.45, "undetermined"), (0.49, "uncertified")])
+def test_oscillating_pressure_without_tail_certificate(t, status):
+    # inside the ratio band convergence is unknown; just above it the series
+    # converges but no tail bound is certified; the partial sum is a lower bound either way
+    s = pressure_linear(build_partition("oscillating", 100_000), t)
+    assert s.status == status
+    assert s.upper == s.tail_bound == math.inf
+    assert math.isfinite(s.lower) and s.value == s.lower
+
+
 def test_pressure_explicit_partition_exact():
     part = build_partition("explicit", intervals=[(0.5, 1.0), (0.0, 0.25)])
     s = pressure_linear(part, 2.0)
@@ -242,9 +252,12 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
     reduced = []
     real_sums = pressure._cylinder_sums
 
-    def counting_sums(bmap, order, exponents, sides, *args):
+    suffix_tables = []
+
+    def counting_sums(bmap, m, suffixes, exponents, sides):
         reduced.extend((t, side) for t in exponents for side in sides)
-        return real_sums(bmap, order, exponents, sides, *args)
+        suffix_tables.append(suffixes)
+        return real_sums(bmap, m, suffixes, exponents, sides)
 
     monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
@@ -253,6 +266,8 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
     # sup-side sums and the upper only inf-side ones, 25 each, where sampling
     # both sides at every exponent took 80 reductions
     assert len(reduced) == len(set(reduced)) == 50
+    # the depth n-1 suffix tables are built once per root, not once per evaluation
+    assert all(tables is suffix_tables[0] for tables in suffix_tables)
     assert (br.lower, br.upper) == (0.526565962774217, 0.5364785450314877)
 
 

@@ -92,8 +92,8 @@ class DimensionEstimate:
     """Windowed secant slopes of log N against log(1/delta).
 
     lower_dim/upper_dim are the min/max slope over the trailing window of
-    non-saturated levels, clamped to [0, ambient].  `pairs` holds every
-    (log 1/delta, log N) sample; `used` marks the secants in the window.
+    non-saturated levels, clamped to [0, ambient].  `deltas` and `counts`
+    hold every (delta, N) sample; `used` marks the secants in the window.
     """
 
     lower_dim: float
@@ -108,10 +108,6 @@ class DimensionEstimate:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower_dim + self.upper_dim)
-
-    @property
-    def pairs(self) -> np.ndarray:
-        return np.column_stack([np.log(1.0 / self.deltas), np.log(self.counts.astype(float))])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +88,7 @@ class _LengthModel:
         return float(self.right_endpoint(np.array([m + 1.0]))[0])
 
     def series_verdict(self, t: float, m: int) -> SeriesVerdict:
+        """The verdict past index m at t > 0 (`IntervalPartition.series_verdict` answers t <= 0)."""
         raise NotImplementedError
 
 
@@ -120,8 +121,6 @@ class _DyadicLengths(_LengthModel):
         return np.exp2(1.0 - np.asarray(n, dtype=float))
 
     def series_verdict(self, t, m):
-        if t <= 0.0:
-            return SeriesVerdict("diverges", "infinitely many terms with length^t >= 1")
         r = 2.0 ** (-t)
         tail = r ** (m + 1) / (1.0 - r)
         return SeriesVerdict("converges", "geometric closed form", tail, tail)
@@ -220,8 +219,6 @@ class _OscillatingLengths(_LengthModel):
         return float(r.min()), float(r.max())
 
     def series_verdict(self, t, m):
-        if t <= 0.0:
-            return SeriesVerdict("diverges", "infinitely many terms with length^t >= 1")
         r_min, r_max = self.ratio_window(max(m // 2, 16) if m > 32 else 16)
         if t > 0.5:
             # certified: length_n <= h(n) * dphi <= (1/n) * 2 log(1+1/n) <= 2/n^2
@@ -675,26 +672,33 @@ def cylinder_words(bmap: BranchMap, order: int, alphabet_cap: int | None = None)
     return out
 
 
-def _cylinder_sums(bmap: BranchMap, m: int, suffixes: tuple, exponents: Sequence[float],
-                   sides: Sequence[str]) -> np.ndarray:
-    """sum_w D_w^-t over depth-n cylinders, a row per t and a column per side ("sup" or "inf").
+def _lead_derivatives(bmap: BranchMap, m: int, suffixes: tuple, sides: Sequence[str]) -> Iterator[list]:
+    """For each leading symbol, D_w of its depth-n words w, one array per side ("sup" or "inf").
 
     D_w is the derivative range of the n-th iterate over cylinder w ∩
     invariant hull.  `suffixes` holds the `_word_tables` of all depth n-1
     words over the first m branches; they do not depend on t, so a caller
     that sums at many exponents builds them once.  Words go one leading
     symbol at a time, so memory stays at the size of the suffix tables, and
-    only the hull ends of the requested sides are evaluated.  Each lead's
-    sum is rounded once, and the leads' sums are then added exactly.
+    only the hull ends of the requested sides are evaluated.
     """
     hull = bmap.invariant_hull()
     ys = [{"inf": hull[0], "sup": hull[1]}[side] for side in sides]
-    ts = [float(t) for t in exponents]
-    per_lead = np.empty((m, len(ts), len(sides)))
     for lead in range(m):
         tables = _prepend(bmap, suffixes, lead)
-        ends = [_derivative_range(bmap, tables, y) for y in ys]
-        per_lead[lead] = [[compensated_sum(end ** -t) for end in ends] for t in ts]
+        yield [_derivative_range(bmap, tables, y) for y in ys]
+
+
+def _cylinder_sums(bmap: BranchMap, m: int, suffixes: tuple, exponents: Sequence[float],
+                   sides: Sequence[str]) -> np.ndarray:
+    """sum_w D_w^-t over depth-n cylinders, a row per t and a column per side ("sup" or "inf").
+
+    The words come from `_lead_derivatives`.  Each lead's sum is rounded
+    once, and the leads' sums are then added exactly.
+    """
+    ts = [float(t) for t in exponents]
+    per_lead = np.array([[[compensated_sum(end ** -t) for end in ends] for t in ts]
+                         for ends in _lead_derivatives(bmap, m, suffixes, sides)])
     return np.array([[compensated_sum(per_lead[:, j, k]) for k in range(len(sides))]
                      for j in range(len(ts))])
 

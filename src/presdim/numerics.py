@@ -210,6 +210,21 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     return value, _up(math.fsum(errs), 16.0 * _U)
 
 
+def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
+    """Floats lo <= P <= hi around the exact sum P of an array of nonnegative terms.
+
+    One np.sum: adding n nonnegative floats in any order, numpy's pairwise
+    order included, lands within gamma_(n-1) P of P, gamma_k = k u / (1 - k u)
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2),
+    and the float sum is widened outward by that much.  An inf or nan sum
+    gives inf or nan ends.
+    """
+    k = (values.size - 1) * _U
+    rel = max(k / (1.0 - k), 4.0 * _U)
+    total = float(values.sum())
+    return _down(total, rel), _up(total, rel)
+
+
 def _zeta_interval(s: float, a: float) -> tuple[float, float]:
     """[lo, hi] containing zeta(s, a), rounded outward."""
     value, bound = hurwitz_zeta(s, a)

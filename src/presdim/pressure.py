@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .numerics import compensated_sum
+from .numerics import _sum_enclosure, compensated_sum
 from .interval_partition import (
     BranchMap,
     IntervalPartition,
     PartitionError,
+    SeriesVerdict,
     _cylinder_sums,
     _effective_alphabet,
+    _lead_derivatives,
     _word_tables,
 )
 
@@ -66,10 +68,6 @@ class PressureSample:
     truncation: int
     tail_bound: float
     method: str
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     @property
     def divergent(self) -> bool:
@@ -132,14 +130,6 @@ class RootBracket:
     status: str
     evidence: str
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
 
 _STABILITY_NOTE = (
     "Boundary behavior is not a function of the critical exponent alone: "
@@ -168,14 +158,19 @@ def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
     divergence flag, not an exception.
     """
     t = float(t)
-    k = partition.count
     verdict = partition.series_verdict(t)
     if verdict.status == "diverges":
         return PressureSample(
-            t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, k, math.inf, "linear-series"
+            t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, partition.count, math.inf,
+            "linear-series",
         )
+    return _linear_sample(partition, t, verdict, compensated_sum(partition.lengths ** t))
 
-    partial = compensated_sum(partition.lengths ** t)
+
+def _linear_sample(partition: IntervalPartition, t: float, verdict: SeriesVerdict,
+                   partial: float) -> PressureSample:
+    """`pressure_linear` at a convergent or undetermined t, from the sum of the materialized lengths^t."""
+    k = partition.count
     lower = math.log(partial + verdict.tail_low)
     if verdict.status == "converges" and verdict.tail_high is not None:
         upper = math.log(partial + verdict.tail_high)
@@ -376,6 +371,44 @@ def bowen_root(
     )
 
 
+def _decided(curves: Callable[[float], tuple[float, ...]], lo: float, hi: float) -> tuple[float, ...] | None:
+    """The curves at a sum known only to lie in [lo, hi], when that fixes the sign of each.
+
+    Each curve's sign (> 0 or not) may only switch from "not" to "> 0" as its
+    sum grows: every rounded step between the two is monotone, and log(y) > 0
+    exactly when y > 1.  When each curve has one sign at lo and at hi, that
+    is its sign at every sum between them, and the values at lo are
+    returned; otherwise None.  An end that is 0, inf or nan decides nothing
+    (log(0.0) raises).
+    """
+    if not (0.0 < lo and hi < math.inf):
+        return None
+    at_lo, at_hi = curves(lo), curves(hi)
+    if all((a > 0.0) == (b > 0.0) for a, b in zip(at_lo, at_hi)):
+        return at_lo
+    return None
+
+
+def _linear_curves(partition: IntervalPartition, t: float) -> tuple[float, float]:
+    """The lower and upper curve of `bowen_root_linear` at t, each with the sign of its exact value.
+
+    The partial sum of lengths^t is enclosed by one np.sum and both curves
+    are evaluated at its two ends; the terms are summed exactly only when
+    the ends leave a sign open.
+    """
+    t = float(t)
+    verdict = partition.series_verdict(t)
+    if verdict.status == "diverges":
+        return math.inf, math.inf
+
+    def curves(partial: float) -> tuple[float, float]:
+        s = _linear_sample(partition, t, verdict, partial)
+        return (math.inf if s.status == "undetermined" else s.lower), s.upper
+
+    terms = partition.lengths ** t
+    return _decided(curves, *_sum_enclosure(terms)) or curves(compensated_sum(terms))
+
+
 def bowen_root_linear(
     partition: IntervalPartition,
     tol: float = 1e-9,
@@ -387,21 +420,37 @@ def bowen_root_linear(
     bound, the lower curve its lower bound except where convergence is
     undetermined, which counts as +inf.  Divergent exponents are +inf on both
     curves, which keeps the bisections sound: they tighten toward the
-    certified-convergent region from the right.
+    certified-convergent region from the right.  The bisections read only
+    the curves' signs, and each exponent takes them from an enclosure of the
+    partial sum, summing exactly only where the enclosure straddles a sign;
+    the bracket is the one that exact sums at every exponent give.
     """
     # the two bisections share most midpoints: evaluate each exponent once
-    samples: dict[float, PressureSample] = {}
+    curves: dict[float, tuple[float, float]] = {}
 
-    def sample(t: float) -> PressureSample:
-        if t not in samples:
-            samples[t] = pressure_linear(partition, t)
-        return samples[t]
+    def at(t: float) -> tuple[float, float]:
+        if t not in curves:
+            curves[t] = _linear_curves(partition, t)
+        return curves[t]
 
-    def lower_curve(t: float) -> float:
-        s = sample(t)
-        return math.inf if s.status == "undetermined" else s.lower
+    return bowen_root(lambda t: at(t)[0], lambda t: at(t)[1], t_range, tol)
 
-    return bowen_root(lower_curve, lambda t: sample(t).upper, t_range, tol)
+
+def _cylinder_curve(bmap: BranchMap, m: int, suffixes: tuple, order: int, side: str, t: float) -> float:
+    """log(S)/order with S = sum_w D_w^-t on one side ("sup" or "inf"), with the sign of its exact value.
+
+    The exact S rounds each lead's sum once and adds the leads exactly, so
+    it lies between the exact sums of the leads' lower and upper enclosure
+    ends, one np.sum each.  The words are walked again and summed exactly
+    only when those two leave the sign open.
+    """
+    def curve(s: float) -> tuple[float]:
+        return (math.log(s) / order,)
+
+    t = float(t)
+    lows, highs = zip(*(_sum_enclosure(d ** -t) for (d,) in _lead_derivatives(bmap, m, suffixes, (side,))))
+    decided = _decided(curve, compensated_sum(lows), compensated_sum(highs))
+    return (decided or curve(_cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0]))[0]
 
 
 def bowen_root_cylinder(
@@ -416,15 +465,18 @@ def bowen_root_cylinder(
     Uses the two curves of `pressure_cylinder_bracket` at a fixed depth; each
     is decreasing in t and they enclose the pressure at every depth, so their
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
-    The depth n-1 suffix tables do not depend on t and are built once.
+    The depth n-1 suffix tables do not depend on t and are built once.  The
+    bisections read only the curves' signs, and each evaluation takes its
+    sign from per-lead sum enclosures, summing exactly only where they
+    straddle it; the bracket is the one that exact sums give.
     """
     m = _effective_alphabet(bmap, alphabet_cap, order)
     suffixes = _word_tables(bmap, m, order - 1)
 
     def curve(side: str) -> Callable[[float], float]:
         # the two bisections share only their first few exponents, so each
-        # curve reduces only its own side; a bisection never repeats an exponent
-        return lambda t: math.log(_cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0]) / order
+        # curve evaluates only its own side; a bisection never repeats an exponent
+        return lambda t: _cylinder_curve(bmap, m, suffixes, order, side, t)
 
     bracket = bowen_root(curve("sup"), curve("inf"), t_range, tol)
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"

@@ -340,6 +340,30 @@ def test_selftest_trials_below_one_exit_2(tmp_path, capsys):
     assert not (tmp_path / "selftest.json").exists()
 
 
+GAUSS_100 = "[partition]\ngenerator = gauss\ntruncation = 100\n"
+POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 1.5\nradius = 10\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("s-infinity", "generator = gauss\n", "cannot parse config"),
+    ("s-infinity", GAUSS_100.replace("100", "many"), "[partition] truncation must be"),
+    ("poincare", POINCARE_21.replace("alpha_1 = 1.0", "alpha_1 = 1.0 one"), "[group] alpha_1 must list numbers"),
+    ("s-infinity", "[partition]\ntruncation = 100\n", "missing [partition] generator"),
+    ("s-infinity", "[partition]\ngenerator = gauss-restricted\ndigits = 1 x\n",
+     "[partition] digits must list integers"),
+    ("poincare", POINCARE_21.replace("rank = 1", "rank = 2\nalpha_2 = 2.0"), "config error: [group] rank"),
+    ("boxdim", GAUSS_100 + "\n[boxdim]\nj_min = 10\nj_max = 10\n", "[boxdim] j_min must be below j_max"),
+    ("bowen", GAUSS_100 + "\n[bowen]\nmethod = spline\n", "[bowen] method must be linear or cylinder (got 'spline')"),
+    ("poincare", POINCARE_21.replace("s = 1.5", "s = -1.0"), "config error: [poincare] s must be nonnegative"),
+])
+def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, command, text, message):
+    cfg = _write_config(tmp_path, "e.ini", text)
+    code, out = _run([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert message in out.err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+
 def test_invalid_flag_values_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 1000\n")
     code, _ = _run(["s-infinity", "--config", str(cfg), "--threads", "0"], capsys)

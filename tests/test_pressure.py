@@ -233,42 +233,155 @@ def test_bowen_root_cylinder_restricted_digits():
 
 
 def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
-    reduced = []
-    real_sum = pressure.compensated_sum
+    evaluated, reduced = [], []
+    real_curves, real_sum = pressure._linear_curves, pressure.compensated_sum
+
+    def counting_curves(partition, t):
+        evaluated.append(t)
+        return real_curves(partition, t)
 
     def counting_sum(values):
         reduced.append(values.tobytes())
         return real_sum(values)
 
+    monkeypatch.setattr(pressure, "_linear_curves", counting_curves)
     monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
     br = bowen_root_linear(build_partition("gauss", 20_000), tol=1e-9)
     # the lower and upper bisections share their midpoints
-    assert len(reduced) == len(set(reduced)) > 30
+    assert len(evaluated) == len(set(evaluated)) > 30
+    # the sum enclosures decide every sign: no exact reduction
+    assert reduced == []
     # same bracket as when every curve evaluation ran its own reduction
     assert (br.lower, br.upper) == (0.9999999980912281, 1.000000001953873)
 
 
-def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
+def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
+    # at the first midpoint t = 1 the dyadic partial sum is 1 - 2^-1000: its
+    # enclosure straddles 1, so the lower curve's sign needs the exact sum
+    part = build_partition("dyadic", 1000)
     reduced = []
-    real_sums = pressure._cylinder_sums
+    real_sum = pressure.compensated_sum
+
+    def counting_sum(values):
+        reduced.append(values.copy())
+        return real_sum(values)
+
+    monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
+    br = bowen_root_linear(part, t_range=(0.5, 1.5))
+    assert len(reduced) == 1
+    assert np.array_equal(reduced[0], part.lengths ** 1.0)
+    assert (br.lower, br.upper) == (0.9999999985343387, 1.0000000005343388)
+
+
+def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
+    evaluated, reduced = [], []
+    real_curve, real_sums = pressure._cylinder_curve, pressure._cylinder_sums
 
     suffix_tables = []
 
+    def counting_curve(bmap, m, suffixes, order, side, t):
+        evaluated.append((t, side))
+        suffix_tables.append(suffixes)
+        return real_curve(bmap, m, suffixes, order, side, t)
+
     def counting_sums(bmap, m, suffixes, exponents, sides):
         reduced.extend((t, side) for t in exponents for side in sides)
-        suffix_tables.append(suffixes)
         return real_sums(bmap, m, suffixes, exponents, sides)
 
+    monkeypatch.setattr(pressure, "_cylinder_curve", counting_curve)
     monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, 13, tol=1e-6)
-    # each (exponent, side) pair is reduced once; the lower curve reads only
+    # each (exponent, side) pair is evaluated once; the lower curve reads only
     # sup-side sums and the upper only inf-side ones, 25 each, where sampling
-    # both sides at every exponent took 80 reductions
-    assert len(reduced) == len(set(reduced)) == 50
+    # both sides at every exponent took 80 evaluations
+    assert len(evaluated) == len(set(evaluated)) == 50
+    # the per-lead sum enclosures decide every sign: no exact reduction
+    assert reduced == []
     # the depth n-1 suffix tables are built once per root, not once per evaluation
     assert all(tables is suffix_tables[0] for tables in suffix_tables)
     assert (br.lower, br.upper) == (0.526565962774217, 0.5364785450314877)
+
+
+def test_bowen_root_cylinder_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
+    # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at the first
+    # midpoint t = 1 both curves sum to exactly 1 and their enclosures straddle it
+    bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]))
+    reduced = []
+    real_sums = pressure._cylinder_sums
+
+    def counting_sums(bmap, m, suffixes, exponents, sides):
+        reduced.extend((t, side) for t in exponents for side in sides)
+        return real_sums(bmap, m, suffixes, exponents, sides)
+
+    monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
+    br = bowen_root_cylinder(bmap, 12, t_range=(0.5, 1.5))
+    assert reduced == [(1.0, "sup"), (1.0, "inf")]
+    assert (br.lower, br.upper) == (0.9999985231628418, 1.0000005231628417)
+
+
+# every tiling generator has sum length = 1, so its pressure root is t = 1
+ROOT_ONE_PARTITIONS = {
+    name: build_partition(name, 1000, **kwargs)
+    for name, kwargs in [("gauss", {}), ("dyadic", {}), ("power-law", {"exponent": 1.5}),
+                         ("log-squared", {}), ("oscillating", {})]
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(ROOT_ONE_PARTITIONS)), offset=st.floats(-1e-3, 1e-3))
+def test_linear_curve_signs_match_the_exact_sample(name, offset):
+    # the enclosure's sign, wherever it decides, is the sign of the exactly summed sample
+    part = ROOT_ONE_PARTITIONS[name]
+    t = 1.0 + offset
+    lower, upper = pressure._linear_curves(part, t)
+    exact = pressure_linear(part, t)
+    exact_lower = math.inf if exact.status == "undetermined" else exact.lower
+    assert (lower > 0.0, upper > 0.0) == (exact_lower > 0.0, exact.upper > 0.0)
+
+
+def _cylinder_case(partition, order, cap):
+    """(branch map, order, cap, root of each side's curve) for the cylinder sign test."""
+    bmap = make_branch_map(partition)
+    br = bowen_root_cylinder(bmap, order, tol=1e-9, alphabet_cap=cap)
+    return bmap, order, cap, {"sup": br.lower, "inf": br.upper}
+
+
+CYLINDER_CASES = [
+    _cylinder_case(build_partition("gauss-restricted", digits=(1, 2)), 9, None),
+    _cylinder_case(build_partition("gauss", 1000), 3, 8),
+    _cylinder_case(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]), 9, None),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(CYLINDER_CASES), side=st.sampled_from(["sup", "inf"]),
+       offset=st.floats(-1e-3, 1e-3))
+def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
+    # the lower curve sums the sup side, the upper curve the inf side
+    bmap, order, cap, roots = case
+    t = roots[side] + offset
+    m = pressure._effective_alphabet(bmap, cap, order)
+    value = pressure._cylinder_curve(bmap, m, pressure._word_tables(bmap, m, order - 1), order, side, t)
+    exact = pressure_cylinder_bracket(bmap, t, order, cap)
+    assert (value > 0.0) == ((exact.lower if side == "sup" else exact.upper) > 0.0)
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    (2.0, 3.0, (math.log(2.0),)),
+    (0.5, 2.0, None),  # straddles log's sign change at 1
+    (0.0, 0.5, None),  # log(0.0) raises
+    (2.0, math.inf, None),
+    (math.nan, math.nan, None),
+])
+def test_decided_only_where_both_ends_fix_the_sign(lo, hi, expected):
+    assert pressure._decided(lambda s: (math.log(s),), lo, hi) == expected
+
+
+def test_log_is_positive_exactly_above_one():
+    # the libm property behind every enclosure decision: the sign of log(y) is the sign of y - 1
+    ys = (np.float64(1.0).view(np.int64) + np.arange(-10**4, 10**4 + 1)).view(np.float64)
+    assert all((math.log(y) > 0.0) == (y > 1.0) for y in ys.tolist())
 
 
 @settings(max_examples=200, deadline=None)

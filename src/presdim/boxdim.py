@@ -44,8 +44,8 @@ class PointCloud:
     """An immutable finite point set, either on the line or on a unit sphere.
 
     Line clouds are sorted and deduplicated at 1e-15; sphere clouds hold unit
-    vectors (rows) sorted lexicographically, duplicates kept, since occupied
-    cells ignore them.  `label` records how the cloud was built.
+    vectors (rows) in the given order, duplicates kept, since occupied cells
+    ignore both.  `label` records how the cloud was built.
     """
 
     points: np.ndarray
@@ -64,7 +64,6 @@ class PointCloud:
             norms = np.linalg.norm(pts, axis=1)
             if not np.all(np.abs(norms - 1.0) < 1e-9):
                 raise ValueError("sphere cloud points must be unit vectors")
-            pts = pts[np.lexsort(pts.T[::-1])]
         else:
             raise ValueError(f"unknown cloud kind {self.kind!r}")
         pts.setflags(write=False)
@@ -251,7 +250,7 @@ def gap_exponent_bounds(partition: IntervalPartition, n_min: int = 16) -> GapExp
     which justifies the clamp.  The fit is discarded when its residual shows
     the ratio sequence does not converge (oscillating local decay).
     """
-    lengths = partition.sorted_lengths
+    lengths = np.sort(partition.lengths, kind="stable")[::-1]
     n_total = lengths.size
     if n_total < max(n_min, 16):
         raise PartitionError(f"gap exponents need at least {max(n_min, 16)} intervals, got {n_total}")

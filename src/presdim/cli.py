@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import itertools
 import json
@@ -65,93 +66,76 @@ def _load_config(path: str) -> tuple[configparser.ConfigParser, str]:
     return parser, hashlib.sha256(blob).hexdigest()
 
 
-def _get(cfg: configparser.ConfigParser, section: str, key: str, default=None):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key).strip()
-    return default
+REQUIRED = object()
 
 
-def _get_typed(cfg, section, key, cast, default=None, kind="value"):
-    raw = _get(cfg, section, key)
-    if raw is None:
+def _numbers(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _integers(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# how a value that `kind` cannot parse is reported
+_MUST = {int: "be an integer", float: "be a number", _numbers: "list numbers", _integers: "list integers"}
+
+
+def _get(cfg: configparser.ConfigParser, section: str, key: str, kind=str, default=None):
+    """[section] key parsed by `kind`; `default` when absent, unless it is REQUIRED."""
+    if not cfg.has_option(section, key):
+        if default is REQUIRED:
+            raise ConfigError(f"config error: missing [{section}] {key}")
         return default
+    raw = cfg.get(section, key).strip()
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config error: [{section}] {key} must be a {kind} (got {raw!r})") from exc
-
-
-def _get_int(cfg, section, key, default=None):
-    return _get_typed(cfg, section, key, int, default, "integer")
-
-
-def _get_float(cfg, section, key, default=None):
-    return _get_typed(cfg, section, key, float, default, "number")
-
-
-def _get_floats(cfg, section, key):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return None
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"config error: [{section}] {key} must list numbers (got {raw!r})") from exc
+        raise ConfigError(f"config error: [{section}] {key} must {_MUST[kind]} (got {raw!r})") from exc
 
 
-def _require(value, section, key):
-    if value is None:
-        raise ConfigError(f"config error: missing [{section}] {key}")
-    return value
+@contextlib.contextmanager
+def _section(name: str):
+    """Report a library ValueError raised inside as a config error of [name]."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config error: [{name}] {exc}") from exc
 
 
 def _partition_from(cfg, truncation_override: int | None):
-    generator = _require(_get(cfg, "partition", "generator"), "partition", "generator")
+    generator = _get(cfg, "partition", "generator", default=REQUIRED)
     truncation = truncation_override
     if truncation is None:
-        truncation = _get_int(cfg, "partition", "truncation", 100_000)
+        truncation = _get(cfg, "partition", "truncation", int, 100_000)
     kwargs = {}
-    exponent = _get_float(cfg, "partition", "exponent")
-    if exponent is not None:
-        kwargs["exponent"] = exponent
-    digits_raw = _get(cfg, "partition", "digits")
-    if digits_raw is not None:
-        try:
-            kwargs["digits"] = tuple(int(tok) for tok in digits_raw.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"config error: [partition] digits must list integers") from exc
-    try:
+    for key, kind in (("exponent", float), ("digits", _integers)):
+        value = _get(cfg, "partition", key, kind)
+        if value is not None:
+            kwargs[key] = value
+    with _section("partition"):
         return build_partition(generator, truncation, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config error: [partition] {exc}") from exc
 
 
 def _group_from(cfg) -> ParabolicGroupSpec:
-    ambient = _require(_get_int(cfg, "group", "ambient"), "group", "ambient")
-    rank = _require(_get_int(cfg, "group", "rank"), "group", "rank")
-    alphas = []
-    for i in range(1, rank + 1):
-        vec = _get_floats(cfg, "group", f"alpha_{i}")
-        alphas.append(_require(vec, "group", f"alpha_{i}"))
-    try:
+    ambient = _get(cfg, "group", "ambient", int, REQUIRED)
+    rank = _get(cfg, "group", "rank", int, REQUIRED)
+    alphas = [_get(cfg, "group", f"alpha_{i}", _numbers, REQUIRED) for i in range(1, rank + 1)]
+    with _section("group"):
         return ParabolicGroupSpec(ambient, rank, np.array(alphas, dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"config error: [group] {exc}") from exc
 
 
 def _counting_from(cfg, group: ParabolicGroupSpec):
     """(t_max, levels, counting function) from the [counting] section."""
-    t_max = _get_float(cfg, "counting", "t_max", 25.0)
-    levels = _get_int(cfg, "counting", "levels", 50)
-    try:
+    t_max = _get(cfg, "counting", "t_max", float, 25.0)
+    levels = _get(cfg, "counting", "levels", int, 50)
+    with _section("counting"):
         return t_max, levels, counting_exponent(group, t_max=t_max, levels=levels)
-    except ValueError as exc:
-        raise ConfigError(f"config error: [counting] {exc}") from exc
 
 
 def _delta_grid(cfg) -> np.ndarray:
-    j_min = _get_int(cfg, "boxdim", "j_min", 6)
-    j_max = _get_int(cfg, "boxdim", "j_max", 18)
+    j_min = _get(cfg, "boxdim", "j_min", int, 6)
+    j_max = _get(cfg, "boxdim", "j_max", int, 18)
     if j_min >= j_max:
         raise ConfigError("config error: [boxdim] j_min must be below j_max")
     return 2.0 ** -np.arange(j_min, j_max + 1)
@@ -165,24 +149,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write(out_dir: str, name: str, lines: Iterable[str]) -> Path:
-    """Write the lines one at a time, each ended by a newline.
+def _emit(args, name: str, lines: Iterable[str], note: str = "") -> None:
+    """Write the lines to `name` under --out one at a time, then print where.
 
     Orbit CSVs hold up to a million rows; joining them first would make the
     joined text and its encoded copy the command's peak memory.
     """
-    path = Path(out_dir) / name
+    path = Path(args.out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
-    return path
+    print(f"wrote {path} ({note})" if note else f"wrote {path}")
 
 
-def _report_json(command: str, cfg_hash: str, payload: dict) -> str:
-    doc = {"command": command, "config_hash": cfg_hash}
+def _emit_json(args, cfg_hash: str, name: str, payload: dict) -> None:
+    doc = {"command": args.command, "config_hash": cfg_hash}
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
+    _emit(args, name, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)])
 
 
 def _sample_row(sample) -> str:
@@ -236,19 +220,17 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
         count = int(round((stop - start) / step)) + 1
         ts = [start + i * step for i in range(count)]
     else:
-        ts = _get_floats(cfg, "pressure", "t_list")
-        ts = _require(ts, "pressure", "t_list")
+        ts = _get(cfg, "pressure", "t_list", _numbers, REQUIRED)
     samples = pressure_over_grid(partition, ts)
     lines = ["t,lower,upper,method,truncation,tail_bound"]
     lines.extend(_sample_row(s) for s in samples)
-    path = _write(args.out, "pressure.csv", lines)
-    print(f"wrote {path} ({len(samples)} rows)")
+    _emit(args, "pressure.csv", lines, f"{len(samples)} rows")
     return EXIT_OK
 
 
 def _cmd_s_infinity(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
-    tol = args.tol if args.tol is not None else _get_float(cfg, "sinfinity", "tol", 1e-4)
+    tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
     est = find_s_infinity(partition, tol=tol)
     payload = {
         "generator": partition.generator,
@@ -260,26 +242,25 @@ def _cmd_s_infinity(args, cfg, cfg_hash) -> int:
         "divergence_behavior": est.divergence_behavior,
         "evidence": est.evidence,
     }
-    path = _write(args.out, "s_infinity.json", [_report_json("s-infinity", cfg_hash, payload)])
     print(f"s_infinity bracket [{_fmt(est.s_low)}, {_fmt(est.s_high)}] ({est.status})")
-    print(f"wrote {path}")
+    _emit_json(args, cfg_hash, "s_infinity.json", payload)
     return EXIT_OK
 
 
 def _cmd_bowen(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
-    tol = args.tol if args.tol is not None else _get_float(cfg, "bowen", "tol", 1e-9)
-    method = _get(cfg, "bowen", "method", "linear")
-    t_low = _get_float(cfg, "bowen", "t_low", 1e-6)
-    t_high = _get_float(cfg, "bowen", "t_high", 8.0)
+    tol = args.tol if args.tol is not None else _get(cfg, "bowen", "tol", float, 1e-9)
+    method = _get(cfg, "bowen", "method", default="linear")
+    t_low = _get(cfg, "bowen", "t_low", float, 1e-6)
+    t_high = _get(cfg, "bowen", "t_high", float, 8.0)
     if method == "linear":
         bracket = bowen_root_linear(partition, t_range=(t_low, t_high), tol=tol)
         extras = {}
     elif method == "cylinder":
-        cap = _get_int(cfg, "bowen", "alphabet_cap", 64)
+        cap = _get(cfg, "bowen", "alphabet_cap", int, 64)
         if cap < 1:
             raise ConfigError(f"config error: [bowen] alphabet_cap must be >= 1 (got {cap})")
-        order = _get_int(cfg, "bowen", "order")
+        order = _get(cfg, "bowen", "order", int)
         if order is None:
             order = max_cylinder_order(cap)
         bmap = make_branch_map(partition)
@@ -298,9 +279,8 @@ def _cmd_bowen(args, cfg, cfg_hash) -> int:
         "evidence": bracket.evidence,
     }
     payload.update(extras)
-    path = _write(args.out, "bowen.json", [_report_json("bowen", cfg_hash, payload)])
     print(f"bowen root in [{_fmt(bracket.lower)}, {_fmt(bracket.upper)}] ({bracket.status})")
-    print(f"wrote {path}")
+    _emit_json(args, cfg_hash, "bowen.json", payload)
     return EXIT_OK
 
 
@@ -310,17 +290,14 @@ def _endpoint_cloud(partition) -> PointCloud:
 
 def _orbit_cloud(cfg) -> PointCloud:
     group = _group_from(cfg)
-    xi = _get_floats(cfg, "orbit", "xi")
-    xi = _require(xi, "orbit", "xi")
-    radius = _require(_get_int(cfg, "orbit", "radius"), "orbit", "radius")
-    try:
+    xi = _get(cfg, "orbit", "xi", _numbers, REQUIRED)
+    radius = _get(cfg, "orbit", "radius", int, REQUIRED)
+    with _section("orbit"):
         return parabolic_orbit(group, boundary_plane_point(xi), radius)
-    except ValueError as exc:
-        raise ConfigError(f"config error: [orbit] {exc}") from exc
 
 
 def _cmd_boxdim(args, cfg, cfg_hash) -> int:
-    source = _get(cfg, "boxdim", "source", "endpoints")
+    source = _get(cfg, "boxdim", "source", default="endpoints")
     if source == "endpoints":
         cloud = _endpoint_cloud(_partition_from(cfg, args.truncation))
         algorithm = "sorted-sweep"
@@ -335,44 +312,39 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
     rows.extend(f"{_fmt(d)},{int(c)},{algorithm}" for d, c in zip(est.deltas, est.counts))
     payload = {"source": source, "cloud_size": cloud.count, "label": cloud.label}
     payload.update(_estimate_payload(est))
-    path_csv = _write(args.out, "boxdim_counts.csv", rows)
-    path_json = _write(args.out, "boxdim.json", [_report_json("boxdim", cfg_hash, payload)])
     print(f"box dimension window [{_fmt(est.lower_dim)}, {_fmt(est.upper_dim)}]")
-    print(f"wrote {path_csv}")
-    print(f"wrote {path_json}")
+    _emit(args, "boxdim_counts.csv", rows)
+    _emit_json(args, cfg_hash, "boxdim.json", payload)
     return EXIT_OK
 
 
 def _cmd_gaps(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
-    n_min = _get_int(cfg, "gaps", "n_min", 16)
+    n_min = _get(cfg, "gaps", "n_min", int, 16)
     gb = gap_exponent_bounds(partition, n_min=n_min)
     payload = {"generator": partition.generator, "truncation": partition.count}
     payload.update(_gaps_payload(gb))
-    path = _write(args.out, "gaps.json", [_report_json("gaps", cfg_hash, payload)])
     print(f"gap exponent bounds [{_fmt(gb.L_lower)}, {_fmt(gb.L_upper)}]")
-    print(f"wrote {path}")
+    _emit_json(args, cfg_hash, "gaps.json", payload)
     return EXIT_OK
 
 
 def _cmd_orbit(args, cfg, cfg_hash) -> int:
-    cloud = _orbit_cloud(cfg)
-    dim = cloud.points.shape[1]
-    header = ",".join(f"x{i+1}" for i in range(dim))
-    rows = (",".join(map(repr, row.tolist())) for row in cloud.points)
-    path = _write(args.out, "orbit.csv", itertools.chain([header], rows))
-    print(f"wrote {path} ({cloud.count} unit vectors)")
+    pts = _orbit_cloud(cfg).points
+    # rows in lexicographic order; rebinding frees the unsorted array
+    pts = pts[np.lexsort(pts.T[::-1])]
+    header = ",".join(f"x{i+1}" for i in range(pts.shape[1]))
+    rows = (",".join(map(repr, row.tolist())) for row in pts)
+    _emit(args, "orbit.csv", itertools.chain([header], rows), f"{pts.shape[0]} unit vectors")
     return EXIT_OK
 
 
 def _cmd_poincare(args, cfg, cfg_hash) -> int:
     group = _group_from(cfg)
-    s = _require(_get_float(cfg, "poincare", "s"), "poincare", "s")
-    radius = _require(_get_int(cfg, "poincare", "radius"), "poincare", "radius")
-    try:
+    s = _get(cfg, "poincare", "s", float, REQUIRED)
+    radius = _get(cfg, "poincare", "radius", int, REQUIRED)
+    with _section("poincare"):
         sample = poincare_partial(group, s, radius)
-    except ValueError as exc:
-        raise ConfigError(f"config error: [poincare] {exc}") from exc
     payload = {
         "s": sample.s,
         "partial_sum": sample.partial_sum,
@@ -383,9 +355,8 @@ def _cmd_poincare(args, cfg, cfg_hash) -> int:
         "ambient": group.ambient,
         "rank": group.rank,
     }
-    path = _write(args.out, "poincare.json", [_report_json("poincare", cfg_hash, payload)])
     print(f"partial sum {_fmt(sample.partial_sum)} ({sample.tail_classification})")
-    print(f"wrote {path}")
+    _emit_json(args, cfg_hash, "poincare.json", payload)
     return EXIT_OK
 
 
@@ -404,11 +375,9 @@ def _cmd_counting(args, cfg, cfg_hash) -> int:
         "levels": levels,
         "final_slope": fn.final_slope,
     }
-    path_csv = _write(args.out, "counting.csv", rows)
-    path_json = _write(args.out, "counting.json", [_report_json("counting", cfg_hash, payload)])
     print(f"final slope {_fmt(fn.final_slope)}")
-    print(f"wrote {path_csv}")
-    print(f"wrote {path_json}")
+    _emit(args, "counting.csv", rows)
+    _emit_json(args, cfg_hash, "counting.json", payload)
     return EXIT_OK
 
 
@@ -428,10 +397,10 @@ def _overall(assertions) -> tuple[str, int]:
 
 def _cmd_verify_main(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
-    tol = args.tol if args.tol is not None else _get_float(cfg, "sinfinity", "tol", 1e-4)
-    pad = _get_float(cfg, "verify", "pad", 0.05)
+    tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
+    pad = _get(cfg, "verify", "pad", float, 0.05)
     est = find_s_infinity(partition, tol=tol)
-    gb = gap_exponent_bounds(partition, n_min=_get_int(cfg, "gaps", "n_min", 16))
+    gb = gap_exponent_bounds(partition, n_min=_get(cfg, "gaps", "n_min", int, 16))
     drift = gb.edge_drift
     eps = est.width + drift
     s_mid = est.midpoint
@@ -504,16 +473,15 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
         "note": note,
         "overall": overall,
     }
-    path = _write(args.out, "verify_main.json", [_report_json("verify-main", cfg_hash, payload)])
     print(f"overall: {overall}")
-    print(f"wrote {path}")
+    _emit_json(args, cfg_hash, "verify_main.json", payload)
     return code
 
 
 def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
     group = _group_from(cfg)
-    tol = args.tol if args.tol is not None else _get_float(cfg, "verify", "exponent_tol", 0.01)
-    agreement = _get_float(cfg, "verify", "agreement", 0.1)
+    tol = args.tol if args.tol is not None else _get(cfg, "verify", "exponent_tol", float, 0.01)
+    agreement = _get(cfg, "verify", "agreement", float, 0.1)
     est = critical_exponent(group, tol=tol)
     fn = _counting_from(cfg, group)[2]
     cloud = _orbit_cloud(cfg)
@@ -544,9 +512,8 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
         "assertions": assertions,
         "overall": overall,
     }
-    path = _write(args.out, "verify_hdim.json", [_report_json("verify-hdim", cfg_hash, payload)])
     print(f"overall: {overall}")
-    print(f"wrote {path}")
+    _emit_json(args, cfg_hash, "verify_hdim.json", payload)
     return code
 
 
@@ -555,7 +522,7 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
 
 
 def _cmd_selftest(args, cfg, cfg_hash) -> int:
-    trials = 10_000 if cfg is None else _get_int(cfg, "selftest", "trials", 10_000)
+    trials = 10_000 if cfg is None else _get(cfg, "selftest", "trials", int, 10_000)
     if trials < 1:
         raise ConfigError(f"config error: [selftest] trials must be >= 1 (got {trials})")
     results = identity_suite(trials, np.random.default_rng(20260813))
@@ -565,8 +532,7 @@ def _cmd_selftest(args, cfg, cfg_hash) -> int:
               f"(max error {res['max_error']:.3e})")
     if args.out is not None:
         payload = {"trials": trials, "results": results, "overall": PASS if all_ok else FAIL}
-        path = _write(args.out, "selftest.json", [_report_json("selftest", cfg_hash or "", payload)])
-        print(f"wrote {path}")
+        _emit_json(args, cfg_hash or "", "selftest.json", payload)
     print(f"overall: {PASS if all_ok else FAIL}")
     return EXIT_OK if all_ok else EXIT_ASSERTION
 

@@ -11,7 +11,6 @@ h(1) = 1: interval n is [h(n+1), h(n)], so truncation tails telescope exactly.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -75,21 +74,19 @@ class SeriesVerdict:
 
 
 class _LengthModel:
-    """Closed-form endpoint/length data for indices beyond the truncation."""
+    """Closed-form endpoint/length data for indices beyond the truncation.
+
+    Each model defines `right_endpoint(n)`, the array h(n), and
+    `series_verdict(t, m)`, the verdict past index m at t > 0
+    (`IntervalPartition.series_verdict` answers t <= 0).
+    """
 
     # exact exponent separating convergence from divergence, if known
     critical_t: float | None = None
 
-    def right_endpoint(self, n: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def length_tail_exact(self, m: int) -> float:
         """Exact value of sum_{n > m} length_n (telescoping)."""
         return float(self.right_endpoint(np.array([m + 1.0]))[0])
-
-    def series_verdict(self, t: float, m: int) -> SeriesVerdict:
-        """The verdict past index m at t > 0 (`IntervalPartition.series_verdict` answers t <= 0)."""
-        raise NotImplementedError
 
 
 class _GaussLengths(_LengthModel):
@@ -283,20 +280,6 @@ class IntervalPartition:
     @property
     def lengths(self) -> np.ndarray:
         return self._lengths
-
-    @functools.cached_property
-    def sorted_lengths(self) -> np.ndarray:
-        """Lengths in decreasing order (the view used by gap exponents)."""
-        lengths = self.lengths[self.length_order]
-        lengths.setflags(write=False)
-        return lengths
-
-    @functools.cached_property
-    def length_order(self) -> np.ndarray:
-        """Permutation mapping sorted positions to original indices."""
-        order = np.argsort(-self.lengths, kind="stable")
-        order.setflags(write=False)
-        return order
 
     @property
     def unbounded(self) -> bool:

@@ -27,9 +27,9 @@ def test_line_cloud_sorts_and_dedups():
 def test_sphere_cloud_validation():
     good = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     cloud = PointCloud(good, "sphere")
-    # rows are sorted lexicographically; the duplicate row is kept
+    # rows keep their given order; the duplicate row is kept
     assert cloud.count == 3
-    np.testing.assert_array_equal(cloud.points, [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(cloud.points, good)
     assert cloud.dimension_cap == 1.0
     with pytest.raises(ValueError, match="unit vectors"):
         PointCloud(np.array([[0.5, 0.0]]), "sphere")

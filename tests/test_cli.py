@@ -73,6 +73,25 @@ def test_pressure_csv_grid(tmp_path, capsys):
             assert float(row[1]) <= float(row[2]) < float("inf")
 
 
+def test_pressure_t_list_power_law(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "p.ini",
+        "[partition]\ngenerator = power-law\nexponent = 1.5\ntruncation = 10000\n\n"
+        "[pressure]\nt_list = 0.5 0.7 1.0\n",
+    )
+    code, out = _run(["pressure", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "(3 rows)" in out.out
+    lines = (tmp_path / "pressure.csv").read_text().splitlines()
+    rows = {float(ln.split(",")[0]): [float(x) for x in ln.split(",")[1:3]] for ln in lines[1:]}
+    assert list(rows) == [0.5, 0.7, 1.0]
+    # lengths ~ n^(-1.5): sum length^t diverges at t = 2/3 and below
+    assert rows[0.5] == [math.inf, math.inf]
+    assert 0.0 < rows[0.7][0] <= rows[0.7][1] < math.inf
+    # the intervals tile (0, 1], so P(1) = log 1 = 0
+    assert rows[1.0][0] <= 0.0 <= rows[1.0][1]
+
+
 def test_s_infinity_json_and_hash(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 100000\n")
     code, out = _run(["s-infinity", "--config", str(cfg), "--out", str(tmp_path)], capsys)
@@ -183,19 +202,26 @@ def test_gaps_json(tmp_path, capsys):
     assert doc["fitted_limit"] == pytest.approx(0.5, abs=0.02)
 
 
+ORBIT_CASES = [
+    ("[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[orbit]\nxi = 0.0\nradius = 50\n", "x1,x2", 101),
+    # the lattice holds points p and p/|p|^2, which share x1 and x2 on the sphere,
+    # so only the third key orders them
+    ("[group]\nambient = 3\nrank = 2\nalpha_1 = 0.5 0.0\nalpha_2 = 0.0 0.5\n\n"
+     "[orbit]\nxi = 0.0 0.0\nradius = 4\n", "x1,x2,x3", 81),
+]
+
+
 def test_orbit_csv(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path, "o.ini",
-        "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[orbit]\nxi = 0.0\nradius = 50\n",
-    )
-    code, out = _run(["orbit", "--config", str(cfg), "--out", str(tmp_path)], capsys)
-    assert code == 0
-    lines = (tmp_path / "orbit.csv").read_text().splitlines()
-    assert lines[0] == "x1,x2"
-    assert len(lines) == 1 + 101
-    assert "101 unit vectors" in out.out
-    rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
-    assert all(a < b for a, b in zip(rows, rows[1:]))
+    for text, header, count in ORBIT_CASES:
+        cfg = _write_config(tmp_path, "o.ini", text)
+        code, out = _run(["orbit", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 0
+        lines = (tmp_path / "orbit.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + count
+        assert f"{count} unit vectors" in out.out
+        rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_poincare_identity_count(tmp_path, capsys):
@@ -241,6 +267,18 @@ def test_verify_main_dyadic_passes(tmp_path, capsys):
     assert doc["note"]
     names = [a["name"] for a in doc["assertions"]]
     assert "s_infinity equals the box dimension" not in names
+
+
+def test_verify_main_gauss_asserts_equality(tmp_path, capsys):
+    # the paper's first theorem: s_infinity equals the box dimension of the endpoints
+    cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 100000\n")
+    code, out = _run(["verify-main", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "PASS: s_infinity equals the box dimension" in out.out
+    assert "overall: PASS" in out.out
+    doc = json.loads((tmp_path / "verify_main.json").read_text())
+    assert doc["overall"] == "PASS" and doc["note"] == ""
+    assert [a["status"] for a in doc["assertions"]] == ["PASS"] * 4
 
 
 def test_verify_hdim_small_group(tmp_path, capsys):
@@ -347,6 +385,8 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
 @pytest.mark.parametrize("command, text, message", [
     ("s-infinity", "generator = gauss\n", "cannot parse config"),
     ("s-infinity", GAUSS_100.replace("100", "many"), "[partition] truncation must be"),
+    ("s-infinity", GAUSS_100.replace("100", "1e5"), "config error: [partition] truncation must be an integer"),
+    ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = tight\n", "config error: [sinfinity] tol must be a number"),
     ("poincare", POINCARE_21.replace("alpha_1 = 1.0", "alpha_1 = 1.0 one"), "[group] alpha_1 must list numbers"),
     ("s-infinity", "[partition]\ntruncation = 100\n", "missing [partition] generator"),
     ("s-infinity", "[partition]\ngenerator = gauss-restricted\ndigits = 1 x\n",

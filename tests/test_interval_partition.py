@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from presdim.boxdim import gap_exponent_bounds
 from presdim.interval_partition import (
     PartitionError,
     build_partition,
@@ -106,12 +107,13 @@ def test_explicit_intervals_validation():
 
 
 def test_sorted_lengths_decreasing():
+    # oscillating lengths are not monotone in n, so the gap ratios need the sort
     part = build_partition("oscillating", 3000)
-    s = part.sorted_lengths
-    assert np.all(np.diff(s) <= 0)
-    # length_order pairs each sorted slot with its interval index
-    np.testing.assert_allclose(part.lengths[part.length_order], s)
-    assert not s.flags.writeable and not part.length_order.flags.writeable
+    assert np.any(np.diff(part.lengths) > 0)
+    gb = gap_exponent_bounds(part)
+    s = np.array(sorted(part.lengths.tolist(), reverse=True))
+    n = np.arange(16, s.size + 1)
+    np.testing.assert_array_equal(gb.ratios, np.log(n) / -np.log(s[15:]))
 
 
 # ---------------------------------------------------------------------------

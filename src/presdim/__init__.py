@@ -47,12 +47,10 @@ from .pressure import (
     pressure_over_grid,
 )
 from .boxdim import (
-    CoveringCount,
     DimensionEstimate,
     GapExponentEstimate,
     PointCloud,
-    covering_count_line,
-    covering_count_sphere,
+    covering_count,
     estimate_box_dimension,
     gap_exponent_bounds,
 )

@@ -1,10 +1,9 @@
 """Box-counting on point clouds and gap exponents of interval partitions.
 
-Covering counts on the line are exact minimal interval covers (greedy sweep).
-On spheres, minimal covers are replaced by the number of occupied cells of
-the delta-mesh, which stays within a constant factor (2^d, after a sqrt(d)
-change of scale) of the covering count and therefore leaves log-log slopes
-unchanged (Falconer, Fractal Geometry, sec. 3.1).  Dimension estimates report the
+Covering counts of line and sphere clouds are the number of occupied cells
+of the delta-mesh, which stays within a constant factor (2^d, after a sqrt(d)
+change of scale) of the minimal covering count and therefore leaves log-log
+slopes unchanged (Falconer, Fractal Geometry, sec. 3.1).  Dimension estimates report the
 min/max of secant slopes over a trailing window of scales, matching the
 liminf/limsup nature of lower and upper box dimension.  Gap exponents track
 the ratios log n / (-log length_(n)) over sorted lengths; their window
@@ -22,11 +21,9 @@ from .interval_partition import IntervalPartition, PartitionError, _dedup_sorted
 
 __all__ = [
     "PointCloud",
-    "CoveringCount",
     "DimensionEstimate",
     "GapExponentEstimate",
-    "covering_count_line",
-    "covering_count_sphere",
+    "covering_count",
     "estimate_box_dimension",
     "gap_exponent_bounds",
 ]
@@ -77,13 +74,6 @@ class PointCloud:
     def dimension_cap(self) -> float:
         """Ambient upper bound for any box-dimension estimate."""
         return 1.0 if self.kind == "line" else float(self.points.shape[1] - 1)
-
-
-@dataclass(frozen=True)
-class CoveringCount:
-    delta: float
-    count: int
-    algorithm: str
 
 
 @dataclass(frozen=True)
@@ -144,64 +134,40 @@ class GapExponentEstimate:
         """
         n_lo, n_hi = self.n_window
         decade = max(int(0.1 * n_hi), n_lo) - n_lo
-        later = self.ratios[decade:]
-        if later.size == 0:
-            return 0.0
         return float(abs(self.ratios[-1] - self.ratios[decade]))
 
 
-def covering_count_line(cloud: PointCloud, delta: float) -> CoveringCount:
-    """Minimal number of length-delta intervals covering a line cloud.
-
-    The greedy sweep (new interval at the leftmost uncovered point) is
-    exactly minimal in one dimension.
-    """
-    if cloud.kind != "line":
-        raise ValueError("covering_count_line needs a line cloud")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    pts = cloud.points
-    count = 0
-    i = 0
-    n = pts.size
-    while i < n:
-        count += 1
-        i = int(np.searchsorted(pts, pts[i] + delta, side="right"))
-    return CoveringCount(float(delta), count, "sorted-sweep")
-
-
-def covering_count_sphere(cloud: PointCloud, delta: float) -> CoveringCount:
+def covering_count(cloud: PointCloud, delta: float) -> int:
     """Number N_delta of occupied cells of the delta-mesh (side-delta cubes).
 
-    Cell indices floor(x / delta) are packed into one 21-bit field per axis
-    and counted with a single `np.unique`, so the result depends only on the
-    point set.  Occupied mesh cells give one of the equivalent definitions of
-    box dimension: each cell has diameter delta*sqrt(d), and a set of
-    diameter delta meets at most 2^d cells, so N_delta shares its log-log
-    slopes with the minimal covering count.
+    A point x lies in the cell floor(x / delta).  Line clouds are sorted, so
+    their cell indices are sorted too; sphere clouds pack one 21-bit field per
+    axis into an int64 key and sort the keys.  N_delta is then one more than
+    the number of places where consecutive keys differ, so it depends only on
+    the point set.
     """
-    if cloud.kind != "sphere":
-        raise ValueError("covering_count_sphere needs a sphere cloud")
-    if not 0 < delta < math.pi:
-        raise ValueError("delta must lie in (0, pi)")
-    if delta < _MIN_SPHERE_DELTA:
-        raise ValueError(f"delta below supported resolution {_MIN_SPHERE_DELTA}")
     pts = cloud.points
-    dim = pts.shape[1]
-    if dim > 3:
-        raise ValueError("packed cell keys support sphere clouds in R^2 and R^3 only")
-    bits = 21
-    # offset indices in [-2^19, 2^19] to non-negative fields, so packing is injective
-    idx = np.floor(pts / delta).astype(np.int64) + (1 << (bits - 1))
-    keys = idx[:, 0]
-    for axis in range(1, dim):
-        keys = (keys << bits) | idx[:, axis]
-    return CoveringCount(float(delta), int(np.unique(keys).size), "grid-cells")
-
-
-def _count(cloud: PointCloud, delta: float) -> int:
-    fn = covering_count_line if cloud.kind == "line" else covering_count_sphere
-    return fn(cloud, delta).count
+    if cloud.kind == "line":
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        keys = pts / delta
+        np.floor(keys, out=keys)
+    else:
+        if not 0 < delta < math.pi:
+            raise ValueError("delta must lie in (0, pi)")
+        if delta < _MIN_SPHERE_DELTA:
+            raise ValueError(f"delta below supported resolution {_MIN_SPHERE_DELTA}")
+        dim = pts.shape[1]
+        if dim > 3:
+            raise ValueError("packed cell keys support sphere clouds in R^2 and R^3 only")
+        bits = 21
+        # offset indices in [-2^19, 2^19] to non-negative fields, so packing is injective
+        idx = np.floor(pts / delta).astype(np.int64) + (1 << (bits - 1))
+        keys = idx[:, 0]
+        for axis in range(1, dim):
+            keys = (keys << bits) | idx[:, axis]
+        keys = np.sort(keys)
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def estimate_box_dimension(cloud: PointCloud, deltas: np.ndarray) -> DimensionEstimate:
@@ -217,7 +183,7 @@ def estimate_box_dimension(cloud: PointCloud, deltas: np.ndarray) -> DimensionEs
         raise ValueError("need a delta grid with at least 8 levels")
     if np.any(deltas <= 0):
         raise ValueError("deltas must be positive")
-    counts = np.array([_count(cloud, d) for d in deltas], dtype=np.int64)
+    counts = np.array([covering_count(cloud, d) for d in deltas], dtype=np.int64)
     saturated = counts > _SATURATION_FRACTION * cloud.count
     usable = np.flatnonzero(~saturated)
     if usable.size < 2:

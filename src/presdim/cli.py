@@ -133,12 +133,14 @@ def _counting_from(cfg, group: ParabolicGroupSpec):
         return t_max, levels, counting_exponent(group, t_max=t_max, levels=levels)
 
 
-def _delta_grid(cfg) -> np.ndarray:
+def _box_estimate(cloud: PointCloud, cfg):
+    """Box-dimension estimate of `cloud` on the [boxdim] grid delta = 2^-j."""
     j_min = _get(cfg, "boxdim", "j_min", int, 6)
     j_max = _get(cfg, "boxdim", "j_max", int, 18)
     if j_min >= j_max:
         raise ConfigError("config error: [boxdim] j_min must be below j_max")
-    return 2.0 ** -np.arange(j_min, j_max + 1)
+    with _section("boxdim"):
+        return estimate_box_dimension(cloud, 2.0 ** -np.arange(j_min, j_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +302,13 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
     source = _get(cfg, "boxdim", "source", default="endpoints")
     if source == "endpoints":
         cloud = _endpoint_cloud(_partition_from(cfg, args.truncation))
-        algorithm = "sorted-sweep"
     elif source == "orbit":
         cloud = _orbit_cloud(cfg)
-        algorithm = "grid-cells"
     else:
         raise ConfigError(f"config error: [boxdim] source must be endpoints or orbit (got {source!r})")
-    deltas = _delta_grid(cfg)
-    est = estimate_box_dimension(cloud, deltas)
+    est = _box_estimate(cloud, cfg)
     rows = ["delta,count,algorithm"]
-    rows.extend(f"{_fmt(d)},{int(c)},{algorithm}" for d, c in zip(est.deltas, est.counts))
+    rows.extend(f"{_fmt(d)},{int(c)},grid-cells" for d, c in zip(est.deltas, est.counts))
     payload = {"source": source, "cloud_size": cloud.count, "label": cloud.label}
     payload.update(_estimate_payload(est))
     print(f"box dimension window [{_fmt(est.lower_dim)}, {_fmt(est.upper_dim)}]")
@@ -413,49 +412,43 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
         f"L=[{gb.L_lower:.6f}, {gb.L_upper:.6f}], s={s_mid:.6f}, eps={eps:.6f}",
     ))
 
-    box_payload = None
     note = ""
-    try:
-        cloud = _endpoint_cloud(partition)
-        box = estimate_box_dimension(cloud, _delta_grid(cfg))
-        box_payload = _estimate_payload(box)
-        sandwich_ok = (box.lower_dim >= gb.L_lower - eps - pad) and (
-            box.upper_dim <= gb.L_upper + eps + pad)
+    box = _box_estimate(_endpoint_cloud(partition), cfg)
+    sandwich_ok = (box.lower_dim >= gb.L_lower - eps - pad) and (
+        box.upper_dim <= gb.L_upper + eps + pad)
+    assertions.append(_assertion(
+        "box-dimension window within gap bounds",
+        PASS if sandwich_ok else FAIL,
+        f"box=[{box.lower_dim:.6f}, {box.upper_dim:.6f}], pad={pad:.3f}",
+    ))
+    # the gap extrapolation distance measures how far the delta window
+    # is from the asymptotic regime for this set; an inequality miss
+    # inside that lag is a resolution limit, not a refutation
+    lag = max(0.0, gb.L_upper - gb.window_max)
+    if s_mid <= box.upper_dim + eps + pad:
+        status = PASS
+    elif s_mid <= box.upper_dim + eps + pad + lag:
+        status = INCONCLUSIVE
+    else:
+        status = FAIL
+    assertions.append(_assertion(
+        "s_infinity at most the upper box dimension",
+        status,
+        f"s={s_mid:.6f} vs {box.upper_dim:.6f} + {eps + pad:.4f} "
+        f"(finite-size lag {lag:.4f})",
+    ))
+    if gb.spread < 0.1:
+        eq_ok = abs(s_mid - box.midpoint) <= eps + pad + 0.5 * (
+            box.upper_dim - box.lower_dim)
         assertions.append(_assertion(
-            "box-dimension window within gap bounds",
-            PASS if sandwich_ok else FAIL,
-            f"box=[{box.lower_dim:.6f}, {box.upper_dim:.6f}], pad={pad:.3f}",
+            "s_infinity equals the box dimension",
+            PASS if eq_ok else FAIL,
+            f"|{s_mid:.6f} - box midpoint {box.midpoint:.6f}| within combined tolerance",
         ))
-        # the gap extrapolation distance measures how far the delta window
-        # is from the asymptotic regime for this set; an inequality miss
-        # inside that lag is a resolution limit, not a refutation
-        lag = max(0.0, gb.L_upper - gb.window_max)
-        if s_mid <= box.upper_dim + eps + pad:
-            status = PASS
-        elif s_mid <= box.upper_dim + eps + pad + lag:
-            status = INCONCLUSIVE
-        else:
-            status = FAIL
-        assertions.append(_assertion(
-            "s_infinity at most the upper box dimension",
-            status,
-            f"s={s_mid:.6f} vs {box.upper_dim:.6f} + {eps + pad:.4f} "
-            f"(finite-size lag {lag:.4f})",
-        ))
-        if gb.spread < 0.1:
-            eq_ok = abs(s_mid - box.midpoint) <= eps + pad + 0.5 * (
-                box.upper_dim - box.lower_dim)
-            assertions.append(_assertion(
-                "s_infinity equals the box dimension",
-                PASS if eq_ok else FAIL,
-                f"|{s_mid:.6f} - box midpoint {box.midpoint:.6f}| within combined tolerance",
-            ))
-        else:
-            note = (f"gap window spread {gb.spread:.4f} >= 0.1: box dimension does not "
-                    "exist at this resolution; inequality asserted only")
-            print(f"note: {note}")
-    except ValueError as exc:
-        assertions.append(_assertion("box-dimension estimate", INCONCLUSIVE, str(exc)))
+    else:
+        note = (f"gap window spread {gb.spread:.4f} >= 0.1: box dimension does not "
+                "exist at this resolution; inequality asserted only")
+        print(f"note: {note}")
 
     overall, code = _overall(assertions)
     payload = {
@@ -468,7 +461,7 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
             "status": est.status, "divergence_behavior": est.divergence_behavior,
         },
         "gap_bounds": _gaps_payload(gb),
-        "box_dimension": box_payload,
+        "box_dimension": _estimate_payload(box),
         "assertions": assertions,
         "note": note,
         "overall": overall,
@@ -485,7 +478,7 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
     est = critical_exponent(group, tol=tol)
     fn = _counting_from(cfg, group)[2]
     cloud = _orbit_cloud(cfg)
-    box = estimate_box_dimension(cloud, _delta_grid(cfg))
+    box = _box_estimate(cloud, cfg)
 
     values = {
         "exponent_bracket_midpoint": est.midpoint,

@@ -35,10 +35,6 @@ from presdim.pressure import (
     pressure_linear,
 )
 
-# covering counts of the 10^6-endpoint reciprocal set at delta = 2^-j,
-# j = 6..18, frozen from an independent sorted-sweep run
-RECIPROCAL_COUNTS = [15, 21, 29, 42, 59, 83, 118, 168, 238, 336, 475, 673, 952]
-
 G21 = ParabolicGroupSpec(2, 1, np.array([[1.0]]))
 G31 = ParabolicGroupSpec(3, 1, np.array([[1.0, 0.0]]))
 G32 = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -76,9 +72,13 @@ def test_criterion_02_box_dimension_of_reciprocals():
     cloud = PointCloud(part.endpoints(), "line")
     deltas = 2.0 ** -np.arange(6.0, 19.0)
     est = estimate_box_dimension(cloud, deltas)
+    # the endpoints are 1/n, n = 1..10^6+1, and 1/n lies in the cell
+    # floor(2^j / n), so the occupied cells are counted in exact integers
+    n = np.arange(1, 1_000_002, dtype=np.int64)
+    counts = [int(np.unique((1 << j) // n).size) for j in range(6, 19)]
     ok = (
         0.45 <= est.lower_dim <= est.upper_dim <= 0.55
-        and est.counts.tolist() == RECIPROCAL_COUNTS
+        and est.counts.tolist() == counts
     )
     detail = f"window [{est.lower_dim:.4f}, {est.upper_dim:.4f}], counts pinned"
     _verdict(2, ok, detail, time.perf_counter() - t0, 30.0)

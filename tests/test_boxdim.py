@@ -1,12 +1,13 @@
 """Covering counts, windowed dimension estimates, and gap exponent bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
 from presdim.boxdim import (
     PointCloud,
-    covering_count_line,
-    covering_count_sphere,
+    covering_count,
     estimate_box_dimension,
     gap_exponent_bounds,
 )
@@ -33,12 +34,17 @@ def test_sphere_cloud_validation():
     assert cloud.dimension_cap == 1.0
     with pytest.raises(ValueError, match="unit vectors"):
         PointCloud(np.array([[0.5, 0.0]]), "sphere")
+    with pytest.raises(ValueError, match="non-empty 1-d array"):
+        PointCloud(np.eye(2), "line")
+    with pytest.raises(ValueError, match=r"non-empty \(N, d\) array with d >= 2"):
+        PointCloud(np.array([[1.0], [-1.0]]), "sphere")
     with pytest.raises(ValueError, match="unknown cloud kind"):
         PointCloud(np.array([0.1]), "plane")
 
 
 # ---------------------------------------------------------------------------
-# line covering: greedy equals the packing number (exact duality in 1-d)
+# line covering: occupied delta-mesh cells, checked by brute force and
+# sandwiched against the packing number
 
 
 def _packing_number(pts: np.ndarray, delta: float) -> int:
@@ -51,25 +57,28 @@ def _packing_number(pts: np.ndarray, delta: float) -> int:
     return count
 
 
-def test_line_covering_matches_packing_number():
+def test_line_covering_counts_occupied_cells():
+    # M <= N <= 2M: a delta-separated subset puts its points in distinct cells,
+    # and the length-delta intervals of the greedy cover each meet at most two
     rng = np.random.default_rng(7)
     for _ in range(50):
         pts = rng.uniform(0.0, 1.0, size=rng.integers(2, 200))
         cloud = PointCloud(pts, "line")
         delta = float(rng.uniform(0.01, 0.4))
-        got = covering_count_line(cloud, delta)
-        assert got.count == _packing_number(cloud.points, delta)
-        assert got.algorithm == "sorted-sweep"
+        got = covering_count(cloud, delta)
+        assert got == len({math.floor(x / delta) for x in cloud.points})
+        m_packing = _packing_number(cloud.points, delta)
+        assert m_packing <= got <= 2 * m_packing
 
 
 def test_line_covering_known_values():
     cloud = PointCloud(np.array([0.0, 0.1, 0.2, 0.55, 1.0]), "line")
-    assert covering_count_line(cloud, 0.2).count == 3
-    assert covering_count_line(cloud, 1.0).count == 1
+    assert covering_count(cloud, 0.2) == 4
+    assert covering_count(cloud, 1.0) == 2
     with pytest.raises(ValueError, match="positive"):
-        covering_count_line(cloud, 0.0)
-    with pytest.raises(ValueError, match="line cloud"):
-        covering_count_line(PointCloud(np.eye(2), "sphere"), 0.1)
+        covering_count(cloud, 0.0)
+    # one function counts both kinds of cloud
+    assert covering_count(PointCloud(np.eye(2), "sphere"), 0.1) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +108,8 @@ def test_sphere_covering_counts_occupied_cells(dim):
     rng = np.random.default_rng(101 + dim)
     cloud = _random_sphere_cloud(rng, 2000, dim)
     for delta in (2.0 ** -19, 0.003, 0.05, 0.2, 0.7, 3.0):
-        got = covering_count_sphere(cloud, delta)
-        assert got.algorithm == "grid-cells"
-        assert got.count == len({tuple(np.floor(p / delta)) for p in cloud.points})
+        got = covering_count(cloud, delta)
+        assert got == len({tuple(np.floor(p / delta)) for p in cloud.points})
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -113,7 +121,7 @@ def test_sphere_covering_sandwiches_greedy_packing(dim):
     cloud = _random_sphere_cloud(rng, 400, dim)
     for j in range(2, 7):
         delta = 2.0 ** -j
-        n_cells = covering_count_sphere(cloud, delta).count
+        n_cells = covering_count(cloud, delta)
         m_packing = _greedy_reference(cloud.points, delta)
         assert m_packing <= 2**dim * n_cells
         assert n_cells <= 3**dim * m_packing
@@ -124,19 +132,19 @@ def test_sphere_covering_row_order_invariant():
     cloud = _random_sphere_cloud(rng, 500, 3)
     shuffled = PointCloud(cloud.points[rng.permutation(cloud.count)], "sphere")
     for delta in (0.03, 0.11):
-        assert covering_count_sphere(cloud, delta).count == covering_count_sphere(shuffled, delta).count
+        assert covering_count(cloud, delta) == covering_count(shuffled, delta)
 
 
 def test_sphere_covering_guards():
     cloud = _random_sphere_cloud(np.random.default_rng(0), 10, 2)
     with pytest.raises(ValueError, match=r"\(0, pi\)"):
-        covering_count_sphere(cloud, 4.0)
+        covering_count(cloud, 4.0)
     with pytest.raises(ValueError, match="below supported resolution"):
-        covering_count_sphere(cloud, 2.0 ** -25)
+        covering_count(cloud, 2.0 ** -25)
     v = np.random.default_rng(1).normal(size=(10, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     with pytest.raises(ValueError, match="R\\^2 and R\\^3"):
-        covering_count_sphere(PointCloud(v, "sphere"), 0.1)
+        covering_count(PointCloud(v, "sphere"), 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,10 @@ j_max = 14
 @pytest.mark.parametrize("source", ["endpoints", "orbit"])
 def test_boxdim_counts_match_the_estimator(tmp_path, capsys, source):
     if source == "endpoints":
-        text, algorithm = GAUSS_BOXDIM, "sorted-sweep"
+        text = GAUSS_BOXDIM
         cloud = PointCloud(build_partition("gauss", 20_000).endpoints(), "line")
     else:
-        text, algorithm = GROUP21.replace("[boxdim]", "[boxdim]\nsource = orbit"), "grid-cells"
+        text = GROUP21.replace("[boxdim]", "[boxdim]\nsource = orbit")
         group = ParabolicGroupSpec(2, 1, np.array([[1.0]]))
         cloud = parabolic_orbit(group, boundary_plane_point([0.0]), 2000)
     cfg = _write_config(tmp_path, "b.ini", text)
@@ -185,7 +185,7 @@ def test_boxdim_counts_match_the_estimator(tmp_path, capsys, source):
     est = estimate_box_dimension(cloud, deltas)
     rows = (tmp_path / "boxdim_counts.csv").read_text().splitlines()
     assert rows[0] == "delta,count,algorithm"
-    assert rows[1:] == [f"{d!r},{c},{algorithm}" for d, c in zip(deltas.tolist(), est.counts.tolist())]
+    assert rows[1:] == [f"{d!r},{c},grid-cells" for d, c in zip(deltas.tolist(), est.counts.tolist())]
     doc = json.loads((tmp_path / "boxdim.json").read_text())
     assert (doc["source"], doc["cloud_size"]) == (source, cloud.count)
     assert doc["counts"] == est.counts.tolist()
@@ -279,6 +279,21 @@ def test_verify_main_gauss_asserts_equality(tmp_path, capsys):
     doc = json.loads((tmp_path / "verify_main.json").read_text())
     assert doc["overall"] == "PASS" and doc["note"] == ""
     assert [a["status"] for a in doc["assertions"]] == ["PASS"] * 4
+
+
+def test_verify_main_log_squared_inconclusive(tmp_path, capsys):
+    # s_infinity = 1, but the box window of 20,000 endpoints ends near 0.71:
+    # below it by more than the tolerance, yet within the gap extrapolation
+    # distance (0.33), so the miss is a resolution limit
+    cfg = _write_config(tmp_path, "l.ini", "[partition]\ngenerator = log-squared\ntruncation = 20000\n")
+    code, out = _run(["verify-main", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "INCONCLUSIVE: s_infinity at most the upper box dimension" in out.out
+    assert "overall: INCONCLUSIVE" in out.out
+    doc = json.loads((tmp_path / "verify_main.json").read_text())
+    assert doc["overall"] == "INCONCLUSIVE"
+    status = {a["name"]: a["status"] for a in doc["assertions"]}
+    assert status["s_infinity at most the upper box dimension"] == "INCONCLUSIVE"
 
 
 def test_verify_hdim_small_group(tmp_path, capsys):
@@ -393,6 +408,9 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
      "[partition] digits must list integers"),
     ("poincare", POINCARE_21.replace("rank = 1", "rank = 2\nalpha_2 = 2.0"), "config error: [group] rank"),
     ("boxdim", GAUSS_100 + "\n[boxdim]\nj_min = 10\nj_max = 10\n", "[boxdim] j_min must be below j_max"),
+    ("boxdim", GAUSS_100 + "\n[boxdim]\nj_min = 6\nj_max = 10\n", "[boxdim] need a delta grid with at least 8 levels"),
+    ("verify-main", GAUSS_100 + "\n[boxdim]\nj_min = 6\nj_max = 10\n",
+     "[boxdim] need a delta grid with at least 8 levels"),
     ("bowen", GAUSS_100 + "\n[bowen]\nmethod = spline\n", "[bowen] method must be linear or cylinder (got 'spline')"),
     ("poincare", POINCARE_21.replace("s = 1.5", "s = -1.0"), "config error: [poincare] s must be nonnegative"),
 ])

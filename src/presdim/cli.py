@@ -516,9 +516,8 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
 
 def _cmd_selftest(args, cfg, cfg_hash) -> int:
     trials = 10_000 if cfg is None else _get(cfg, "selftest", "trials", int, 10_000)
-    if trials < 1:
-        raise ConfigError(f"config error: [selftest] trials must be >= 1 (got {trials})")
-    results = identity_suite(trials, np.random.default_rng(20260813))
+    with _section("selftest"):
+        results = identity_suite(trials, np.random.default_rng(20260813))
     all_ok = all(res["passed"] == res["total"] for res in results)
     for res in results:
         print(f"{res['name']}: {res['passed']}/{res['total']} within {res['tolerance']:g} "

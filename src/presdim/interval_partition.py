@@ -216,11 +216,11 @@ class _OscillatingLengths(_LengthModel):
         return float(r.min()), float(r.max())
 
     def series_verdict(self, t, m):
-        r_min, r_max = self.ratio_window(max(m // 2, 16) if m > 32 else 16)
         if t > 0.5:
             # certified: length_n <= h(n) * dphi <= (1/n) * 2 log(1+1/n) <= 2/n^2
             hi = _up(_up(2.0 ** t, _LIBM_ERR) * _zeta_interval(2.0 * t, m + 1)[1])
             return SeriesVerdict("converges", "majorant 2 n^(-2) with Hurwitz tail", 0.0, hi)
+        r_min, r_max = self.ratio_window(max(m // 2, 16) if m > 32 else 16)
         if t > r_max + self._RATIO_PAD:
             return SeriesVerdict(
                 "converges", f"ratio window: sup log n / (-t log length) = {r_max / t:.4f} < 1", 0.0, None

@@ -10,6 +10,7 @@ word concatenation because the hull is forward invariant.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,7 +20,6 @@ from .interval_partition import (
     BranchMap,
     IntervalPartition,
     PartitionError,
-    SeriesVerdict,
     _cylinder_sums,
     _effective_alphabet,
     _lead_derivatives,
@@ -46,6 +46,11 @@ __all__ = [
 DIVERGES_AT_CRITICAL = "diverges_at_s_inf"
 CONVERGES_AT_CRITICAL = "converges_at_s_inf"
 UNDETERMINED_AT_CRITICAL = "undetermined"
+_AT_CRITICAL = {
+    "converges": CONVERGES_AT_CRITICAL,
+    "diverges": DIVERGES_AT_CRITICAL,
+    "undetermined": UNDETERMINED_AT_CRITICAL,
+}
 
 
 @dataclass(frozen=True)
@@ -159,18 +164,11 @@ def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
     """
     t = float(t)
     verdict = partition.series_verdict(t)
-    if verdict.status == "diverges":
-        return PressureSample(
-            t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, partition.count, math.inf,
-            "linear-series",
-        )
-    return _linear_sample(partition, t, verdict, compensated_sum(partition.lengths ** t))
-
-
-def _linear_sample(partition: IntervalPartition, t: float, verdict: SeriesVerdict,
-                   partial: float) -> PressureSample:
-    """`pressure_linear` at a convergent or undetermined t, from the sum of the materialized lengths^t."""
     k = partition.count
+    if verdict.status == "diverges":
+        return PressureSample(t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, k, math.inf,
+                              "linear-series")
+    partial = compensated_sum(partition.lengths ** t)
     lower = math.log(partial + verdict.tail_low)
     if verdict.status == "converges" and verdict.tail_high is not None:
         upper = math.log(partial + verdict.tail_high)
@@ -235,26 +233,12 @@ def distortion_constant(bmap: BranchMap) -> DistortionBounds:
 
 
 def _behavior_at_threshold(partition: IntervalPartition, s_mid: float) -> tuple[str, str]:
-    model = partition.model
-    if model is None:
-        return CONVERGES_AT_CRITICAL, "finite interval list: sum is finite for every t (threshold 0 by convention)"
-    if model.critical_t is not None:
-        if model.critical_t <= 0.0:
-            return CONVERGES_AT_CRITICAL, model.boundary_evidence
-        verdict = model.series_verdict(model.critical_t, partition.count)
-        status = {
-            "converges": CONVERGES_AT_CRITICAL,
-            "diverges": DIVERGES_AT_CRITICAL,
-            "undetermined": UNDETERMINED_AT_CRITICAL,
-        }[verdict.status]
-        return status, verdict.evidence
-    verdict = partition.series_verdict(s_mid)
-    if verdict.status == "undetermined":
-        return UNDETERMINED_AT_CRITICAL, verdict.evidence
-    return (
-        DIVERGES_AT_CRITICAL if verdict.status == "diverges" else CONVERGES_AT_CRITICAL,
-        verdict.evidence,
-    )
+    """Series behavior at the model's exact critical exponent, or at s_mid where the model has none."""
+    critical_t = partition.model.critical_t
+    if critical_t is not None and critical_t <= 0.0:
+        return CONVERGES_AT_CRITICAL, partition.model.boundary_evidence
+    verdict = partition.series_verdict(s_mid if critical_t is None else critical_t)
+    return _AT_CRITICAL[verdict.status], verdict.evidence
 
 
 def _bisect(past_root: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -280,18 +264,16 @@ def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> Critical
     if tol <= 0:
         raise PartitionError("tolerance must be positive")
     if partition.model is None:
-        behavior, evidence = _behavior_at_threshold(partition, 0.0)
-        return CriticalExponentEstimate(0.0, 0.0, behavior, evidence, "all-converge")
+        return CriticalExponentEstimate(
+            0.0, 0.0, CONVERGES_AT_CRITICAL,
+            "finite interval list: sum is finite for every t (threshold 0 by convention)", "all-converge",
+        )
 
     def status(t: float) -> str:
         return partition.series_verdict(t).status
 
-    hi = 1.0
-    while status(hi) != "converges":
-        hi *= 2.0
-        if hi > 64.0:
-            raise PartitionError("no certified convergence found for t <= 64.0")
-    lo = hi
+    # every length model certifies convergence at t = 1: the lengths of a tiling sum to at most 1
+    lo = hi = 1.0
     while status(lo) != "diverges":
         lo *= 0.5
         if lo < 1e-12:
@@ -331,33 +313,36 @@ def classify_s_infinity_behavior(partition: IntervalPartition, tol: float = 1e-4
     return BoundaryClassification(verdict, est.s_low, est.s_high, est.evidence, annotation, _STABILITY_NOTE)
 
 
-def bowen_root(
-    lower_curve: Callable[[float], float],
-    upper_curve: Callable[[float], float],
-    t_range: tuple[float, float] = (1e-6, 8.0),
-    tol: float = 1e-9,
-) -> RootBracket:
-    """Bracket the root of a decreasing pressure curve enclosed by two curves.
+def _at_most_one(lo: float, hi: float, exact: Callable[[], float]) -> bool:
+    """Whether a sum known to lie in [lo, hi] is at most 1; exact() gives the sum where the ends disagree.
 
-    lower_curve <= pressure <= upper_curve pointwise, with both curves
-    decreasing; the true root then lies between their roots.  Curves may
-    return +inf (divergence) on the left of their domain.  The returned
-    bracket is padded by the bisection tolerance on each side.
+    The ends decide whenever they fall on one side of 1.  A 0 or inf end
+    compares correctly, and a nan end decides nothing.
     """
+    if hi <= 1.0:
+        return True
+    if lo > 1.0:
+        return False
+    return exact() <= 1.0
+
+
+def _root_bracket(lower_past: Callable[[float], bool], upper_past: Callable[[float], bool],
+                  t_range: tuple[float, float], tol: float) -> RootBracket:
+    """Bracket a root from whether the lower and the upper curve are <= 0 at each t."""
     if tol <= 0:
         raise PartitionError("tolerance must be positive")
     t_lo, t_hi = t_range
 
-    def locate(curve: Callable[[float], float]) -> tuple[float, str]:
-        if curve(t_lo) <= 0.0:
+    def locate(past: Callable[[float], bool]) -> tuple[float, str]:
+        if past(t_lo):
             return t_lo, "root-below-range"
-        if curve(t_hi) > 0.0:
+        if not past(t_hi):
             return t_hi, "not-bracketed"
-        lo, hi = _bisect(lambda t: not curve(t) > 0.0, t_lo, t_hi, tol)
+        lo, hi = _bisect(past, t_lo, t_hi, tol)
         return 0.5 * (lo + hi), "ok"
 
-    root_lo, flag_lo = locate(lower_curve)
-    root_hi, flag_hi = locate(upper_curve)
+    root_lo, flag_lo = locate(lower_past)
+    root_hi, flag_hi = locate(upper_past)
     if flag_lo != "ok" or flag_hi != "ok":
         return RootBracket(
             root_lo, root_hi, "not-bracketed",
@@ -371,42 +356,40 @@ def bowen_root(
     )
 
 
-def _decided(curves: Callable[[float], tuple[float, ...]], lo: float, hi: float) -> tuple[float, ...] | None:
-    """The curves at a sum known only to lie in [lo, hi], when that fixes the sign of each.
+def bowen_root(
+    lower_curve: Callable[[float], float],
+    upper_curve: Callable[[float], float],
+    t_range: tuple[float, float] = (1e-6, 8.0),
+    tol: float = 1e-9,
+) -> RootBracket:
+    """Bracket the root of a decreasing pressure curve enclosed by two curves.
 
-    Each curve's sign (> 0 or not) may only switch from "not" to "> 0" as its
-    sum grows: every rounded step between the two is monotone, and log(y) > 0
-    exactly when y > 1.  When each curve has one sign at lo and at hi, that
-    is its sign at every sum between them, and the values at lo are
-    returned; otherwise None.  An end that is 0, inf or nan decides nothing
-    (log(0.0) raises).
+    lower_curve <= pressure <= upper_curve pointwise, with both curves
+    decreasing; the true root then lies between their roots.  Curves may
+    return +inf (divergence) on the left of their domain.  The returned
+    bracket is padded by the bisection tolerance on each side.
     """
-    if not (0.0 < lo and hi < math.inf):
-        return None
-    at_lo, at_hi = curves(lo), curves(hi)
-    if all((a > 0.0) == (b > 0.0) for a, b in zip(at_lo, at_hi)):
-        return at_lo
-    return None
+    return _root_bracket(lambda t: not lower_curve(t) > 0.0, lambda t: not upper_curve(t) > 0.0, t_range, tol)
 
 
-def _linear_curves(partition: IntervalPartition, t: float) -> tuple[float, float]:
-    """The lower and upper curve of `bowen_root_linear` at t, each with the sign of its exact value.
+def _linear_past(partition: IntervalPartition, t: float) -> tuple[bool, bool]:
+    """Whether the lower and the upper curve of `bowen_root_linear` are <= 0 at t.
 
-    The partial sum of lengths^t is enclosed by one np.sum and both curves
-    are evaluated at its two ends; the terms are summed exactly only when
-    the ends leave a sign open.
+    Each curve is log(S + tail) at one end of the certified tail, with S the
+    sum of the materialized lengths^t, so it is <= 0 exactly when
+    fl(S + tail) <= 1; a curve without a certified tail end is +inf.  One
+    np.sum encloses S, and S is summed exactly, once for both curves, only
+    where an enclosure end leaves the comparison open.
     """
     t = float(t)
     verdict = partition.series_verdict(t)
-    if verdict.status == "diverges":
-        return math.inf, math.inf
-
-    def curves(partial: float) -> tuple[float, float]:
-        s = _linear_sample(partition, t, verdict, partial)
-        return (math.inf if s.status == "undetermined" else s.lower), s.upper
-
+    if verdict.status != "converges":
+        return False, False
     terms = partition.lengths ** t
-    return _decided(curves, *_sum_enclosure(terms)) or curves(compensated_sum(terms))
+    lo, hi = _sum_enclosure(terms)
+    exact = functools.cache(lambda: compensated_sum(terms))
+    return tuple(tail is not None and _at_most_one(lo + tail, hi + tail, lambda: exact() + tail)
+                 for tail in (verdict.tail_low, verdict.tail_high))
 
 
 def bowen_root_linear(
@@ -421,36 +404,26 @@ def bowen_root_linear(
     undetermined, which counts as +inf.  Divergent exponents are +inf on both
     curves, which keeps the bisections sound: they tighten toward the
     certified-convergent region from the right.  The bisections read only
-    the curves' signs, and each exponent takes them from an enclosure of the
-    partial sum, summing exactly only where the enclosure straddles a sign;
-    the bracket is the one that exact sums at every exponent give.
+    whether each curve is <= 0, from `_linear_past`; the bracket is the one
+    that exact sums at every exponent give.
     """
     # the two bisections share most midpoints: evaluate each exponent once
-    curves: dict[float, tuple[float, float]] = {}
-
-    def at(t: float) -> tuple[float, float]:
-        if t not in curves:
-            curves[t] = _linear_curves(partition, t)
-        return curves[t]
-
-    return bowen_root(lambda t: at(t)[0], lambda t: at(t)[1], t_range, tol)
+    past = functools.cache(lambda t: _linear_past(partition, t))
+    return _root_bracket(lambda t: past(t)[0], lambda t: past(t)[1], t_range, tol)
 
 
-def _cylinder_curve(bmap: BranchMap, m: int, suffixes: tuple, order: int, side: str, t: float) -> float:
-    """log(S)/order with S = sum_w D_w^-t on one side ("sup" or "inf"), with the sign of its exact value.
+def _cylinder_past(bmap: BranchMap, m: int, suffixes: tuple, side: str, t: float) -> bool:
+    """Whether S = sum_w D_w^-t on one side ("sup" or "inf") is at most 1: that side's curve log(S)/n is <= 0.
 
     The exact S rounds each lead's sum once and adds the leads exactly, so
     it lies between the exact sums of the leads' lower and upper enclosure
     ends, one np.sum each.  The words are walked again and summed exactly
-    only when those two leave the sign open.
+    only when those two leave the comparison open.
     """
-    def curve(s: float) -> tuple[float]:
-        return (math.log(s) / order,)
-
     t = float(t)
     lows, highs = zip(*(_sum_enclosure(d ** -t) for (d,) in _lead_derivatives(bmap, m, suffixes, (side,))))
-    decided = _decided(curve, compensated_sum(lows), compensated_sum(highs))
-    return (decided or curve(_cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0]))[0]
+    return _at_most_one(compensated_sum(lows), compensated_sum(highs),
+                        lambda: _cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0])
 
 
 def bowen_root_cylinder(
@@ -466,18 +439,17 @@ def bowen_root_cylinder(
     is decreasing in t and they enclose the pressure at every depth, so their
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
     The depth n-1 suffix tables do not depend on t and are built once.  The
-    bisections read only the curves' signs, and each evaluation takes its
-    sign from per-lead sum enclosures, summing exactly only where they
-    straddle it; the bracket is the one that exact sums give.
+    bisections read only whether each curve is <= 0, from `_cylinder_past`;
+    the bracket is the one that exact sums give.
     """
     m = _effective_alphabet(bmap, alphabet_cap, order)
     suffixes = _word_tables(bmap, m, order - 1)
 
-    def curve(side: str) -> Callable[[float], float]:
+    def past(side: str) -> Callable[[float], bool]:
         # the two bisections share only their first few exponents, so each
         # curve evaluates only its own side; a bisection never repeats an exponent
-        return lambda t: _cylinder_curve(bmap, m, suffixes, order, side, t)
+        return lambda t: _cylinder_past(bmap, m, suffixes, side, t)
 
-    bracket = bowen_root(curve("sup"), curve("inf"), t_range, tol)
+    bracket = _root_bracket(past("sup"), past("inf"), t_range, tol)
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"
     return RootBracket(bracket.lower, bracket.upper, bracket.status, evidence)

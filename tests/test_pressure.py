@@ -129,6 +129,14 @@ def test_s_infinity_oscillating_band():
     assert est.width > 0.05
 
 
+def test_s_infinity_explicit_partition_all_converge():
+    est = find_s_infinity(build_partition("explicit", intervals=[(0.5, 1.0), (0.0, 0.25)]))
+    assert est.status == "all-converge"
+    assert (est.s_low, est.s_high) == (0.0, 0.0)
+    assert est.divergence_behavior == CONVERGES_AT_CRITICAL
+    assert est.evidence.startswith("finite interval list")
+
+
 def test_s_infinity_rejects_bad_tolerance():
     with pytest.raises(PartitionError, match="tolerance"):
         find_s_infinity(build_partition("gauss", 100), tol=0.0)
@@ -159,6 +167,18 @@ def test_bowen_root_reports_unbracketed():
     br = bowen_root(lambda t: 1.0 - t, lambda t: 1.2 - t, t_range=(1e-6, 0.5))
     assert br.status == "not-bracketed"
     assert "not-bracketed" in br.evidence
+
+
+def test_bowen_root_reports_root_below_range():
+    br = bowen_root(lambda t: 0.5 - t, lambda t: 1.2 - t, t_range=(1.0, 2.0))
+    assert br.status == "not-bracketed"
+    assert "lower curve: root-below-range" in br.evidence
+    assert "upper curve: ok" in br.evidence
+
+
+def test_bowen_root_rejects_bad_tolerance():
+    with pytest.raises(PartitionError, match="tolerance"):
+        bowen_root(lambda t: 1.0 - t, lambda t: 1.2 - t, tol=0.0)
 
 
 def test_bowen_root_linear_dyadic():
@@ -234,17 +254,17 @@ def test_bowen_root_cylinder_restricted_digits():
 
 def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
     evaluated, reduced = [], []
-    real_curves, real_sum = pressure._linear_curves, pressure.compensated_sum
+    real_past, real_sum = pressure._linear_past, pressure.compensated_sum
 
-    def counting_curves(partition, t):
+    def counting_past(partition, t):
         evaluated.append(t)
-        return real_curves(partition, t)
+        return real_past(partition, t)
 
     def counting_sum(values):
         reduced.append(values.tobytes())
         return real_sum(values)
 
-    monkeypatch.setattr(pressure, "_linear_curves", counting_curves)
+    monkeypatch.setattr(pressure, "_linear_past", counting_past)
     monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
     br = bowen_root_linear(build_partition("gauss", 20_000), tol=1e-9)
     # the lower and upper bisections share their midpoints
@@ -275,20 +295,20 @@ def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeyp
 
 def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
     evaluated, reduced = [], []
-    real_curve, real_sums = pressure._cylinder_curve, pressure._cylinder_sums
+    real_past, real_sums = pressure._cylinder_past, pressure._cylinder_sums
 
     suffix_tables = []
 
-    def counting_curve(bmap, m, suffixes, order, side, t):
+    def counting_past(bmap, m, suffixes, side, t):
         evaluated.append((t, side))
         suffix_tables.append(suffixes)
-        return real_curve(bmap, m, suffixes, order, side, t)
+        return real_past(bmap, m, suffixes, side, t)
 
     def counting_sums(bmap, m, suffixes, exponents, sides):
         reduced.extend((t, side) for t in exponents for side in sides)
         return real_sums(bmap, m, suffixes, exponents, sides)
 
-    monkeypatch.setattr(pressure, "_cylinder_curve", counting_curve)
+    monkeypatch.setattr(pressure, "_cylinder_past", counting_past)
     monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, 13, tol=1e-6)
@@ -328,16 +348,22 @@ ROOT_ONE_PARTITIONS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(ROOT_ONE_PARTITIONS))
+def test_series_converges_at_one(name):
+    # find_s_infinity starts its search at t = 1, where the lengths of a tiling sum to at most 1
+    assert ROOT_ONE_PARTITIONS[name].series_verdict(1.0).status == "converges"
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(ROOT_ONE_PARTITIONS)), offset=st.floats(-1e-3, 1e-3))
 def test_linear_curve_signs_match_the_exact_sample(name, offset):
-    # the enclosure's sign, wherever it decides, is the sign of the exactly summed sample
+    # whether each curve is <= 0, wherever the enclosure decides it, is the sign of the exactly summed sample
     part = ROOT_ONE_PARTITIONS[name]
     t = 1.0 + offset
-    lower, upper = pressure._linear_curves(part, t)
+    lower_past, upper_past = pressure._linear_past(part, t)
     exact = pressure_linear(part, t)
     exact_lower = math.inf if exact.status == "undetermined" else exact.lower
-    assert (lower > 0.0, upper > 0.0) == (exact_lower > 0.0, exact.upper > 0.0)
+    assert (lower_past, upper_past) == (not exact_lower > 0.0, not exact.upper > 0.0)
 
 
 def _cylinder_case(partition, order, cap):
@@ -362,24 +388,34 @@ def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
     bmap, order, cap, roots = case
     t = roots[side] + offset
     m = pressure._effective_alphabet(bmap, cap, order)
-    value = pressure._cylinder_curve(bmap, m, pressure._word_tables(bmap, m, order - 1), order, side, t)
+    past = pressure._cylinder_past(bmap, m, pressure._word_tables(bmap, m, order - 1), side, t)
     exact = pressure_cylinder_bracket(bmap, t, order, cap)
-    assert (value > 0.0) == ((exact.lower if side == "sup" else exact.upper) > 0.0)
+    assert past == (not (exact.lower if side == "sup" else exact.upper) > 0.0)
 
 
 @pytest.mark.parametrize("lo, hi, expected", [
-    (2.0, 3.0, (math.log(2.0),)),
-    (0.5, 2.0, None),  # straddles log's sign change at 1
-    (0.0, 0.5, None),  # log(0.0) raises
-    (2.0, math.inf, None),
-    (math.nan, math.nan, None),
+    (2.0, 3.0, False),
+    (0.5, 2.0, None),  # straddles 1: only the exact sum decides
+    (0.0, 0.5, True),  # a zero end compares correctly
+    (0.5, 1.0, True),  # an end at exactly 1 decides only from above
+    (1.0, 2.0, None),
+    (2.0, math.inf, False),  # and so does an infinite one
+    (math.nan, math.nan, None),  # nan fails both comparisons
 ])
 def test_decided_only_where_both_ends_fix_the_sign(lo, hi, expected):
-    assert pressure._decided(lambda s: (math.log(s),), lo, hi) == expected
+    # `_at_most_one` reads the exact sum (here 1.0) only where the ends leave "<= 1" open
+    calls = []
+
+    def exact():
+        calls.append(1.0)
+        return 1.0
+
+    assert pressure._at_most_one(lo, hi, exact) is (True if expected is None else expected)
+    assert len(calls) == (expected is None)
 
 
 def test_log_is_positive_exactly_above_one():
-    # the libm property behind every enclosure decision: the sign of log(y) is the sign of y - 1
+    # the libm property that makes each "sum <= 1" decision the sign of log(sum), as the pressure samples report it
     ys = (np.float64(1.0).view(np.int64) + np.arange(-10**4, 10**4 + 1)).view(np.float64)
     assert all((math.log(y) > 0.0) == (y > 1.0) for y in ys.tolist())
 

@@ -233,7 +233,8 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
 def _cmd_s_infinity(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
     tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
-    est = find_s_infinity(partition, tol=tol)
+    with _section("sinfinity"):
+        est = find_s_infinity(partition, tol=tol)
     payload = {
         "generator": partition.generator,
         "truncation": partition.count,
@@ -255,21 +256,22 @@ def _cmd_bowen(args, cfg, cfg_hash) -> int:
     method = _get(cfg, "bowen", "method", default="linear")
     t_low = _get(cfg, "bowen", "t_low", float, 1e-6)
     t_high = _get(cfg, "bowen", "t_high", float, 8.0)
-    if method == "linear":
-        bracket = bowen_root_linear(partition, t_range=(t_low, t_high), tol=tol)
-        extras = {}
-    elif method == "cylinder":
-        cap = _get(cfg, "bowen", "alphabet_cap", int, 64)
-        if cap < 1:
-            raise ConfigError(f"config error: [bowen] alphabet_cap must be >= 1 (got {cap})")
-        order = _get(cfg, "bowen", "order", int)
-        if order is None:
-            order = max_cylinder_order(cap)
-        bmap = make_branch_map(partition)
-        bracket = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap, t_range=(t_low, t_high))
-        extras = {"order": order, "alphabet_cap": cap}
-    else:
-        raise ConfigError(f"config error: [bowen] method must be linear or cylinder (got {method!r})")
+    with _section("bowen"):
+        if method == "linear":
+            bracket = bowen_root_linear(partition, t_range=(t_low, t_high), tol=tol)
+            extras = {}
+        elif method == "cylinder":
+            cap = _get(cfg, "bowen", "alphabet_cap", int, 64)
+            if cap < 1:
+                raise ConfigError(f"config error: [bowen] alphabet_cap must be >= 1 (got {cap})")
+            order = _get(cfg, "bowen", "order", int)
+            if order is None:
+                order = max_cylinder_order(cap)
+            bmap = make_branch_map(partition)
+            bracket = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap, t_range=(t_low, t_high))
+            extras = {"order": order, "alphabet_cap": cap}
+        else:
+            raise ConfigError(f"config error: [bowen] method must be linear or cylinder (got {method!r})")
     payload = {
         "generator": partition.generator,
         "truncation": partition.count,
@@ -319,8 +321,8 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
 
 def _cmd_gaps(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
-    n_min = _get(cfg, "gaps", "n_min", int, 16)
-    gb = gap_exponent_bounds(partition, n_min=n_min)
+    with _section("gaps"):
+        gb = gap_exponent_bounds(partition, n_min=_get(cfg, "gaps", "n_min", int, 16))
     payload = {"generator": partition.generator, "truncation": partition.count}
     payload.update(_gaps_payload(gb))
     print(f"gap exponent bounds [{_fmt(gb.L_lower)}, {_fmt(gb.L_upper)}]")
@@ -398,8 +400,10 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
     tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
     pad = _get(cfg, "verify", "pad", float, 0.05)
-    est = find_s_infinity(partition, tol=tol)
-    gb = gap_exponent_bounds(partition, n_min=_get(cfg, "gaps", "n_min", int, 16))
+    with _section("sinfinity"):
+        est = find_s_infinity(partition, tol=tol)
+    with _section("gaps"):
+        gb = gap_exponent_bounds(partition, n_min=_get(cfg, "gaps", "n_min", int, 16))
     drift = gb.edge_drift
     eps = est.width + drift
     s_mid = est.midpoint

@@ -9,9 +9,11 @@ u -> (2u, 1 - |u|^2)/(1 + |u|^2) and infinity -> -e_n.
 
 Busemann functions use the convention
     B_xi(p, q) = lim_t [d(p, alpha(t)) - d(q, alpha(t))],  alpha(t) -> xi,
-so B is positive when q sits deeper toward xi than p.  Gromov products are
-computed at the closest point of the connecting geodesic, which the Busemann
-cocycle identity makes equal to the value at any other point of the geodesic.
+so B is positive when q sits deeper toward xi than p.  Gromov products and the
+Bourdon metric e^{-(xi|eta)_o} come from one closed form in the half-space,
+e^{-(u|v)_o} = |u - v| o_n / (|o - u| |o - v|) (Bourdon, "Structure conforme au
+bord et flot geodesique d'un CAT(-1)-espace", 1995); the Busemann form at any
+point of the connecting geodesic gives the same product.
 
 Only parabolic isometries are implemented: horizontal translations of the
 half-space fixing infinity.  Orbits of boundary points map to the ball-model
@@ -101,12 +103,6 @@ class HyperbolicPoint:
         if self.model != HALF_SPACE:
             raise ValueError("height is a half-space notion")
         return float(self.coords[-1])
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        if self.model != HALF_SPACE:
-            raise ValueError("horizontal part is a half-space notion")
-        return self.coords[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,57 +242,27 @@ def _same_boundary(u, u_inf, v, v_inf) -> np.ndarray:
     return (u_inf & v_inf) | (~u_inf & ~v_inf & np.all(u == v, axis=1))
 
 
-def _frame(u, u_inf, v, v_inf):
-    """Rows on vertical lines (an end at infinity) with their foot, and the
-    center, radius and unit direction of the other (arc) rows' semicircles.
-
-    line and arc select the rows; when every row is of one kind they are
-    slices, so no boolean-mask copies are made.
-    """
-    line = u_inf | v_inf
-    if line.all():
-        line, arc = slice(None), slice(0, 0)
-    elif not line.any():
-        line, arc = slice(0, 0), slice(None)
-    else:
-        arc = ~line
-    chord = v[arc] - u[arc]
-    radius = 0.5 * np.sqrt(_dot(chord, chord))
-    foot = np.where(u_inf[:, None], v, u)[line]
-    return line, arc, foot, 0.5 * (u[arc] + v[arc]), radius, chord / (2.0 * radius)[:, None]
-
-
-def _closest_on_geodesic(u, u_inf, v, v_inf, p: np.ndarray) -> np.ndarray:
-    """Closest point of the geodesic (u, v) to p, all in the half-space.
-
-    Vertical line over u (an end at infinity): cosh d is least at height |p - (u, 0)|.
-    Semicircle with center c, radius R, direction e: with beta = (p_x - c) . e and
-    A = |p_x - c|^2 + R^2 + p_n^2, the least cosh d is at cos(theta*) = 2 R beta / A,
-    which lies in (-1, 1) for interior p.
-    """
-    out = np.empty(p.shape)
-    px, pn = p[:, :-1], p[:, -1]
-    line, arc, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
-    du = px[line] - foot
-    out[line, :-1] = foot
-    out[line, -1] = np.sqrt(_dot(du, du) + pn[line] * pn[line])
-    w = px[arc] - c
-    cos_t = 2.0 * radius * _dot(w, e) / (_dot(w, w) + radius * radius + pn[arc] * pn[arc])
-    out[arc, :-1] = c + (radius * cos_t)[:, None] * e
-    out[arc, -1] = radius * np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
-    if np.any(out[:, -1] <= _MODEL_TOL):
-        raise ValueError("half-space points need a positive last coordinate")
-    return out
+def _norm(rows: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norm; each row is scaled by its largest |entry| first, so no square
+    underflows or overflows."""
+    scale = np.abs(rows).max(axis=1)
+    unit = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
+    return scale * np.sqrt(_dot(unit, unit))
 
 
 def _geodesic_point(u, u_inf, v, v_inf, s: np.ndarray) -> np.ndarray:
-    """Point of the geodesic (u, v) at parameter s: angle pi*(1-s) or height s/(1-s)."""
+    """Point of the geodesic (u, v) at parameter s: at height s/(1-s) on the vertical line over
+    the finite end (an end at infinity), else at angle pi*(1-s) on the semicircle over [u, v]."""
     out = np.empty((len(s), u.shape[1] + 1))
-    line, arc, foot, c, radius, e = _frame(u, u_inf, v, v_inf)
-    out[line, :-1] = foot
+    line = u_inf | v_inf
+    out[line, :-1] = np.where(u_inf[:, None], v, u)[line]
     out[line, -1] = s[line] / (1.0 - s[line])
+    arc = ~line
+    chord = v[arc] - u[arc]
+    radius = 0.5 * np.sqrt(_dot(chord, chord))
     theta = math.pi * (1.0 - s[arc])
-    out[arc, :-1] = c + (radius * _libm(math.cos, theta))[:, None] * e
+    e = chord / (2.0 * radius)[:, None]
+    out[arc, :-1] = 0.5 * (u[arc] + v[arc]) + (radius * _libm(math.cos, theta))[:, None] * e
     out[arc, -1] = radius * _libm(math.sin, theta)
     return out
 
@@ -306,16 +272,23 @@ def _gromov(u, u_inf, v, v_inf, base: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _bourdon(u, u_inf, v, v_inf, base: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(u))
-    k = ~_same_boundary(u, u_inf, v, v_inf)
-    ends = (u[k], u_inf[k], v[k], v_inf[k])
-    z = _closest_on_geodesic(*ends, base[k])
-    out[k] = _libm(math.exp, -_gromov(*ends, base[k], z))
-    return out
+    """e^{-(u|v)_p} = |u - v| p_n / (|p - u| |p - v|) at the base p, the ends at height 0.
+
+    An end at infinity drops its two factors (p_n / |p - u| with one such end, 0 with two),
+    and equal ends give 0.  Evaluated as (|u - v| / far) (p_n / near), with near <= far the
+    two base distances: neither quotient overflows, and swapping u and v keeps every bit.
+    """
+    px, pn = base[:, :-1], base[:, -1:]
+    uv, pu, pv = _norm(np.concatenate([np.hstack([u - v, np.zeros_like(pn)]),
+                                       np.hstack([px - u, pn]), np.hstack([px - v, pn])])).reshape(3, -1)
+    pu, pv = np.where(u_inf, np.inf, pu), np.where(v_inf, np.inf, pv)
+    return np.where(u_inf | v_inf, 1.0, uv / np.maximum(pu, pv)) * (pn[:, 0] / np.minimum(pu, pv))
 
 
 def _spherical(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _libm(math.acos, np.clip(_dot(a, b), -1.0, 1.0))
+    """Angle between unit rows, 2 atan2(|a - b|, |a + b|): acos of a . b loses every digit
+    of angles below about 1e-8."""
+    return 2.0 * _libm(math.atan2, _norm(a - b), _norm(a + b))
 
 
 def _orbit_distance(shift: np.ndarray) -> np.ndarray:
@@ -414,19 +387,19 @@ def point_on_boundary_geodesic(xi: BoundaryPoint, eta: BoundaryPoint, s: float) 
 
 def gromov_product(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint,
                    z: HyperbolicPoint | None = None) -> float:
-    """(xi|eta)_base = [B_xi(base, z) + B_eta(base, z)] / 2.
+    """(xi|eta)_base = -log(|u - v| p_n / (|p - u| |p - v|)) at the half-space base p.
 
-    z defaults to the closest point of the geodesic (xi, eta) to the base;
-    the value does not depend on which point of the geodesic is used (an
-    exact consequence of the Busemann cocycle), so callers may pass any
-    other z from point_on_boundary_geodesic to cross-check.
+    With z, a point of the geodesic (xi, eta), it is [B_xi(base, z) + B_eta(base, z)] / 2
+    instead; the value does not depend on z (an exact consequence of the Busemann
+    cocycle), so callers may pass any z from point_on_boundary_geodesic to cross-check.
     """
     base_h = to_half_space(base).coords[None]
     ends = _boundary_rows(base_h.shape[1] - 1, xi, eta)
     if _same_boundary(*ends)[0]:
         raise ValueError("boundary points coincide; the Gromov product is +infinity")
-    z_h = _closest_on_geodesic(*ends, base_h) if z is None else to_half_space(z).coords[None]
-    return float(_gromov(*ends, base_h, z_h)[0])
+    if z is None:
+        return -math.log(_bourdon(*ends, base_h)[0])
+    return float(_gromov(*ends, base_h, to_half_space(z).coords[None])[0])
 
 
 def bourdon_metric(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint) -> float:
@@ -440,7 +413,7 @@ def bourdon_metric(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint)
 
 
 def spherical_metric(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
-    """Angle metric on the ball boundary: arccos of the dot product."""
+    """Angle metric on the ball boundary: the angle between the two unit vectors."""
     if xi.model != BALL or eta.model != BALL:
         raise ValueError("the spherical metric needs ball-model boundary points")
     if xi.coords.size != eta.coords.size:

@@ -90,10 +90,12 @@ def compensated_sum(values: np.ndarray) -> float:
     return total / (1 << (_EXP_OFFSET + 53))
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn from `math` on every element of x: numpy's SIMD log, exp, acos, ...
-    differ from libm in the last bit for some inputs, depending on the CPU."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """fn from `math` on every element of x (and of each array in `more`, of x's shape, as
+    further arguments): numpy's SIMD log, exp, atan2, ... differ from libm in the last bit
+    for some inputs, depending on the CPU."""
+    args = (a.ravel().tolist() for a in (x, *more))
+    return np.fromiter(map(fn, *args), float, x.size).reshape(x.shape)
 
 
 def acosh1p(u):

@@ -29,7 +29,6 @@ from .pressure import CriticalExponentEstimate, DIVERGES_AT_CRITICAL, _bisect
 __all__ = [
     "CONVERGENT_WITH_BOUND",
     "DIVERGENT_MINORANT",
-    "UNDETERMINED_TAIL",
     "PoincareSample",
     "CountingFunction",
     "DichotomyReport",
@@ -42,7 +41,6 @@ __all__ = [
 
 CONVERGENT_WITH_BOUND = "convergent-with-bound"
 DIVERGENT_MINORANT = "divergent-minorant"
-UNDETERMINED_TAIL = "undetermined"
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,13 @@ def test_box_dimension_needs_eight_levels():
         estimate_box_dimension(cloud, 2.0 ** -np.arange(4.0, 9.0))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_box_dimension_needs_positive_deltas(bad):
+    cloud = PointCloud(np.linspace(0.0, 1.0, 100), "line")
+    with pytest.raises(ValueError, match="deltas must be positive"):
+        estimate_box_dimension(cloud, np.append(2.0 ** -np.arange(4.0, 12.0), bad))
+
+
 def test_box_dimension_all_saturated():
     cloud = PointCloud(np.linspace(0.0, 1.0, 10), "line")
     deltas = 2.0 ** -np.arange(20.0, 28.0)  # every point isolated at all levels

@@ -413,6 +413,15 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
      "[boxdim] need a delta grid with at least 8 levels"),
     ("bowen", GAUSS_100 + "\n[bowen]\nmethod = spline\n", "[bowen] method must be linear or cylinder (got 'spline')"),
     ("poincare", POINCARE_21.replace("s = 1.5", "s = -1.0"), "config error: [poincare] s must be nonnegative"),
+    ("bowen", GAUSS_100 + "\n[bowen]\nmethod = cylinder\norder = 0\n",
+     "config error: [bowen] cylinder order must be >= 1"),
+    ("bowen", GAUSS_100 + "\n[bowen]\nmethod = cylinder\nalphabet_cap = 1\n",
+     "config error: [bowen] a single-branch alphabet has no largest cylinder order; set the order"),
+    ("bowen", GAUSS_100 + "\n[bowen]\ntol = -1\n", "config error: [bowen] tolerance must be positive"),
+    ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = 0\n", "config error: [sinfinity] tolerance must be positive"),
+    ("verify-main", GAUSS_100 + "\n[sinfinity]\ntol = 0\n", "config error: [sinfinity] tolerance must be positive"),
+    ("gaps", GAUSS_100.replace("100", "1000") + "\n[gaps]\nn_min = 5000\n",
+     "config error: [gaps] gap exponents need at least 5000 intervals, got 1000"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, command, text, message):
     cfg = _write_config(tmp_path, "e.ini", text)

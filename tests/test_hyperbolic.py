@@ -459,6 +459,47 @@ def test_gromov_product_matches_mpmath():
             _close(gromov_product(boundary_infinity(), xi, base, z=z), ref, rel=1e-11)
 
 
+def test_bourdon_metric_matches_mpmath():
+    # the closed form against e^{-(u|v)_o} at 50 digits, at random bases in H^2 and H^3
+    rng = np.random.default_rng(RNG_SEED + 23)
+    with mpmath.workdps(50):
+        for ambient in (2, 3) * 100:
+            base = _random_half_space(rng, ambient)
+            xi, eta = _random_boundary(rng, ambient), _random_boundary(rng, ambient)
+            for a, b, v in ((xi, eta, eta.coords), (xi, boundary_infinity(), None),
+                            (boundary_infinity(), xi, None)):
+                ref = mpmath.exp(-_mp_gromov(xi.coords, v, base.coords))
+                assert abs(bourdon_metric(a, b, base) - float(ref)) <= 1e-12 * float(ref), (a, b, base)
+
+
+@pytest.mark.parametrize("u, v, base, product, metric", [
+    # a geodesic of radius 5e-13, whose highest point is far below 1e-12, seen from 5 away
+    (0.0, 1e-12, (5.0, 1e-3), 37.7576522597787, 4.0e-17),
+    # |u - v|^2 = 1e-400 underflows; the product is 200 log 10
+    (0.0, 1e-200, (0.0, 1.0), 460.517018598809, 1e-200),
+])
+def test_boundary_metric_at_extreme_scales(u, v, base, product, metric):
+    xi, eta, o = boundary_plane_point([u]), boundary_plane_point([v]), half_space_point(base)
+    with mpmath.workdps(50):
+        ref = _mp_gromov([u], [v], base)
+        for value in (gromov_product(xi, eta, o), gromov_product(eta, xi, o)):
+            assert value == pytest.approx(product, rel=1e-14)
+            _close(value, ref, rel=1e-14)
+        assert bourdon_metric(xi, eta, o) == pytest.approx(float(mpmath.exp(-ref)), rel=1e-14)
+    assert bourdon_metric(xi, eta, o) == pytest.approx(metric, rel=1e-3)
+
+
+@pytest.mark.parametrize("angle", [1e-8, 1e-12, math.pi / 2.0, math.pi - 1e-9])
+def test_spherical_metric_is_accurate_at_every_angle(angle):
+    a, b = np.array([1.0, 0.0]), np.array([math.cos(angle), math.sin(angle)])
+    with mpmath.workdps(50):
+        # the exact angle between the two float vectors
+        exact = float(mpmath.atan2(mpmath.mpf(a[0]) * b[1] - mpmath.mpf(a[1]) * b[0],
+                                   mpmath.mpf(a[0]) * b[0] + mpmath.mpf(a[1]) * b[1]))
+    value = spherical_metric(boundary_sphere_point(a), boundary_sphere_point(b))
+    assert abs(value - exact) <= 4.0 * math.ulp(exact), (value, exact)
+
+
 def test_batch_of_one_api_keeps_its_errors():
     base = base_point(HALF_SPACE, 2)
     for a, b in ((boundary_infinity(), boundary_infinity()),

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from presdim.boxdim import gap_exponent_bounds
 from presdim.interval_partition import (
+    IntervalPartition,
     PartitionError,
     build_partition,
     cylinder_derivative_sums,
@@ -446,3 +448,58 @@ def test_refine_partition_products():
     expect = np.sort(np.multiply.outer(base, base).ravel())
     np.testing.assert_allclose(np.sort(ref.lengths), expect, rtol=1e-14)
     assert abs(ref.total_length() - part.total_length() ** 2) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# guards and branches beside the main paths: a PartitionError case asserts its message,
+# any other case the returned value
+
+
+GAUSS_10 = build_partition("gauss", 10)
+# two intervals with a gap between 0.5 and 0.6
+GAPPED = build_partition("explicit", intervals=[(0.6, 1.0), (0.2, 0.5)])
+
+
+def _words(order, cap):
+    return cylinder_words(make_branch_map(GAUSS_10), order, alphabet_cap=cap)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: build_partition("power-law", 10, exponent=1.0),
+     PartitionError("power-law exponent must exceed 1, got 1.0")),
+    (lambda: IntervalPartition(np.array([0.1, 0.2]), np.array([0.5]), "explicit"),
+     PartitionError("partition needs matching 1-d, non-empty endpoint arrays")),
+    (lambda: build_partition("explicit", intervals=[(0.1, 0.5), (0.2, 0.5)]),
+     PartitionError("intervals must be ordered by strictly decreasing right endpoint")),
+    (lambda: GAPPED.tiling_defect(), None),
+    (lambda: GAUSS_10.series_verdict(0.0).status, "diverges"),
+    (lambda: build_partition("gauss", 0), PartitionError("unbounded generators need truncation >= 1")),
+    (lambda: build_partition("gauss-restricted", digits=[]),
+     PartitionError("gauss-restricted needs a non-empty digit set")),
+    (lambda: build_partition("explicit"), PartitionError("explicit generator needs intervals")),
+    (lambda: build_partition("explicit", intervals=[]),
+     PartitionError("explicit generator needs at least one interval")),
+    (lambda: perturb_compactly(GAUSS_10, (0.0, 1.0), [(0.0, 1.0)]),
+     PartitionError("perturbation region must be [c, 1] with 0 < c < 1")),
+    (lambda: perturb_compactly(build_partition("explicit", intervals=[(0.1, 0.5)]), (0.6, 1.0), [(0.6, 1.0)]),
+     PartitionError("no original interval lies in the region")),
+    (lambda: perturb_compactly(GAUSS_10, (0.5, 1.0), []), PartitionError("replacement list is empty")),
+    (lambda: perturb_compactly(GAUSS_10, (0.5, 1.0), [(0.4, 1.0)]),
+     PartitionError("replacement interval outside the region")),
+    # the gap splits both unions in two, and the pieces match
+    (lambda: perturb_compactly(GAPPED, (0.1, 1.0), [(0.6, 1.0), (0.35, 0.5), (0.2, 0.35)]).right.tolist(),
+     [1.0, 0.5, 0.35]),
+    (lambda: make_branch_map(GAUSS_10).second_derivative_bound(), 16.0),
+    # dyadic branches are affine with slopes 2^n, the least of them 2
+    (lambda: make_branch_map(build_partition("dyadic", 10)).expansion_margin(), 1.0),
+    (lambda: _words(1, 0), PartitionError("alphabet cap leaves no branches")),
+    (lambda: _words(0, 4), PartitionError("cylinder order must be >= 1")),
+    (lambda: _words(22, 2), PartitionError(
+        "2^22 = 4194304 cylinder words exceed the enumeration cap 2097152; lower the order or alphabet")),
+])
+def test_guards_and_side_branches(call, expected):
+    if isinstance(expected, PartitionError):
+        with pytest.raises(PartitionError, match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected

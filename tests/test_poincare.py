@@ -287,3 +287,14 @@ def test_gauge_gap_bounded():
     gap = 2.0 * np.arcsinh(0.5 * n) - 2.0 * np.log(n)
     assert gap.max() - gap.min() <= 1.0
     assert np.all(np.diff(gap) <= 0)  # decreasing toward 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: classify_tail(G1, -1.0, 1), "s must be nonnegative"),
+    (lambda: counting_exponent(G1, t_max=0.0, levels=10), "t_max must be positive"),
+    # 5e-324 log n rounds to the same subnormal for neighbouring n
+    (lambda: verify_dichotomy("power", 5e-324), "sequence rule is not strictly decreasing"),
+])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -24,23 +24,15 @@ from .interval_partition import (
     SeriesVerdict,
     build_partition,
     cylinder_derivative_sums,
-    cylinder_words,
     make_branch_map,
-    perturb_compactly,
     refine_partition,
-    write_intervals_csv,
 )
 from .pressure import (
-    BoundaryClassification,
     CriticalExponentEstimate,
-    DistortionBounds,
     PressureSample,
     RootBracket,
-    bowen_root,
     bowen_root_cylinder,
     bowen_root_linear,
-    classify_s_infinity_behavior,
-    distortion_constant,
     find_s_infinity,
     pressure_cylinder_bracket,
     pressure_linear,
@@ -60,7 +52,6 @@ from .hyperbolic import (
     BoundaryPoint,
     HyperbolicPoint,
     ParabolicGroupSpec,
-    TriangleComparisonReport,
     ball_point,
     base_point,
     boundary_infinity,
@@ -68,7 +59,6 @@ from .hyperbolic import (
     boundary_sphere_point,
     bourdon_metric,
     busemann,
-    comparison_triangle_check,
     distance,
     gromov_product,
     half_space_point,
@@ -82,13 +72,11 @@ from .hyperbolic import (
 )
 from .poincare import (
     CountingFunction,
-    DichotomyReport,
     PoincareSample,
     classify_tail,
     counting_exponent,
     critical_exponent,
     poincare_partial,
-    verify_dichotomy,
 )
 
 __version__ = "0.1.0"

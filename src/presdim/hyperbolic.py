@@ -36,7 +36,6 @@ __all__ = [
     "HyperbolicPoint",
     "BoundaryPoint",
     "ParabolicGroupSpec",
-    "TriangleComparisonReport",
     "half_space_point",
     "ball_point",
     "base_point",
@@ -54,7 +53,6 @@ __all__ = [
     "translate",
     "orbit_distance",
     "parabolic_orbit",
-    "comparison_triangle_check",
     "identity_suite",
 ]
 
@@ -271,18 +269,25 @@ def _gromov(u, u_inf, v, v_inf, base: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 0.5 * (_busemann(u, u_inf, base, z) + _busemann(v, v_inf, base, z))
 
 
-def _bourdon(u, u_inf, v, v_inf, base: np.ndarray) -> np.ndarray:
-    """e^{-(u|v)_p} = |u - v| p_n / (|p - u| |p - v|) at the base p, the ends at height 0.
-
-    An end at infinity drops its two factors (p_n / |p - u| with one such end, 0 with two),
-    and equal ends give 0.  Evaluated as (|u - v| / far) (p_n / near), with near <= far the
-    two base distances: neither quotient overflows, and swapping u and v keeps every bit.
-    """
+def _end_distances(u, u_inf, v, v_inf, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|u - v|, near, far) with near <= far the distances from the base p to the ends at
+    height 0; an end at infinity is at distance inf (its |u - v| is unread)."""
     px, pn = base[:, :-1], base[:, -1:]
     uv, pu, pv = _norm(np.concatenate([np.hstack([u - v, np.zeros_like(pn)]),
                                        np.hstack([px - u, pn]), np.hstack([px - v, pn])])).reshape(3, -1)
     pu, pv = np.where(u_inf, np.inf, pu), np.where(v_inf, np.inf, pv)
-    return np.where(u_inf | v_inf, 1.0, uv / np.maximum(pu, pv)) * (pn[:, 0] / np.minimum(pu, pv))
+    return uv, np.minimum(pu, pv), np.maximum(pu, pv)
+
+
+def _bourdon(u, u_inf, v, v_inf, base: np.ndarray) -> np.ndarray:
+    """e^{-(u|v)_p} = |u - v| p_n / (|p - u| |p - v|) at the base p, the ends at height 0.
+
+    An end at infinity drops its two factors (p_n / |p - u| with one such end, 0 with two),
+    and equal ends give 0.  Evaluated as (|u - v| / far) (p_n / near): neither quotient
+    overflows, and swapping u and v keeps every bit.
+    """
+    uv, near, far = _end_distances(u, u_inf, v, v_inf, base)
+    return np.where(u_inf | v_inf, 1.0, uv / far) * (base[:, -1] / near)
 
 
 def _spherical(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -387,7 +392,8 @@ def point_on_boundary_geodesic(xi: BoundaryPoint, eta: BoundaryPoint, s: float) 
 
 def gromov_product(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint,
                    z: HyperbolicPoint | None = None) -> float:
-    """(xi|eta)_base = -log(|u - v| p_n / (|p - u| |p - v|)) at the half-space base p.
+    """(xi|eta)_base = log|p - u| + log|p - v| - log|u - v| - log p_n at the half-space base p;
+    an end at infinity drops its two terms.
 
     With z, a point of the geodesic (xi, eta), it is [B_xi(base, z) + B_eta(base, z)] / 2
     instead; the value does not depend on z (an exact consequence of the Busemann
@@ -398,7 +404,10 @@ def gromov_product(xi: BoundaryPoint, eta: BoundaryPoint, base: HyperbolicPoint,
     if _same_boundary(*ends)[0]:
         raise ValueError("boundary points coincide; the Gromov product is +infinity")
     if z is None:
-        return -math.log(_bourdon(*ends, base_h)[0])
+        # the logs of the distances, never of their quotients: the metric can underflow to 0
+        uv, near, far = (float(d[0]) for d in _end_distances(*ends, base_h))
+        product = math.log(near) - math.log(base_h[0, -1])
+        return product if math.isinf(far) else math.log(far) - math.log(uv) + product
     return float(_gromov(*ends, base_h, to_half_space(z).coords[None])[0])
 
 
@@ -563,55 +572,6 @@ def parabolic_orbit(group: ParabolicGroupSpec, xi: BoundaryPoint, radius: int) -
     plane = xi.coords[None, :] + lattice @ group.alphas
     label = f"parabolic-orbit(ambient={group.ambient}, rank={group.rank}, radius={radius})"
     return PointCloud(_plane_to_sphere(plane), "sphere", label)
-
-
-@dataclass(frozen=True)
-class TriangleComparisonReport:
-    """Reverse-triangle slack of a geodesic triangle with a wide angle.
-
-    slack = d(x,y) - d(z,x) - d(z,y) is always <= 0; when the angle at z is
-    at least D the slack is bounded below by -C(D) with
-    C(D) = 2 log(2 / (1 - cos D)).  The asymptotically exact constant (long
-    sides) is log(2/(1-cos D)); the reported C doubles it, a documented
-    sufficient margin rather than a sharp one.
-    """
-
-    side_xy: float
-    side_zx: float
-    side_zy: float
-    angle_at_z: float
-    min_angle: float
-    slack: float
-    constant: float
-    passed: bool
-
-
-def comparison_triangle_check(x: HyperbolicPoint, y: HyperbolicPoint,
-                              z: HyperbolicPoint, min_angle: float) -> TriangleComparisonReport:
-    """Check d(x,y) >= d(z,x) + d(z,y) - C at a vertex of angle >= min_angle.
-
-    The angle at z comes from the hyperbolic law of cosines
-    cos(angle) = (cosh a cosh b - cosh c) / (sinh a sinh b) with a = d(z,x),
-    b = d(z,y), c = d(x,y).  Degenerate triangles (a side collapses) and
-    angles below min_angle are rejected.
-    """
-    if not 0.0 < min_angle <= math.pi:
-        raise ValueError("min_angle must lie in (0, pi]")
-    a = distance(z, x)
-    b = distance(z, y)
-    c = distance(x, y)
-    if min(a, b) < 1e-12:
-        raise ValueError("degenerate triangle: a vertex pair coincides")
-    cos_angle = (math.cosh(a) * math.cosh(b) - math.cosh(c)) / (math.sinh(a) * math.sinh(b))
-    angle = math.acos(min(1.0, max(-1.0, cos_angle)))
-    if angle < min_angle:
-        raise ValueError(f"angle at z is {angle:.6f}, below the required {min_angle:.6f}")
-    slack = c - a - b
-    constant = 2.0 * math.log(2.0 / (1.0 - math.cos(min_angle)))
-    return TriangleComparisonReport(
-        side_xy=c, side_zx=a, side_zy=b, angle_at_z=angle, min_angle=min_angle,
-        slack=slack, constant=constant, passed=slack >= -constant,
-    )
 
 
 def identity_suite(trials: int, rng: np.random.Generator) -> list[dict]:

@@ -26,13 +26,10 @@ __all__ = [
     "build_partition",
     "BranchMap",
     "make_branch_map",
-    "cylinder_words",
     "cylinder_derivative_sums",
     "max_cylinder_order",
     "WORD_CAP",
     "refine_partition",
-    "perturb_compactly",
-    "write_intervals_csv",
 ]
 
 _DEDUP_TOL = 1e-15
@@ -383,79 +380,6 @@ def build_partition(
     raise PartitionError(f"unknown generator {generator!r}")
 
 
-def perturb_compactly(
-    partition: IntervalPartition,
-    region: tuple[float, float],
-    replacements: Iterable[tuple[float, float]],
-) -> IntervalPartition:
-    """Replace the intervals living in region = [c, 1] by a new finite tiling.
-
-    The replacement intervals must tile exactly (to 1e-12) the union of the
-    original intervals contained in the region.  Intervals straddling the
-    region boundary are rejected.  The closed-form tail model is untouched, so
-    critical exponents and divergence classifications are preserved by
-    construction.
-    """
-    c, top = float(region[0]), float(region[1])
-    if abs(top - 1.0) > 1e-15:
-        raise PartitionError("perturbation region must reach 1 (modifications stay away from 0)")
-    if not 0.0 < c < 1.0:
-        raise PartitionError("perturbation region must be [c, 1] with 0 < c < 1")
-    inside = partition.left >= c - _TILING_TOL
-    straddle = (~inside) & (partition.right > c + _TILING_TOL)
-    if np.any(straddle):
-        raise PartitionError("an original interval straddles the region boundary")
-    if not np.any(inside):
-        raise PartitionError("no original interval lies in the region")
-
-    old = sorted(zip(partition.left[inside], partition.right[inside]))
-    new = sorted((float(a), float(b)) for a, b in replacements)
-    if not new:
-        raise PartitionError("replacement list is empty")
-    for a, b in new:
-        if not (c - _TILING_TOL <= a < b <= 1.0 + 1e-15):
-            raise PartitionError("replacement interval outside the region")
-
-    def merged(ivs):
-        out = [list(ivs[0])]
-        for a, b in ivs[1:]:
-            if a <= out[-1][1] + _TILING_TOL:
-                out[-1][1] = max(out[-1][1], b)
-            else:
-                out.append([a, b])
-        return out
-
-    mo, mn = merged(old), merged(new)
-    if len(mo) != len(mn) or any(
-        abs(x[0] - y[0]) > _TILING_TOL or abs(x[1] - y[1]) > _TILING_TOL for x, y in zip(mo, mn)
-    ):
-        raise PartitionError("replacements do not tile the union of originals in the region")
-
-    keep_left = partition.left[~inside]
-    keep_right = partition.right[~inside]
-    new_left = np.concatenate([[a for a, _ in new], keep_left])
-    new_right = np.concatenate([[b for _, b in new], keep_right])
-    order = np.argsort(-new_right, kind="stable")
-    return IntervalPartition(
-        new_left[order],
-        new_right[order],
-        f"perturbed({partition.generator})",
-        dict(partition.params, region_start=c),
-        partition.model,
-    )
-
-
-def write_intervals_csv(partition: IntervalPartition, path) -> None:
-    """Write n,a_n,b_n,length rows with deterministic shortest round-trip floats."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,a_n,b_n,length\n")
-        lengths = partition.lengths
-        for i in range(partition.count):
-            fh.write(
-                f"{i + 1},{float(partition.left[i])!r},{float(partition.right[i])!r},{float(lengths[i])!r}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # branch maps and cylinders
 
@@ -622,37 +546,13 @@ def _derivative_range(bmap: BranchMap, tables: tuple, y: float) -> np.ndarray:
 
 
 def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None):
-    """(m, tables, left, right) of all depth-`order` cylinders, lexicographic order."""
-    m = _effective_alphabet(bmap, alphabet_cap, order)
-    tables = _word_tables(bmap, m, order)
+    """(tables, left, right) of all depth-`order` cylinders, lexicographic order."""
+    tables = _word_tables(bmap, _effective_alphabet(bmap, alphabet_cap, order), order)
     if bmap.kind == "gauss-analytic":
         pp, p, qp, q = tables
         f0, f1 = p / q, (pp + p) / (qp + q)
-        return m, tables, np.minimum(f0, f1), np.maximum(f0, f1)
-    return m, tables, tables[0], tables[0] + tables[1]
-
-
-def cylinder_words(bmap: BranchMap, order: int, alphabet_cap: int | None = None) -> tuple[np.ndarray, ...]:
-    """All depth-`order` cylinders as read-only arrays in lexicographic order.
-
-    Returns (symbols, left, right, deriv_inf, deriv_sup): symbols has shape
-    (count, order) and holds each word's branch labels (gauss digits, or
-    1-based branch indices for affine maps); row i of every array is word i,
-    whose cylinder is [left, right] and whose iterate has derivative range
-    [deriv_inf, deriv_sup] over cylinder ∩ invariant hull.
-    """
-    m, tables, left, right = _cylinder_bounds(bmap, order, alphabet_cap)
-    labels = np.asarray(bmap.digits[:m]) if bmap.kind == "gauss-analytic" else np.arange(1, m + 1)
-    deriv_inf, deriv_sup = (_derivative_range(bmap, tables, y) for y in bmap.invariant_hull())
-    symbols = np.empty((left.size, order), dtype=labels.dtype)
-    grid = symbols.reshape((m,) * order + (order,))
-    for k in range(order):
-        # symbol k varies along axis k of the lexicographic grid
-        grid[..., k] = labels.reshape((m,) + (1,) * (order - 1 - k))
-    out = (symbols, left, right, deriv_inf, deriv_sup)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+        return tables, np.minimum(f0, f1), np.maximum(f0, f1)
+    return tables, tables[0], tables[0] + tables[1]
 
 
 def _lead_derivatives(bmap: BranchMap, m: int, suffixes: tuple, sides: Sequence[str]) -> Iterator[list]:
@@ -706,7 +606,7 @@ def refine_partition(bmap: BranchMap, order: int, alphabet_cap: int | None = Non
     The result is an explicit finite partition (no tail model): with an
     alphabet cap it describes the capped subsystem, not the full map.
     """
-    left, right = _cylinder_bounds(bmap, order, alphabet_cap)[2:]
+    _, left, right = _cylinder_bounds(bmap, order, alphabet_cap)
     order_ix = np.argsort(-right, kind="stable")
     return IntervalPartition(
         left[order_ix],

@@ -12,8 +12,8 @@ majorant is summable precisely for s > k/2 (Hurwitz zeta tail) and the
 minorant diverges precisely for s <= k/2, so the critical exponent bracket
 from bisection always closes down on k/2.
 
-Orbit counting enumerates the exact ellipsoidal region |sum N_i alpha_i| <=
-2 sinh(t/2) (the preimage of the distance ball), not a bounding cube.
+Orbit counting enumerates, in floats, the ellipsoidal region |sum N_i alpha_i|
+<= 2 sinh(t/2) (the preimage of the distance ball), not a bounding cube.
 """
 from __future__ import annotations
 
@@ -31,12 +31,10 @@ __all__ = [
     "DIVERGENT_MINORANT",
     "PoincareSample",
     "CountingFunction",
-    "DichotomyReport",
     "classify_tail",
     "poincare_partial",
     "critical_exponent",
     "counting_exponent",
-    "verify_dichotomy",
 ]
 
 CONVERGENT_WITH_BOUND = "convergent-with-bound"
@@ -57,7 +55,7 @@ class PoincareSample:
 
 @dataclass(frozen=True)
 class CountingFunction:
-    """Exact lattice counts #{N : d(o, N.o) <= t} along a threshold grid.
+    """Lattice counts #{N : d(o, N.o) <= t} along a threshold grid, as `_ellipsoid_count` rounds them.
 
     slopes holds log(count)/t per level (0 at degenerate count-1 levels);
     final_slope is the least-squares slope of log(count) against t over the
@@ -74,23 +72,6 @@ class CountingFunction:
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class DichotomyReport:
-    """Window ratios log n / log(1/a_n) versus observed partial-sum growth."""
-
-    rule: str
-    param: float | None
-    ratio_min: float
-    ratio_max: float
-    verdict: str
-    checkpoints: tuple[int, ...]
-    partial_sums: tuple[float, ...]
-    increments: tuple[float, ...]
-    observed: str
-    consistent: bool
-    note: str
 
 
 def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str, float | None, str]:
@@ -166,7 +147,11 @@ def critical_exponent(group: ParabolicGroupSpec, tol: float = 0.01) -> CriticalE
 
 
 def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
-    """Exact #{N in Z^k : |sum N_i alpha_i| <= length} for k in {1, 2}."""
+    """#{N in Z^k : |sum N_i alpha_i| <= length} for k in {1, 2}.
+
+    Not exact: rank 2 rounds sqrt, floor and ceil in floats, so at a length equal to a
+    lattice norm it can be off by one +-N pair (ROADMAP direction 4: exact enumeration).
+    """
     k = group.rank
     if k == 1:
         step = float(np.linalg.norm(group.alphas[0]))
@@ -190,9 +175,10 @@ def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
 
 
 def counting_exponent(group: ParabolicGroupSpec, t_max: float = 25.0, levels: int = 50) -> CountingFunction:
-    """Exact orbit counts along t_j = j t_max / levels and their log-slope.
+    """Orbit counts along t_j = j t_max / levels and their log-slope.
 
-    Counts enumerate the exact ellipsoid |sum N_i alpha_i| <= 2 sinh(t/2);
+    Counts enumerate the ellipsoid |sum N_i alpha_i| <= 2 sinh(t/2) by
+    `_ellipsoid_count`, with its rounding;
     the final slope regresses log(count) on t over the last third of levels,
     skipping degenerate count-1 levels.
     """
@@ -216,71 +202,3 @@ def counting_exponent(group: ParabolicGroupSpec, t_max: float = 25.0, levels: in
     tail = tail[tail >= levels - max(levels // 3, 2)]
     coeffs = np.polyfit(thresholds[tail], np.log(counts[tail].astype(float)), 1)
     return CountingFunction(thresholds, counts, slopes, float(coeffs[0]))
-
-
-_DICHOTOMY_RULES = ("power", "harmonic", "poincare-gauge")
-
-
-def _rule_log_inverse(rule: str, param: float | None, n: np.ndarray) -> np.ndarray:
-    """log(1/a_n) for the named sequence rule."""
-    if rule == "power":
-        if param is None or param <= 0:
-            raise ValueError("rule 'power' needs a positive exponent (a_n = n^-p)")
-        return param * np.log(n)
-    if rule == "harmonic":
-        return np.log(n)
-    if rule == "poincare-gauge":
-        if param is None or param <= 0:
-            raise ValueError("rule 'poincare-gauge' needs a positive s (a_n = e^{-2 s arcsinh(n/2)})")
-        return 2.0 * param * np.arcsinh(0.5 * n)
-    raise ValueError(f"unknown rule {rule!r}; choose from {_DICHOTOMY_RULES}")
-
-
-def verify_dichotomy(rule: str, param: float | None = None) -> DichotomyReport:
-    """Compare the window of log n / log(1/a_n) with observed partial sums.
-
-    The window is 400 geometric samples of n in [100, 10^6].  Ratios with
-    limsup < 1 certify convergence, liminf > 1 certifies divergence, and a
-    window straddling 1 is flagged as boundary.  Partial sums at the decade
-    checkpoints 10^2 .. 10^6, each correctly rounded, report the observed
-    growth for consistency.
-    """
-    grid = np.unique(np.geomspace(100, 1_000_000, 400).astype(np.int64)).astype(float)
-    log_inv = _rule_log_inverse(rule, param, grid)
-    if np.any(np.diff(_rule_log_inverse(rule, param, np.arange(1.0, 50.0))) <= 0):
-        raise ValueError("sequence rule is not strictly decreasing")
-    ratios = np.log(grid) / log_inv
-    ratio_min = float(ratios.min())
-    ratio_max = float(ratios.max())
-    if ratio_max < 1.0:
-        verdict = "converges"
-    elif ratio_min > 1.0:
-        verdict = "diverges"
-    else:
-        verdict = "boundary"
-
-    checkpoints = [10 ** e for e in range(2, 7)]
-    n_all = np.arange(1, checkpoints[-1] + 1, dtype=float)
-    terms = np.exp(-_rule_log_inverse(rule, param, n_all))
-    partial_sums = [compensated_sum(terms[:c]) for c in checkpoints]
-    increments = [partial_sums[0]] + [
-        partial_sums[i] - partial_sums[i - 1] for i in range(1, len(partial_sums))
-    ]
-    # convergent p-series shrink decade increments by the fixed factor
-    # 10^(1-p) < 1; the harmonic boundary keeps them constant at log 10
-    shrinking = all(increments[i + 1] <= 0.95 * increments[i] for i in range(len(increments) - 1))
-    observed = "decade-increments-shrinking" if shrinking else "decade-increments-persistent"
-    if verdict == "converges":
-        consistent = shrinking
-        note = "ratio window below 1; partial sums must flatten"
-    elif verdict == "diverges":
-        consistent = not shrinking
-        note = "ratio window above 1; partial sums must keep growing"
-    else:
-        consistent = True
-        note = "ratio window touches 1; the dichotomy is silent here"
-    return DichotomyReport(
-        rule, param, ratio_min, ratio_max, verdict,
-        tuple(checkpoints), tuple(partial_sums), tuple(increments),
-        observed, consistent, note,
-    )

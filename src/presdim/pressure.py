@@ -29,16 +29,11 @@ from .interval_partition import (
 __all__ = [
     "PressureSample",
     "CriticalExponentEstimate",
-    "BoundaryClassification",
-    "DistortionBounds",
     "RootBracket",
     "pressure_linear",
     "pressure_over_grid",
     "pressure_cylinder_bracket",
-    "distortion_constant",
     "find_s_infinity",
-    "classify_s_infinity_behavior",
-    "bowen_root",
     "bowen_root_linear",
     "bowen_root_cylinder",
 ]
@@ -106,27 +101,6 @@ class CriticalExponentEstimate:
 
 
 @dataclass(frozen=True)
-class BoundaryClassification:
-    """Series behavior at the critical exponent, with a stability annotation."""
-
-    verdict: str
-    s_low: float
-    s_high: float
-    evidence: str
-    annotation: str
-    stability_note: str
-
-
-@dataclass(frozen=True)
-class DistortionBounds:
-    """Uniform bound on sup/inf of iterate derivatives over cylinders."""
-
-    constant: float
-    log_constant: float
-    description: str
-
-
-@dataclass(frozen=True)
 class RootBracket:
     """Enclosure [lower, upper] of the root of a decreasing pressure curve."""
 
@@ -134,24 +108,6 @@ class RootBracket:
     upper: float
     status: str
     evidence: str
-
-
-_STABILITY_NOTE = (
-    "Boundary behavior is not a function of the critical exponent alone: "
-    "replacing finitely many intervals (any modification supported away from "
-    "0) changes neither the exponent nor this classification, while inserting "
-    "or removing logarithmic factors in the lengths flips the classification "
-    "without moving the exponent."
-)
-
-_DIVERGENT_ANNOTATION = (
-    "series diverges at the critical exponent: every compact perturbation "
-    "keeps a maximal-dimension configuration"
-)
-_CONVERGENT_ANNOTATION = (
-    "series converges at the critical exponent: compact perturbations need "
-    "not preserve a maximal-dimension configuration"
-)
 
 
 def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
@@ -197,7 +153,9 @@ def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
         upper = (1/n) log sum_w (inf D_w)^-t >= P(t)
 
     and both hold for every depth n.  The width is at most 2 t log(C) / n
-    with C the distortion constant of the map.
+    with C >= sup D_w / inf D_w at every depth: 1 for affine branches, 4 for
+    the reciprocal ones, whose continuant coefficients 0 <= q' <= q give
+    ((q + q')/q)^2 <= 4.
     """
     m = _effective_alphabet(bmap, alphabet_cap, order)
     (s_sup, s_inf), = _cylinder_sums(bmap, m, _word_tables(bmap, m, order - 1), [t], ("sup", "inf"))
@@ -213,22 +171,6 @@ def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
         truncation=m**order,
         tail_bound=0.0,
         method=f"cylinder-bracket(order={order})",
-    )
-
-
-def distortion_constant(bmap: BranchMap) -> DistortionBounds:
-    """A bound C on sup/inf of |(T^n)'| over each cylinder, the same at every depth n.
-
-    Affine branches have no distortion.  For the reciprocal branches the
-    iterate derivative over a cylinder is (q' y + q)^2 with continuant
-    coefficients 0 <= q' <= q, so the ratio is at most ((q + q')/q)^2 <= 4.
-    """
-    if bmap.kind == "linear-full":
-        return DistortionBounds(1.0, 0.0, "affine branches: iterate derivatives are constant on cylinders")
-    return DistortionBounds(
-        4.0,
-        math.log(4.0),
-        "reciprocal branches: continuant coefficients give sup/inf <= ((q+q')/q)^2 <= 4 at every depth",
     )
 
 
@@ -301,18 +243,6 @@ def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> Critical
     )
 
 
-def classify_s_infinity_behavior(partition: IntervalPartition, tol: float = 1e-4) -> BoundaryClassification:
-    """Convergence status of the length series at its own critical exponent."""
-    est = find_s_infinity(partition, tol=tol)
-    verdict = est.divergence_behavior
-    annotation = {
-        DIVERGES_AT_CRITICAL: _DIVERGENT_ANNOTATION,
-        CONVERGES_AT_CRITICAL: _CONVERGENT_ANNOTATION,
-        UNDETERMINED_AT_CRITICAL: "boundary behavior undetermined at the available verdicts",
-    }[verdict]
-    return BoundaryClassification(verdict, est.s_low, est.s_high, est.evidence, annotation, _STABILITY_NOTE)
-
-
 def _at_most_one(lo: float, hi: float, exact: Callable[[], float]) -> bool:
     """Whether a sum known to lie in [lo, hi] is at most 1; exact() gives the sum where the ends disagree.
 
@@ -354,22 +284,6 @@ def _root_bracket(lower_past: Callable[[float], bool], upper_past: Callable[[flo
         "bracketed",
         "roots of the certified lower and upper pressure curves, padded by the bisection tolerance",
     )
-
-
-def bowen_root(
-    lower_curve: Callable[[float], float],
-    upper_curve: Callable[[float], float],
-    t_range: tuple[float, float] = (1e-6, 8.0),
-    tol: float = 1e-9,
-) -> RootBracket:
-    """Bracket the root of a decreasing pressure curve enclosed by two curves.
-
-    lower_curve <= pressure <= upper_curve pointwise, with both curves
-    decreasing; the true root then lies between their roots.  Curves may
-    return +inf (divergence) on the left of their domain.  The returned
-    bracket is padded by the bisection tolerance on each side.
-    """
-    return _root_bracket(lambda t: not lower_curve(t) > 0.0, lambda t: not upper_curve(t) > 0.0, t_range, tol)
 
 
 def _linear_past(partition: IntervalPartition, t: float) -> tuple[bool, bool]:

@@ -1,6 +1,7 @@
 """Half-space/ball geometry: distances, Busemann functions, boundary metrics."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,8 @@ from presdim import hyperbolic
 from presdim.hyperbolic import (
     BALL,
     HALF_SPACE,
+    BoundaryPoint,
+    HyperbolicPoint,
     ParabolicGroupSpec,
     ball_point,
     base_point,
@@ -19,7 +22,6 @@ from presdim.hyperbolic import (
     boundary_sphere_point,
     bourdon_metric,
     busemann,
-    comparison_triangle_check,
     distance,
     gromov_product,
     half_space_point,
@@ -319,52 +321,70 @@ def test_orbit_gaps_track_orbit_distance():
 
 
 # ---------------------------------------------------------------------------
-# comparison triangles
+# object-API validation: every documented error, with its message
 
 
-def test_collinear_triangle_has_zero_slack():
-    x = half_space_point([0.0, 0.0, 0.25])
-    z = half_space_point([0.0, 0.0, 1.0])
-    y = half_space_point([0.0, 0.0, 4.0])
-    # z between x and y on a vertical geodesic: angle pi, slack exactly 0
-    rep = comparison_triangle_check(x, y, z, min_angle=math.pi / 2.0)
-    assert rep.angle_at_z == pytest.approx(math.pi, abs=1e-9)
-    assert abs(rep.slack) <= 1e-9
-    assert rep.passed
+G1 = ParabolicGroupSpec(2, 1, [[1.0]])
+O2 = base_point(HALF_SPACE, 2)
 
 
-def test_thin_angle_rejected():
-    x = half_space_point([1.0, 0.0, 0.1])
-    y = half_space_point([1.05, 0.0, 0.1])
-    z = half_space_point([0.0, 0.0, 5.0])
-    with pytest.raises(ValueError, match="angle"):
-        comparison_triangle_check(x, y, z, min_angle=math.pi / 3.0)
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HyperbolicPoint(HALF_SPACE, [1.0]), ValueError, "hyperbolic points need at least 2 coordinates"),
+    (lambda: half_space_point([0.0, math.inf]), ValueError, "coordinates must be finite"),
+    (lambda: HyperbolicPoint("klein", [0.0, 0.5]), ValueError, "unknown model 'klein'"),
+    (lambda: ball_point([0.0, 0.5]).height, ValueError, "height is a half-space notion"),
+    (lambda: BoundaryPoint(HALF_SPACE, [0.0], at_infinity=True), ValueError, "infinity carries no coordinates"),
+    (lambda: BoundaryPoint(HALF_SPACE, []), ValueError, "boundary plane points need at least 1 coordinate"),
+    (lambda: BoundaryPoint(BALL, [1.0, 0.0], at_infinity=True), ValueError, "the ball model has no infinity flag"),
+    (lambda: boundary_sphere_point([1.0]), ValueError, "ball boundary points need at least 2 coordinates"),
+    (lambda: BoundaryPoint("klein", [1.0]), ValueError, "unknown model 'klein'"),
+    (lambda: boundary_plane_point([math.nan]), ValueError, "coordinates must be finite"),
+    (lambda: boundary_infinity().ambient, ValueError, "infinity does not determine the dimension"),
+    (lambda: base_point(HALF_SPACE, 1), ValueError, "ambient dimension must be >= 2"),
+    (lambda: to_ball([0.0, 1.0]), TypeError, "expected a HyperbolicPoint or BoundaryPoint"),
+    (lambda: busemann(boundary_plane_point([0.0, 0.0]), O2, half_space_point([1.0, 1.0])),
+     ValueError, "boundary point dimension mismatch"),
+    (lambda: distance(O2, base_point(HALF_SPACE, 3)), ValueError, "points live in different dimensions"),
+    (lambda: busemann(boundary_infinity(), O2, base_point(HALF_SPACE, 3)),
+     ValueError, "points live in different dimensions"),
+    (lambda: point_on_boundary_geodesic(boundary_plane_point([0.0]), boundary_plane_point([1.0]), 1.0),
+     ValueError, "s must lie strictly between 0 and 1"),
+    (lambda: spherical_metric(boundary_plane_point([0.0]), boundary_sphere_point([1.0, 0.0])),
+     ValueError, "the spherical metric needs ball-model boundary points"),
+    (lambda: spherical_metric(boundary_sphere_point([1.0, 0.0]), boundary_sphere_point([1.0, 0.0, 0.0])),
+     ValueError, "boundary point dimension mismatch"),
+    (lambda: ParabolicGroupSpec(1, 1, [[1.0]]), ValueError, "ambient dimension must be >= 2"),
+    (lambda: ParabolicGroupSpec(3, 1, [[1.0]]),
+     ValueError, "need 1 translation vectors of length 2, got shape (1, 1)"),
+    (lambda: G1.displacement([1.0, 2.0]), ValueError, "need 1 coefficients"),
+    (lambda: translate(G1, [1], [0.0, 1.0]), TypeError, "expected a HyperbolicPoint or BoundaryPoint"),
+    (lambda: translate(G1, [1], boundary_plane_point([0.0, 0.0])),
+     ValueError, "boundary point dimension does not match the group"),
+    (lambda: translate(G1, [1], base_point(HALF_SPACE, 3)), ValueError, "point dimension does not match the group"),
+    (lambda: parabolic_orbit(G1, boundary_plane_point([0.0]), 0), ValueError, "radius must be >= 1"),
+    (lambda: parabolic_orbit(G1, boundary_plane_point([0.0, 0.0]), 1),
+     ValueError, "boundary point dimension does not match the group"),
+])
+def test_object_api_validation(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
-def test_degenerate_triangle_rejected():
-    z = half_space_point([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="degenerate"):
-        comparison_triangle_check(z, half_space_point([0.0, 0.0, 2.0]), z, min_angle=1.0)
+def test_boundary_ambient_dimension():
+    assert boundary_sphere_point([0.6, 0.8]).ambient == 2
+    assert boundary_sphere_point([0.0, 0.6, 0.8]).ambient == 3
+    assert boundary_plane_point([1.0, 2.0]).ambient == 3
 
 
-def test_right_angle_slack_within_constant():
-    rng = np.random.default_rng(RNG_SEED + 10)
-    min_angle = math.pi / 2.0
-    c = 2.0 * math.log(2.0 / (1.0 - math.cos(min_angle)))
-    for _ in range(100):
-        # legs of a right angle at a random apex
-        h = rng.uniform(0.5, 2.0)
-        a, b = rng.uniform(0.5, 3.0, size=2)
-        z = half_space_point([0.0, 0.0, h])
-        x = half_space_point([0.0, 0.0, h * math.exp(a)])  # straight up
-        # distance b along the semicircle of radius h centered below z,
-        # which meets the vertical ray orthogonally
-        y = half_space_point([h * math.tanh(b), 0.0, h / math.cosh(b)])
-        rep = comparison_triangle_check(x, y, z, min_angle=min_angle / 2.0)
-        assert rep.angle_at_z == pytest.approx(math.pi / 2.0, abs=1e-9)
-        assert rep.slack >= -c
-        assert rep.slack <= 0.0 + 1e-12  # triangle inequality side
-        assert rep.constant == pytest.approx(2.0 * math.log(2.0 / (1.0 - math.cos(min_angle / 2.0))))
+def test_translate_acts_on_ball_points_as_an_isometry():
+    g = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.3], [0.0, 0.8]]))
+    p, q = ball_point([0.1, -0.2, 0.3]), ball_point([-0.5, 0.4, 0.0])
+    gp, gq = translate(g, [2, -1], p), translate(g, [2, -1], q)
+    assert gp.model == gq.model == BALL
+    assert distance(gp, gq) == pytest.approx(distance(p, q), rel=1e-12)
+    # the ball image is the half-space translate carried back
+    np.testing.assert_allclose(to_half_space(gp).coords, translate(g, [2, -1], to_half_space(p)).coords,
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +497,8 @@ def test_bourdon_metric_matches_mpmath():
     (0.0, 1e-12, (5.0, 1e-3), 37.7576522597787, 4.0e-17),
     # |u - v|^2 = 1e-400 underflows; the product is 200 log 10
     (0.0, 1e-200, (0.0, 1.0), 460.517018598809, 1e-200),
+    # the metric 5e-324 / 101 underflows to 0, the product does not
+    (0.0, 5e-324, (10.0, 1.0), 749.055192438222, 0.0),
 ])
 def test_boundary_metric_at_extreme_scales(u, v, base, product, metric):
     xi, eta, o = boundary_plane_point([u]), boundary_plane_point([v]), half_space_point(base)

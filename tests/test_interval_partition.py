@@ -1,6 +1,5 @@
 """Construction, certified series verdicts, and cylinder machinery."""
 
-import csv
 import itertools
 import math
 import re
@@ -16,14 +15,13 @@ from presdim.boxdim import gap_exponent_bounds
 from presdim.interval_partition import (
     IntervalPartition,
     PartitionError,
+    _cylinder_bounds,
+    _derivative_range,
     build_partition,
     cylinder_derivative_sums,
-    cylinder_words,
     make_branch_map,
     max_cylinder_order,
-    perturb_compactly,
     refine_partition,
-    write_intervals_csv,
 )
 
 
@@ -270,44 +268,6 @@ def test_zeta_verdicts_round_outward(name, t, m):
 
 
 # ---------------------------------------------------------------------------
-# compact perturbation
-
-
-def test_perturb_compactly_swap_two_largest():
-    part = build_partition("gauss", 400)
-    # region [1/3, 1] holds exactly the first two branch intervals
-    c = 1.0 / 3.0
-    repl = [(2.0 / 3.0, 1.0), (c, 2.0 / 3.0)]
-    out = perturb_compactly(part, (c, 1.0), repl)
-    assert out.count == part.count
-    assert out.model is part.model
-    assert abs(out.tiling_defect()) < 1e-12
-    np.testing.assert_allclose(out.right[0], 1.0)
-
-
-def test_perturb_compactly_rejects_straddle_and_gaps():
-    part = build_partition("gauss", 400)
-    with pytest.raises(PartitionError, match="straddles"):
-        perturb_compactly(part, (0.4, 1.0), [(0.4, 1.0)])
-    with pytest.raises(PartitionError, match="reach 1"):
-        perturb_compactly(part, (0.25, 0.75), [(0.25, 0.75)])
-    with pytest.raises(PartitionError, match="tile"):
-        perturb_compactly(part, (1.0 / 3.0, 1.0), [(0.5, 1.0)])
-
-
-def test_write_intervals_csv(tmp_path):
-    part = build_partition("dyadic", 4)
-    path = tmp_path / "intervals.csv"
-    write_intervals_csv(part, path)
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n", "a_n", "b_n", "length"]
-    assert len(rows) == 5
-    assert float(rows[1][2]) == 1.0
-    assert float(rows[1][3]) == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
 # branch maps
 
 
@@ -369,19 +329,25 @@ _CYLINDER_CASES = [  # (generator, build kwargs, largest order, alphabet cap)
 ]
 
 
-def test_cylinder_words_match_exact_composition():
+def _cylinders(bmap, order, cap=None):
+    """(left, right, deriv_inf, deriv_sup) of the depth-`order` cylinders, words in lexicographic order."""
+    tables, left, right = _cylinder_bounds(bmap, order, cap)
+    return (left, right, *(_derivative_range(bmap, tables, y) for y in bmap.invariant_hull()))
+
+
+def test_cylinder_bounds_match_exact_composition():
     for generator, kwargs, max_order, cap in _CYLINDER_CASES:
-        _check_cylinder_words(make_branch_map(build_partition(generator, **kwargs)), max_order, cap)
+        _check_cylinder_bounds(make_branch_map(build_partition(generator, **kwargs)), max_order, cap)
 
 
-def _check_cylinder_words(bmap, max_order, cap):
+def _check_cylinder_bounds(bmap, max_order, cap):
     labels = bmap.digits[:cap] if bmap.digits else tuple(range(1, bmap.branch_count + 1))
     hull_lo, hull_hi = bmap.invariant_hull()
     for order in range(1, max_order + 1):
-        symbols, left, right, deriv_inf, deriv_sup = cylinder_words(bmap, order, alphabet_cap=cap)
-        assert [tuple(row) for row in symbols.tolist()] == list(itertools.product(labels, repeat=order))
-        assert not any(a.flags.writeable for a in (symbols, left, right, deriv_inf, deriv_sup))
-        for i, sym in enumerate(symbols.tolist()):
+        left, right, deriv_inf, deriv_sup = _cylinders(bmap, order, cap)
+        words = list(itertools.product(labels, repeat=order))
+        assert left.size == right.size == deriv_inf.size == deriv_sup.size == len(words)
+        for i, sym in enumerate(words):
             (f0, _), (f1, _) = _compose_exact(bmap, sym, 0), _compose_exact(bmap, sym, 1)
             lo, hi = min(f0, f1), max(f0, f1)
             _, d_lo = _compose_exact(bmap, sym, hull_lo)
@@ -402,16 +368,15 @@ def _check_cylinder_words(bmap, max_order, cap):
 def test_cylinder_distortion_bound():
     part = build_partition("gauss-restricted", digits=(1, 2))
     bmap = make_branch_map(part)
-    _, _, _, deriv_inf, deriv_sup = cylinder_words(bmap, 6)
+    _, _, deriv_inf, deriv_sup = _cylinders(bmap, 6)
     assert np.all(deriv_sup / deriv_inf <= 4.0 + 1e-12)
 
 
-def test_cylinder_words_need_cap_for_unbounded_alphabet():
+def test_cylinders_need_cap_for_unbounded_alphabet():
     bmap = make_branch_map(build_partition("gauss", 100))
     with pytest.raises(PartitionError, match="alphabet_cap"):
-        cylinder_words(bmap, 2)
-    symbols, *_ = cylinder_words(bmap, 2, alphabet_cap=10)
-    assert symbols.shape == (100, 2)
+        refine_partition(bmap, 2)
+    assert refine_partition(bmap, 2, alphabet_cap=10).count == 100
 
 
 def test_max_cylinder_order_is_exact_at_the_cap():
@@ -430,7 +395,7 @@ def test_cylinder_derivative_sums_threads_identical():
     one = cylinder_derivative_sums(bmap, 9, exps, threads=1)
     four = cylinder_derivative_sums(bmap, 9, exps, threads=4)
     assert one == four  # compensated sums are order independent
-    _, _, _, deriv_inf, deriv_sup = cylinder_words(bmap, 9)
+    _, _, deriv_inf, deriv_sup = _cylinders(bmap, 9)
     for t, (lo, hi) in zip(exps, one):
         # per-lead partial sums are rounded once each before they are combined
         assert lo == pytest.approx(math.fsum((deriv_sup ** -t).tolist()), rel=1e-15)
@@ -460,8 +425,8 @@ GAUSS_10 = build_partition("gauss", 10)
 GAPPED = build_partition("explicit", intervals=[(0.6, 1.0), (0.2, 0.5)])
 
 
-def _words(order, cap):
-    return cylinder_words(make_branch_map(GAUSS_10), order, alphabet_cap=cap)
+def _refine(order, cap):
+    return refine_partition(make_branch_map(GAUSS_10), order, alphabet_cap=cap)
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -479,22 +444,12 @@ def _words(order, cap):
     (lambda: build_partition("explicit"), PartitionError("explicit generator needs intervals")),
     (lambda: build_partition("explicit", intervals=[]),
      PartitionError("explicit generator needs at least one interval")),
-    (lambda: perturb_compactly(GAUSS_10, (0.0, 1.0), [(0.0, 1.0)]),
-     PartitionError("perturbation region must be [c, 1] with 0 < c < 1")),
-    (lambda: perturb_compactly(build_partition("explicit", intervals=[(0.1, 0.5)]), (0.6, 1.0), [(0.6, 1.0)]),
-     PartitionError("no original interval lies in the region")),
-    (lambda: perturb_compactly(GAUSS_10, (0.5, 1.0), []), PartitionError("replacement list is empty")),
-    (lambda: perturb_compactly(GAUSS_10, (0.5, 1.0), [(0.4, 1.0)]),
-     PartitionError("replacement interval outside the region")),
-    # the gap splits both unions in two, and the pieces match
-    (lambda: perturb_compactly(GAPPED, (0.1, 1.0), [(0.6, 1.0), (0.35, 0.5), (0.2, 0.35)]).right.tolist(),
-     [1.0, 0.5, 0.35]),
     (lambda: make_branch_map(GAUSS_10).second_derivative_bound(), 16.0),
     # dyadic branches are affine with slopes 2^n, the least of them 2
     (lambda: make_branch_map(build_partition("dyadic", 10)).expansion_margin(), 1.0),
-    (lambda: _words(1, 0), PartitionError("alphabet cap leaves no branches")),
-    (lambda: _words(0, 4), PartitionError("cylinder order must be >= 1")),
-    (lambda: _words(22, 2), PartitionError(
+    (lambda: _refine(1, 0), PartitionError("alphabet cap leaves no branches")),
+    (lambda: _refine(0, 4), PartitionError("cylinder order must be >= 1")),
+    (lambda: _refine(22, 2), PartitionError(
         "2^22 = 4194304 cylinder words exceed the enumeration cap 2097152; lower the order or alphabet")),
 ])
 def test_guards_and_side_branches(call, expected):

@@ -18,7 +18,6 @@ from presdim.poincare import (
     counting_exponent,
     critical_exponent,
     poincare_partial,
-    verify_dichotomy,
 )
 
 G1 = ParabolicGroupSpec(2, 1, np.array([[1.0]]))
@@ -232,55 +231,6 @@ def test_counting_guards():
         )
 
 
-# ---------------------------------------------------------------------------
-# series dichotomy
-
-
-def test_dichotomy_p_series():
-    rep = verify_dichotomy("power", 2.0)
-    assert rep.verdict == "converges"
-    assert rep.ratio_max < 1.0
-    assert rep.ratio_max == pytest.approx(0.5, abs=1e-6)
-    assert rep.consistent
-
-
-def test_dichotomy_harmonic_boundary():
-    rep = verify_dichotomy("harmonic")
-    assert rep.verdict == "boundary"
-    assert rep.ratio_min <= 1.0 <= rep.ratio_max + 1e-9
-    assert rep.observed == "decade-increments-persistent"
-
-
-def test_dichotomy_gauge_at_point_six():
-    rep = verify_dichotomy("poincare-gauge", 0.6)
-    assert rep.verdict == "converges"
-    # d(o, n o) ~ 2 log n makes the ratio tend to 1/(2 s)
-    assert rep.ratio_max == pytest.approx(1.0 / 1.2, abs=0.01)
-    assert rep.consistent
-
-
-def test_dichotomy_divergent_power():
-    rep = verify_dichotomy("power", 0.7)
-    assert rep.verdict == "diverges"
-    assert rep.consistent
-
-
-@pytest.mark.parametrize("rule, param", [("power", 2.0), ("harmonic", None), ("poincare-gauge", 0.6), ("power", 0.7)])
-def test_dichotomy_partial_sums_are_correctly_rounded(rule, param):
-    rep = verify_dichotomy(rule, param)
-    terms = np.exp(-poincare._rule_log_inverse(rule, param, np.arange(1.0, rep.checkpoints[-1] + 1.0)))
-    assert rep.partial_sums == tuple(math.fsum(terms[:c]) for c in rep.checkpoints)
-
-
-def test_dichotomy_rule_validation():
-    with pytest.raises(ValueError, match="unknown rule"):
-        verify_dichotomy("zeta", 2.0)
-    with pytest.raises(ValueError, match="positive exponent"):
-        verify_dichotomy("power", -1.0)
-    with pytest.raises(ValueError, match="positive s"):
-        verify_dichotomy("poincare-gauge")
-
-
 def test_gauge_gap_bounded():
     # d(o, N o) - log |sum N_i alpha_i|^2 stays in a unit-width band
     n = np.arange(1, 10_001, dtype=float)
@@ -292,8 +242,6 @@ def test_gauge_gap_bounded():
 @pytest.mark.parametrize("call, message", [
     (lambda: classify_tail(G1, -1.0, 1), "s must be nonnegative"),
     (lambda: counting_exponent(G1, t_max=0.0, levels=10), "t_max must be positive"),
-    # 5e-324 log n rounds to the same subnormal for neighbouring n
-    (lambda: verify_dichotomy("power", 5e-324), "sequence rule is not strictly decreasing"),
 ])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=message):

@@ -12,11 +12,8 @@ from presdim.interval_partition import PartitionError, build_partition, make_bra
 from presdim.pressure import (
     CONVERGES_AT_CRITICAL,
     DIVERGES_AT_CRITICAL,
-    bowen_root,
     bowen_root_cylinder,
     bowen_root_linear,
-    classify_s_infinity_behavior,
-    distortion_constant,
     find_s_infinity,
     pressure_cylinder_bracket,
     pressure_linear,
@@ -142,43 +139,38 @@ def test_s_infinity_rejects_bad_tolerance():
         find_s_infinity(build_partition("gauss", 100), tol=0.0)
 
 
-def test_classification_annotations():
-    div = classify_s_infinity_behavior(build_partition("gauss", 100000))
-    assert div.verdict == DIVERGES_AT_CRITICAL
-    assert "perturbation" in div.annotation
-    conv = classify_s_infinity_behavior(build_partition("log-squared", 100000))
-    assert conv.verdict == CONVERGES_AT_CRITICAL
-    assert conv.annotation != div.annotation
-    assert conv.stability_note
-
-
 # ---------------------------------------------------------------------------
 # Bowen roots
 
 
-def test_bowen_root_synthetic_curves():
-    br = bowen_root(lambda t: 1.0 - t, lambda t: 1.2 - t, t_range=(1e-6, 8.0), tol=1e-9)
+def _past(root):
+    """Whether the decreasing line root - t is <= 0 at t."""
+    return lambda t: root - t <= 0.0
+
+
+def test_root_bracket_synthetic_curves():
+    br = pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=1e-9)
     assert br.status == "bracketed"
     assert br.lower == pytest.approx(1.0, abs=1e-8)
     assert br.upper == pytest.approx(1.2, abs=1e-8)
 
 
-def test_bowen_root_reports_unbracketed():
-    br = bowen_root(lambda t: 1.0 - t, lambda t: 1.2 - t, t_range=(1e-6, 0.5))
+def test_root_bracket_reports_unbracketed():
+    br = pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 0.5), tol=1e-9)
     assert br.status == "not-bracketed"
     assert "not-bracketed" in br.evidence
 
 
-def test_bowen_root_reports_root_below_range():
-    br = bowen_root(lambda t: 0.5 - t, lambda t: 1.2 - t, t_range=(1.0, 2.0))
+def test_root_bracket_reports_root_below_range():
+    br = pressure._root_bracket(_past(0.5), _past(1.2), t_range=(1.0, 2.0), tol=1e-9)
     assert br.status == "not-bracketed"
     assert "lower curve: root-below-range" in br.evidence
     assert "upper curve: ok" in br.evidence
 
 
-def test_bowen_root_rejects_bad_tolerance():
+def test_root_bracket_rejects_bad_tolerance():
     with pytest.raises(PartitionError, match="tolerance"):
-        bowen_root(lambda t: 1.0 - t, lambda t: 1.2 - t, tol=0.0)
+        pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=0.0)
 
 
 def test_bowen_root_linear_dyadic():
@@ -214,13 +206,6 @@ def test_bowen_root_linear_brackets_pressure_sign_change(generator, truncation, 
 
 # ---------------------------------------------------------------------------
 # cylinder brackets (distortion-corrected iterates)
-
-
-def test_distortion_constants():
-    assert distortion_constant(make_branch_map(build_partition("dyadic", 100))).constant == 1.0
-    gauss = distortion_constant(make_branch_map(build_partition("gauss", 100)))
-    assert gauss.constant == 4.0
-    assert gauss.log_constant == pytest.approx(math.log(4.0))
 
 
 def test_cylinder_bracket_linear_map_is_exact():

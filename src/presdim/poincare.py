@@ -140,7 +140,7 @@ def critical_exponent(group: ParabolicGroupSpec, tol: float = 0.01) -> CriticalE
         hi *= 2.0
         if hi > 64.0:
             raise ValueError("no convergent exponent found below 64")
-    lo, hi = _bisect(converges, 0.0, hi, tol)
+    lo, hi = _bisect(lambda s: (converges(s), math.nan), 0.0, hi, tol, {})
     evidence = (f"bisection on certified shell classification; rank={group.rank}, "
                 f"sigma_min={group.sigma_min:.6g}, sigma_max={group.sigma_max:.6g}")
     return CriticalExponentEstimate(lo, hi, DIVERGES_AT_CRITICAL, evidence, "bracket")
@@ -171,7 +171,7 @@ def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
         hi = np.floor((-ab * n1 + root) / bb)
         lo = np.ceil((-ab * n1 - root) / bb)
         return int(np.sum(np.maximum(hi - lo + 1.0, 0.0)))
-    raise ValueError("exact ellipsoid counts are implemented for rank 1 and 2 only")
+    raise ValueError("ellipsoid lattice counts are implemented for rank 1 and 2 only")
 
 
 def counting_exponent(group: ParabolicGroupSpec, t_max: float = 25.0, levels: int = 50) -> CountingFunction:

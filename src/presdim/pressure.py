@@ -183,14 +183,35 @@ def _behavior_at_threshold(partition: IntervalPartition, s_mid: float) -> tuple[
     return _AT_CRITICAL[verdict.status], verdict.evidence
 
 
-def _bisect(past_root: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] down to width <= tol; past_root(hi) and not past_root(lo) stay true."""
+def _bisect(sample: Callable[[float], tuple[bool, float]], lo: float, hi: float, tol: float,
+            known: dict) -> tuple[float, float]:
+    """Halve [lo, hi] down to width <= tol; past_root(hi) and not past_root(lo) stay true.
+
+    sample(t) is (past_root(t), estimate): past_root is monotone, and the
+    estimate has the curve's sign, or is nan.  The samples in `known`, which
+    gains the new ones, decide each midpoint at or below the largest a not
+    past the root or at or above the smallest b past it, so the bracket is
+    plain halving's.  Up to three Illinois false-position samples in (a, b)
+    (Dowell and Jarratt, BIT 11, 1971) come before a midpoint's own.
+    """
+    ends = [[lo, math.nan], [hi, math.nan]]  # [a, estimate at a], [b, estimate at b]
+    for t, (past, f) in sorted(known.items()):
+        if ends[0][0] <= t <= ends[1][0]:
+            ends[past] = [t, f]
+    last = None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if past_root(mid):
-            hi = mid
-        else:
-            lo = mid
+        for step in range(4):
+            (a, fa), (b, fb) = ends
+            if not a < mid < b:
+                break
+            x = a + (b - a) * fa / (fa - fb) if fa != fb else math.nan
+            t = x if step < 3 and a < x < b else mid
+            past, f = known[t] = sample(t)
+            if past == last:  # the other end stayed twice: halve its estimate
+                ends[not past][1] *= 0.5
+            ends[past], last = [t, f], past
+        lo, hi = (mid, hi) if mid <= ends[0][0] else (lo, mid)
     return lo, hi
 
 
@@ -226,8 +247,8 @@ def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> Critical
                 "all-converge",
             )
 
-    s_high = _bisect(lambda t: status(t) == "converges", lo, hi, tol)[1]
-    s_low = _bisect(lambda t: status(t) != "diverges", lo, hi, tol)[0]
+    s_high = _bisect(lambda t: (status(t) == "converges", math.nan), lo, hi, tol, {})[1]
+    s_low = _bisect(lambda t: (status(t) != "diverges", math.nan), lo, hi, tol, {})[0]
 
     behavior, behavior_evidence = _behavior_at_threshold(partition, 0.5 * (s_low + s_high))
     if s_high - s_low <= 3.0 * tol:
@@ -253,26 +274,26 @@ def _at_most_one(lo: float, hi: float, exact: Callable[[], float]) -> bool:
         return True
     if lo > 1.0:
         return False
-    return exact() <= 1.0
+    return bool(exact() <= 1.0)
 
 
-def _root_bracket(lower_past: Callable[[float], bool], upper_past: Callable[[float], bool],
-                  t_range: tuple[float, float], tol: float) -> RootBracket:
-    """Bracket a root from whether the lower and the upper curve are <= 0 at each t."""
+def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[[float], tuple[bool, float]],
+                  t_range: tuple[float, float], tol: float, known: tuple[dict, dict]) -> RootBracket:
+    """Bracket a root from `_bisect` samples of the lower and the upper curve, known holding each one's."""
     if tol <= 0:
         raise PartitionError("tolerance must be positive")
     t_lo, t_hi = t_range
 
-    def locate(past: Callable[[float], bool]) -> tuple[float, str]:
-        if past(t_lo):
+    def locate(sample: Callable[[float], tuple[bool, float]], seen: dict) -> tuple[float, str]:
+        if seen.setdefault(t_lo, sample(t_lo))[0]:
             return t_lo, "root-below-range"
-        if not past(t_hi):
+        if not seen.setdefault(t_hi, sample(t_hi))[0]:
             return t_hi, "not-bracketed"
-        lo, hi = _bisect(past, t_lo, t_hi, tol)
+        lo, hi = _bisect(sample, t_lo, t_hi, tol, seen)
         return 0.5 * (lo + hi), "ok"
 
-    root_lo, flag_lo = locate(lower_past)
-    root_hi, flag_hi = locate(upper_past)
+    root_lo, flag_lo = locate(lower, known[0])
+    root_hi, flag_hi = locate(upper, known[1])
     if flag_lo != "ok" or flag_hi != "ok":
         return RootBracket(
             root_lo, root_hi, "not-bracketed",
@@ -286,23 +307,26 @@ def _root_bracket(lower_past: Callable[[float], bool], upper_past: Callable[[flo
     )
 
 
-def _linear_past(partition: IntervalPartition, t: float) -> tuple[bool, bool]:
-    """Whether the lower and the upper curve of `bowen_root_linear` are <= 0 at t.
+def _linear_past(partition: IntervalPartition, t: float) -> tuple[tuple[bool, float], tuple[bool, float]]:
+    """`_bisect` samples of the lower and the upper curve of `bowen_root_linear` at t.
 
     Each curve is log(S + tail) at one end of the certified tail, with S the
     sum of the materialized lengths^t, so it is <= 0 exactly when
     fl(S + tail) <= 1; a curve without a certified tail end is +inf.  One
-    np.sum encloses S, and S is summed exactly, once for both curves, only
-    where an enclosure end leaves the comparison open.
+    np.sum encloses S in [lo, hi], and S is summed exactly, once for both
+    curves, only where an end leaves the comparison open.  The estimates
+    are log(lo + tail).
     """
     t = float(t)
     verdict = partition.series_verdict(t)
     if verdict.status != "converges":
-        return False, False
+        return (False, math.inf), (False, math.inf)
     terms = partition.lengths ** t
     lo, hi = _sum_enclosure(terms)
     exact = functools.cache(lambda: compensated_sum(terms))
-    return tuple(tail is not None and _at_most_one(lo + tail, hi + tail, lambda: exact() + tail)
+    return tuple((False, math.inf) if tail is None else
+                 (_at_most_one(lo + tail, hi + tail, lambda: exact() + tail),
+                  math.log(lo + tail) if lo + tail > 0.0 else -math.inf)
                  for tail in (verdict.tail_low, verdict.tail_high))
 
 
@@ -321,23 +345,30 @@ def bowen_root_linear(
     whether each curve is <= 0, from `_linear_past`; the bracket is the one
     that exact sums at every exponent give.
     """
-    # the two bisections share most midpoints: evaluate each exponent once
-    past = functools.cache(lambda t: _linear_past(partition, t))
-    return _root_bracket(lambda t: past(t)[0], lambda t: past(t)[1], t_range, tol)
+    # one sample gives both curves, so the upper search starts from every exponent the lower one sampled
+    known = ({}, {})
+
+    def lower(t: float) -> tuple[bool, float]:
+        known[0][t], known[1][t] = _linear_past(partition, t)
+        return known[0][t]
+
+    return _root_bracket(lower, lambda t: known[1].get(t) or _linear_past(partition, t)[1], t_range, tol, known)
 
 
-def _cylinder_past(bmap: BranchMap, m: int, suffixes: tuple, side: str, t: float) -> bool:
-    """Whether S = sum_w D_w^-t on one side ("sup" or "inf") is at most 1: that side's curve log(S)/n is <= 0.
+def _cylinder_past(bmap: BranchMap, m: int, suffixes: tuple, side: str, t: float) -> tuple[bool, float]:
+    """Whether S = sum_w D_w^-t on one side ("sup" or "inf") is at most 1, with the estimate log(low).
 
-    The exact S rounds each lead's sum once and adds the leads exactly, so
-    it lies between the exact sums of the leads' lower and upper enclosure
-    ends, one np.sum each.  The words are walked again and summed exactly
-    only when those two leave the comparison open.
+    S <= 1 exactly when that side's curve log(S)/n is <= 0.  The exact S
+    rounds each lead's sum once and adds the leads exactly, so it lies
+    between low and high, the exact sums of the leads' lower and upper
+    enclosure ends, one np.sum each.  The words are walked again and summed
+    exactly only when those two leave the comparison open.
     """
     t = float(t)
     lows, highs = zip(*(_sum_enclosure(d ** -t) for (d,) in _lead_derivatives(bmap, m, suffixes, (side,))))
-    return _at_most_one(compensated_sum(lows), compensated_sum(highs),
-                        lambda: _cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0])
+    low = compensated_sum(lows)
+    past = _at_most_one(low, compensated_sum(highs), lambda: _cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0])
+    return past, math.log(low) if low > 0.0 else -math.inf
 
 
 def bowen_root_cylinder(
@@ -359,11 +390,10 @@ def bowen_root_cylinder(
     m = _effective_alphabet(bmap, alphabet_cap, order)
     suffixes = _word_tables(bmap, m, order - 1)
 
-    def past(side: str) -> Callable[[float], bool]:
-        # the two bisections share only their first few exponents, so each
-        # curve evaluates only its own side; a bisection never repeats an exponent
+    def past(side: str) -> Callable[[float], tuple[bool, float]]:
+        # past the range ends the two searches seldom share an exponent: each curve evaluates only its own side
         return lambda t: _cylinder_past(bmap, m, suffixes, side, t)
 
-    bracket = _root_bracket(past("sup"), past("inf"), t_range, tol)
+    bracket = _root_bracket(past("sup"), past("inf"), t_range, tol, ({}, {}))
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"
     return RootBracket(bracket.lower, bracket.upper, bracket.status, evidence)

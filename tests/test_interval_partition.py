@@ -451,6 +451,11 @@ def _refine(order, cap):
     (lambda: _refine(0, 4), PartitionError("cylinder order must be >= 1")),
     (lambda: _refine(22, 2), PartitionError(
         "2^22 = 4194304 cylinder words exceed the enumeration cap 2097152; lower the order or alphabet")),
+], ids=[
+    "power-law-exponent-1", "mismatched-endpoints", "unordered-intervals", "gapped-tiling-defect",
+    "verdict-at-zero", "truncation-0", "no-restricted-digits", "explicit-without-intervals",
+    "explicit-empty-intervals", "gauss-second-derivative", "dyadic-expansion-margin", "alphabet-cap-0",
+    "cylinder-order-0", "word-cap-exceeded",
 ])
 def test_guards_and_side_branches(call, expected):
     if isinstance(expected, PartitionError):

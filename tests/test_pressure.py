@@ -1,6 +1,7 @@
 """Pressure brackets, critical exponents, and Bowen root enclosures."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -144,25 +145,25 @@ def test_s_infinity_rejects_bad_tolerance():
 
 
 def _past(root):
-    """Whether the decreasing line root - t is <= 0 at t."""
-    return lambda t: root - t <= 0.0
+    """`_bisect` samples of the decreasing line root - t: whether it is <= 0 at t, and its value."""
+    return lambda t: (root - t <= 0.0, root - t)
 
 
 def test_root_bracket_synthetic_curves():
-    br = pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=1e-9)
+    br = pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=1e-9, known=({}, {}))
     assert br.status == "bracketed"
     assert br.lower == pytest.approx(1.0, abs=1e-8)
     assert br.upper == pytest.approx(1.2, abs=1e-8)
 
 
 def test_root_bracket_reports_unbracketed():
-    br = pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 0.5), tol=1e-9)
+    br = pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 0.5), tol=1e-9, known=({}, {}))
     assert br.status == "not-bracketed"
     assert "not-bracketed" in br.evidence
 
 
 def test_root_bracket_reports_root_below_range():
-    br = pressure._root_bracket(_past(0.5), _past(1.2), t_range=(1.0, 2.0), tol=1e-9)
+    br = pressure._root_bracket(_past(0.5), _past(1.2), t_range=(1.0, 2.0), tol=1e-9, known=({}, {}))
     assert br.status == "not-bracketed"
     assert "lower curve: root-below-range" in br.evidence
     assert "upper curve: ok" in br.evidence
@@ -170,7 +171,7 @@ def test_root_bracket_reports_root_below_range():
 
 def test_root_bracket_rejects_bad_tolerance():
     with pytest.raises(PartitionError, match="tolerance"):
-        pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=0.0)
+        pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=0.0, known=({}, {}))
 
 
 def test_bowen_root_linear_dyadic():
@@ -237,7 +238,15 @@ def test_bowen_root_cylinder_restricted_digits():
     assert fine.upper - fine.lower < coarse.upper - coarse.lower
 
 
-def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
+def _linear_straddles(partition, t):
+    """Whether the one-pass enclosure of sum lengths^t leaves "<= 1" open on either curve of `bowen_root_linear`."""
+    verdict = partition.series_verdict(t)
+    lo, hi = pressure._sum_enclosure(partition.lengths ** t)
+    return any(tail is not None and lo + tail <= 1.0 < hi + tail for tail in (verdict.tail_low, verdict.tail_high))
+
+
+def _count_linear(monkeypatch):
+    """Record each exponent `_linear_past` samples, and the exponent of each exact reduction."""
     evaluated, reduced = [], []
     real_past, real_sum = pressure._linear_past, pressure.compensated_sum
 
@@ -246,47 +255,52 @@ def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
         return real_past(partition, t)
 
     def counting_sum(values):
-        reduced.append(values.tobytes())
+        reduced.append(evaluated[-1])
         return real_sum(values)
 
     monkeypatch.setattr(pressure, "_linear_past", counting_past)
     monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
-    br = bowen_root_linear(build_partition("gauss", 20_000), tol=1e-9)
-    # the lower and upper bisections share their midpoints
-    assert len(evaluated) == len(set(evaluated)) > 30
-    # the sum enclosures decide every sign: no exact reduction
-    assert reduced == []
+    return evaluated, reduced
+
+
+def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
+    evaluated, reduced = _count_linear(monkeypatch)
+    part = build_partition("gauss", 20_000)
+    br = bowen_root_linear(part, tol=1e-9)
+    # one sample serves both curves, and the upper search starts from the lower one's
+    # exponents: 20 samples, where plain halving took 37
+    assert len(evaluated) == len(set(evaluated)) == 20
+    # an exponent is summed exactly at most once, and only where its enclosure straddles 1
+    assert reduced == [t for t in evaluated if _linear_straddles(part, t)]
     # same bracket as when every curve evaluation ran its own reduction
     assert (br.lower, br.upper) == (0.9999999980912281, 1.000000001953873)
 
 
 def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
-    # at the first midpoint t = 1 the dyadic partial sum is 1 - 2^-1000: its
-    # enclosure straddles 1, so the lower curve's sign needs the exact sum
+    # at t = 1 the dyadic partial sum is 1 - 2^-1000: its enclosure straddles 1,
+    # so the lower curve's sign needs the exact sum
     part = build_partition("dyadic", 1000)
-    reduced = []
-    real_sum = pressure.compensated_sum
-
-    def counting_sum(values):
-        reduced.append(values.copy())
-        return real_sum(values)
-
-    monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
+    evaluated, reduced = _count_linear(monkeypatch)
     br = bowen_root_linear(part, t_range=(0.5, 1.5))
-    assert len(reduced) == 1
-    assert np.array_equal(reduced[0], part.lengths ** 1.0)
+    assert 1.0 in reduced
+    assert reduced == [t for t in evaluated if _linear_straddles(part, t)]
     assert (br.lower, br.upper) == (0.9999999985343387, 1.0000000005343388)
 
 
-def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
+def _cylinder_straddles(bmap, m, suffixes, side, t):
+    """Whether the per-lead enclosures of sum_w D_w^-t on one side leave "<= 1" open."""
+    lows, highs = zip(*(pressure._sum_enclosure(d ** -t)
+                        for (d,) in pressure._lead_derivatives(bmap, m, suffixes, (side,))))
+    return pressure.compensated_sum(lows) <= 1.0 < pressure.compensated_sum(highs)
+
+
+def _count_cylinder(monkeypatch):
+    """Record each (exponent, side) `_cylinder_past` samples with its arguments, and each exact reduction."""
     evaluated, reduced = [], []
     real_past, real_sums = pressure._cylinder_past, pressure._cylinder_sums
 
-    suffix_tables = []
-
     def counting_past(bmap, m, suffixes, side, t):
-        evaluated.append((t, side))
-        suffix_tables.append(suffixes)
+        evaluated.append((t, side, (bmap, m, suffixes)))
         return real_past(bmap, m, suffixes, side, t)
 
     def counting_sums(bmap, m, suffixes, exponents, sides):
@@ -295,33 +309,35 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch):
 
     monkeypatch.setattr(pressure, "_cylinder_past", counting_past)
     monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
+    return evaluated, reduced
+
+
+@pytest.mark.parametrize("order, bracket", [
+    (13, (0.526565962774217, 0.5364785450314877)),
+    (16, (0.5274442967098352, 0.5354943532599805)),  # the benchmark's E_2 root
+], ids=["order-13", "order-16"])
+def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, bracket):
+    evaluated, reduced = _count_cylinder(monkeypatch)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
-    br = bowen_root_cylinder(bmap, 13, tol=1e-6)
-    # each (exponent, side) pair is evaluated once; the lower curve reads only
-    # sup-side sums and the upper only inf-side ones, 25 each, where sampling
-    # both sides at every exponent took 80 evaluations
-    assert len(evaluated) == len(set(evaluated)) == 50
+    br = bowen_root_cylinder(bmap, order, tol=1e-6)
+    # each (exponent, side) pair is sampled once; the lower curve reads only sup-side
+    # sums and the upper only inf-side ones, 16 samples in all, where plain halving took 50
+    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 16
     # the per-lead sum enclosures decide every sign: no exact reduction
     assert reduced == []
     # the depth n-1 suffix tables are built once per root, not once per evaluation
-    assert all(tables is suffix_tables[0] for tables in suffix_tables)
-    assert (br.lower, br.upper) == (0.526565962774217, 0.5364785450314877)
+    assert all(args[2] is evaluated[0][2][2] for _, _, args in evaluated)
+    assert (br.lower, br.upper) == bracket
 
 
 def test_bowen_root_cylinder_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
-    # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at the first
-    # midpoint t = 1 both curves sum to exactly 1 and their enclosures straddle it
+    # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at t = 1 both
+    # curves sum to exactly 1 and their enclosures straddle it
     bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]))
-    reduced = []
-    real_sums = pressure._cylinder_sums
-
-    def counting_sums(bmap, m, suffixes, exponents, sides):
-        reduced.extend((t, side) for t in exponents for side in sides)
-        return real_sums(bmap, m, suffixes, exponents, sides)
-
-    monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
+    evaluated, reduced = _count_cylinder(monkeypatch)
     br = bowen_root_cylinder(bmap, 12, t_range=(0.5, 1.5))
-    assert reduced == [(1.0, "sup"), (1.0, "inf")]
+    assert {(1.0, "sup"), (1.0, "inf")} <= set(reduced)
+    assert reduced == [(t, side) for t, side, args in evaluated if _cylinder_straddles(*args, side, t)]
     assert (br.lower, br.upper) == (0.9999985231628418, 1.0000005231628417)
 
 
@@ -345,7 +361,7 @@ def test_linear_curve_signs_match_the_exact_sample(name, offset):
     # whether each curve is <= 0, wherever the enclosure decides it, is the sign of the exactly summed sample
     part = ROOT_ONE_PARTITIONS[name]
     t = 1.0 + offset
-    lower_past, upper_past = pressure._linear_past(part, t)
+    (lower_past, _), (upper_past, _) = pressure._linear_past(part, t)
     exact = pressure_linear(part, t)
     exact_lower = math.inf if exact.status == "undetermined" else exact.lower
     assert (lower_past, upper_past) == (not exact_lower > 0.0, not exact.upper > 0.0)
@@ -373,7 +389,7 @@ def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
     bmap, order, cap, roots = case
     t = roots[side] + offset
     m = pressure._effective_alphabet(bmap, cap, order)
-    past = pressure._cylinder_past(bmap, m, pressure._word_tables(bmap, m, order - 1), side, t)
+    past, _ = pressure._cylinder_past(bmap, m, pressure._word_tables(bmap, m, order - 1), side, t)
     exact = pressure_cylinder_bracket(bmap, t, order, cap)
     assert past == (not (exact.lower if side == "sup" else exact.upper) > 0.0)
 
@@ -409,10 +425,101 @@ def test_log_is_positive_exactly_above_one():
 @given(root=st.floats(-1.0, 3.0), tol=st.floats(1e-12, 1.0), strict=st.booleans())
 def test_bisect_keeps_the_root_bracketed(root, tol, strict):
     past_root = (lambda t: t > root) if strict else (lambda t: t >= root)
-    lo, hi = pressure._bisect(past_root, -1.5, 3.5, tol)
+    lo, hi = pressure._bisect(lambda t: (past_root(t), math.nan), -1.5, 3.5, tol, {})
     assert hi - lo <= tol
     assert past_root(hi) and not past_root(lo)
     assert lo <= root <= hi
+
+
+def _halving(past_root, lo, hi, tol):
+    """Plain halving, the reference for `_bisect`: its (lo, hi) and the midpoints it samples."""
+    mids = []
+    while hi - lo > tol:
+        mids.append(0.5 * (lo + hi))
+        lo, hi = (lo, mids[-1]) if past_root(mids[-1]) else (mids[-1], hi)
+    return (lo, hi), mids
+
+
+# estimates of a curve with the given root at t; only their use as false-position
+# guides changes, never the bracket
+ESTIMATES = {
+    "smooth": lambda root, t, rng: math.expm1(root - t),  # convex and decreasing, like a pressure curve
+    "garbage": lambda root, t, rng: rng.choice([rng.uniform(-1e3, 1e3), 0.0, 1e308, -1e308, 5e-324]),
+    "inf": lambda root, t, rng: math.inf if t < root else -math.inf,
+    "nan": lambda root, t, rng: math.nan,
+    "sign-only": lambda root, t, rng: 1.0 if t < root else -1.0,
+}
+
+
+def _guided(kind, root, tol, strict, seed=0, ends_known=True):
+    """`_bisect` on (1e-6, 8) against plain halving: (guided (lo, hi), reference (lo, hi), exponents sampled, midpoints)."""
+    past_root = (lambda t: t > root) if strict else (lambda t: t >= root)
+    rng = random.Random(seed)
+    sampled = []
+
+    def sample(t):
+        sampled.append(t)
+        return past_root(t), ESTIMATES[kind](root, t, rng)
+
+    known = {t: (past_root(t), ESTIMATES[kind](root, t, rng)) for t in (1e-6, 8.0)} if ends_known else {}
+    guided = pressure._bisect(sample, 1e-6, 8.0, tol, known)
+    reference, mids = _halving(past_root, 1e-6, 8.0, tol)
+    return guided, reference, sampled, mids
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(ESTIMATES)),
+       root=st.floats(1e-6, 8.0, exclude_min=True, exclude_max=True),
+       tol=st.floats(1e-12, 1.0), strict=st.booleans(), seed=st.integers(0, 2**32), ends_known=st.booleans())
+def test_guided_bisect_returns_the_plain_halving_bracket(kind, root, tol, strict, seed, ends_known):
+    guided, reference, sampled, mids = _guided(kind, root, tol, strict, seed, ends_known)
+    assert guided == reference
+    assert len(sampled) == len(set(sampled)) <= 4 * len(mids)
+
+
+def test_guided_bisect_halves_the_samples_on_a_smooth_curve():
+    rng = random.Random(1)
+    cases = [(rng.uniform(1e-6, 8.0), 10.0 ** rng.uniform(-12, 0)) for _ in range(200)]
+    runs = [_guided("smooth", root, tol, strict=False) for root, tol in cases]
+    assert all(guided == reference for guided, reference, _, _ in runs)
+    assert sum(len(sampled) for *_, sampled, _ in runs) <= 0.7 * sum(len(mids) for *_, mids in runs)
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+def test_guided_bisect_samples_plain_midpoints_without_finite_estimates(kind):
+    # no secant through a nan or infinite estimate: every sample is a plain midpoint
+    guided, reference, sampled, mids = _guided(kind, 2.5, 1e-9, strict=False)
+    assert guided == reference
+    assert sampled == mids
+
+
+def test_guided_bisect_samples_the_midpoint_when_the_secant_leaves_the_bracket():
+    # estimates rising with t put every secant through (a, t_a) and (b, t_b) at t = 0, left of (a, b)
+    sampled = []
+
+    def sample(t):
+        sampled.append(t)
+        return t >= 2.5, t
+
+    guided = pressure._bisect(sample, 1e-6, 8.0, 1e-9, {1e-6: (False, 1e-6), 8.0: (True, 8.0)})
+    reference, mids = _halving(lambda t: t >= 2.5, 1e-6, 8.0, 1e-9)
+    assert guided == reference
+    assert sampled == mids
+
+
+def test_guided_bisect_samples_the_midpoint_after_three_secants():
+    # the estimates put the root just above a: three false-position samples creep up from 0
+    # and leave the first midpoint 4 open, so it is sampled fourth
+    sampled = []
+
+    def sample(t):
+        sampled.append(t)
+        return t >= 6.0, 1.0 if t < 6.0 else -1e6
+
+    guided = pressure._bisect(sample, 0.0, 8.0, 1e-9, {0.0: (False, 1.0), 8.0: (True, -1e6)})
+    assert all(0.0 < t < 4.0 for t in sampled[:3])
+    assert sampled[3] == 4.0
+    assert guided == _halving(lambda t: t >= 6.0, 0.0, 8.0, 1e-9)[0]
 
 
 def test_bowen_root_cylinder_capped_gauss_pinned():

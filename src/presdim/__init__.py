@@ -36,7 +36,6 @@ from .pressure import (
     find_s_infinity,
     pressure_cylinder_bracket,
     pressure_linear,
-    pressure_over_grid,
 )
 from .boxdim import (
     DimensionEstimate,

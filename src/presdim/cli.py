@@ -36,7 +36,7 @@ from .pressure import (
     bowen_root_cylinder,
     bowen_root_linear,
     find_s_infinity,
-    pressure_over_grid,
+    pressure_linear,
 )
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
         ts = [start + i * step for i in range(count)]
     else:
         ts = _get(cfg, "pressure", "t_list", _numbers, REQUIRED)
-    samples = pressure_over_grid(partition, ts)
+    samples = [pressure_linear(partition, t) for t in ts]
     lines = ["t,lower,upper,method,truncation,tail_bound"]
     lines.extend(_sample_row(s) for s in samples)
     _emit(args, "pressure.csv", lines, f"{len(samples)} rows")

@@ -96,12 +96,6 @@ class HyperbolicPoint:
     def ambient(self) -> int:
         return self.coords.size
 
-    @property
-    def height(self) -> float:
-        if self.model != HALF_SPACE:
-            raise ValueError("height is a half-space notion")
-        return float(self.coords[-1])
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint:
@@ -137,14 +131,6 @@ class BoundaryPoint:
         if not np.all(np.isfinite(coords)):
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "coords", coords)
-
-    @property
-    def ambient(self) -> int:
-        if self.model == BALL:
-            return self.coords.size
-        if self.at_infinity:
-            raise ValueError("infinity does not determine the dimension")
-        return self.coords.size + 1
 
 
 def half_space_point(coords) -> HyperbolicPoint:
@@ -506,10 +492,6 @@ class ParabolicGroupSpec:
     def sigma_max(self) -> float:
         return self._sigma_max
 
-    @property
-    def fixed_point(self) -> BoundaryPoint:
-        return boundary_infinity()
-
     def displacement(self, coeffs) -> np.ndarray:
         """Translation vector sum_i coeffs_i alpha_i in the boundary plane."""
         coeffs = np.asarray(coeffs, dtype=float)
@@ -601,14 +583,12 @@ def identity_suite(trials: int, rng: np.random.Generator) -> list[dict]:
     pts = interior(3 * trials, 3)
     us = rng.normal(0.0, 2.0, size=(trials, 2))
     bases = interior(trials, 2)
-    # per-trial draws: batched normals read the stream differently
-    chords = np.array([(rng.normal(0.0, 3.0), rng.normal(0.0, 2.0), *rng.uniform(0.15, 0.85, size=2))
-                       for _ in range(trials)])
+    chords = np.column_stack([rng.normal(0.0, 3.0, trials), rng.normal(0.0, 2.0, trials),
+                              rng.uniform(0.15, 0.85, size=(trials, 2))])
     horo = rng.uniform(0.01, 50.0, size=(trials, 1))
     triple = interior(3 * trials, 3)
     pairs = interior(2 * trials, 2)
-    # scalar draws: batched bounded integers read the stream differently
-    shifts = np.array([[float(rng.integers(-40, 41))] for _ in range(trials)])
+    shifts = rng.integers(-40, 41, size=(trials, 1))
     zs = circle(trials)
 
     def disk_bourdon(a, b):

@@ -278,10 +278,6 @@ class IntervalPartition:
     def lengths(self) -> np.ndarray:
         return self._lengths
 
-    @property
-    def unbounded(self) -> bool:
-        return self.model is not None
-
     def endpoints(self) -> np.ndarray:
         """Deduplicated, ascending endpoint set of the materialized intervals."""
         pts = np.concatenate([self.left, self.right])
@@ -405,42 +401,6 @@ class BranchMap:
     def alphabet_unbounded(self) -> bool:
         return self.kind == "gauss-analytic" and self.partition.generator == "gauss"
 
-    def derivative_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """(inf, sup) of |T'| per materialized branch."""
-        if self.kind == "linear-full":
-            d = 1.0 / self.partition.lengths
-            return d, d
-        ds = np.asarray(self.digits, dtype=float)
-        return ds**2, (ds + 1.0) ** 2
-
-    def second_derivative_bound(self) -> float:
-        """sup |T''(x)| / (|T'(y)| |T'(z)|) over branches (0 for affine maps).
-
-        For the reciprocal branches the ratio is 2 x^(-3) y^2 z^2 with
-        x, y, z in [1/(d+1), 1/d]; it is maximized at d = 1 where it equals
-        2 (d+1)^3 / d^4 = 16.
-        """
-        if self.kind == "linear-full":
-            return 0.0
-        return 16.0
-
-    def expansion_margin(self) -> float:
-        """min |T'| - 1 over five interior sample points per branch (positive = expanding).
-
-        Sampling stays strictly inside each branch: the first reciprocal
-        branch has |T'| = 1 exactly at its right endpoint.
-        """
-        u = np.arange(1, 6) / 6.0
-        a = self.partition.left[:, None]
-        b = self.partition.right[:, None]
-        x = a + (b - a) * u[None, :]
-        if self.kind == "linear-full":
-            deriv = 1.0 / self.partition.lengths[:, None]
-            deriv = np.broadcast_to(deriv, x.shape)
-        else:
-            deriv = 1.0 / (x * x)
-        return float(deriv.min() - 1.0)
-
     def invariant_hull(self) -> tuple[float, float]:
         """Smallest interval containing every forward-invariant point.
 
@@ -472,12 +432,12 @@ def make_branch_map(partition: IntervalPartition) -> BranchMap:
     return BranchMap("linear-full", partition, None)
 
 
-def max_cylinder_order(branches: int, word_cap: int = WORD_CAP) -> int:
-    """Largest depth n >= 1 with branches^n <= word_cap, in exact integers."""
+def max_cylinder_order(branches: int) -> int:
+    """Largest depth n >= 1 with branches^n <= WORD_CAP, in exact integers."""
     if branches < 2:
         raise PartitionError("a single-branch alphabet has no largest cylinder order; set the order")
     n = 1
-    while branches ** (n + 1) <= word_cap:
+    while branches ** (n + 1) <= WORD_CAP:
         n += 1
     return n
 

@@ -137,36 +137,35 @@ def _down(x: float, rel: float = 0.0) -> float:
     return max(0.0, math.nextafter(x * (1.0 - 2.0 * rel), -math.inf))
 
 
-def _em_tail(s: float, x: float, base_err: float) -> tuple[float, float]:
+def _em_tail(s: float, x: float) -> tuple[float, float]:
     """sum_{k >= 0} (x + k)^-s by Euler-Maclaurin at x, with an absolute error bound.
 
     The tail is x^(1-s) times S = 1/(s-1) + 1/(2x) + sum_j B_2j/(2j)! (s)_(2j-1) x^-2j;
     x^-s is completely monotone, so the remainder after any term is at most the
     first omitted term (Johansson 2015).  Terms are added until one is below u
     relative to 1/(s-1); the table covers that for x >= 12 and x >= 0.6 s + 8.
-    base_err is the relative error of x itself (0 when exact).
+    The bound takes x as exact, as the base a + k of an integer a is.
     """
     p = x ** (1.0 - s)
     inv2 = 1.0 / x
     inv2 *= inv2
     scaled = [1.0 / (s - 1.0), 0.5 / x]
-    errs = [_U * scaled[0], (_U + base_err) * scaled[1]]
+    errs = [_U * scaled[0], _U * scaled[1]]
     f = s * inv2  # (s)_(2j-1) x^-2j
     for j, c in enumerate(_EM_COEFFS, 1):
         term = c * f
         if abs(term) <= _U * scaled[0] or j == len(_EM_COEFFS):
-            omitted = abs(term) * (1.0 + (8 * j + 1) * _U + 2 * j * base_err)
+            omitted = abs(term) * (1.0 + (8 * j + 1) * _U)
             break
         scaled.append(term)
-        # inv2 carries 3u, and each step multiplies it in with five roundings: <= 8u per
-        # term, plus 2u per power of x^-2 when x itself is rounded
-        errs.append((8 * j * _U + 2 * j * base_err) * abs(term))
+        # inv2 carries 3u, and each step multiplies it in with five roundings: <= 8u per term
+        errs.append(8 * j * _U * abs(term))
         f *= (s + (2 * j - 1)) * inv2
         f *= s + 2 * j
     total = math.fsum(scaled)
     size = math.fsum(map(abs, scaled)) + omitted
     err = (p * (math.fsum(errs) + omitted + _U * size)
-           + (_LIBM_ERR + (s - 1.0) * base_err + _U) * p * size
+           + (_LIBM_ERR + _U) * p * size
            # p may be subnormal or 0 (pow error <= 2^-1074), and the product may round there
            + 2.0 * _TINY * size + _TINY)
     return p * total, err
@@ -176,19 +175,18 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     """The Hurwitz zeta function sum_{k >= 0} (a + k)^-s with a rigorous error bound.
 
     Returns (value, bound) with |value - zeta(s, a)| <= bound, for real s > 1 and
-    a >= 1.  Terms (a + k)^-s below the shift max(12, ceil(0.6 s) + 8) are summed
-    exactly with math.fsum; the rest is the Euler-Maclaurin tail, whose remainder
-    is at most its first omitted Bernoulli term.  The bound adds that remainder to
-    a rounding budget for every pow, product and sum (1 ulp per libm call budgeted
-    as 2, u per rounding, 2^-1074 per result below the normal range), so the value
-    is within a few ulps and value + bound never falls below the exact sum, even
+    integer a >= 1, so every base a + k is exact.  Terms (a + k)^-s below the
+    shift max(12, ceil(0.6 s) + 8) are summed exactly with math.fsum; the rest
+    is the Euler-Maclaurin tail, whose remainder is at most its first omitted
+    Bernoulli term.  The bound adds that remainder to a rounding budget for
+    every pow, product and sum (1 ulp per libm call budgeted as 2, u per
+    rounding, 2^-1074 per result below the normal range), so the value is
+    within a few ulps and value + bound never falls below the exact sum, even
     when it underflows.
     """
     s, a = float(s), float(a)
-    if not (math.isfinite(s) and math.isfinite(a) and s > 1.0 and a >= 1.0):
-        raise ValueError(f"hurwitz_zeta needs finite s > 1 and a >= 1, got s={s}, a={a}")
-    # a + k is exact for integer a; otherwise each base carries a relative error <= u
-    base_err = 0.0 if a.is_integer() else 1.01 * _U
+    if not (math.isfinite(s) and s > 1.0 and a.is_integer() and a >= 1.0):
+        raise ValueError(f"hurwitz_zeta needs finite s > 1 and integer a >= 1, got s={s}, a={a}")
     shift = max(12, math.ceil(0.6 * s) + 8)
     parts, errs = [], []
     k = 0
@@ -200,10 +198,10 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
             errs.append(2.0 * _TINY * (1.0 + x / (s - 1.0)))
             break
         parts.append(h)
-        errs.append((_LIBM_ERR + s * base_err) * h + _TINY)
+        errs.append(_LIBM_ERR * h + _TINY)
         k += 1
     else:
-        tail, err = _em_tail(s, a + k, base_err)
+        tail, err = _em_tail(s, a + k)
         parts.append(tail)
         errs.append(err)
     value = math.fsum(parts)

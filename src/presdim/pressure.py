@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .numerics import _sum_enclosure, compensated_sum
 from .interval_partition import (
@@ -31,7 +31,6 @@ __all__ = [
     "CriticalExponentEstimate",
     "RootBracket",
     "pressure_linear",
-    "pressure_over_grid",
     "pressure_cylinder_bracket",
     "find_s_infinity",
     "bowen_root_linear",
@@ -68,10 +67,6 @@ class PressureSample:
     truncation: int
     tail_bound: float
     method: str
-
-    @property
-    def divergent(self) -> bool:
-        return self.status == "divergent"
 
 
 @dataclass(frozen=True)
@@ -134,12 +129,6 @@ def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
         )
     status = "uncertified" if verdict.status == "converges" else "undetermined"
     return PressureSample(t, lower, lower, math.inf, status, verdict.evidence, k, math.inf, "linear-series")
-
-
-def pressure_over_grid(
-    partition: IntervalPartition, exponents: Sequence[float]
-) -> list[PressureSample]:
-    return [pressure_linear(partition, t) for t in exponents]
 
 
 def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
@@ -283,6 +272,8 @@ def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[
     if tol <= 0:
         raise PartitionError("tolerance must be positive")
     t_lo, t_hi = t_range
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+        raise PartitionError(f"t_low and t_high must be finite with t_low < t_high (got {t_lo}, {t_hi})")
 
     def locate(sample: Callable[[float], tuple[bool, float]], seen: dict) -> tuple[float, str]:
         if seen.setdefault(t_lo, sample(t_lo))[0]:

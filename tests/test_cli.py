@@ -422,6 +422,13 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("verify-main", GAUSS_100 + "\n[sinfinity]\ntol = 0\n", "config error: [sinfinity] tolerance must be positive"),
     ("gaps", GAUSS_100.replace("100", "1000") + "\n[gaps]\nn_min = 5000\n",
      "config error: [gaps] gap exponents need at least 5000 intervals, got 1000"),
+    ("bowen", GAUSS_100.replace("100", "1000") + "\n[bowen]\nt_low = 2\nt_high = 1\n",
+     "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got 2.0, 1.0)"),
+    ("bowen", "[partition]\ngenerator = gauss-restricted\ndigits = 1 2\n\n"
+              "[bowen]\nmethod = cylinder\norder = 8\nt_low = 0.9\nt_high = 0.9\n",
+     "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got 0.9, 0.9)"),
+    ("bowen", GAUSS_100 + "\n[bowen]\nt_low = nan\n",
+     "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got nan, 8.0)"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, command, text, message):
     cfg = _write_config(tmp_path, "e.ini", text)
@@ -447,6 +454,20 @@ def test_inline_comments_in_config(tmp_path, capsys):
     code, _ = _run(["s-infinity", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0
     assert json.loads((tmp_path / "s_infinity.json").read_text())["truncation"] == 1000
+
+
+@pytest.mark.parametrize("command, text, flags, artifact, field, expected", [
+    ("s-infinity", GAUSS_100, ["--truncation", "2000"], "s_infinity.json", "truncation", 2000),
+    ("s-infinity", GAUSS_100, ["--tol", "0.003"], "s_infinity.json", "tol", 0.003),
+    ("verify-main", "[partition]\ngenerator = dyadic\ntruncation = 1000\n\n[verify]\npad = 0.25\n", [],
+     "verify_main.json", "pad", 0.25),
+    ("verify-hdim", GROUP21 + "\n[verify]\nexponent_tol = 0.02\n", [], "verify_hdim.json", "tol", 0.02),
+], ids=["truncation-flag", "tol-flag", "verify-pad", "verify-exponent-tol"])
+def test_documented_inputs_reach_the_artifact(tmp_path, capsys, command, text, flags, artifact, field, expected):
+    cfg = _write_config(tmp_path, "i.ini", text)
+    code, _ = _run([command, "--config", str(cfg), "--out", str(tmp_path), *flags], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / artifact).read_text())[field] == expected
 
 
 # A fresh interpreter in which importing scipy fails: presdim must neither need it

@@ -235,8 +235,7 @@ def test_spherical_metric_is_the_angle():
 def test_group_validation():
     with pytest.raises(ValueError):
         ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [2.0, 0.0]]))  # dependent
-    g = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert g.fixed_point.at_infinity
+    ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))  # independent: accepted
 
 
 def test_sigma_min_is_a_certified_lower_bound():
@@ -332,14 +331,12 @@ O2 = base_point(HALF_SPACE, 2)
     (lambda: HyperbolicPoint(HALF_SPACE, [1.0]), ValueError, "hyperbolic points need at least 2 coordinates"),
     (lambda: half_space_point([0.0, math.inf]), ValueError, "coordinates must be finite"),
     (lambda: HyperbolicPoint("klein", [0.0, 0.5]), ValueError, "unknown model 'klein'"),
-    (lambda: ball_point([0.0, 0.5]).height, ValueError, "height is a half-space notion"),
     (lambda: BoundaryPoint(HALF_SPACE, [0.0], at_infinity=True), ValueError, "infinity carries no coordinates"),
     (lambda: BoundaryPoint(HALF_SPACE, []), ValueError, "boundary plane points need at least 1 coordinate"),
     (lambda: BoundaryPoint(BALL, [1.0, 0.0], at_infinity=True), ValueError, "the ball model has no infinity flag"),
     (lambda: boundary_sphere_point([1.0]), ValueError, "ball boundary points need at least 2 coordinates"),
     (lambda: BoundaryPoint("klein", [1.0]), ValueError, "unknown model 'klein'"),
     (lambda: boundary_plane_point([math.nan]), ValueError, "coordinates must be finite"),
-    (lambda: boundary_infinity().ambient, ValueError, "infinity does not determine the dimension"),
     (lambda: base_point(HALF_SPACE, 1), ValueError, "ambient dimension must be >= 2"),
     (lambda: to_ball([0.0, 1.0]), TypeError, "expected a HyperbolicPoint or BoundaryPoint"),
     (lambda: busemann(boundary_plane_point([0.0, 0.0]), O2, half_space_point([1.0, 1.0])),
@@ -368,12 +365,6 @@ O2 = base_point(HALF_SPACE, 2)
 def test_object_api_validation(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
-
-
-def test_boundary_ambient_dimension():
-    assert boundary_sphere_point([0.6, 0.8]).ambient == 2
-    assert boundary_sphere_point([0.0, 0.6, 0.8]).ambient == 3
-    assert boundary_plane_point([1.0, 2.0]).ambient == 3
 
 
 def test_translate_acts_on_ball_points_as_an_isometry():
@@ -438,7 +429,7 @@ def test_distance_matches_mpmath():
     with mpmath.workdps(50):
         for _ in range(200):
             p, q = _random_half_space(rng), _random_half_space(rng)
-            ref = _mp_acosh1p(_mp_norm2(p.coords - q.coords) / (2 * mpmath.mpf(p.height) * q.height))
+            ref = _mp_acosh1p(_mp_norm2(p.coords - q.coords) / (2 * mpmath.mpf(p.coords[-1]) * q.coords[-1]))
             _close(distance(p, q), ref)
             b, c = _random_ball(rng), _random_ball(rng)
             diff = [mpmath.mpf(float(s)) - float(t) for s, t in zip(b.coords, c.coords)]
@@ -451,7 +442,7 @@ def test_busemann_matches_mpmath():
     with mpmath.workdps(50):
         for _ in range(200):
             p, q = _random_half_space(rng), _random_half_space(rng)
-            _close(busemann(boundary_infinity(), p, q), mpmath.log(mpmath.mpf(q.height) / p.height))
+            _close(busemann(boundary_infinity(), p, q), mpmath.log(mpmath.mpf(q.coords[-1]) / p.coords[-1]))
             xi = _random_boundary(rng)
             ball_xi = [float(c) for c in to_ball(xi).coords]
             ref = _mp_busemann_ball(ball_xi, _mp_invert(p.coords), _mp_invert(q.coords))
@@ -578,12 +569,12 @@ def _object_api_errors(trials, rng):
         bound.append(max(0.0, abs(b_pq) - distance(p, q)))
     errors += [cocycle, bound]
     bases = half_space_points(trials, 2)
+    starts, widths = rng.normal(0.0, 3.0, trials), rng.normal(0.0, 2.0, trials)
+    params = rng.uniform(0.15, 0.85, size=(trials, 2))
     errors.append([])
-    for base in bases:
-        u = rng.normal(0.0, 3.0)
-        xi, eta = boundary_plane_point([u]), boundary_plane_point([u + abs(rng.normal(0.0, 2.0)) + 1e-3])
-        g1, g2 = (gromov_product(xi, eta, base, z=point_on_boundary_geodesic(xi, eta, s))
-                  for s in sorted(rng.uniform(0.15, 0.85, size=2)))
+    for base, u, w, ss in zip(bases, starts, widths, params):
+        xi, eta = boundary_plane_point([u]), boundary_plane_point([u + abs(w) + 1e-3])
+        g1, g2 = (gromov_product(xi, eta, base, z=point_on_boundary_geodesic(xi, eta, s)) for s in sorted(ss))
         errors[-1].append(abs(g1 - g2))
     o2 = base_point(HALF_SPACE, 2)
     errors.append([abs(distance(o2, half_space_point([v, 1.0])) - 2.0 * math.asinh(0.5 * v))
@@ -594,8 +585,7 @@ def _object_api_errors(trials, rng):
     pairs = half_space_points(2 * trials, 2)
     group = ParabolicGroupSpec(2, 1, [[1.0]])
     errors.append([])
-    for p, q in zip(pairs[0::2], pairs[1::2]):
-        shift = [float(rng.integers(-40, 41))]
+    for p, q, shift in zip(pairs[0::2], pairs[1::2], rng.integers(-40, 41, size=(trials, 1))):
         errors[-1].append(abs(distance(translate(group, shift, p), translate(group, shift, q))
                               - distance(p, q)))
     zs = circle(trials)

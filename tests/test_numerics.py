@@ -143,7 +143,7 @@ def test_euler_maclaurin_coefficients_are_correctly_rounded():
 @settings(max_examples=300, deadline=None)
 @given(
     s=st.floats(1.0, 8.0, exclude_min=True),
-    a=st.one_of(st.integers(1, 10**6 + 1).map(float), st.floats(1.0, 1e6 + 1)),
+    a=st.integers(1, 10**6 + 1).map(float),
 )
 def test_hurwitz_zeta_encloses_mpmath(s, a):
     value, bound = hurwitz_zeta(s, a)
@@ -153,7 +153,7 @@ def test_hurwitz_zeta_encloses_mpmath(s, a):
 
 
 @pytest.mark.parametrize("s, a", [
-    (1.0, 2.0), (0.5, 2.0), (-3.0, 2.0), (2.0, 0.999), (2.0, 0.0), (2.0, -1.0),
+    (1.0, 2.0), (0.5, 2.0), (-3.0, 2.0), (2.0, 0.999), (2.0, 0.0), (2.0, -1.0), (2.0, 1.5),
     (math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf),
 ])
 def test_hurwitz_zeta_rejects_outside_domain(s, a):
@@ -190,7 +190,7 @@ def test_hurwitz_zeta_large_s_and_underflow(s, a):
 def test_euler_maclaurin_remainder_bounds_a_short_tail(s, x):
     # far below the shift the expansion runs to the end of its table, and the
     # first omitted term carries most of the error bound: it must still enclose
-    value, err = numerics._em_tail(s, x, 0.0)
+    value, err = numerics._em_tail(s, x)
     with mpmath.workdps(60):
         assert abs(mpmath.mpf(value) - mpmath.zeta(s, x)) <= err
 

@@ -18,7 +18,6 @@ from presdim.pressure import (
     find_s_infinity,
     pressure_cylinder_bracket,
     pressure_linear,
-    pressure_over_grid,
 )
 
 
@@ -39,7 +38,7 @@ def test_gauss_pressure_vanishes_at_one():
 def test_gauss_pressure_divergent_below_half():
     part = build_partition("gauss", 100000)
     s = pressure_linear(part, 0.4)
-    assert s.divergent
+    assert s.status == "divergent"
     assert s.value == math.inf
     assert s.upper == math.inf
 
@@ -68,18 +67,6 @@ def test_pressure_explicit_partition_exact():
     s = pressure_linear(part, 2.0)
     assert s.lower == s.upper == pytest.approx(math.log(0.25 + 0.0625), rel=1e-15)
     assert s.tail_bound == 0.0
-
-
-def test_pressure_over_grid_matches_single_calls():
-    part = build_partition("dyadic", 200)
-    grid = [0.5, 1.0, 1.5]
-    samples = pressure_over_grid(part, grid)
-    assert [s.t for s in samples] == grid
-    for s in samples:
-        direct = pressure_linear(part, s.t)
-        assert s.value == direct.value
-    # strictly decreasing in t
-    assert samples[0].value > samples[1].value > samples[2].value
 
 
 def test_pressure_monotone_decreasing_in_t():
@@ -172,6 +159,13 @@ def test_root_bracket_reports_root_below_range():
 def test_root_bracket_rejects_bad_tolerance():
     with pytest.raises(PartitionError, match="tolerance"):
         pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=0.0, known=({}, {}))
+
+
+@pytest.mark.parametrize("t_range", [(2.0, 1.0), (0.9, 0.9), (math.nan, 8.0), (1e-6, math.inf)],
+                         ids=["reversed", "empty", "nan-low", "inf-high"])
+def test_root_bracket_rejects_empty_or_infinite_range(t_range):
+    with pytest.raises(PartitionError, match="t_low and t_high must be finite with t_low < t_high"):
+        pressure._root_bracket(_past(1.0), _past(1.2), t_range=t_range, tol=1e-9, known=({}, {}))
 
 
 def test_bowen_root_linear_dyadic():

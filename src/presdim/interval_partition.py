@@ -522,8 +522,11 @@ def _lead_derivatives(bmap: BranchMap, m: int, suffixes: tuple, sides: Sequence[
     invariant hull.  `suffixes` holds the `_word_tables` of all depth n-1
     words over the first m branches; they do not depend on t, so a caller
     that sums at many exponents builds them once.  Words go one leading
-    symbol at a time, so memory stays at the size of the suffix tables, and
-    only the hull ends of the requested sides are evaluated.
+    symbol at a time, so a caller that sums each lead and lets it go
+    (`_cylinder_sums`) holds little more than the suffix tables; one that
+    keeps the arrays (`bowen_root_cylinder`, one side at a time) holds 8
+    bytes per word and side.  Only the hull ends of the requested sides are
+    evaluated.
     """
     hull = bmap.invariant_hull()
     ys = [{"inf": hull[0], "sup": hull[1]}[side] for side in sides]

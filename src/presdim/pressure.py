@@ -346,19 +346,21 @@ def bowen_root_linear(
     return _root_bracket(lower, lambda t: known[1].get(t) or _linear_past(partition, t)[1], t_range, tol, known)
 
 
-def _cylinder_past(bmap: BranchMap, m: int, suffixes: tuple, side: str, t: float) -> tuple[bool, float]:
-    """Whether S = sum_w D_w^-t on one side ("sup" or "inf") is at most 1, with the estimate log(low).
+def _cylinder_past(rows: list, t: float) -> tuple[bool, float]:
+    """Whether S = sum_w D_w^-t over one side's rows is at most 1, with the estimate log(low).
 
-    S <= 1 exactly when that side's curve log(S)/n is <= 0.  The exact S
-    rounds each lead's sum once and adds the leads exactly, so it lies
-    between low and high, the exact sums of the leads' lower and upper
-    enclosure ends, one np.sum each.  The words are walked again and summed
-    exactly only when those two leave the comparison open.
+    `rows` holds that side's D_w, one array per lead, as `_lead_derivatives`
+    yields them.  S <= 1 exactly when that side's curve log(S)/n is <= 0.
+    The exact S rounds each lead's sum once and adds the leads exactly, as
+    `_cylinder_sums` does, so it lies between low and high, the exact sums
+    of the leads' lower and upper enclosure ends, one np.sum each.  The rows
+    are summed exactly only when those two leave the comparison open.
     """
     t = float(t)
-    lows, highs = zip(*(_sum_enclosure(d ** -t) for (d,) in _lead_derivatives(bmap, m, suffixes, (side,))))
+    lows, highs = zip(*(_sum_enclosure(row ** -t) for row in rows))
     low = compensated_sum(lows)
-    past = _at_most_one(low, compensated_sum(highs), lambda: _cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0])
+    past = _at_most_one(low, compensated_sum(highs),
+                        lambda: compensated_sum([compensated_sum(row ** -t) for row in rows]))
     return past, math.log(low) if low > 0.0 else -math.inf
 
 
@@ -374,16 +376,26 @@ def bowen_root_cylinder(
     Uses the two curves of `pressure_cylinder_bracket` at a fixed depth; each
     is decreasing in t and they enclose the pressure at every depth, so their
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
-    The depth n-1 suffix tables do not depend on t and are built once.  The
-    bisections read only whether each curve is <= 0, from `_cylinder_past`;
-    the bracket is the one that exact sums give.
+    The depth n-1 suffix tables and each side's D_w rows do not depend on t:
+    the tables are built once, and a side's rows when its curve takes its
+    first sample.  The lower curve's search ends before the upper one's
+    starts, so only one side's rows are held at a time, 8 bytes per word (at
+    most 16 MiB at WORD_CAP words).  The bisections read only whether each
+    curve is <= 0, from `_cylinder_past`; the bracket is the one that exact
+    sums give.
     """
     m = _effective_alphabet(bmap, alphabet_cap, order)
     suffixes = _word_tables(bmap, m, order - 1)
+    held = {}  # side -> its rows
 
     def past(side: str) -> Callable[[float], tuple[bool, float]]:
         # past the range ends the two searches seldom share an exponent: each curve evaluates only its own side
-        return lambda t: _cylinder_past(bmap, m, suffixes, side, t)
+        def sample(t: float) -> tuple[bool, float]:
+            if side not in held:
+                held.clear()  # drop the other side's rows before building these
+                held[side] = [d for (d,) in _lead_derivatives(bmap, m, suffixes, (side,))]
+            return _cylinder_past(held[side], t)
+        return sample
 
     bracket = _root_bracket(past("sup"), past("inf"), t_range, tol, ({}, {}))
     evidence = f"depth-{order} cylinder curves over the invariant hull; {bracket.evidence}"

@@ -2,13 +2,14 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presdim import pressure
+from presdim import interval_partition, pressure
 from presdim.interval_partition import PartitionError, build_partition, make_branch_map, refine_partition
 from presdim.pressure import (
     CONVERGES_AT_CRITICAL,
@@ -281,29 +282,38 @@ def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeyp
     assert (br.lower, br.upper) == (0.9999999985343387, 1.0000000005343388)
 
 
-def _cylinder_straddles(bmap, m, suffixes, side, t):
-    """Whether the per-lead enclosures of sum_w D_w^-t on one side leave "<= 1" open."""
-    lows, highs = zip(*(pressure._sum_enclosure(d ** -t)
-                        for (d,) in pressure._lead_derivatives(bmap, m, suffixes, (side,))))
+def _cylinder_straddles(rows, t):
+    """Whether the per-lead enclosures of sum_w D_w^-t over one side's rows leave "<= 1" open."""
+    lows, highs = zip(*(pressure._sum_enclosure(row ** -t) for row in rows))
     return pressure.compensated_sum(lows) <= 1.0 < pressure.compensated_sum(highs)
 
 
 def _count_cylinder(monkeypatch):
-    """Record each (exponent, side) `_cylinder_past` samples with its arguments, and each exact reduction."""
-    evaluated, reduced = [], []
-    real_past, real_sums = pressure._cylinder_past, pressure._cylinder_sums
+    """Record the sides `_lead_derivatives` builds rows for, each (exponent, side, rows) `_cylinder_past`
+    samples, and the (exponent, side) of each exact reduction it falls back to."""
+    built, evaluated, reduced = [], [], []
+    real_leads, real_past, real_at_most_one = pressure._lead_derivatives, pressure._cylinder_past, pressure._at_most_one
 
-    def counting_past(bmap, m, suffixes, side, t):
-        evaluated.append((t, side, (bmap, m, suffixes)))
-        return real_past(bmap, m, suffixes, side, t)
+    def counting_leads(bmap, m, suffixes, sides):
+        leads = list(real_leads(bmap, m, suffixes, sides))
+        built.append((sides, leads))
+        return iter(leads)
 
-    def counting_sums(bmap, m, suffixes, exponents, sides):
-        reduced.extend((t, side) for t in exponents for side in sides)
-        return real_sums(bmap, m, suffixes, exponents, sides)
+    def counting_past(rows, t):
+        (side,), _ = next((sides, leads) for sides, leads in built if leads[0][0] is rows[0])
+        evaluated.append((t, side, rows))
+        return real_past(rows, t)
 
+    def counting_at_most_one(lo, hi, exact):
+        def counting_exact():
+            reduced.append(evaluated[-1][:2])
+            return exact()
+        return real_at_most_one(lo, hi, counting_exact)
+
+    monkeypatch.setattr(pressure, "_lead_derivatives", counting_leads)
     monkeypatch.setattr(pressure, "_cylinder_past", counting_past)
-    monkeypatch.setattr(pressure, "_cylinder_sums", counting_sums)
-    return evaluated, reduced
+    monkeypatch.setattr(pressure, "_at_most_one", counting_at_most_one)
+    return built, evaluated, reduced
 
 
 @pytest.mark.parametrize("order, bracket", [
@@ -311,7 +321,7 @@ def _count_cylinder(monkeypatch):
     (16, (0.5274442967098352, 0.5354943532599805)),  # the benchmark's E_2 root
 ], ids=["order-13", "order-16"])
 def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, bracket):
-    evaluated, reduced = _count_cylinder(monkeypatch)
+    built, evaluated, reduced = _count_cylinder(monkeypatch)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, order, tol=1e-6)
     # each (exponent, side) pair is sampled once; the lower curve reads only sup-side
@@ -319,8 +329,8 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, brac
     assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 16
     # the per-lead sum enclosures decide every sign: no exact reduction
     assert reduced == []
-    # the depth n-1 suffix tables are built once per root, not once per evaluation
-    assert all(args[2] is evaluated[0][2][2] for _, _, args in evaluated)
+    # each side's rows are built once per root, not once per evaluation
+    assert [sides for sides, _ in built] == [("sup",), ("inf",)]
     assert (br.lower, br.upper) == bracket
 
 
@@ -328,10 +338,10 @@ def test_bowen_root_cylinder_reduces_exactly_where_the_enclosure_straddles(monke
     # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at t = 1 both
     # curves sum to exactly 1 and their enclosures straddle it
     bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]))
-    evaluated, reduced = _count_cylinder(monkeypatch)
+    _, evaluated, reduced = _count_cylinder(monkeypatch)
     br = bowen_root_cylinder(bmap, 12, t_range=(0.5, 1.5))
     assert {(1.0, "sup"), (1.0, "inf")} <= set(reduced)
-    assert reduced == [(t, side) for t, side, args in evaluated if _cylinder_straddles(*args, side, t)]
+    assert reduced == [(t, side) for t, side, rows in evaluated if _cylinder_straddles(rows, t)]
     assert (br.lower, br.upper) == (0.9999985231628418, 1.0000005231628417)
 
 
@@ -368,6 +378,12 @@ def _cylinder_case(partition, order, cap):
     return bmap, order, cap, {"sup": br.lower, "inf": br.upper}
 
 
+def _side_rows(bmap, order, cap, side):
+    """One side's D_w rows, one array per lead, as `bowen_root_cylinder` holds them."""
+    m = pressure._effective_alphabet(bmap, cap, order)
+    return [d for (d,) in pressure._lead_derivatives(bmap, m, pressure._word_tables(bmap, m, order - 1), (side,))]
+
+
 CYLINDER_CASES = [
     _cylinder_case(build_partition("gauss-restricted", digits=(1, 2)), 9, None),
     _cylinder_case(build_partition("gauss", 1000), 3, 8),
@@ -382,10 +398,25 @@ def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
     # the lower curve sums the sup side, the upper curve the inf side
     bmap, order, cap, roots = case
     t = roots[side] + offset
-    m = pressure._effective_alphabet(bmap, cap, order)
-    past, _ = pressure._cylinder_past(bmap, m, pressure._word_tables(bmap, m, order - 1), side, t)
+    past, _ = pressure._cylinder_past(_side_rows(bmap, order, cap, side), t)
     exact = pressure_cylinder_bracket(bmap, t, order, cap)
     assert past == (not (exact.lower if side == "sup" else exact.upper) > 0.0)
+
+
+@pytest.mark.parametrize("side", ["sup", "inf"])
+@pytest.mark.parametrize("case", range(len(CYLINDER_CASES)), ids=["e2-order-9", "capped-gauss-8", "affine-halves"])
+def test_cylinder_exact_sum_from_rows_has_the_bits_of_cylinder_sums(monkeypatch, case, side):
+    # the exact fallback of `_cylinder_past` sums the rows it holds; it must be `_cylinder_sums`' total, bit for bit
+    bmap, order, cap, roots = CYLINDER_CASES[case]
+    m = pressure._effective_alphabet(bmap, cap, order)
+    suffixes = pressure._word_tables(bmap, m, order - 1)
+    rows = _side_rows(bmap, order, cap, side)
+    totals = []
+    monkeypatch.setattr(pressure, "_at_most_one", lambda lo, hi, exact: totals.append(exact()) or True)
+    for offset in (-1e-3, -1e-7, -1e-12, 0.0, 1e-12, 1e-7, 1e-3):
+        t = roots[side] + offset
+        pressure._cylinder_past(rows, t)
+        assert totals[-1].hex() == float(pressure._cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0]).hex()
 
 
 @pytest.mark.parametrize("lo, hi, expected", [
@@ -521,3 +552,32 @@ def test_bowen_root_cylinder_capped_gauss_pinned():
     bmap = make_branch_map(build_partition("gauss", 1000))
     br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=8)
     assert (br.lower, br.upper) == (0.8644727579992413, 0.9602026665654778)
+
+
+def test_bowen_root_cylinder_benchmark_capped_gauss_pinned(monkeypatch):
+    # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) takes 23 samples
+    # and falls back to exact sums where the enclosure straddles 1; each side's words are still walked once
+    built, evaluated, reduced = _count_cylinder(monkeypatch)
+    walks = []
+    real_walk = interval_partition._lead_derivatives
+    monkeypatch.setattr(interval_partition, "_lead_derivatives", lambda *args: walks.append(args[-1]) or real_walk(*args))
+    bmap = make_branch_map(build_partition("gauss", 1000))
+    br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
+    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 23
+    assert reduced and reduced == [(t, side) for t, side, rows in evaluated if _cylinder_straddles(rows, t)]
+    assert [sides for sides, _ in built] == [("sup",), ("inf",)] and walks == []
+    assert (br.lower, br.upper) == (0.9435027850467563, 1.0266823411778805)
+
+
+def test_bowen_root_cylinder_holds_one_side_of_rows():
+    # peak traced memory of the benchmark's capped-Gauss root: one side's rows (8 bytes per word),
+    # the depth n-1 suffix tables (four arrays) and 2 MiB of per-lead temporaries; both sides would not fit
+    bmap = make_branch_map(build_partition("gauss", 1000))
+    words, suffix_words = 32 ** 4, 32 ** 3
+    tracemalloc.start()
+    try:
+        bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * words + 4 * 8 * suffix_words + 2 * 2**20

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import _LIBM_ERR, _U, _down, _up, _zeta_interval, compensated_sum
+from .numerics import _LIBM_ERR, _U, _down, _up, compensated_sum, hurwitz_zeta
 
 __all__ = [
     "PartitionError",
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _DEDUP_TOL = 1e-15
+_DEDUP_BLOCK = 1 << 16
 _TILING_TOL = 1e-12
 # default limit on the number of cylinder words one enumeration may build
 WORD_CAP = 1 << 21
@@ -43,10 +44,15 @@ class PartitionError(ValueError):
 
 
 def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
-    """A non-empty ascending array without the points within 1e-15 of their predecessor."""
+    """A non-empty ascending array without the points within 1e-15 of their predecessor.
+
+    Gaps go a block at a time: an array of all of them would set an endpoint cloud's peak memory.
+    """
     keep = np.empty(pts.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(pts), _DEDUP_TOL, out=keep[1:])
+    for start in range(0, pts.size - 1, _DEDUP_BLOCK):
+        stop = min(start + _DEDUP_BLOCK, pts.size - 1)
+        np.greater(np.diff(pts[start:stop + 1]), _DEDUP_TOL, out=keep[start + 1:stop + 1])
     return pts[keep]
 
 
@@ -97,7 +103,7 @@ class _GaussLengths(_LengthModel):
     def series_verdict(self, t, m):
         if t <= 0.5:
             return SeriesVerdict("diverges", "harmonic minorant: terms >= (n+1)^(-2t) with 2t <= 1")
-        z_lo, z_hi = _zeta_interval(2.0 * t, m + 1)
+        z_lo, z_hi = hurwitz_zeta(2.0 * t, m + 1)
         # (n(n+1))^-t = n^-2t (1+1/n)^-t with the second factor in
         # [(1+1/(m+1))^-t, 1] for n > m; the rounded base 1+1/(m+1) is off by
         # at most 1.5u, which the power turns into 1.5 t u
@@ -141,8 +147,8 @@ class _PowerLawLengths(_LengthModel):
         # zeta(s, a) falls as s grows, so the rounded p t is widened outward
         scale = q ** t
         s, s_lo = _up(p * t), _down(p * t)
-        lo = _down(_down(scale, _LIBM_ERR) * _zeta_interval(s, m + 2)[0])
-        hi = _up(_up(scale, _LIBM_ERR) * _zeta_interval(s_lo, m + 1)[1]) if s_lo > 1.0 else None
+        lo = _down(_down(scale, _LIBM_ERR) * hurwitz_zeta(s, m + 2)[0])
+        hi = _up(_up(scale, _LIBM_ERR) * hurwitz_zeta(s_lo, m + 1)[1]) if s_lo > 1.0 else None
         return SeriesVerdict("converges", "mean-value sandwich with Hurwitz zeta", lo, hi)
 
 
@@ -168,7 +174,7 @@ class _LogSquaredLengths(_LengthModel):
         # factor out at the truncation boundary
         # two logs and two powers of them: 1 ulp each, scaled by t and 2t in the powers
         factor = (math.log(2.0) ** t) * math.log(m + 2.0) ** (-2.0 * t)
-        hi = _up(_up(factor, (3.0 * t + 2.5) * _LIBM_ERR) * _zeta_interval(t, m + 2)[1])
+        hi = _up(_up(factor, (3.0 * t + 2.5) * _LIBM_ERR) * hurwitz_zeta(t, m + 2)[1])
         return SeriesVerdict("converges", "majorant with boundary log factor (lower bound 0)", 0.0, hi)
 
 
@@ -207,17 +213,17 @@ class _OscillatingLengths(_LengthModel):
     # ratio sequence by more than this
     _RATIO_PAD = 0.005
 
-    def ratio_window(self, n_lo: int = 16) -> tuple[float, float]:
-        grid = np.unique(np.geomspace(max(n_lo, 2), 10**12, 800).astype(np.int64))
+    def ratio_window(self, n_lo: int) -> tuple[float, float]:
+        grid = np.unique(np.geomspace(n_lo, 10**12, 800).astype(np.int64))
         r = np.log(grid.astype(float)) / (-self.log_length(grid))
         return float(r.min()), float(r.max())
 
     def series_verdict(self, t, m):
         if t > 0.5:
             # certified: length_n <= h(n) * dphi <= (1/n) * 2 log(1+1/n) <= 2/n^2
-            hi = _up(_up(2.0 ** t, _LIBM_ERR) * _zeta_interval(2.0 * t, m + 1)[1])
+            hi = _up(_up(2.0 ** t, _LIBM_ERR) * hurwitz_zeta(2.0 * t, m + 1)[1])
             return SeriesVerdict("converges", "majorant 2 n^(-2) with Hurwitz tail", 0.0, hi)
-        r_min, r_max = self.ratio_window(max(m // 2, 16) if m > 32 else 16)
+        r_min, r_max = self.ratio_window(max(m // 2, 16))
         if t > r_max + self._RATIO_PAD:
             return SeriesVerdict(
                 "converges", f"ratio window: sup log n / (-t log length) = {r_max / t:.4f} < 1", 0.0, None
@@ -515,38 +521,23 @@ def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None):
     return tables, tables[0], tables[0] + tables[1]
 
 
-def _lead_derivatives(bmap: BranchMap, m: int, suffixes: tuple, sides: Sequence[str]) -> Iterator[list]:
-    """For each leading symbol, D_w of its depth-n words w, one array per side ("sup" or "inf").
+def _cylinder_rows(bmap: BranchMap, order: int, alphabet_cap: int | None, side: str) -> list[np.ndarray]:
+    """One side's D_w ("sup" or "inf") over the depth-`order` cylinders w, one array per leading symbol.
 
     D_w is the derivative range of the n-th iterate over cylinder w ∩
-    invariant hull.  `suffixes` holds the `_word_tables` of all depth n-1
-    words over the first m branches; they do not depend on t, so a caller
-    that sums at many exponents builds them once.  Words go one leading
-    symbol at a time, so a caller that sums each lead and lets it go
-    (`_cylinder_sums`) holds little more than the suffix tables; one that
-    keeps the arrays (`bowen_root_cylinder`, one side at a time) holds 8
-    bytes per word and side.  Only the hull ends of the requested sides are
-    evaluated.
+    invariant hull, at that side's hull end.  The depth n-1 suffix tables
+    are dropped on return, and the rows hold 8 bytes per word; one array per
+    side would make each sample's `D_w ** -t` a second copy of them.
     """
-    hull = bmap.invariant_hull()
-    ys = [{"inf": hull[0], "sup": hull[1]}[side] for side in sides]
-    for lead in range(m):
-        tables = _prepend(bmap, suffixes, lead)
-        yield [_derivative_range(bmap, tables, y) for y in ys]
+    m = _effective_alphabet(bmap, alphabet_cap, order)
+    suffixes = _word_tables(bmap, m, order - 1)
+    y = bmap.invariant_hull()[side == "sup"]
+    return [_derivative_range(bmap, _prepend(bmap, suffixes, lead), y) for lead in range(m)]
 
 
-def _cylinder_sums(bmap: BranchMap, m: int, suffixes: tuple, exponents: Sequence[float],
-                   sides: Sequence[str]) -> np.ndarray:
-    """sum_w D_w^-t over depth-n cylinders, a row per t and a column per side ("sup" or "inf").
-
-    The words come from `_lead_derivatives`.  Each lead's sum is rounded
-    once, and the leads' sums are then added exactly.
-    """
-    ts = [float(t) for t in exponents]
-    per_lead = np.array([[[compensated_sum(end ** -t) for end in ends] for t in ts]
-                         for ends in _lead_derivatives(bmap, m, suffixes, sides)])
-    return np.array([[compensated_sum(per_lead[:, j, k]) for k in range(len(sides))]
-                     for j in range(len(ts))])
+def _rows_total(rows: Sequence[np.ndarray], t: float) -> float:
+    """sum_w D_w^-t over `_cylinder_rows`: each lead's sum is rounded once, and the leads' sums are added exactly."""
+    return compensated_sum([compensated_sum(row ** -t) for row in rows])
 
 
 def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[float],
@@ -554,13 +545,15 @@ def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[fl
     """For each t, return (sum_w sup_w^-t, sum_w inf_w^-t) over depth-n cylinders.
 
     sup/inf are the derivative range of the n-th iterate over cylinder ∩
-    invariant hull.  One walk over the suffix tables serves both sides and
-    every t.  The sums run serially; `threads` is accepted for existing
-    callers and has no effect.
+    invariant hull.  Each side's rows are built once for every t, and the
+    sup side's go before the inf side's are built.  The sums run serially;
+    `threads` is accepted for existing callers and has no effect.
     """
-    m = _effective_alphabet(bmap, alphabet_cap, order)
-    sums = _cylinder_sums(bmap, m, _word_tables(bmap, m, order - 1), exponents, ("sup", "inf"))
-    return [tuple(row) for row in sums.tolist()]
+    def totals(side: str) -> list[float]:
+        rows = _cylinder_rows(bmap, order, alphabet_cap, side)
+        return [_rows_total(rows, float(t)) for t in exponents]
+
+    return list(zip(totals("sup"), totals("inf")))
 
 
 def refine_partition(bmap: BranchMap, order: int, alphabet_cap: int | None = None) -> IntervalPartition:

@@ -172,17 +172,16 @@ def _em_tail(s: float, x: float) -> tuple[float, float]:
 
 
 def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
-    """The Hurwitz zeta function sum_{k >= 0} (a + k)^-s with a rigorous error bound.
+    """The Hurwitz zeta function sum_{k >= 0} (a + k)^-s, enclosed in [lo, hi] rounded outward.
 
-    Returns (value, bound) with |value - zeta(s, a)| <= bound, for real s > 1 and
-    integer a >= 1, so every base a + k is exact.  Terms (a + k)^-s below the
+    For real s > 1 and integer a >= 1, so every base a + k is exact.  Terms (a + k)^-s below the
     shift max(12, ceil(0.6 s) + 8) are summed exactly with math.fsum; the rest
     is the Euler-Maclaurin tail, whose remainder is at most its first omitted
-    Bernoulli term.  The bound adds that remainder to a rounding budget for
-    every pow, product and sum (1 ulp per libm call budgeted as 2, u per
-    rounding, 2^-1074 per result below the normal range), so the value is
-    within a few ulps and value + bound never falls below the exact sum, even
-    when it underflows.
+    Bernoulli term.  The error bound adds that remainder to a rounding
+    budget for every pow, product and sum (1 ulp per libm call budgeted as 2,
+    u per rounding, 2^-1074 per result below the normal range), so the
+    value is within a few ulps and hi never falls below the exact sum, even
+    when the value underflows.
     """
     s, a = float(s), float(a)
     if not (math.isfinite(s) and s > 1.0 and a.is_integer() and a >= 1.0):
@@ -207,7 +206,8 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     value = math.fsum(parts)
     errs += [_U * value, _TINY]
     # each error term is a product of a few rounded factors: 16u covers their rounding
-    return value, _up(math.fsum(errs), 16.0 * _U)
+    bound = _up(math.fsum(errs), 16.0 * _U)
+    return _down(value - bound), _up(value + bound)
 
 
 def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
@@ -223,9 +223,3 @@ def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
     rel = max(k / (1.0 - k), 4.0 * _U)
     total = float(values.sum())
     return _down(total, rel), _up(total, rel)
-
-
-def _zeta_interval(s: float, a: float) -> tuple[float, float]:
-    """[lo, hi] containing zeta(s, a), rounded outward."""
-    value, bound = hurwitz_zeta(s, a)
-    return _down(value - bound), _up(value + bound)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import _ENUMERATION_CAP, ParabolicGroupSpec, _lattice_grid, _orbit_distance
-from .numerics import _LIBM_ERR, _libm, _up, _zeta_interval, compensated_sum
+from .numerics import _LIBM_ERR, _libm, _up, compensated_sum, hurwitz_zeta
 from .pressure import CriticalExponentEstimate, DIVERGES_AT_CRITICAL, _bisect
 
 __all__ = [
@@ -79,8 +79,8 @@ def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str
 
     Returns (classification, tail upper bound or None, evidence).  The
     comparison templates are power sums: the majorant tail for s > k/2 is
-    2k 3^{k-1} sigma_min^{-2s} zeta(2s-k+1, radius+1), with the Hurwitz zeta
-    and its error bound from `numerics.hurwitz_zeta` and every product
+    2k 3^{k-1} sigma_min^{-2s} zeta(2s-k+1, radius+1), with the upper end of
+    the outward-rounded `numerics.hurwitz_zeta` enclosure and every product
     rounded up, so the bound is never below the exact majorant for the given
     sigma_min; for s <= k/2 the minorant shells sum to a divergent p-series.
     """
@@ -90,7 +90,7 @@ def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str
     if 2.0 * s > k:
         # 2k 3^(k-1) is an exact integer, and 2s - (k-1) has no rounding error for 2s < 2^53
         constant = _up(2 * k * 3 ** (k - 1) * _up(smin ** (-2.0 * s), _LIBM_ERR))
-        bound = _up(constant * _zeta_interval(2.0 * s - (k - 1), radius + 1)[1])
+        bound = _up(constant * hurwitz_zeta(2.0 * s - (k - 1), radius + 1)[1])
         evidence = (f"shells m > {radius}: count <= 2k 3^(k-1) m^(k-1), term <= (sigma_min m)^(-2s), "
                     f"sigma_min={smin:.6g}; Hurwitz zeta tail = {bound:.6g}")
         return CONVERGENT_WITH_BOUND, bound, evidence

@@ -20,10 +20,9 @@ from .interval_partition import (
     BranchMap,
     IntervalPartition,
     PartitionError,
-    _cylinder_sums,
+    _cylinder_rows,
     _effective_alphabet,
-    _lead_derivatives,
-    _word_tables,
+    _rows_total,
 )
 
 __all__ = [
@@ -147,11 +146,11 @@ def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
     ((q + q')/q)^2 <= 4.
     """
     m = _effective_alphabet(bmap, alphabet_cap, order)
-    (s_sup, s_inf), = _cylinder_sums(bmap, m, _word_tables(bmap, m, order - 1), [t], ("sup", "inf"))
-    lower = math.log(s_sup) / order
-    upper = math.log(s_inf) / order
+    t = float(t)
+    lower = math.log(_rows_total(_cylinder_rows(bmap, order, alphabet_cap, "sup"), t)) / order
+    upper = math.log(_rows_total(_cylinder_rows(bmap, order, alphabet_cap, "inf"), t)) / order
     return PressureSample(
-        t=float(t),
+        t=t,
         value=0.5 * (lower + upper),
         lower=lower,
         upper=upper,
@@ -253,17 +252,15 @@ def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> Critical
     )
 
 
-def _at_most_one(lo: float, hi: float, exact: Callable[[], float]) -> bool:
-    """Whether a sum known to lie in [lo, hi] is at most 1; exact() gives the sum where the ends disagree.
+def _curve_sample(lo: float, hi: float, exact: Callable[[], float]) -> tuple[bool, float]:
+    """The `_bisect` sample (S <= 1, log lo) of a sum S known to lie in [lo, hi].
 
-    The ends decide whenever they fall on one side of 1.  A 0 or inf end
-    compares correctly, and a nan end decides nothing.
+    exact() gives S; it is called only where the ends fall on both sides of
+    1.  A 0 or inf end compares correctly, and a nan end decides nothing.
+    The estimate is -inf where lo is 0 or nan.
     """
-    if hi <= 1.0:
-        return True
-    if lo > 1.0:
-        return False
-    return bool(exact() <= 1.0)
+    past = hi <= 1.0 or (not lo > 1.0 and exact() <= 1.0)
+    return bool(past), math.log(lo) if lo > 0.0 else -math.inf
 
 
 def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[[float], tuple[bool, float]],
@@ -305,8 +302,7 @@ def _linear_past(partition: IntervalPartition, t: float) -> tuple[tuple[bool, fl
     sum of the materialized lengths^t, so it is <= 0 exactly when
     fl(S + tail) <= 1; a curve without a certified tail end is +inf.  One
     np.sum encloses S in [lo, hi], and S is summed exactly, once for both
-    curves, only where an end leaves the comparison open.  The estimates
-    are log(lo + tail).
+    curves, only where an end leaves the comparison open.
     """
     t = float(t)
     verdict = partition.series_verdict(t)
@@ -315,9 +311,7 @@ def _linear_past(partition: IntervalPartition, t: float) -> tuple[tuple[bool, fl
     terms = partition.lengths ** t
     lo, hi = _sum_enclosure(terms)
     exact = functools.cache(lambda: compensated_sum(terms))
-    return tuple((False, math.inf) if tail is None else
-                 (_at_most_one(lo + tail, hi + tail, lambda: exact() + tail),
-                  math.log(lo + tail) if lo + tail > 0.0 else -math.inf)
+    return tuple((False, math.inf) if tail is None else _curve_sample(lo + tail, hi + tail, lambda: exact() + tail)
                  for tail in (verdict.tail_low, verdict.tail_high))
 
 
@@ -347,21 +341,17 @@ def bowen_root_linear(
 
 
 def _cylinder_past(rows: list, t: float) -> tuple[bool, float]:
-    """Whether S = sum_w D_w^-t over one side's rows is at most 1, with the estimate log(low).
+    """The `_bisect` sample of S = sum_w D_w^-t over one side's rows, as `_cylinder_rows` builds them.
 
-    `rows` holds that side's D_w, one array per lead, as `_lead_derivatives`
-    yields them.  S <= 1 exactly when that side's curve log(S)/n is <= 0.
-    The exact S rounds each lead's sum once and adds the leads exactly, as
-    `_cylinder_sums` does, so it lies between low and high, the exact sums
-    of the leads' lower and upper enclosure ends, one np.sum each.  The rows
-    are summed exactly only when those two leave the comparison open.
+    S <= 1 exactly when that side's curve log(S)/n is <= 0.  S is
+    `_rows_total`, which rounds each lead's sum once and adds the leads
+    exactly, so it lies between the exact sums of the leads' lower and upper
+    enclosure ends, one np.sum each.  The rows are summed exactly only when
+    those two leave the comparison open.
     """
     t = float(t)
     lows, highs = zip(*(_sum_enclosure(row ** -t) for row in rows))
-    low = compensated_sum(lows)
-    past = _at_most_one(low, compensated_sum(highs),
-                        lambda: compensated_sum([compensated_sum(row ** -t) for row in rows]))
-    return past, math.log(low) if low > 0.0 else -math.inf
+    return _curve_sample(compensated_sum(lows), compensated_sum(highs), lambda: _rows_total(rows, t))
 
 
 def bowen_root_cylinder(
@@ -376,16 +366,13 @@ def bowen_root_cylinder(
     Uses the two curves of `pressure_cylinder_bracket` at a fixed depth; each
     is decreasing in t and they enclose the pressure at every depth, so their
     roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
-    The depth n-1 suffix tables and each side's D_w rows do not depend on t:
-    the tables are built once, and a side's rows when its curve takes its
-    first sample.  The lower curve's search ends before the upper one's
-    starts, so only one side's rows are held at a time, 8 bytes per word (at
-    most 16 MiB at WORD_CAP words).  The bisections read only whether each
-    curve is <= 0, from `_cylinder_past`; the bracket is the one that exact
-    sums give.
+    Each side's D_w rows do not depend on t: they are built when that
+    side's curve takes its first sample.  The lower curve's search ends
+    before the upper one's starts, so only one side's rows are held at a
+    time, 8 bytes per word (at most 16 MiB at WORD_CAP words).  The
+    bisections read only whether each curve is <= 0, from `_cylinder_past`;
+    the bracket is the one that exact sums give.
     """
-    m = _effective_alphabet(bmap, alphabet_cap, order)
-    suffixes = _word_tables(bmap, m, order - 1)
     held = {}  # side -> its rows
 
     def past(side: str) -> Callable[[float], tuple[bool, float]]:
@@ -393,7 +380,7 @@ def bowen_root_cylinder(
         def sample(t: float) -> tuple[bool, float]:
             if side not in held:
                 held.clear()  # drop the other side's rows before building these
-                held[side] = [d for (d,) in _lead_derivatives(bmap, m, suffixes, (side,))]
+                held[side] = _cylinder_rows(bmap, order, alphabet_cap, side)
             return _cylinder_past(held[side], t)
         return sample
 

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presdim import interval_partition, pressure
-from presdim.interval_partition import PartitionError, build_partition, make_branch_map, refine_partition
+from presdim.interval_partition import (
+    PartitionError,
+    build_partition,
+    cylinder_derivative_sums,
+    make_branch_map,
+    refine_partition,
+)
 from presdim.pressure import (
     CONVERGES_AT_CRITICAL,
     DIVERGES_AT_CRITICAL,
@@ -289,30 +295,30 @@ def _cylinder_straddles(rows, t):
 
 
 def _count_cylinder(monkeypatch):
-    """Record the sides `_lead_derivatives` builds rows for, each (exponent, side, rows) `_cylinder_past`
+    """Record the side of each `_cylinder_rows` call, each (exponent, side, rows) `_cylinder_past`
     samples, and the (exponent, side) of each exact reduction it falls back to."""
     built, evaluated, reduced = [], [], []
-    real_leads, real_past, real_at_most_one = pressure._lead_derivatives, pressure._cylinder_past, pressure._at_most_one
+    real_rows, real_past, real_sample = pressure._cylinder_rows, pressure._cylinder_past, pressure._curve_sample
 
-    def counting_leads(bmap, m, suffixes, sides):
-        leads = list(real_leads(bmap, m, suffixes, sides))
-        built.append((sides, leads))
-        return iter(leads)
+    def counting_rows(bmap, order, alphabet_cap, side):
+        rows = real_rows(bmap, order, alphabet_cap, side)
+        built.append((side, rows))
+        return rows
 
     def counting_past(rows, t):
-        (side,), _ = next((sides, leads) for sides, leads in built if leads[0][0] is rows[0])
+        side = next(side for side, held in built if held is rows)
         evaluated.append((t, side, rows))
         return real_past(rows, t)
 
-    def counting_at_most_one(lo, hi, exact):
+    def counting_sample(lo, hi, exact):
         def counting_exact():
             reduced.append(evaluated[-1][:2])
             return exact()
-        return real_at_most_one(lo, hi, counting_exact)
+        return real_sample(lo, hi, counting_exact)
 
-    monkeypatch.setattr(pressure, "_lead_derivatives", counting_leads)
+    monkeypatch.setattr(pressure, "_cylinder_rows", counting_rows)
     monkeypatch.setattr(pressure, "_cylinder_past", counting_past)
-    monkeypatch.setattr(pressure, "_at_most_one", counting_at_most_one)
+    monkeypatch.setattr(pressure, "_curve_sample", counting_sample)
     return built, evaluated, reduced
 
 
@@ -330,7 +336,7 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, brac
     # the per-lead sum enclosures decide every sign: no exact reduction
     assert reduced == []
     # each side's rows are built once per root, not once per evaluation
-    assert [sides for sides, _ in built] == [("sup",), ("inf",)]
+    assert [side for side, _ in built] == ["sup", "inf"]
     assert (br.lower, br.upper) == bracket
 
 
@@ -378,12 +384,6 @@ def _cylinder_case(partition, order, cap):
     return bmap, order, cap, {"sup": br.lower, "inf": br.upper}
 
 
-def _side_rows(bmap, order, cap, side):
-    """One side's D_w rows, one array per lead, as `bowen_root_cylinder` holds them."""
-    m = pressure._effective_alphabet(bmap, cap, order)
-    return [d for (d,) in pressure._lead_derivatives(bmap, m, pressure._word_tables(bmap, m, order - 1), (side,))]
-
-
 CYLINDER_CASES = [
     _cylinder_case(build_partition("gauss-restricted", digits=(1, 2)), 9, None),
     _cylinder_case(build_partition("gauss", 1000), 3, 8),
@@ -398,25 +398,22 @@ def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
     # the lower curve sums the sup side, the upper curve the inf side
     bmap, order, cap, roots = case
     t = roots[side] + offset
-    past, _ = pressure._cylinder_past(_side_rows(bmap, order, cap, side), t)
+    past, _ = pressure._cylinder_past(interval_partition._cylinder_rows(bmap, order, cap, side), t)
     exact = pressure_cylinder_bracket(bmap, t, order, cap)
     assert past == (not (exact.lower if side == "sup" else exact.upper) > 0.0)
 
 
 @pytest.mark.parametrize("side", ["sup", "inf"])
 @pytest.mark.parametrize("case", range(len(CYLINDER_CASES)), ids=["e2-order-9", "capped-gauss-8", "affine-halves"])
-def test_cylinder_exact_sum_from_rows_has_the_bits_of_cylinder_sums(monkeypatch, case, side):
-    # the exact fallback of `_cylinder_past` sums the rows it holds; it must be `_cylinder_sums`' total, bit for bit
+def test_rows_total_rounds_each_lead_once_and_adds_the_leads_exactly(case, side):
+    # every exact cylinder sum is `_rows_total`: each lead's sum correctly rounded, then the leads' sums added
+    # exactly and rounded once; rounding the whole side once instead gives other bits near these roots
     bmap, order, cap, roots = CYLINDER_CASES[case]
-    m = pressure._effective_alphabet(bmap, cap, order)
-    suffixes = pressure._word_tables(bmap, m, order - 1)
-    rows = _side_rows(bmap, order, cap, side)
-    totals = []
-    monkeypatch.setattr(pressure, "_at_most_one", lambda lo, hi, exact: totals.append(exact()) or True)
+    rows = interval_partition._cylinder_rows(bmap, order, cap, side)
     for offset in (-1e-3, -1e-7, -1e-12, 0.0, 1e-12, 1e-7, 1e-3):
         t = roots[side] + offset
-        pressure._cylinder_past(rows, t)
-        assert totals[-1].hex() == float(pressure._cylinder_sums(bmap, m, suffixes, [t], (side,))[0, 0]).hex()
+        expected = math.fsum([math.fsum((row ** -t).tolist()) for row in rows])
+        assert interval_partition._rows_total(rows, t).hex() == expected.hex()
 
 
 @pytest.mark.parametrize("lo, hi, expected", [
@@ -429,14 +426,15 @@ def test_cylinder_exact_sum_from_rows_has_the_bits_of_cylinder_sums(monkeypatch,
     (math.nan, math.nan, None),  # nan fails both comparisons
 ])
 def test_decided_only_where_both_ends_fix_the_sign(lo, hi, expected):
-    # `_at_most_one` reads the exact sum (here 1.0) only where the ends leave "<= 1" open
+    # `_curve_sample` reads the exact sum (here 1.0) only where the ends leave "<= 1" open
     calls = []
 
     def exact():
         calls.append(1.0)
         return 1.0
 
-    assert pressure._at_most_one(lo, hi, exact) is (True if expected is None else expected)
+    past, _ = pressure._curve_sample(lo, hi, exact)
+    assert past is (True if expected is None else expected)
     assert len(calls) == (expected is None)
 
 
@@ -556,27 +554,33 @@ def test_bowen_root_cylinder_capped_gauss_pinned():
 
 def test_bowen_root_cylinder_benchmark_capped_gauss_pinned(monkeypatch):
     # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) takes 23 samples
-    # and falls back to exact sums where the enclosure straddles 1; each side's words are still walked once
+    # and falls back to exact sums where the enclosure straddles 1; each side's words are still walked once:
+    # one suffix table per side, and none for the exact sums
     built, evaluated, reduced = _count_cylinder(monkeypatch)
     walks = []
-    real_walk = interval_partition._lead_derivatives
-    monkeypatch.setattr(interval_partition, "_lead_derivatives", lambda *args: walks.append(args[-1]) or real_walk(*args))
+    real_walk = interval_partition._word_tables
+    monkeypatch.setattr(interval_partition, "_word_tables", lambda *args: walks.append(args[-1]) or real_walk(*args))
     bmap = make_branch_map(build_partition("gauss", 1000))
     br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
     assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 23
     assert reduced and reduced == [(t, side) for t, side, rows in evaluated if _cylinder_straddles(rows, t)]
-    assert [sides for sides, _ in built] == [("sup",), ("inf",)] and walks == []
+    assert [side for side, _ in built] == ["sup", "inf"] and walks == [3, 3]
     assert (br.lower, br.upper) == (0.9435027850467563, 1.0266823411778805)
 
 
-def test_bowen_root_cylinder_holds_one_side_of_rows():
-    # peak traced memory of the benchmark's capped-Gauss root: one side's rows (8 bytes per word),
+@pytest.mark.parametrize("run", [
+    lambda bmap: bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32),
+    lambda bmap: pressure_cylinder_bracket(bmap, 1.0, 4, alphabet_cap=32),
+    lambda bmap: cylinder_derivative_sums(bmap, 4, [0.9, 1.0], alphabet_cap=32),
+], ids=["bowen_root_cylinder", "pressure_cylinder_bracket", "cylinder_derivative_sums"])
+def test_cylinder_sums_hold_one_side_of_rows(run):
+    # peak traced memory at the benchmark's capped Gauss (order 4, cap 32): one side's rows (8 bytes per word),
     # the depth n-1 suffix tables (four arrays) and 2 MiB of per-lead temporaries; both sides would not fit
     bmap = make_branch_map(build_partition("gauss", 1000))
     words, suffix_words = 32 ** 4, 32 ** 3
     tracemalloc.start()
     try:
-        bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
+        run(bmap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

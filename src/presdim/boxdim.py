@@ -54,7 +54,8 @@ class PointCloud:
         if self.kind == "line":
             if pts.ndim != 1 or pts.size == 0:
                 raise ValueError("line cloud needs a non-empty 1-d array")
-            pts = _dedup_sorted(np.sort(pts))
+            # an ascending input (such as partition endpoints) skips the sort; NaN fails the test
+            pts = _dedup_sorted(pts if np.all(pts[1:] >= pts[:-1]) else np.sort(pts))
         elif self.kind == "sphere":
             if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 2:
                 raise ValueError("sphere cloud needs a non-empty (N, d) array with d >= 2")

@@ -29,7 +29,7 @@ from .boxdim import (
     estimate_box_dimension,
     gap_exponent_bounds,
 )
-from .hyperbolic import ParabolicGroupSpec, boundary_plane_point, identity_suite, parabolic_orbit
+from .hyperbolic import ParabolicGroupSpec, identity_suite, parabolic_orbit
 from .interval_partition import build_partition, make_branch_map, max_cylinder_order
 from .poincare import counting_exponent, critical_exponent, poincare_partial
 from .pressure import (
@@ -297,7 +297,7 @@ def _orbit_cloud(cfg) -> PointCloud:
     xi = _get(cfg, "orbit", "xi", _numbers, REQUIRED)
     radius = _get(cfg, "orbit", "radius", int, REQUIRED)
     with _section("orbit"):
-        return parabolic_orbit(group, boundary_plane_point(xi), radius)
+        return parabolic_orbit(group, xi, radius)
 
 
 def _cmd_boxdim(args, cfg, cfg_hash) -> int:

@@ -16,15 +16,12 @@ import pytest
 from presdim import cli
 from presdim.boxdim import PointCloud, estimate_box_dimension, gap_exponent_bounds
 from presdim.hyperbolic import (
-    HALF_SPACE,
     ParabolicGroupSpec,
-    base_point,
-    boundary_plane_point,
-    gromov_product,
+    _bourdon,
+    _orbit_distance,
+    _translate,
     identity_suite,
-    orbit_distance,
     parabolic_orbit,
-    translate,
 )
 from presdim.interval_partition import build_partition, make_branch_map, refine_partition
 from presdim.poincare import counting_exponent, critical_exponent
@@ -173,11 +170,9 @@ def test_criterion_06_parabolic_critical_exponents():
 
 def test_criterion_07_orbit_box_dimension_and_three_way_check(tmp_path, capsys):
     t0 = time.perf_counter()
-    xi1 = boundary_plane_point([0.0])
-    cloud1 = parabolic_orbit(G21, xi1, 100_000)
+    cloud1 = parabolic_orbit(G21, [0.0], 100_000)
     est1 = estimate_box_dimension(cloud1, 2.0 ** -np.arange(6.0, 19.0))
-    xi2 = boundary_plane_point([0.0, 0.0])
-    cloud2 = parabolic_orbit(G32, xi2, 400)
+    cloud2 = parabolic_orbit(G32, [0.0, 0.0], 400)
     est2 = estimate_box_dimension(cloud2, 2.0 ** -np.arange(4.0, 15.0))
     ok = (
         abs(est1.lower_dim - 0.5) <= 0.1
@@ -215,17 +210,12 @@ def test_criterion_08_geometry_identity_suite():
 
 def test_criterion_09_parabolic_sandwich_spread():
     t0 = time.perf_counter()
-    xi = boundary_plane_point([0.0])
-    o = base_point(HALF_SPACE, 2)
     ks = np.unique(np.geomspace(50, 10_000, 60).astype(np.int64))
-    diffs = []
-    for sign in (1, -1):
-        for k in ks:
-            k = int(sign * k)
-            a = translate(G21, [k], xi)
-            b = translate(G21, [k + 1], xi)
-            diffs.append(gromov_product(a, b, o) - orbit_distance(G21, [k]))
-    diffs = np.array(diffs)
+    # (xi_k | xi_{k+1})_o = -log of their Bourdon metric, xi_k = N_k.xi the orbit of xi = 0
+    k = np.concatenate([ks, -ks]).astype(float)[:, None]
+    xi, o, finite = np.zeros((len(k), 1)), np.broadcast_to([0.0, 1.0], (len(k), 2)), np.zeros(len(k), dtype=bool)
+    a, b = _translate(xi, k @ G21.alphas), _translate(xi, (k + 1.0) @ G21.alphas)
+    diffs = -np.log(_bourdon(a, finite, b, finite, o)) - _orbit_distance(k @ G21.alphas)
     spread = float(diffs.max() - diffs.min())
     ok = np.all(np.isfinite(diffs)) and spread <= 1.0
     detail = f"values in [{diffs.min():.5f}, {diffs.max():.5f}], spread {spread:.5f} <= 1"

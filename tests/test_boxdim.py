@@ -23,6 +23,10 @@ def test_line_cloud_sorts_and_dedups():
     np.testing.assert_allclose(cloud.points, [0.1, 0.5, 0.9])
     assert cloud.count == 3
     assert cloud.dimension_cap == 1.0
+    # an ascending input skips the sort; the cloud still holds its own deduplicated copy
+    ascending = np.array([0.1, 0.1, 0.5, 0.9])
+    assert PointCloud(ascending, "line").points.tolist() == [0.1, 0.5, 0.9]
+    assert ascending.flags.writeable
 
 
 def test_sphere_cloud_validation():

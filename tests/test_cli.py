@@ -14,7 +14,7 @@ import pytest
 import presdim
 from presdim import cli
 from presdim.boxdim import PointCloud, estimate_box_dimension
-from presdim.hyperbolic import ParabolicGroupSpec, boundary_plane_point, parabolic_orbit
+from presdim.hyperbolic import ParabolicGroupSpec, parabolic_orbit
 from presdim.interval_partition import build_partition
 
 
@@ -56,6 +56,7 @@ j_max = 14
 t_max = 18.0
 levels = 30
 """
+ORBIT_21 = GROUP21.replace("[boxdim]", "[boxdim]\nsource = orbit")
 
 
 def test_pressure_csv_grid(tmp_path, capsys):
@@ -175,9 +176,9 @@ def test_boxdim_counts_match_the_estimator(tmp_path, capsys, source):
         text = GAUSS_BOXDIM
         cloud = PointCloud(build_partition("gauss", 20_000).endpoints(), "line")
     else:
-        text = GROUP21.replace("[boxdim]", "[boxdim]\nsource = orbit")
+        text = ORBIT_21
         group = ParabolicGroupSpec(2, 1, np.array([[1.0]]))
-        cloud = parabolic_orbit(group, boundary_plane_point([0.0]), 2000)
+        cloud = parabolic_orbit(group, [0.0], 2000)
     cfg = _write_config(tmp_path, "b.ini", text)
     code, out = _run(["boxdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -357,8 +358,7 @@ def test_malformed_grid_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["orbit", "boxdim", "verify-hdim"])
 def test_orbit_lattice_over_cap_exits_2(tmp_path, capsys, command):
     # 2 * 10^7 + 1 lattice points exceed the enumeration cap of 2 * 10^7
-    text = GROUP21.replace("radius = 2000", "radius = 10000000")
-    text = text.replace("[boxdim]", "[boxdim]\nsource = orbit")
+    text = ORBIT_21.replace("radius = 2000", "radius = 10000000")
     cfg = _write_config(tmp_path, "big.ini", text)
     code, out = _run([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -429,6 +429,11 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
      "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got 0.9, 0.9)"),
     ("bowen", GAUSS_100 + "\n[bowen]\nt_low = nan\n",
      "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got nan, 8.0)"),
+    *((command, ORBIT_21.replace("xi = 0.0", f"xi = {xi}"), f"config error: [orbit] {message}")
+      for command in ("orbit", "boxdim", "verify-hdim")
+      for xi, message in (("nan", "coordinates must be finite"), ("inf", "coordinates must be finite"),
+                          ("0.0 0.0", "boundary point dimension does not match the group"),
+                          ("", "boundary point dimension does not match the group"))),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, command, text, message):
     cfg = _write_config(tmp_path, "e.ini", text)

@@ -262,7 +262,7 @@ def test_is_psd_exact(matrix, psd):
     assert hyperbolic._is_psd([[Fraction(x) for x in row] for row in matrix]) is psd
 
 
-def test_translate_is_an_isometry():
+def test_translate_is_isometry_and_fixes_infinity():
     rng = np.random.default_rng(RNG_SEED + 9)
     g = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.3], [0.0, 0.8]]))
     pts, coeffs = [], []
@@ -271,8 +271,25 @@ def test_translate_is_an_isometry():
         coeffs.append(rng.integers(-5, 6, size=2))
     p, q = np.array(pts).transpose(1, 0, 2)
     shift = np.array(coeffs, dtype=float) @ g.alphas
-    moved = _distance(_translate(p, shift), _translate(q, shift), HALF_SPACE)
-    np.testing.assert_allclose(moved, _distance(p, q, HALF_SPACE), rtol=0.0, atol=1e-10)
+    gp, gq = _translate(p, shift), _translate(q, shift)
+    np.testing.assert_allclose(_distance(gp, gq, HALF_SPACE), _distance(p, q, HALF_SPACE), rtol=0.0, atol=1e-10)
+    # heights are kept, so the horospheres about infinity and its Busemann function are too
+    assert np.array_equal(gp[:, -1], p[:, -1])
+    at_inf = np.ones(len(p), dtype=bool)
+    assert np.array_equal(_busemann(np.zeros((len(p), 2)), at_inf, gp, gq),
+                          _busemann(np.zeros((len(p), 2)), at_inf, p, q))
+
+
+def test_translate_acts_on_ball_points_as_an_isometry():
+    # a translation of the ball is the half-space translation conjugated by the model swap
+    g = ParabolicGroupSpec(3, 2, np.array([[1.0, 0.3], [0.0, 0.8]]))
+    p, q = _row([0.1, -0.2, 0.3]), _row([-0.5, 0.4, 0.0])
+    shift = _row([2, -1]) @ g.alphas
+    gp, gq = (_invert(_translate(_invert(x), shift)) for x in (p, q))
+    assert np.linalg.norm(gp) < 1.0 and np.linalg.norm(gq) < 1.0
+    assert _distance(gp, gq, BALL)[0] == pytest.approx(_distance(p, q, BALL)[0], rel=1e-12)
+    # the ball image is the half-space translate carried back
+    np.testing.assert_allclose(_invert(gp), _translate(_invert(p), shift), rtol=1e-12)
 
 
 def test_orbit_distance_closed_form():
@@ -324,6 +341,23 @@ G1 = ParabolicGroupSpec(2, 1, [[1.0]])
     (lambda: parabolic_orbit(G1, [math.nan], 1), ValueError, "coordinates must be finite"),
     (lambda: parabolic_orbit(G1, [0.0, 0.0], 1), ValueError, "boundary point dimension does not match the group"),
     (lambda: parabolic_orbit(G1, [], 1), ValueError, "boundary point dimension does not match the group"),
+    (lambda: ParabolicGroupSpec(2, 0, [[1.0]]), ValueError, "rank must lie in [1, ambient-1]"),
+    (lambda: ParabolicGroupSpec(3, 3, np.eye(3)), ValueError, "rank must lie in [1, ambient-1]"),
+    (lambda: ParabolicGroupSpec(2, 1, [[1.0, 2.0]]),
+     ValueError, "need 1 translation vectors of length 1, got shape (1, 2)"),
+    (lambda: ParabolicGroupSpec(3, 2, [[1.0, 0.0], [2.0, 0.0]]),
+     ValueError, "translation vectors must be linearly independent"),
+    (lambda: ParabolicGroupSpec(3, 2, [[1.0, 0.0], [0.0, 0.0]]),
+     ValueError, "translation vectors must be linearly independent"),
+    # independent in exact arithmetic, but sigma_min / sigma_max is below 1e-12
+    (lambda: ParabolicGroupSpec(3, 2, [[1.0, 0.0], [1.0, 1e-13]]),
+     ValueError, "translation vectors must be linearly independent"),
+    (lambda: parabolic_orbit(G1, [0.0], -5), ValueError, "radius must be >= 1"),
+    (lambda: parabolic_orbit(G1, [math.inf], 1), ValueError, "coordinates must be finite"),
+    (lambda: parabolic_orbit(G1, [[0.0]], 1), ValueError, "boundary point dimension does not match the group"),
+    (lambda: parabolic_orbit(ParabolicGroupSpec(3, 2, np.eye(2)), [0.0, 0.0], 10**6),
+     ValueError, "lattice cube has 4000004000001 points, above the cap 20000000"),
+    (lambda: identity_suite(0, np.random.default_rng(0)), ValueError, "trials must be >= 1"),
 ])
 def test_group_and_orbit_validation(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

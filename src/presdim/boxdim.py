@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval_partition import IntervalPartition, PartitionError, _dedup_sorted
+from .interval_partition import IntervalPartition, PartitionError
 
 __all__ = [
     "PointCloud",
@@ -28,6 +28,9 @@ __all__ = [
     "gap_exponent_bounds",
 ]
 
+# line-cloud points within this of their predecessor are repeats
+_DEDUP_TOL = 1e-15
+_DEDUP_BLOCK = 1 << 16
 # cell indices for unit-sphere coordinates must fit the 21-bit packed keys
 _MIN_SPHERE_DELTA = 2.0 ** -19
 _SATURATION_FRACTION = 0.9
@@ -36,11 +39,24 @@ _SATURATION_FRACTION = 0.9
 _FIT_RESIDUAL_CAP = 0.02
 
 
+def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
+    """A non-empty ascending array without the points within 1e-15 of their predecessor.
+
+    Gaps go a block at a time: an array of all of them would set an endpoint cloud's peak memory.
+    """
+    keep = np.empty(pts.size, dtype=bool)
+    keep[0] = True
+    for start in range(0, pts.size - 1, _DEDUP_BLOCK):
+        stop = min(start + _DEDUP_BLOCK, pts.size - 1)
+        np.greater(np.diff(pts[start:stop + 1]), _DEDUP_TOL, out=keep[start + 1:stop + 1])
+    return pts[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """An immutable finite point set, either on the line or on a unit sphere.
 
-    Line clouds are sorted and deduplicated at 1e-15; sphere clouds hold unit
+    Line clouds are finite, sorted and deduplicated at 1e-15; sphere clouds hold unit
     vectors (rows) in the given order, duplicates kept, since occupied cells
     ignore both.  `label` records how the cloud was built.
     """
@@ -55,7 +71,11 @@ class PointCloud:
             if pts.ndim != 1 or pts.size == 0:
                 raise ValueError("line cloud needs a non-empty 1-d array")
             # an ascending input (such as partition endpoints) skips the sort; NaN fails the test
-            pts = _dedup_sorted(pts if np.all(pts[1:] >= pts[:-1]) else np.sort(pts))
+            pts = pts if np.all(pts[1:] >= pts[:-1]) else np.sort(pts)
+            # once sorted, any NaN or infinity sits at an end
+            if not (math.isfinite(pts[0]) and math.isfinite(pts[-1])):
+                raise ValueError("line cloud points must be finite")
+            pts = _dedup_sorted(pts)
         elif self.kind == "sphere":
             if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 2:
                 raise ValueError("sphere cloud needs a non-empty (N, d) array with d >= 2")

@@ -557,37 +557,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pressure, critical exponents, and box dimensions for interval "
                     "partitions and parabolic groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_config) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, default=None,
-                       help="INI config file driving the run")
-        p.add_argument("--out", default=None if name == "selftest" else ".",
-                       help="output directory for CSV/JSON artifacts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect (every command "
-                            "runs serially)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override for the relevant computation")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="partition truncation override")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="INI config file driving the run (optional for selftest)")
+    parser.add_argument("--out", help="output directory for CSV/JSON artifacts (default '.'; none for selftest)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect (every command runs serially)")
+    parser.add_argument("--tol", type=float, help="tolerance override for the relevant computation")
+    parser.add_argument("--truncation", type=int, help="partition truncation override")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    handler, _ = _COMMANDS[args.command]
-    cfg = None
-    cfg_hash = None
+    handler, needs_config = _COMMANDS[args.command]
+    if needs_config and args.out is None:
+        args.out = "."
     try:
-        if args.config is not None:
-            cfg, cfg_hash = _load_config(args.config)
+        if needs_config and args.config is None:
+            raise ConfigError(f"--config is required for {args.command}")
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
+        if args.tol is not None and args.tol <= 0:
+            raise ConfigError("--tol must be positive")
+        cfg, cfg_hash = (None, None) if args.config is None else _load_config(args.config)
         return handler(args, cfg, cfg_hash)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,8 +32,6 @@ __all__ = [
     "refine_partition",
 ]
 
-_DEDUP_TOL = 1e-15
-_DEDUP_BLOCK = 1 << 16
 _TILING_TOL = 1e-12
 # default limit on the number of cylinder words one enumeration may build
 WORD_CAP = 1 << 21
@@ -41,19 +39,6 @@ WORD_CAP = 1 << 21
 
 class PartitionError(ValueError):
     """Invalid partition data or an operation outside a generator's domain."""
-
-
-def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
-    """A non-empty ascending array without the points within 1e-15 of their predecessor.
-
-    Gaps go a block at a time: an array of all of them would set an endpoint cloud's peak memory.
-    """
-    keep = np.empty(pts.size, dtype=bool)
-    keep[0] = True
-    for start in range(0, pts.size - 1, _DEDUP_BLOCK):
-        stop = min(start + _DEDUP_BLOCK, pts.size - 1)
-        np.greater(np.diff(pts[start:stop + 1]), _DEDUP_TOL, out=keep[start + 1:stop + 1])
-    return pts[keep]
 
 
 @dataclass(frozen=True)
@@ -261,9 +246,10 @@ class IntervalPartition:
             raise PartitionError("partition needs matching 1-d, non-empty endpoint arrays")
         if not (np.all(left >= -1e-15) and np.all(right <= 1.0 + 1e-15)):
             raise PartitionError("intervals must lie inside [0, 1]")
-        if not np.all(right - left > 0.0):
+        # right > left is right - left > 0 without a float temporary (subnormals keep the sign)
+        if not np.all(right > left):
             raise PartitionError("every interval needs positive length")
-        if not np.all(np.diff(right) < 0.0):
+        if not np.all(right[1:] < right[:-1]):
             raise PartitionError("intervals must be ordered by strictly decreasing right endpoint")
         # disjoint interiors: next right endpoint must not pass the current left
         if left.size > 1 and np.any(right[1:] - left[:-1] > _TILING_TOL):
@@ -285,10 +271,11 @@ class IntervalPartition:
         return self._lengths
 
     def endpoints(self) -> np.ndarray:
-        """Deduplicated, ascending endpoint set of the materialized intervals."""
-        pts = np.concatenate([self.left, self.right])
-        pts.sort()
-        return _dedup_sorted(pts)
+        """Endpoints of the intervals from left to right, repeats kept: a line `PointCloud` drops them.
+
+        They ascend unless intervals overlap, as no built-in generator's do; a line `PointCloud` sorts them otherwise.
+        """
+        return np.column_stack([self.left[::-1], self.right[::-1]]).ravel()
 
     def total_length(self) -> float:
         return compensated_sum(self.lengths)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from presdim.boxdim import (
+    _DEDUP_BLOCK,
     PointCloud,
+    _dedup_sorted,
     covering_count,
     estimate_box_dimension,
     gap_exponent_bounds,
@@ -44,6 +46,73 @@ def test_sphere_cloud_validation():
         PointCloud(np.array([[1.0], [-1.0]]), "sphere")
     with pytest.raises(ValueError, match="unknown cloud kind"):
         PointCloud(np.array([0.1]), "plane")
+
+
+def test_line_cloud_rejects_non_finite_points():
+    # sorted, NaN lands last, where the 1e-15 gap test would drop it without a word
+    for bad in ([1.0, np.nan, 2.0], [np.nan], [1.0, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match="line cloud points must be finite"):
+            PointCloud(np.array(bad), "line")
+
+
+def test_dedup_sorted_drops_repeats_across_block_boundaries():
+    # gaps go a block at a time; each point repeated three times puts repeats on both sides of block edges,
+    # and a gap of 1e-15 or less is a repeat
+    x = np.arange(3 * _DEDUP_BLOCK + 7) * 1e-9
+    pts = np.sort(np.concatenate([x, x, x + 5e-16]))
+    kept = _dedup_sorted(pts)
+    np.testing.assert_array_equal(kept, pts[np.concatenate([[True], np.diff(pts) > 1e-15])])
+    assert kept.size == x.size
+
+
+ENDPOINT_PARTITIONS = [
+    ("gauss", {"truncation": 10_000}),
+    ("dyadic", {"truncation": 1000}),
+    ("power-law", {"truncation": 10_000, "exponent": 1.5}),
+    ("log-squared", {"truncation": 10_000}),
+    ("oscillating", {"truncation": 10_000}),
+    ("gauss-restricted", {"digits": (1, 2, 5)}),
+]
+
+
+def _reference_endpoint_cloud(part) -> np.ndarray:
+    pts = np.sort(np.concatenate([part.left, part.right]))
+    return pts[np.concatenate([[True], np.diff(pts) > 1e-15])]
+
+
+def _counting_sorts(monkeypatch) -> list:
+    calls = []
+    real_sort = np.sort
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real_sort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    return calls
+
+
+@pytest.mark.parametrize("generator, kwargs", ENDPOINT_PARTITIONS)
+def test_endpoint_cloud_of_a_generator_skips_the_sort(monkeypatch, generator, kwargs):
+    part = build_partition(generator, **kwargs)
+    pts = part.endpoints()
+    assert pts.size == 2 * part.count
+    assert np.all(pts[1:] >= pts[:-1])
+    sorts = _counting_sorts(monkeypatch)
+    cloud = PointCloud(pts, "line")
+    assert sorts == []
+    assert cloud.points.tobytes() == _reference_endpoint_cloud(part).tobytes()
+
+
+def test_endpoint_cloud_of_overlapping_intervals_is_sorted(monkeypatch):
+    # overlaps within the 1e-12 tiling tolerance are accepted; their endpoints do not ascend
+    part = build_partition("explicit", intervals=[(0.5, 1.0), (0.2, 0.5 + 1e-13), (0.05, 0.1)])
+    assert not np.all(np.diff(part.endpoints()) >= 0)
+    sorts = _counting_sorts(monkeypatch)
+    cloud = PointCloud(part.endpoints(), "line")
+    assert sorts == [1]
+    assert cloud.points.tobytes() == _reference_endpoint_cloud(part).tobytes()
+    assert cloud.count == 6
 
 
 # ---------------------------------------------------------------------------

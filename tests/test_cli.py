@@ -335,6 +335,35 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert out.err
 
 
+@pytest.mark.parametrize("command", ["bowen", "verify-main", "orbit"])
+def test_command_without_config_returns_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out = _run([command], capsys)
+    assert code == 2
+    assert out.err == f"error: --config is required for {command}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_selftest_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, "s.ini", "[selftest]\ntrials = 50\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out = _run(["selftest", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert "overall: PASS" in out.out
+    assert "wrote" not in out.out
+    assert not list(work.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini", "work"]
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_bad_generator_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bad.ini", "[partition]\ngenerator = fibonacci\ntruncation = 10\n")
     code, out = _run(["s-infinity", "--config", str(cfg), "--out", str(tmp_path)], capsys)

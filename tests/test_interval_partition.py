@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from presdim.boxdim import gap_exponent_bounds
 from presdim.interval_partition import (
-    _DEDUP_BLOCK,
     IntervalPartition,
     PartitionError,
     _cylinder_bounds,
-    _dedup_sorted,
     _derivative_range,
     build_partition,
     cylinder_derivative_sums,
@@ -106,16 +104,6 @@ def test_explicit_intervals_validation():
         build_partition("explicit", intervals=[(0.5, 1.2)])
     with pytest.raises(PartitionError, match="positive length"):
         build_partition("explicit", intervals=[(0.5, 0.5)])
-
-
-def test_dedup_sorted_drops_repeats_across_block_boundaries():
-    # gaps go a block at a time; each point repeated three times puts repeats on both sides of block edges,
-    # and a gap of 1e-15 or less is a repeat
-    x = np.arange(3 * _DEDUP_BLOCK + 7) * 1e-9
-    pts = np.sort(np.concatenate([x, x, x + 5e-16]))
-    kept = _dedup_sorted(pts)
-    np.testing.assert_array_equal(kept, pts[np.concatenate([[True], np.diff(pts) > 1e-15])])
-    assert kept.size == x.size
 
 
 def test_sorted_lengths_decreasing():

@@ -28,37 +28,19 @@ __all__ = [
     "gap_exponent_bounds",
 ]
 
-# line-cloud points within this of their predecessor are repeats
-_DEDUP_TOL = 1e-15
-_DEDUP_BLOCK = 1 << 16
-# cell indices for unit-sphere coordinates must fit the 21-bit packed keys
-_MIN_SPHERE_DELTA = 2.0 ** -19
 _SATURATION_FRACTION = 0.9
 # order-2 drift fits with worse residuals than this describe ratio sequences
 # with no limit; the extrapolated value is then discarded
 _FIT_RESIDUAL_CAP = 0.02
 
 
-def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
-    """A non-empty ascending array without the points within 1e-15 of their predecessor.
-
-    Gaps go a block at a time: an array of all of them would set an endpoint cloud's peak memory.
-    """
-    keep = np.empty(pts.size, dtype=bool)
-    keep[0] = True
-    for start in range(0, pts.size - 1, _DEDUP_BLOCK):
-        stop = min(start + _DEDUP_BLOCK, pts.size - 1)
-        np.greater(np.diff(pts[start:stop + 1]), _DEDUP_TOL, out=keep[start + 1:stop + 1])
-    return pts[keep]
-
-
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """An immutable finite point set, either on the line or on a unit sphere.
 
-    Line clouds are finite, sorted and deduplicated at 1e-15; sphere clouds hold unit
-    vectors (rows) in the given order, duplicates kept, since occupied cells
-    ignore both.  `label` records how the cloud was built.
+    Line clouds are finite, sorted and hold each distinct float once; sphere
+    clouds hold unit vectors (rows) in the given order, duplicates kept, since
+    occupied cells ignore both.  `label` records how the cloud was built.
     """
 
     points: np.ndarray
@@ -75,7 +57,11 @@ class PointCloud:
             # once sorted, any NaN or infinity sits at an end
             if not (math.isfinite(pts[0]) and math.isfinite(pts[-1])):
                 raise ValueError("line cloud points must be finite")
-            pts = _dedup_sorted(pts)
+            # a point goes only when it equals its predecessor: one byte per point, no gap array
+            keep = np.empty(pts.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(pts[1:], pts[:-1], out=keep[1:])
+            pts = pts[keep]
         elif self.kind == "sphere":
             if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 2:
                 raise ValueError("sphere cloud needs a non-empty (N, d) array with d >= 2")
@@ -162,27 +148,27 @@ def covering_count(cloud: PointCloud, delta: float) -> int:
     """Number N_delta of occupied cells of the delta-mesh (side-delta cubes).
 
     A point x lies in the cell floor(x / delta).  Line clouds are sorted, so
-    their cell indices are sorted too; sphere clouds pack one 21-bit field per
-    axis into an int64 key and sort the keys.  N_delta is then one more than
-    the number of places where consecutive keys differ, so it depends only on
-    the point set.
+    their cell indices are sorted too; sphere clouds in R^d pack one field of
+    63 // d bits per axis into an int64 key and sort the keys.  N_delta is
+    then one more than the number of places where consecutive keys differ, so
+    it depends only on the point set.
     """
     pts = cloud.points
     if cloud.kind == "line":
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError("delta must be positive")
         keys = pts / delta
         np.floor(keys, out=keys)
     else:
         if not 0 < delta < math.pi:
             raise ValueError("delta must lie in (0, pi)")
-        if delta < _MIN_SPHERE_DELTA:
-            raise ValueError(f"delta below supported resolution {_MIN_SPHERE_DELTA}")
         dim = pts.shape[1]
-        if dim > 3:
-            raise ValueError("packed cell keys support sphere clouds in R^2 and R^3 only")
-        bits = 21
-        # offset indices in [-2^19, 2^19] to non-negative fields, so packing is injective
+        bits = 63 // dim
+        # at delta >= 2^(2 - bits), unit coordinates give indices within 2^(bits - 2) + 1 of 0;
+        # offset by 2^(bits - 1), each fits its field, so packing is injective
+        floor = 2.0 ** (2 - bits)
+        if delta < floor:
+            raise ValueError(f"delta below supported resolution {floor} in R^{dim}")
         idx = np.floor(pts / delta).astype(np.int64) + (1 << (bits - 1))
         keys = idx[:, 0]
         for axis in range(1, dim):
@@ -202,7 +188,7 @@ def estimate_box_dimension(cloud: PointCloud, deltas: np.ndarray) -> DimensionEs
     deltas = np.unique(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size < 8:
         raise ValueError("need a delta grid with at least 8 levels")
-    if np.any(deltas <= 0):
+    if not np.all(deltas > 0):
         raise ValueError("deltas must be positive")
     counts = np.array([covering_count(cloud, d) for d in deltas], dtype=np.int64)
     saturated = counts > _SATURATION_FRACTION * cloud.count

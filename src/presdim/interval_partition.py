@@ -373,7 +373,7 @@ def build_partition(
 # branch maps and cylinders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchMap:
     """A full-branch expanding map: each interval maps onto (0, 1).
 
@@ -384,7 +384,7 @@ class BranchMap:
 
     kind: str
     partition: IntervalPartition
-    digits: tuple[int, ...] | None = None
+    digits: np.ndarray | None = None
 
     @property
     def branch_count(self) -> int:
@@ -404,7 +404,7 @@ class BranchMap:
         """
         if self.kind == "linear-full" or self.alphabet_unbounded:
             return 0.0, 1.0
-        dmin, dmax = min(self.digits), max(self.digits)
+        dmin, dmax = float(self.digits.min()), float(self.digits.max())
         m, big = 0.0, 1.0
         for _ in range(200):
             big = 1.0 / (dmin + m)
@@ -419,9 +419,9 @@ def make_branch_map(partition: IntervalPartition) -> BranchMap:
     x -> 1/x - d; every other partition gets the affine full branches.
     """
     if partition.generator == "gauss":
-        return BranchMap("gauss-analytic", partition, tuple(range(1, partition.count + 1)))
+        return BranchMap("gauss-analytic", partition, np.arange(1, partition.count + 1))
     if partition.generator == "gauss-restricted":
-        return BranchMap("gauss-analytic", partition, tuple(partition.params["digits"]))
+        return BranchMap("gauss-analytic", partition, np.array(partition.params["digits"]))
     return BranchMap("linear-full", partition, None)
 
 

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from presdim.boxdim import (
-    _DEDUP_BLOCK,
     PointCloud,
-    _dedup_sorted,
     covering_count,
     estimate_box_dimension,
     gap_exponent_bounds,
@@ -49,20 +47,29 @@ def test_sphere_cloud_validation():
 
 
 def test_line_cloud_rejects_non_finite_points():
-    # sorted, NaN lands last, where the 1e-15 gap test would drop it without a word
+    # sorted, NaN lands last, where the repeat test (NaN != NaN) would keep it
     for bad in ([1.0, np.nan, 2.0], [np.nan], [1.0, np.inf], [-np.inf, 0.5]):
         with pytest.raises(ValueError, match="line cloud points must be finite"):
             PointCloud(np.array(bad), "line")
 
 
-def test_dedup_sorted_drops_repeats_across_block_boundaries():
-    # gaps go a block at a time; each point repeated three times puts repeats on both sides of block edges,
-    # and a gap of 1e-15 or less is a repeat
-    x = np.arange(3 * _DEDUP_BLOCK + 7) * 1e-9
-    pts = np.sort(np.concatenate([x, x, x + 5e-16]))
-    kept = _dedup_sorted(pts)
-    np.testing.assert_array_equal(kept, pts[np.concatenate([[True], np.diff(pts) > 1e-15])])
-    assert kept.size == x.size
+def test_line_cloud_drops_exact_repeats_only():
+    # a point goes only when it equals its predecessor: one ulp apart is two points, at every
+    # scale down to the subnormals, and a repeated point is one
+    x = 2.0 ** -np.arange(1.0, 1074.0)
+    pts = np.concatenate([x, x, np.nextafter(x, 1.0)])
+    kept = PointCloud(pts, "line").points
+    np.testing.assert_array_equal(kept, np.unique(pts))
+    assert kept.size == 2 * x.size
+
+
+def test_dyadic_endpoint_cloud_keeps_every_endpoint():
+    # the endpoints 2^-k, k = 0..1000, are distinct floats; at delta = 2^-j those with k <= j
+    # occupy one cell each and the rest share cell 0
+    cloud = PointCloud(build_partition("dyadic", 1000).endpoints(), "line")
+    assert cloud.count == 1001
+    for j in range(1, 999):
+        assert covering_count(cloud, 2.0 ** -j) == j + 2
 
 
 ENDPOINT_PARTITIONS = [
@@ -77,7 +84,7 @@ ENDPOINT_PARTITIONS = [
 
 def _reference_endpoint_cloud(part) -> np.ndarray:
     pts = np.sort(np.concatenate([part.left, part.right]))
-    return pts[np.concatenate([[True], np.diff(pts) > 1e-15])]
+    return pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
 
 
 def _counting_sorts(monkeypatch) -> list:
@@ -148,8 +155,9 @@ def test_line_covering_known_values():
     cloud = PointCloud(np.array([0.0, 0.1, 0.2, 0.55, 1.0]), "line")
     assert covering_count(cloud, 0.2) == 4
     assert covering_count(cloud, 1.0) == 2
-    with pytest.raises(ValueError, match="positive"):
-        covering_count(cloud, 0.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            covering_count(cloud, bad)
     # one function counts both kinds of cloud
     assert covering_count(PointCloud(np.eye(2), "sphere"), 0.1) == 2
 
@@ -176,13 +184,20 @@ def _random_sphere_cloud(rng, n: int, dim: int) -> PointCloud:
     return PointCloud(v, "sphere")
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_sphere_covering_counts_occupied_cells(dim):
+    # keys pack 63 // d bits per axis, down to delta = 2^(2 - 63 // d); the axis vectors,
+    # scaled within the unit tolerance, put indices at both ends of each field
     rng = np.random.default_rng(101 + dim)
-    cloud = _random_sphere_cloud(rng, 2000, dim)
-    for delta in (2.0 ** -19, 0.003, 0.05, 0.2, 0.7, 3.0):
-        got = covering_count(cloud, delta)
-        assert got == len({tuple(np.floor(p / delta)) for p in cloud.points})
+    v = _random_sphere_cloud(rng, 2000, dim).points
+    pts = np.vstack([v, np.eye(dim), -np.eye(dim)]) * (1.0 + 5e-10)
+    cloud = PointCloud(pts, "sphere")
+    floor = 2.0 ** (2 - 63 // dim)
+    for delta in (floor, 3.0 * floor, 0.003, 0.05, 0.2, 0.7, 3.0):
+        if delta >= floor:
+            assert covering_count(cloud, delta) == np.unique(np.floor(pts / delta), axis=0).shape[0]
+    with pytest.raises(ValueError, match=f"below supported resolution {floor} in R\\^{dim}"):
+        covering_count(cloud, np.nextafter(floor, 0.0))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -210,14 +225,14 @@ def test_sphere_covering_row_order_invariant():
 
 def test_sphere_covering_guards():
     cloud = _random_sphere_cloud(np.random.default_rng(0), 10, 2)
-    with pytest.raises(ValueError, match=r"\(0, pi\)"):
-        covering_count(cloud, 4.0)
+    for bad in (4.0, np.nan):
+        with pytest.raises(ValueError, match=r"\(0, pi\)"):
+            covering_count(cloud, bad)
     with pytest.raises(ValueError, match="below supported resolution"):
-        covering_count(cloud, 2.0 ** -25)
-    v = np.random.default_rng(1).normal(size=(10, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    with pytest.raises(ValueError, match="R\\^2 and R\\^3"):
-        covering_count(PointCloud(v, "sphere"), 0.1)
+        covering_count(cloud, 2.0 ** -30)
+    # R^4 and up count like R^2 and R^3
+    v = _random_sphere_cloud(np.random.default_rng(1), 10, 4).points
+    assert covering_count(PointCloud(v, "sphere"), 0.1) == len({tuple(np.floor(p / 0.1)) for p in v})
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +265,7 @@ def test_box_dimension_needs_eight_levels():
         estimate_box_dimension(cloud, 2.0 ** -np.arange(4.0, 9.0))
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5])
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
 def test_box_dimension_needs_positive_deltas(bad):
     cloud = PointCloud(np.linspace(0.0, 1.0, 100), "line")
     with pytest.raises(ValueError, match="deltas must be positive"):

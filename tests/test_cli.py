@@ -193,6 +193,39 @@ def test_boxdim_counts_match_the_estimator(tmp_path, capsys, source):
     assert (doc["lower_dim"], doc["upper_dim"]) == (est.lower_dim, est.upper_dim)
 
 
+GROUP43 = """\
+[group]
+ambient = 4
+rank = 3
+alpha_1 = 1.0 0.0 0.0
+alpha_2 = 0.0 1.0 0.0
+alpha_3 = 0.0 0.0 1.0
+
+[orbit]
+xi = 0.0 0.0 0.0
+radius = 8
+
+[boxdim]
+source = orbit
+j_min = 1
+j_max = 8
+"""
+
+
+def test_rank_3_orbit_box_counts_but_no_lattice_counts(tmp_path, capsys):
+    # sphere cells in R^4 pack 15 bits per axis; lattice counts stop at rank 2
+    cfg = _write_config(tmp_path, "g43.ini", GROUP43)
+    code, _ = _run(["boxdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    cloud = parabolic_orbit(ParabolicGroupSpec(4, 3, np.eye(3)), [0.0, 0.0, 0.0], 8)
+    doc = json.loads((tmp_path / "boxdim.json").read_text())
+    assert (doc["source"], doc["cloud_size"]) == ("orbit", cloud.count)
+    assert doc["counts"] == estimate_box_dimension(cloud, 2.0 ** -np.arange(1, 9)).counts.tolist()
+    code, out = _run(["verify-hdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "ellipsoid lattice counts are implemented for rank 1 and 2 only" in out.err
+
+
 def test_gaps_json(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 100000\n")
     code, _ = _run(["gaps", "--config", str(cfg), "--out", str(tmp_path)], capsys)

@@ -333,7 +333,7 @@ def test_cylinder_bounds_match_exact_composition():
 
 
 def _check_cylinder_bounds(bmap, max_order, cap):
-    labels = bmap.digits[:cap] if bmap.digits else tuple(range(1, bmap.branch_count + 1))
+    labels = bmap.digits[:cap] if bmap.digits is not None else tuple(range(1, bmap.branch_count + 1))
     hull_lo, hull_hi = bmap.invariant_hull()
     for order in range(1, max_order + 1):
         left, right, deriv_inf, deriv_sup = _cylinders(bmap, order, cap)

@@ -419,10 +419,13 @@ def make_branch_map(partition: IntervalPartition) -> BranchMap:
     x -> 1/x - d; every other partition gets the affine full branches.
     """
     if partition.generator == "gauss":
-        return BranchMap("gauss-analytic", partition, np.arange(1, partition.count + 1))
-    if partition.generator == "gauss-restricted":
-        return BranchMap("gauss-analytic", partition, np.array(partition.params["digits"]))
-    return BranchMap("linear-full", partition, None)
+        digits = np.arange(1, partition.count + 1)
+    elif partition.generator == "gauss-restricted":
+        digits = np.array(partition.params["digits"])
+    else:
+        return BranchMap("linear-full", partition, None)
+    digits.setflags(write=False)
+    return BranchMap("gauss-analytic", partition, digits)
 
 
 def max_cylinder_order(branches: int) -> int:

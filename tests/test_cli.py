@@ -491,6 +491,8 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
      "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got 0.9, 0.9)"),
     ("bowen", GAUSS_100 + "\n[bowen]\nt_low = nan\n",
      "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got nan, 8.0)"),
+    ("boxdim", GROUP43.replace("j_min = 1\nj_max = 8\n", ""),
+     "config error: [boxdim] delta below supported resolution 0.0001220703125 in R^4"),
     *((command, ORBIT_21.replace("xi = 0.0", f"xi = {xi}"), f"config error: [orbit] {message}")
       for command in ("orbit", "boxdim", "verify-hdim")
       for xi, message in (("nan", "coordinates must be finite"), ("inf", "coordinates must be finite"),

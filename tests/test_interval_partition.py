@@ -276,6 +276,9 @@ def test_gauss_branch_derivative_ranges():
     bmap = make_branch_map(part)
     assert bmap.kind == "gauss-analytic"
     assert bmap.alphabet_unbounded
+    assert bmap.digits.tolist() == list(range(1, 51))
+    with pytest.raises(ValueError):
+        bmap.digits[0] = 2
 
 
 def test_invariant_hull_bounded_digits():
@@ -286,6 +289,7 @@ def test_invariant_hull_bounded_digits():
     # the attractor of the alternating continued fraction
     assert lo == pytest.approx(0.36602540378443865, abs=1e-12)
     assert hi == pytest.approx(0.7320508075688773, abs=1e-12)
+    assert bmap.digits.tolist() == [1, 2] and not bmap.digits.flags.writeable
     full = make_branch_map(build_partition("gauss", 50))
     assert full.invariant_hull() == (0.0, 1.0)
 

@@ -577,7 +577,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--config is required for {args.command}")
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        if args.tol is not None and args.tol <= 0:
+        if args.tol is not None and not args.tol > 0:
             raise ConfigError("--tol must be positive")
         cfg, cfg_hash = (None, None) if args.config is None else _load_config(args.config)
         return handler(args, cfg, cfg_hash)

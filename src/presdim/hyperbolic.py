@@ -23,20 +23,19 @@ kernels against each other on random inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxdim import PointCloud
-from .numerics import _U, _libm, acosh1p
+from .numerics import _U, _down, _libm, _sum_enclosure, _up, acosh1p
 
 __all__ = ["ParabolicGroupSpec", "parabolic_orbit", "identity_suite"]
 
 HALF_SPACE = "upper-half-space"
 BALL = "ball"
 _MODEL_TOL = 1e-12
-# largest lattice cube (2 radius + 1)^rank that one enumeration may build
+# largest lattice cube (2 radius + 1)^rank, or number of ellipsoid rows, that one enumeration may build
 _ENUMERATION_CAP = 20_000_000
 
 
@@ -156,39 +155,38 @@ def _translate(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_psd(m: list[list[Fraction]]) -> bool:
-    """Exact test that a symmetric matrix is positive semidefinite, by elimination.
-
-    A negative pivot fails; a zero pivot needs the rest of its column to be zero.
+def _gram_factor(alphas: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray | None, float]:
+    """(U, e): the upper float Cholesky factor of fl(G) - shift I, diagonal rounded down (None if it
+    fails), G = alphas alphas^T (k x d), and e >= ||G - shift I - U^T U||_2, the sum of, with gamma_n =
+    n u / (1 - n u) and T >= tr fl(G): the Gram rounding, gamma_d || |alphas| |alphas|^T ||_2 <= gamma_d
+    ||alphas||_F^2 <= gamma_d T / (1 - gamma_d); and the factor's backward error, U^T U = M + D with
+    |D| <= gamma_(k+1) |U^T| |U| for the factored M, so ||D||_2 <= gamma_(k+1) tr(M + D) <= gamma_(k+1) T /
+    (1 - gamma_(k+1)) in any summation order (Rump, "Verification of positive definiteness", BIT 46
+    (2006)).  Both are at most n u T / (1 - 2 n u), n = d + k + 1.  Underflow adds at most k (k + d + 1)
+    2^-1075, inside the rounding-up margin of e while e > 2^-960; below that no factor is returned.
     """
-    m = [row[:] for row in m]
-    for i, row in enumerate(m):
-        if row[i] < 0 or (row[i] == 0 and any(row[i + 1:])):
-            return False
-        if row[i] == 0:
-            continue
-        for lower in m[i + 1:]:
-            f = lower[i] / row[i]
-            lower[i + 1:] = [a - f * b for a, b in zip(lower[i + 1:], row[i + 1:])]
-    return True
+    gram = alphas @ alphas.T
+    n = sum(alphas.shape) + 1
+    slack = _up(n * _U / (1.0 - 2.0 * n * _U) * _sum_enclosure(np.diag(gram))[1], 4.0 * _U)
+    if shift:
+        np.fill_diagonal(gram, np.nextafter(np.diag(gram) - shift, -np.inf))
+    try:
+        return (np.linalg.cholesky(gram).T if slack > 2.0 ** -960 else None), slack
+    except np.linalg.LinAlgError:
+        return None, slack
 
 
 def _certified_sigma_min(alphas: np.ndarray, estimate: float) -> float:
-    """The least singular value of alphas rounded down: `estimate` if it passes, else
-    the first value below it that does.
-
-    s passes when G - s^2 I is positive semidefinite in exact rationals, with
-    G = alphas alphas^T the Gram matrix, which proves s <= sigma_min.  A failing
-    s steps down by one ulp, then by doubling relative steps; s = 0 always passes.
-    """
-    rows = [[Fraction(x) for x in row] for row in alphas.tolist()]
-    gram = [[sum(a * b for a, b in zip(r, c)) for c in rows] for r in rows]
-    s, step = estimate, 0.0
-    while not _is_psd([[g - (Fraction(s) ** 2 if i == j else 0) for j, g in enumerate(row)]
-                       for i, row in enumerate(gram)]):
-        s = math.nextafter(s * (1.0 - step * _U), 0.0)
-        step = max(1.0, 2.0 * step)
-    return s
+    """A lower bound for the least singular value of alphas: if fl(G) - cI has a float Cholesky
+    factor, sigma_min^2 >= c - e (`_gram_factor`).  c starts at estimate^2 - e and backs off by
+    2e, 4e, ...; 0 once c <= e, or if fl(G) itself, which `poincare` counts with, has no factor."""
+    factor, slack = _gram_factor(alphas)
+    step = slack
+    while factor is not None and estimate * estimate - step > slack:
+        if _gram_factor(alphas, estimate * estimate - step)[0] is not None:
+            return _down(math.sqrt(_down(estimate * estimate - step - slack)))
+        step *= 2.0
+    return 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,41 +194,33 @@ class ParabolicGroupSpec:
     """Rank-k group of horizontal translations of the upper half-space H^n.
 
     Generators translate by linearly independent vectors alpha_1..alpha_k of
-    the boundary plane R^{n-1}; every element fixes infinity and preserves
-    the horospheres x_n = const.
+    the boundary plane R^{n-1} (independent as certified by `_certified_sigma_min`);
+    every element fixes infinity and preserves the horospheres x_n = const.
     """
 
     ambient: int
     rank: int
     alphas: np.ndarray
+    sigma_min: float = field(init=False, repr=False)  # certified from below
+    sigma_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ambient < 2:
             raise ValueError("ambient dimension must be >= 2")
         if not 1 <= self.rank <= self.ambient - 1:
             raise ValueError("rank must lie in [1, ambient-1]")
-        alphas = np.array(self.alphas, dtype=float)
-        alphas = np.atleast_2d(alphas)
+        alphas = np.atleast_2d(np.array(self.alphas, dtype=float))
         if alphas.shape != (self.rank, self.ambient - 1):
-            raise ValueError(
-                f"need {self.rank} translation vectors of length {self.ambient - 1}, "
-                f"got shape {alphas.shape}"
-            )
+            raise ValueError(f"need {self.rank} translation vectors of length {self.ambient - 1}, "
+                             f"got shape {alphas.shape}")
         sing = np.linalg.svd(alphas, compute_uv=False)
-        if sing.size < self.rank or sing[self.rank - 1] <= 1e-12 * max(1.0, sing[0]):
+        sigma_min = _certified_sigma_min(alphas, float(sing[-1]))
+        if sigma_min == 0.0:
             raise ValueError("translation vectors must be linearly independent")
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "_sigma_min", _certified_sigma_min(alphas, float(sing[self.rank - 1])))
-        object.__setattr__(self, "_sigma_max", float(sing[0]))
-
-    @property
-    def sigma_min(self) -> float:
-        return self._sigma_min
-
-    @property
-    def sigma_max(self) -> float:
-        return self._sigma_max
+        object.__setattr__(self, "sigma_min", sigma_min)
+        object.__setattr__(self, "sigma_max", float(sing[0]))
 
 
 def _lattice_grid(rank: int, radius: int) -> np.ndarray:

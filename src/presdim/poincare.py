@@ -12,17 +12,18 @@ majorant is summable precisely for s > k/2 (Hurwitz zeta tail) and the
 minorant diverges precisely for s <= k/2, so the critical exponent bracket
 from bisection always closes down on k/2.
 
-Orbit counting enumerates, in floats, the ellipsoidal region |sum N_i alpha_i|
-<= 2 sinh(t/2) (the preimage of the distance ball), not a bounding cube.
+Orbit counting enumerates the lattice points of the ellipsoid |sum N_i alpha_i|
+<= 2 sinh(t/2) (the preimage of the distance ball) exactly, not a bounding cube.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .hyperbolic import _ENUMERATION_CAP, ParabolicGroupSpec, _lattice_grid, _orbit_distance
+from .hyperbolic import _ENUMERATION_CAP, ParabolicGroupSpec, _gram_factor, _lattice_grid, _orbit_distance
 from .numerics import _LIBM_ERR, _libm, _up, compensated_sum, hurwitz_zeta
 from .pressure import CriticalExponentEstimate, DIVERGES_AT_CRITICAL, _bisect
 
@@ -55,7 +56,7 @@ class PoincareSample:
 
 @dataclass(frozen=True)
 class CountingFunction:
-    """Lattice counts #{N : d(o, N.o) <= t} along a threshold grid, as `_ellipsoid_count` rounds them.
+    """Exact lattice counts #{N : d(o, N.o) <= t} along a threshold grid.
 
     slopes holds log(count)/t per level (0 at degenerate count-1 levels);
     final_slope is the least-squares slope of log(count) against t over the
@@ -84,12 +85,13 @@ def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str
     rounded up, so the bound is never below the exact majorant for the given
     sigma_min; for s <= k/2 the minorant shells sum to a divergent p-series.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be nonnegative")
     smin, smax, k = group.sigma_min, group.sigma_max, group.rank
     if 2.0 * s > k:
         # 2k 3^(k-1) is an exact integer, and 2s - (k-1) has no rounding error for 2s < 2^53
-        constant = _up(2 * k * 3 ** (k - 1) * _up(smin ** (-2.0 * s), _LIBM_ERR))
+        power = smin ** (-2.0 * s) if -2.0 * s * math.log2(smin) < 1023.0 else math.inf  # or it overflows
+        constant = _up(2 * k * 3 ** (k - 1) * _up(power, _LIBM_ERR))
         bound = _up(constant * hurwitz_zeta(2.0 * s - (k - 1), radius + 1)[1])
         evidence = (f"shells m > {radius}: count <= 2k 3^(k-1) m^(k-1), term <= (sigma_min m)^(-2s), "
                     f"sigma_min={smin:.6g}; Hurwitz zeta tail = {bound:.6g}")
@@ -99,13 +101,6 @@ def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str
     return DIVERGENT_MINORANT, None, evidence
 
 
-def _gauge_terms(group: ParabolicGroupSpec, s: float, radius: int) -> np.ndarray:
-    lattice = _lattice_grid(group.rank, radius)
-    interior = np.any(lattice != 0, axis=1)
-    disp = lattice[interior].astype(float) @ group.alphas
-    return _libm(math.exp, -s * _orbit_distance(disp))
-
-
 def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> PoincareSample:
     """Partial sum of the Poincare series over |N|_inf <= radius.
 
@@ -113,11 +108,13 @@ def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> Poinca
     exp(-s 2 arcsinh(|sum N_i alpha_i|/2)).  Summation is deterministic
     (exactly rounded) and the tail is classified by certified shell bounds.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be nonnegative")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    partial = 1.0 + compensated_sum(_gauge_terms(group, s, radius))
+    lattice = _lattice_grid(group.rank, radius)
+    disp = lattice[np.any(lattice != 0, axis=1)].astype(float) @ group.alphas
+    partial = 1.0 + compensated_sum(_libm(math.exp, -s * _orbit_distance(disp)))
     classification, bound, evidence = classify_tail(group, s, radius)
     return PoincareSample(float(s), partial, int(radius), classification, bound, evidence)
 
@@ -129,75 +126,97 @@ def critical_exponent(group: ParabolicGroupSpec, tol: float = 0.01) -> CriticalE
     closes to width <= tol around the abscissa; the series itself diverges
     at the abscissa (the minorant is a harmonic-type series there).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-
-    def converges(s: float) -> bool:
-        return classify_tail(group, s, 1)[0] == CONVERGENT_WITH_BOUND
-
-    hi = 1.0
-    while not converges(hi):
-        hi *= 2.0
-        if hi > 64.0:
-            raise ValueError("no convergent exponent found below 64")
-    lo, hi = _bisect(lambda s: (converges(s), math.nan), 0.0, hi, tol, {})
+    # from hi = the least power of two above k/2, where the tail converges
+    lo, hi = _bisect(lambda s: (classify_tail(group, s, 1)[0] == CONVERGENT_WITH_BOUND, math.nan),
+                     0.0, float(1 << (group.rank.bit_length() - 1)), tol, {})
     evidence = (f"bisection on certified shell classification; rank={group.rank}, "
                 f"sigma_min={group.sigma_min:.6g}, sigma_max={group.sigma_max:.6g}")
     return CriticalExponentEstimate(lo, hi, DIVERGES_AT_CRITICAL, evidence, "bracket")
 
 
-def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
-    """#{N in Z^k : |sum N_i alpha_i| <= length} for k in {1, 2}.
+def _spread(first: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(size, 0) as integers, and first[r], first[r] + 1, ... for every row r in turn."""
+    size = np.maximum(size, 0.0).astype(np.int64)
+    value = np.repeat(first - (np.cumsum(size) - size), size)
+    value += np.arange(value.size)
+    return size, value
 
-    Not exact: rank 2 rounds sqrt, floor and ceil in floats, so at a length equal to a
-    lattice norm it can be off by one +-N pair (ROADMAP direction 4: exact enumeration).
+
+def _interval(centre: np.ndarray, room: np.ndarray, diagonal: float) -> tuple[np.ndarray, np.ndarray]:
+    """ceil(centre - h), floor(centre + h) for h = sqrt(max(room, 0)) / diagonal, reusing one buffer."""
+    half = np.maximum(room, 0.0)
+    np.divide(np.sqrt(half, out=half), diagonal, out=half)
+    return np.ceil(centre - half), np.floor(np.add(centre, half, out=half), out=half)
+
+
+def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
+    """#{N in Z^k : |sum N_i alpha_i| <= length}, exact for the float generators and length.
+
+    Fincke-Pohst (Math. Comp. 44 (1985)) over the float Cholesky factor U of the Gram matrix, Q(N) =
+    |sum N_i alpha_i|^2 ~ |UN|^2 = sum_i y_i^2, y_i = sum_(j >= i) U_ij N_j: coordinates k..2 expand row
+    by row, coordinate 1 is an interval per row; N_k >= 0 only, rows with N_k > 0 count twice (-N).
+    Rows span the squared radius length^2 (1 + eta), integers inside length^2 (1 - eta) are counted,
+    and those in between decided in exact rationals.  To first order in u, with kappa = tr fl(G) /
+    sigma_min^2 and e of `hyperbolic._gram_factor`: |UN|^2 - Q(N) is within e |N|^2 <= (d + k + 1) u
+    kappa Q(N); a y_i errs by gamma_k sum_j |U_ij||N_j|, whose squares sum to <= ||U||_F^2 |N|^2 <= kappa
+    Q(N), so a partial sum of y_i^2 by 3k u kappa Q(N); an interval end at radius r by (2k + 8) u kappa
+    r^2 in squares, and r^2 by 3u r^2.  eta = 16 e / sigma_min^2 exceeds the sum, (d + 6k + 12) u kappa.
     """
-    k = group.rank
-    if k == 1:
-        step = float(np.linalg.norm(group.alphas[0]))
-        return 2 * int(math.floor(length / step)) + 1
-    if k == 2:
-        a = group.alphas[0]
-        b = group.alphas[1]
-        aa = float(np.dot(a, a))
-        bb = float(np.dot(b, b))
-        ab = float(np.dot(a, b))
-        gram = aa * bb - ab * ab
-        n1_max = int(math.floor(length * math.sqrt(bb / gram)))
-        n1 = np.arange(-n1_max, n1_max + 1, dtype=float)
-        disc = bb * length * length - gram * n1 * n1
-        disc = np.maximum(disc, 0.0)
-        root = np.sqrt(disc)
-        hi = np.floor((-ab * n1 + root) / bb)
-        lo = np.ceil((-ab * n1 - root) / bb)
-        return int(np.sum(np.maximum(hi - lo + 1.0, 0.0)))
-    raise ValueError("ellipsoid lattice counts are implemented for rank 1 and 2 only")
+    upper, slack = _gram_factor(group.alphas)
+    margin = 16.0 * slack / group.sigma_min ** 2
+    wide, narrow = length * length * (1.0 + margin), length * length * (1.0 - margin)
+    # columns N_(i+1..k) of the rows in exact floats, N_k ascending from 0, and |y_(i+1..k)|^2
+    columns, partial = [], np.zeros(1)
+    for i in range(group.rank - 1, -1, -1):
+        shift = sum((c * u for c, u in zip(columns, upper[i, i + 1:])), np.zeros(len(partial)))
+        centre = shift / -upper[i, i]
+        first, last = _interval(centre, wide - partial, upper[i, i])
+        if i == 0:
+            break
+        first = np.maximum(first, 0.0) if i == group.rank - 1 else first
+        size, value = _spread(first, last - first + 1.0)
+        columns = [value] + [np.repeat(column, size) for column in columns]
+        partial = np.repeat(partial, size) + (upper[i, i] * value + np.repeat(shift, size)) ** 2
+    room = narrow - partial
+    inner_first, inner_last = _interval(centre, room, upper[0, 0])
+    inner_last = np.where(room > 0.0, inner_last, inner_first - 1.0)
+    single = np.searchsorted(columns[-1], 0.0, side="right") if columns else 1  # rows with N_k = 0
+    count = 2 * int(inner_last.sum() - inner_first.sum() + len(partial))
+    count -= int(inner_last[:single].sum() - inner_first[:single].sum() + single)
+    generators, limit = [[Fraction(x) for x in column] for column in group.alphas.T.tolist()], Fraction(length) ** 2
+    for start, stop in ((first, inner_first), (inner_last + 1.0, last + 1.0)):
+        edge = np.flatnonzero(stop > start)
+        size, value = _spread(start[edge], stop[edge] - start[edge])
+        row = np.repeat(edge, size)
+        points = np.column_stack([value] + [column[row] for column in columns]).astype(np.int64)
+        for r, point in zip(row.tolist(), points.tolist()):
+            if sum(sum(n * a for n, a in zip(point, g)) ** 2 for g in generators) <= limit:
+                count += 1 if r < single else 2
+    return count
 
 
 def counting_exponent(group: ParabolicGroupSpec, t_max: float = 25.0, levels: int = 50) -> CountingFunction:
     """Orbit counts along t_j = j t_max / levels and their log-slope.
 
-    Counts enumerate the ellipsoid |sum N_i alpha_i| <= 2 sinh(t/2) by
-    `_ellipsoid_count`, with its rounding;
-    the final slope regresses log(count) on t over the last third of levels,
+    Counts are the exact lattice points of the ellipsoid |sum N_i alpha_i| <= 2 sinh(t/2)
+    (`_ellipsoid_count`); the final slope regresses log(count) on t over the last third of levels,
     skipping degenerate count-1 levels.
     """
     if levels < 6:
         raise ValueError("need at least 6 levels")
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError("t_max must be positive")
-    reach = 2.0 * math.sinh(0.5 * t_max) / group.sigma_min
-    if reach > _ENUMERATION_CAP:
-        achievable = 2.0 * math.asinh(0.5 * _ENUMERATION_CAP * group.sigma_min)
+    # rows held: about (2 reach)^(k-1) / 2, N_k >= 0 (reach at k = 1), reach = 2 sinh(t/2) / sigma_min
+    achievable = 2.0 * math.asinh(0.25 * group.sigma_min * (2 * _ENUMERATION_CAP) ** (1.0 / max(group.rank - 1, 1)))
+    if t_max > achievable:
         raise ValueError(f"enumeration cap exceeded; the largest achievable t_max is {achievable:.2f}")
     thresholds = t_max * np.arange(1, levels + 1) / levels
-    counts = np.array(
-        [_ellipsoid_count(group, 2.0 * math.sinh(0.5 * t)) for t in thresholds], dtype=np.int64
-    )
+    counts = np.array([_ellipsoid_count(group, 2.0 * math.sinh(0.5 * t)) for t in thresholds], dtype=np.int64)
     if counts[-1] < 1000:
         raise ValueError("t_max reaches fewer than 1000 lattice points; increase it")
-    with np.errstate(divide="ignore"):
-        slopes = np.where(counts > 1, np.log(np.maximum(counts, 1)) / thresholds, 0.0)
+    slopes = np.where(counts > 1, np.log(np.maximum(counts, 1)) / thresholds, 0.0)
     tail = np.flatnonzero(counts > 1)
     tail = tail[tail >= levels - max(levels // 3, 2)]
     coeffs = np.polyfit(thresholds[tail], np.log(counts[tail].astype(float)), 1)

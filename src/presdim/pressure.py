@@ -212,7 +212,7 @@ def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> Critical
     band (oscillating local decay), the band itself is reported instead of a
     tolerance-width bracket.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise PartitionError("tolerance must be positive")
     if partition.model is None:
         return CriticalExponentEstimate(
@@ -266,7 +266,7 @@ def _curve_sample(lo: float, hi: float, exact: Callable[[], float]) -> tuple[boo
 def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[[float], tuple[bool, float]],
                   t_range: tuple[float, float], tol: float, known: tuple[dict, dict]) -> RootBracket:
     """Bracket a root from `_bisect` samples of the lower and the upper curve, known holding each one's."""
-    if tol <= 0:
+    if not tol > 0:
         raise PartitionError("tolerance must be positive")
     t_lo, t_hi = t_range
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):

@@ -212,8 +212,8 @@ j_max = 8
 """
 
 
-def test_rank_3_orbit_box_counts_but_no_lattice_counts(tmp_path, capsys):
-    # sphere cells in R^4 pack 15 bits per axis; lattice counts stop at rank 2
+def test_rank_3_orbit_box_counts_and_lattice_counts(tmp_path, capsys):
+    # sphere cells in R^4 pack 15 bits per axis; rank-3 lattice counts hold about (2 reach)^2 / 2 rows
     cfg = _write_config(tmp_path, "g43.ini", GROUP43)
     code, _ = _run(["boxdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -223,7 +223,11 @@ def test_rank_3_orbit_box_counts_but_no_lattice_counts(tmp_path, capsys):
     assert doc["counts"] == estimate_box_dimension(cloud, 2.0 ** -np.arange(1, 9)).counts.tolist()
     code, out = _run(["verify-hdim", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 2
-    assert "ellipsoid lattice counts are implemented for rank 1 and 2 only" in out.err
+    assert "config error: [counting] enumeration cap exceeded; the largest achievable t_max is 16.12" in out.err
+    cfg = _write_config(tmp_path, "g43c.ini", GROUP43 + "\n[counting]\nt_max = 10\n")
+    code, _ = _run(["counting", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "counting.json").read_text())["final_slope"] == pytest.approx(1.5, abs=0.05)
 
 
 def test_gaps_json(tmp_path, capsys):
@@ -480,6 +484,17 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("bowen", GAUSS_100 + "\n[bowen]\nmethod = cylinder\nalphabet_cap = 1\n",
      "config error: [bowen] a single-branch alphabet has no largest cylinder order; set the order"),
     ("bowen", GAUSS_100 + "\n[bowen]\ntol = -1\n", "config error: [bowen] tolerance must be positive"),
+    ("bowen", GAUSS_100 + "\n[bowen]\ntol = nan\n", "config error: [bowen] tolerance must be positive"),
+    ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = nan\n", "config error: [sinfinity] tolerance must be positive"),
+    ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = nan\n", "error: tol must be positive"),
+    ("poincare", POINCARE_21.replace("s = 1.5", "s = nan"), "config error: [poincare] s must be nonnegative"),
+    ("counting", POINCARE_21 + "\n[counting]\nt_max = 2000\n",
+     "config error: [counting] enumeration cap exceeded; the largest achievable t_max is 33.62"),
+    ("counting", POINCARE_21 + "\n[counting]\nt_max = nan\n", "config error: [counting] t_max must be positive"),
+    # independent in exact arithmetic, below the float certificate's resolution
+    ("counting", POINCARE_21.replace("ambient = 2\nrank = 1\nalpha_1 = 1.0",
+                                     "ambient = 3\nrank = 2\nalpha_1 = 1.0 0.0\nalpha_2 = 1.0 1e-8"),
+     "config error: [group] translation vectors must be linearly independent"),
     ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = 0\n", "config error: [sinfinity] tolerance must be positive"),
     ("verify-main", GAUSS_100 + "\n[sinfinity]\ntol = 0\n", "config error: [sinfinity] tolerance must be positive"),
     ("gaps", GAUSS_100.replace("100", "1000") + "\n[gaps]\nn_min = 5000\n",
@@ -511,8 +526,10 @@ def test_invalid_flag_values_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 1000\n")
     code, _ = _run(["s-infinity", "--config", str(cfg), "--threads", "0"], capsys)
     assert code == 2
-    code, _ = _run(["s-infinity", "--config", str(cfg), "--tol", "-0.5"], capsys)
-    assert code == 2
+    for command, tol in (("s-infinity", "-0.5"), ("s-infinity", "nan"), ("bowen", "nan")):
+        code, out = _run([command, "--config", str(cfg), "--tol", tol], capsys)
+        assert code == 2
+        assert "--tol must be positive" in out.err
 
 
 def test_inline_comments_in_config(tmp_path, capsys):

@@ -6,7 +6,6 @@ at_inf, and the row of a point at infinity is unread.
 
 import math
 import re
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -230,36 +229,54 @@ def test_group_validation():
     ParabolicGroupSpec(3, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))  # independent: accepted
 
 
+def _assert_certified(alphas, exact):
+    # at or below the exact value, and sigma_min^2 within a few slacks e of it
+    sigma = ParabolicGroupSpec(alphas.shape[1] + 1, alphas.shape[0], alphas).sigma_min
+    slack = hyperbolic._gram_factor(alphas)[1]
+    assert sigma <= exact
+    assert exact ** 2 - mpmath.mpf(sigma) ** 2 <= 8 * slack
+
+
 def test_sigma_min_is_a_certified_lower_bound():
     # numpy's SVD value lies above the 50-digit value for about half of these matrices
     rng = np.random.default_rng(RNG_SEED + 21)
-    for ambient, rank in [(3, 1), (3, 2), (4, 2), (4, 3)] * 100:
-        alphas = rng.normal(size=(rank, ambient - 1))
-        sigma = ParabolicGroupSpec(ambient, rank, alphas).sigma_min
+    shapes = [(1, 2), (2, 2), (2, 3), (3, 3)] * 100 + [(5, 5), (8, 9), (12, 12), (16, 16), (16, 20)]
+    for rank, dim in shapes:
+        alphas = rng.normal(size=(rank, dim))
         with mpmath.workdps(50):
-            exact = min(mpmath.svd_r(mpmath.matrix(alphas.tolist()), compute_uv=False))
-            assert sigma <= exact
-            assert exact - sigma <= 1e-12 * exact
-    assert ParabolicGroupSpec(3, 2, np.eye(2)).sigma_min == 1.0
-    assert ParabolicGroupSpec(4, 3, np.eye(3)).sigma_min == 1.0
+            _assert_certified(alphas, min(mpmath.svd_r(mpmath.matrix(alphas.tolist()), compute_uv=False)))
+
+
+@pytest.mark.parametrize("alphas, exact", [
+    (np.eye(2), 1), (np.eye(3), 1), (np.eye(128), 1), (np.eye(128)[::-1] * 0.125, mpmath.mpf(0.125)),
+    (np.diag(np.arange(1.0, 129.0))[np.random.default_rng(RNG_SEED).permutation(128)], 1),
+    (np.hstack([3.0 * np.eye(64), np.zeros((64, 64))]), 3),
+], ids=["eye2", "eye3", "eye128", "reversed-eighth128", "permuted-diagonal128", "padded-3x64"])
+def test_sigma_min_of_groups_with_a_known_value(alphas, exact):
+    # a float certificate cannot prove equality: sigma_min is at most the exact value, within the slack
+    _assert_certified(alphas, mpmath.mpf(exact))
 
 
 def test_sigma_min_steps_down_from_a_high_estimate():
+    # the start 1 + 1e-9 fails, and the shift backs off by doubling steps until a factor exists
     assert 1.0 - 3e-9 <= hyperbolic._certified_sigma_min(np.eye(2), 1.0 + 1e-9) <= 1.0
-    assert hyperbolic._certified_sigma_min(np.eye(2), 1.0) == 1.0
+    slack = hyperbolic._gram_factor(np.eye(2))[1]
+    # no back-off: sigma_min^2 = (1 - e) - e, rounded down
+    assert 1.0 - 3 * slack <= hyperbolic._certified_sigma_min(np.eye(2), 1.0) ** 2 <= 1.0
     assert hyperbolic._certified_sigma_min(np.array([[1.0, 1.0]]), 0.0) == 0.0
+    assert hyperbolic._certified_sigma_min(np.array([[1.0, 0.0], [1.0, 0.0]]), 1e-300) == 0.0
 
 
-@pytest.mark.parametrize("matrix, psd", [
-    ([[1, 1], [1, 1]], True),
-    ([[0, 0], [0, 0]], True),
-    ([[0, 1], [1, 0]], False),  # zero pivot with a nonzero column
-    ([[1, 2], [2, 1]], False),
-    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
-    ([[1, 0, 0], [0, 0, 0], [0, 0, -1e-300]], False),
-])
-def test_is_psd_exact(matrix, psd):
-    assert hyperbolic._is_psd([[Fraction(x) for x in row] for row in matrix]) is psd
+def test_gram_factor_fails_on_an_indefinite_shift_and_below_the_underflow_floor():
+    assert hyperbolic._gram_factor(np.eye(2), 1.0)[0] is None
+    # e = 3u 1e-300 is below 2^-960, where underflow could leave the slack
+    assert hyperbolic._gram_factor(np.array([[1e-150]]))[0] is None
+    with pytest.raises(ValueError, match="linearly independent"):
+        ParabolicGroupSpec(2, 1, [[1e-150]])
+    # scale alone no longer rejects a group (sigma_min <= 1e-12 used to)
+    assert 1e-100 * (1 - 1e-15) <= ParabolicGroupSpec(2, 1, [[1e-100]]).sigma_min <= 1e-100
+    upper, slack = hyperbolic._gram_factor(np.array([[1.0, 0.0], [0.3, 0.9]]))
+    assert np.allclose(upper.T @ upper, [[1.0, 0.3], [0.3, 0.9]], rtol=0, atol=4 * slack)
 
 
 def test_translate_is_isometry_and_fixes_infinity():
@@ -349,8 +366,10 @@ G1 = ParabolicGroupSpec(2, 1, [[1.0]])
      ValueError, "translation vectors must be linearly independent"),
     (lambda: ParabolicGroupSpec(3, 2, [[1.0, 0.0], [0.0, 0.0]]),
      ValueError, "translation vectors must be linearly independent"),
-    # independent in exact arithmetic, but sigma_min / sigma_max is below 1e-12
+    # independent in exact arithmetic, but sigma_min^2 is below the slack of its float certificate
     (lambda: ParabolicGroupSpec(3, 2, [[1.0, 0.0], [1.0, 1e-13]]),
+     ValueError, "translation vectors must be linearly independent"),
+    (lambda: ParabolicGroupSpec(3, 2, [[1.0, 0.0], [1.0, 1e-8]]),
      ValueError, "translation vectors must be linearly independent"),
     (lambda: parabolic_orbit(G1, [0.0], -5), ValueError, "radius must be >= 1"),
     (lambda: parabolic_orbit(G1, [math.inf], 1), ValueError, "coordinates must be finite"),

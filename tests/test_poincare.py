@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -127,6 +129,12 @@ def test_classify_tail_bound_rounds_outward(group, s, radius):
         assert 2 * k * 3 ** (k - 1) * mpmath.mpf(group.sigma_min) ** (-2 * S) * zeta <= bound
 
 
+def test_classify_tail_bound_past_the_float_range_is_inf():
+    # sigma_min^(-2s) = 2^1200 overflows; inf is the outward rounding of the bound
+    assert classify_tail(ParabolicGroupSpec(2, 1, [[0.5]]), 600.0, 10)[:2] == (CONVERGENT_WITH_BOUND, math.inf)
+    assert classify_tail(ParabolicGroupSpec(2, 1, [[1e-100]]), 2.0, 10)[1] == math.inf
+
+
 def test_classify_tail_bound_holds_for_the_exact_sigma_min():
     # the majorant with the 50-digit sigma_min, not numpy's rounded one, stays below the bound
     rng = np.random.default_rng(7)
@@ -166,8 +174,19 @@ def test_critical_exponent_basis_invariant():
 
 
 def test_critical_exponent_rejects_bad_tol():
-    with pytest.raises(ValueError, match="tol"):
-        critical_exponent(G1, tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            critical_exponent(G1, tol=tol)
+
+
+def test_critical_exponent_rank_128():
+    # the bisection starts at 128, the least power of two above k/2 = 64
+    start = time.perf_counter()
+    group = ParabolicGroupSpec(129, 128, np.eye(128))
+    assert time.perf_counter() - start < 0.1
+    est = critical_exponent(group, tol=0.01)
+    assert est.s_low <= 64.0 <= est.s_high
+    assert est.width <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +212,24 @@ def test_counting_degenerate_levels_excluded():
     assert cf.slopes[cf.counts <= 1].sum() == 0.0  # slope 0 marks excluded levels
 
 
-def _brute_ellipsoid_count(alphas: np.ndarray, limit: float) -> int:
-    sigma_min = np.linalg.svd(alphas, compute_uv=False)[-1]
-    reach = int(limit / sigma_min) + 2
-    n1 = np.arange(-reach, reach + 1)
-    grid = np.stack(np.meshgrid(n1, n1, indexing="ij"), axis=-1).reshape(-1, 2)
-    v = grid @ alphas
-    return int(np.count_nonzero(np.einsum("ij,ij->i", v, v) <= limit * limit))
+def _exact_count(alphas: np.ndarray, length: float, sigma_min: float) -> int | None:
+    """#{N : |sum N_i alpha_i| <= length} over the cube |N|_inf <= length / sigma_min + 1 (None
+    above 2M points); floats decide every point farther than 1e-6 relative from the sphere,
+    exact rationals the rest."""
+    rank = alphas.shape[0]
+    reach = int(length / sigma_min) + 1
+    if (2 * reach + 1) ** rank > 2_000_000:
+        return None
+    axis = np.arange(-reach, reach + 1)
+    grid = np.stack(np.meshgrid(*[axis] * rank, indexing="ij"), axis=-1).reshape(-1, rank)
+    v = grid.astype(float) @ alphas
+    q = np.einsum("ij,ij->i", v, v)
+    near = np.abs(q - length * length) <= 1e-6 * length * length
+    columns = [[Fraction(x) for x in column] for column in alphas.T.tolist()]
+    limit = Fraction(length) ** 2
+    return int(np.count_nonzero(q[~near] <= length * length)) + sum(
+        sum(sum(n * a for n, a in zip(point, column)) ** 2 for column in columns) <= limit
+        for point in grid[near].tolist())
 
 
 def test_counting_matches_brute_force_rank_two():
@@ -208,7 +238,7 @@ def test_counting_matches_brute_force_rank_two():
     for t in (6.5, 8.0):
         cf = counting_exponent(g, t_max=t, levels=6)
         limit = 2.0 * math.sinh(t / 2.0)
-        assert cf.counts[-1] == _brute_ellipsoid_count(alphas, limit)
+        assert cf.counts[-1] == _exact_count(alphas, limit, g.sigma_min)
 
 
 def test_counting_basis_invariance():
@@ -224,10 +254,45 @@ def test_counting_guards():
         counting_exponent(G1, t_max=6.0, levels=10)
     with pytest.raises(ValueError, match="levels"):
         counting_exponent(G1, t_max=20.0, levels=3)
-    with pytest.raises(ValueError, match="rank 1 and 2"):
-        counting_exponent(
-            ParabolicGroupSpec(4, 3, np.eye(3)), t_max=18.0, levels=10
-        )
+    # rank 3 holds about (2 reach)^2 / 2 rows: 2 asinh(sqrt(2 cap) sigma_min / 4)
+    with pytest.raises(ValueError, match=r"the largest achievable t_max is 16\.12$"):
+        counting_exponent(ParabolicGroupSpec(4, 3, np.eye(3)), t_max=25.0, levels=10)
+    # compared before any sinh, which overflows at 2000
+    with pytest.raises(ValueError, match=r"the largest achievable t_max is 33\.62$"):
+        counting_exponent(G1, t_max=2000.0, levels=10)
+
+
+def test_counting_rank_three_slope():
+    cf = counting_exponent(ParabolicGroupSpec(4, 3, np.eye(3)), t_max=10.0, levels=50)
+    assert cf.final_slope == pytest.approx(1.5, abs=0.05)
+    assert np.all(np.diff(cf.counts) >= 0)
+
+
+def test_ellipsoid_count_is_exact_where_floats_miscount():
+    # 5 * 0.1 exceeds 0.5 in rationals of the floats; a float quotient gave 11
+    assert poincare._ellipsoid_count(ParabolicGroupSpec(2, 1, [[0.1]]), 0.5) == 9
+    # at the norm of N = (5, -2); the float formula gave 79
+    group = ParabolicGroupSpec(3, 2, [[1.0, 0.0], [0.3, 0.9]])
+    length = float(np.linalg.norm(np.array([5.0, -2.0]) @ group.alphas))
+    assert poincare._ellipsoid_count(group, length) == 81 == _exact_count(group.alphas, length, group.sigma_min)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_ellipsoid_count_matches_exact_rationals(rank):
+    # radii at the float norm of a lattice vector and one ulp either side
+    rng = np.random.default_rng(1000 + rank)
+    checked = 0
+    for _ in range(16):
+        dim = rank + int(rng.integers(0, 2))
+        group = ParabolicGroupSpec(dim + 1, rank, rng.normal(size=(rank, dim)) * rng.uniform(0.1, 3.0))
+        n = rng.integers(-6, 7, size=rank) if rank < 3 else rng.integers(-3, 4, size=rank)
+        norm = float(np.linalg.norm(n.astype(float) @ group.alphas))
+        for length in (math.nextafter(norm, 0.0), norm, math.nextafter(norm, math.inf)):
+            exact = _exact_count(group.alphas, length, group.sigma_min)
+            if exact is not None:
+                assert poincare._ellipsoid_count(group, length) == exact, (group.alphas, length)
+                checked += 1
+    assert checked >= 30
 
 
 def test_gauge_gap_bounded():
@@ -241,6 +306,9 @@ def test_gauge_gap_bounded():
 @pytest.mark.parametrize("call, message", [
     (lambda: classify_tail(G1, -1.0, 1), "s must be nonnegative"),
     (lambda: counting_exponent(G1, t_max=0.0, levels=10), "t_max must be positive"),
+    (lambda: classify_tail(G1, math.nan, 1), "s must be nonnegative"),
+    (lambda: poincare_partial(G1, math.nan, 1), "s must be nonnegative"),
+    (lambda: counting_exponent(G1, t_max=math.nan, levels=10), "t_max must be positive"),
 ])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=message):

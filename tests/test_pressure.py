@@ -130,8 +130,9 @@ def test_s_infinity_explicit_partition_all_converge():
 
 
 def test_s_infinity_rejects_bad_tolerance():
-    with pytest.raises(PartitionError, match="tolerance"):
-        find_s_infinity(build_partition("gauss", 100), tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(PartitionError, match="tolerance"):
+            find_s_infinity(build_partition("gauss", 100), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,9 @@ def test_root_bracket_reports_root_below_range():
 
 
 def test_root_bracket_rejects_bad_tolerance():
-    with pytest.raises(PartitionError, match="tolerance"):
-        pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=0.0, known=({}, {}))
+    for tol in (0.0, math.nan):
+        with pytest.raises(PartitionError, match="tolerance"):
+            pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=tol, known=({}, {}))
 
 
 @pytest.mark.parametrize("t_range", [(2.0, 1.0), (0.9, 0.9), (math.nan, 8.0), (1e-6, math.inf)],

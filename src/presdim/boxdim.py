@@ -169,11 +169,11 @@ def covering_count(cloud: PointCloud, delta: float) -> int:
         floor = 2.0 ** (2 - bits)
         if delta < floor:
             raise ValueError(f"delta below supported resolution {floor} in R^{dim}")
-        idx = np.floor(pts / delta).astype(np.int64) + (1 << (bits - 1))
-        keys = idx[:, 0]
-        for axis in range(1, dim):
-            keys = (keys << bits) | idx[:, axis]
-        keys = np.sort(keys)
+        keys = np.zeros(len(pts), dtype=np.int64)
+        for axis in range(dim):  # one axis at a time, so no index copy of the whole cloud is held
+            keys <<= bits
+            keys |= np.floor(pts[:, axis] / delta).astype(np.int64) + (1 << (bits - 1))
+        keys.sort()
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -151,17 +151,86 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _emit(args, name: str, lines: Iterable[str], note: str = "") -> None:
-    """Write the lines to `name` under --out one at a time, then print where.
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)  # 5^27 < 2^63
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)  # "00".."99"
+_E16, _E17 = np.uint64(10 ** 16), np.uint64(10 ** 17)
+# as fast as larger blocks; 2^12 and 2^14 rows fragment the heap, lifting a long run's peak memory
+_ROW_BLOCK = 1 << 11
 
-    Orbit CSVs hold up to a million rows; joining them first would make the
-    joined text and its encoded copy the command's peak memory.
+
+def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
+    """CSV rows of `points`, every cell exactly format(v, '.16e'), as ASCII blocks of _ROW_BLOCK rows.
+
+    17 significant digits round-trip every double through float().  For 1e-11 <= |v| < 10 they come
+    from integer arithmetic on whole arrays: |v| = m 2^(e - 53) with m the 53-bit mantissa, and the
+    digits are D = |v| 10^k rounded half to even, k = 16 - p for the decimal exponent p; m 5^k < 2^116
+    is formed exactly in two uint64 halves from 32-bit limbs (5^27 < 2^63), and D is that product
+    over 2^s, s = 53 - e - k, 32 <= s <= 63.  log10 only guesses p: the exact floor of |v| 10^k lies in
+    [10^16, 10^17) just when the guess is right, and a guess one off is redone.  Every other value
+    (zeros, non-finite, out of that range) goes through format().  Each cell is built right-aligned
+    in 24 bytes plus its separator, and the leading bytes it does not use are dropped at the join.
+    """
+    sep = np.full(points.shape[1], ord(","), dtype=np.uint8)
+    sep[-1] = ord("\n")
+    for start in range(0, len(points), _ROW_BLOCK):
+        v = points[start:start + _ROW_BLOCK].ravel()
+        a = np.abs(v)
+        fast = (a >= 1e-11) & (a < 10.0)
+        a = np.where(fast, a, 1.0)
+        mant, e = np.frexp(a)
+        m = np.ldexp(mant, 53).astype(np.uint64)
+        m1, m0 = m >> 32, m & 0xFFFFFFFF
+        k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 16, 27)
+        for _ in range(2):
+            f = _POW5[k]
+            f1, f0 = f >> 32, f & 0xFFFFFFFF
+            low, mid = m0 * f0, m1 * f0 + m0 * f1  # mid < 2^53 + 2^63
+            lo = low + (mid << 32)
+            hi = m1 * f1 + (mid >> 32) + (lo < low)
+            s = (53 - e - k).astype(np.uint64)
+            floor = (hi << (64 - s)) | (lo >> s)
+            below, above = floor < _E16, floor >= _E17
+            if not (below | above).any():
+                break
+            k = np.clip(k + below - above, 16, 27)  # a k out of range leaves floor out of range
+        fast &= ~(below | above)
+        rest, half = lo & ((np.uint64(1) << s) - 1), np.uint64(1) << (s - 1)
+        d = floor + ((rest > half) | ((rest == half) & ((floor & 1) == 1)))
+        carry = d == _E17  # |v| 10^k >= 10^17 - 1/2 rounds to 1.0000000000000000 at the next exponent
+        d[carry] = _E16
+        p = 16 - k + carry
+        cells = np.empty((v.size, 25), dtype=np.uint8)
+        lead, rest = np.divmod(d, _E16)
+        pairs = np.empty((v.size, 8), dtype=np.uint16)  # the 16 digits after the point, two per entry
+        for last, half in zip((3, 7), np.divmod(rest, np.uint64(10 ** 8))):
+            half = half.astype(np.uint32)
+            for col in range(last, last - 4, -1):
+                half, pairs[:, col] = np.divmod(half, 100)
+        cells[:, 2], cells[:, 4:20] = lead + ord("0"), _PAIRS[pairs].view(np.uint8)
+        cells[:, 1], cells[:, 3], cells[:, 20] = ord("-"), ord("."), ord("e")
+        cells[:, 21] = np.where(p < 0, ord("-"), ord("+"))
+        cells[:, 22], cells[:, 23] = np.abs(p) // 10 + ord("0"), np.abs(p) % 10 + ord("0")
+        cells[:, 24] = np.tile(sep, len(v) // len(sep))
+        width = 22 + np.signbit(v)
+        for i in np.flatnonzero(~fast).tolist():
+            text = format(float(v[i]), ".16e").encode()
+            width[i] = len(text)
+            cells[i, 24 - len(text):24] = np.frombuffer(text, dtype=np.uint8)
+        yield cells[np.arange(25) >= 24 - width[:, None]].tobytes()
+
+
+def _emit(args, name: str, lines: Iterable[str | bytes], note: str = "") -> None:
+    """Write `name` under --out, then print where.
+
+    A str is one line and gets its newline; bytes are a block of whole lines, written as they
+    are.  `orbit.csv` comes as blocks (`_e16_rows`), so its text, up to a million rows, is never
+    held at once.
     """
     path = Path(args.out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for line in lines:
-            fh.write(line + "\n")
+            fh.write(line if isinstance(line, bytes) else (line + "\n").encode())
     print(f"wrote {path} ({note})" if note else f"wrote {path}")
 
 
@@ -335,8 +404,7 @@ def _cmd_orbit(args, cfg, cfg_hash) -> int:
     # rows in lexicographic order; rebinding frees the unsorted array
     pts = pts[np.lexsort(pts.T[::-1])]
     header = ",".join(f"x{i+1}" for i in range(pts.shape[1]))
-    rows = (",".join(map(repr, row.tolist())) for row in pts)
-    _emit(args, "orbit.csv", itertools.chain([header], rows), f"{pts.shape[0]} unit vectors")
+    _emit(args, "orbit.csv", itertools.chain([header], _e16_rows(pts)), f"{pts.shape[0]} unit vectors")
     return EXIT_OK
 
 

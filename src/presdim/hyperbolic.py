@@ -35,7 +35,7 @@ __all__ = ["ParabolicGroupSpec", "parabolic_orbit", "identity_suite"]
 HALF_SPACE = "upper-half-space"
 BALL = "ball"
 _MODEL_TOL = 1e-12
-# largest lattice cube (2 radius + 1)^rank, or number of ellipsoid rows, that one enumeration may build
+# largest lattice cube (2 radius + 1)^rank that one enumeration may build, or number of ellipsoid rows it may walk
 _ENUMERATION_CAP = 20_000_000
 
 
@@ -68,8 +68,15 @@ def _sphere_to_plane(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _plane_to_sphere(u: np.ndarray) -> np.ndarray:
     """u -> (2u, 1 - |u|^2)/(1 + |u|^2) on rows of the boundary plane."""
     nn = np.einsum("ij,ij->i", u, u)
+    if not np.all(np.isfinite(nn)):
+        raise ValueError("plane points beyond about 1e154 overflow the map to the sphere")
     scale = 1.0 / (1.0 + nn)
-    return np.column_stack([2.0 * u * scale[:, None], (1.0 - nn) * scale])
+    out = np.empty((len(u), u.shape[1] + 1))
+    np.multiply(u, 2.0, out=out[:, :-1])
+    out[:, :-1] *= scale[:, None]
+    np.subtract(1.0, nn, out=out[:, -1])
+    out[:, -1] *= scale
+    return out
 
 
 def _distance(x: np.ndarray, y: np.ndarray, model: str) -> np.ndarray:
@@ -155,36 +162,42 @@ def _translate(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_factor(alphas: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray | None, float]:
-    """(U, e): the upper float Cholesky factor of fl(G) - shift I, diagonal rounded down (None if it
-    fails), G = alphas alphas^T (k x d), and e >= ||G - shift I - U^T U||_2, the sum of, with gamma_n =
-    n u / (1 - n u) and T >= tr fl(G): the Gram rounding, gamma_d || |alphas| |alphas|^T ||_2 <= gamma_d
-    ||alphas||_F^2 <= gamma_d T / (1 - gamma_d); and the factor's backward error, U^T U = M + D with
-    |D| <= gamma_(k+1) |U^T| |U| for the factored M, so ||D||_2 <= gamma_(k+1) tr(M + D) <= gamma_(k+1) T /
-    (1 - gamma_(k+1)) in any summation order (Rump, "Verification of positive definiteness", BIT 46
-    (2006)).  Both are at most n u T / (1 - 2 n u), n = d + k + 1.  Underflow adds at most k (k + d + 1)
-    2^-1075, inside the rounding-up margin of e while e > 2^-960; below that no factor is returned.
+def _gram_factor(alphas: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray | None, float, int]:
+    """(U, e, j) for the generators a = 2^-j alphas, j chosen so that max |a_il| lies in [1, 2) (exact
+    barring subnormals), so fl(G) neither overflows nor underflows past the slack at any scale: U is
+    the upper float Cholesky factor of fl(G) - shift I, diagonal rounded down (None if it fails), G =
+    a a^T (k x d), and e >= ||G - shift I - U^T U||_2, the sum of, with gamma_n = n u / (1 - n u) and
+    T >= tr fl(G): the Gram rounding, gamma_d || |a| |a|^T ||_2 <= gamma_d ||a||_F^2 <= gamma_d T /
+    (1 - gamma_d); and the factor's backward error, U^T U = M + D with |D| <= gamma_(k+1) |U^T| |U| for
+    the factored M, so ||D||_2 <= gamma_(k+1) tr(M + D) <= gamma_(k+1) T / (1 - gamma_(k+1)) in any
+    summation order (Rump, "Verification of positive definiteness", BIT 46 (2006)).  Both are at most
+    n u T / (1 - 2 n u), n = d + k + 1.  Underflow, in the products or in scaling a subnormal entry,
+    adds at most 4 k (k + d + 1) 2^-1074, inside the rounding-up margin of e >= 3u (T >= 1).
     """
-    gram = alphas @ alphas.T
+    j = int(np.frexp(np.abs(alphas).max())[1]) - 1
+    scaled = np.ldexp(alphas, -j)
+    gram = scaled @ scaled.T
     n = sum(alphas.shape) + 1
     slack = _up(n * _U / (1.0 - 2.0 * n * _U) * _sum_enclosure(np.diag(gram))[1], 4.0 * _U)
     if shift:
         np.fill_diagonal(gram, np.nextafter(np.diag(gram) - shift, -np.inf))
     try:
-        return (np.linalg.cholesky(gram).T if slack > 2.0 ** -960 else None), slack
+        return np.linalg.cholesky(gram).T, slack, j
     except np.linalg.LinAlgError:
-        return None, slack
+        return None, slack, j
 
 
 def _certified_sigma_min(alphas: np.ndarray, estimate: float) -> float:
     """A lower bound for the least singular value of alphas: if fl(G) - cI has a float Cholesky
-    factor, sigma_min^2 >= c - e (`_gram_factor`).  c starts at estimate^2 - e and backs off by
-    2e, 4e, ...; 0 once c <= e, or if fl(G) itself, which `poincare` counts with, has no factor."""
-    factor, slack = _gram_factor(alphas)
+    factor, sigma_min^2 >= 4^j (c - e) (`_gram_factor`, G and c in its scaled units).  c starts at
+    (2^-j estimate)^2 - e and backs off by 2e, 4e, ...; 0 once c <= e, or if fl(G) itself, which
+    `poincare` counts with, has no factor."""
+    factor, slack, j = _gram_factor(alphas)
+    estimate = math.ldexp(estimate, -j)
     step = slack
     while factor is not None and estimate * estimate - step > slack:
         if _gram_factor(alphas, estimate * estimate - step)[0] is not None:
-            return _down(math.sqrt(_down(estimate * estimate - step - slack)))
+            return math.ldexp(_down(math.sqrt(_down(estimate * estimate - step - slack))), j)
         step *= 2.0
     return 0.0
 
@@ -247,10 +260,12 @@ def parabolic_orbit(group: ParabolicGroupSpec, xi, radius: int) -> PointCloud:
         raise ValueError("radius must be >= 1")
     if xi.shape != (group.ambient - 1,):
         raise ValueError("boundary point dimension does not match the group")
-    lattice = _lattice_grid(group.rank, radius).astype(float)
-    plane = xi[None, :] + lattice @ group.alphas
+    pts = _lattice_grid(group.rank, radius).astype(float) @ group.alphas
+    pts += xi  # the plane points xi + sum N_i alpha_i, in one buffer
+    # rebinding frees the plane rows before the cloud checks its unit vectors
+    pts = _plane_to_sphere(pts)
     label = f"parabolic-orbit(ambient={group.ambient}, rank={group.rank}, radius={radius})"
-    return PointCloud(_plane_to_sphere(plane), "sphere", label)
+    return PointCloud(pts, "sphere", label)
 
 
 def identity_suite(trials: int, rng: np.random.Generator) -> list[dict]:

@@ -40,6 +40,7 @@ __all__ = [
 
 CONVERGENT_WITH_BOUND = "convergent-with-bound"
 DIVERGENT_MINORANT = "divergent-minorant"
+_ROWS_PER_BLOCK = 1 << 14  # rows of one lattice count held at a time
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> Poinca
         raise ValueError("s must be nonnegative")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    lattice = _lattice_grid(group.rank, radius)
-    disp = lattice[np.any(lattice != 0, axis=1)].astype(float) @ group.alphas
+    disp = _lattice_grid(group.rank, radius)
+    disp = disp[np.any(disp != 0, axis=1)].astype(float) @ group.alphas  # rebinding frees the grid
     partial = 1.0 + compensated_sum(_libm(math.exp, -s * _orbit_distance(disp)))
     classification, bound, evidence = classify_tail(group, s, radius)
     return PoincareSample(float(s), partial, int(radius), classification, bound, evidence)
@@ -151,8 +152,8 @@ def _interval(centre: np.ndarray, room: np.ndarray, diagonal: float) -> tuple[np
     return np.ceil(centre - half), np.floor(np.add(centre, half, out=half), out=half)
 
 
-def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
-    """#{N in Z^k : |sum N_i alpha_i| <= length}, exact for the float generators and length.
+def _ellipsoid_counts(group: ParabolicGroupSpec, lengths) -> list[int]:
+    """#{N in Z^k : |sum N_i alpha_i| <= length} for each length, exact for the float generators and lengths.
 
     Fincke-Pohst (Math. Comp. 44 (1985)) over the float Cholesky factor U of the Gram matrix, Q(N) =
     |sum N_i alpha_i|^2 ~ |UN|^2 = sum_i y_i^2, y_i = sum_(j >= i) U_ij N_j: coordinates k..2 expand row
@@ -163,19 +164,46 @@ def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
     kappa Q(N); a y_i errs by gamma_k sum_j |U_ij||N_j|, whose squares sum to <= ||U||_F^2 |N|^2 <= kappa
     Q(N), so a partial sum of y_i^2 by 3k u kappa Q(N); an interval end at radius r by (2k + 8) u kappa
     r^2 in squares, and r^2 by 3u r^2.  eta = 16 e / sigma_min^2 exceeds the sum, (d + 6k + 12) u kappa.
+    The factor, eta and the rational generators are built once for all lengths; the floats are in
+    `_gram_factor`'s units (generators and lengths scaled by 2^-j), the rationals are not scaled.
     """
-    upper, slack = _gram_factor(group.alphas)
-    margin = 16.0 * slack / group.sigma_min ** 2
-    wide, narrow = length * length * (1.0 + margin), length * length * (1.0 - margin)
-    # columns N_(i+1..k) of the rows in exact floats, N_k ascending from 0, and |y_(i+1..k)|^2
-    columns, partial = [], np.zeros(1)
-    for i in range(group.rank - 1, -1, -1):
+    upper, slack, j = _gram_factor(group.alphas)
+    margin = 16.0 * slack / math.ldexp(group.sigma_min, -j) ** 2
+    generators = [[Fraction(x) for x in column] for column in group.alphas.T.tolist()]
+    return [_ellipsoid_count(upper, margin, generators, length, math.ldexp(length, -j)) for length in lengths]
+
+
+def _ellipsoid_count(upper: np.ndarray, margin: float, generators: list, length: float, scaled: float) -> int:
+    """One count of `_ellipsoid_counts`: `scaled` is the length in the units of the factor `upper`.
+
+    From rank 2 on, the rows are walked in blocks of consecutive N_k >= 0 of about _ROWS_PER_BLOCK rows
+    each (a row count per N_k from the widths of the coordinates k-1..2), so memory is bounded by a
+    block, not by the whole enumeration.
+    """
+    rank = len(upper)
+    wide, narrow = scaled * scaled * (1.0 + margin), scaled * scaled * (1.0 - margin)
+    limit = Fraction(length) ** 2
+    if rank == 1:
+        return _count_rows(upper, wide, narrow, generators, limit, None)
+    top = math.floor(math.sqrt(wide) / upper[-1, -1])
+    per_value = math.prod(2.0 * math.sqrt(wide) / upper[i, i] + 1.0 for i in range(1, rank - 1))
+    step = max(1, int(_ROWS_PER_BLOCK / per_value))
+    return sum(_count_rows(upper, wide, narrow, generators, limit, np.arange(start, min(start + step, top + 1), dtype=float))
+               for start in range(0, top + 1, step))
+
+
+def _count_rows(upper: np.ndarray, wide: float, narrow: float, generators: list, limit: Fraction, tops) -> int:
+    """The count of the lattice points whose N_k lies in `tops` (ascending, >= 0; N and -N together),
+    or of all lattice points at rank 1 (tops None)."""
+    rank = len(upper)
+    # columns N_(i+1..k) of the rows in exact floats, N_k ascending, and |y_(i+1..k)|^2
+    columns, partial = ([], np.zeros(1)) if tops is None else ([tops], (upper[-1, -1] * tops) ** 2)
+    for i in range(rank - 1 - len(columns), -1, -1):
         shift = sum((c * u for c, u in zip(columns, upper[i, i + 1:])), np.zeros(len(partial)))
         centre = shift / -upper[i, i]
         first, last = _interval(centre, wide - partial, upper[i, i])
         if i == 0:
             break
-        first = np.maximum(first, 0.0) if i == group.rank - 1 else first
         size, value = _spread(first, last - first + 1.0)
         columns = [value] + [np.repeat(column, size) for column in columns]
         partial = np.repeat(partial, size) + (upper[i, i] * value + np.repeat(shift, size)) ** 2
@@ -185,9 +213,10 @@ def _ellipsoid_count(group: ParabolicGroupSpec, length: float) -> int:
     single = np.searchsorted(columns[-1], 0.0, side="right") if columns else 1  # rows with N_k = 0
     count = 2 * int(inner_last.sum() - inner_first.sum() + len(partial))
     count -= int(inner_last[:single].sum() - inner_first[:single].sum() + single)
-    generators, limit = [[Fraction(x) for x in column] for column in group.alphas.T.tolist()], Fraction(length) ** 2
     for start, stop in ((first, inner_first), (inner_last + 1.0, last + 1.0)):
         edge = np.flatnonzero(stop > start)
+        if not edge.size:
+            continue
         size, value = _spread(start[edge], stop[edge] - start[edge])
         row = np.repeat(edge, size)
         points = np.column_stack([value] + [column[row] for column in columns]).astype(np.int64)
@@ -201,19 +230,19 @@ def counting_exponent(group: ParabolicGroupSpec, t_max: float = 25.0, levels: in
     """Orbit counts along t_j = j t_max / levels and their log-slope.
 
     Counts are the exact lattice points of the ellipsoid |sum N_i alpha_i| <= 2 sinh(t/2)
-    (`_ellipsoid_count`); the final slope regresses log(count) on t over the last third of levels,
+    (`_ellipsoid_counts`); the final slope regresses log(count) on t over the last third of levels,
     skipping degenerate count-1 levels.
     """
     if levels < 6:
         raise ValueError("need at least 6 levels")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    # rows held: about (2 reach)^(k-1) / 2, N_k >= 0 (reach at k = 1), reach = 2 sinh(t/2) / sigma_min
+    # rows walked: about (2 reach)^(k-1) / 2, N_k >= 0 (reach at k = 1), reach = 2 sinh(t/2) / sigma_min
     achievable = 2.0 * math.asinh(0.25 * group.sigma_min * (2 * _ENUMERATION_CAP) ** (1.0 / max(group.rank - 1, 1)))
     if t_max > achievable:
         raise ValueError(f"enumeration cap exceeded; the largest achievable t_max is {achievable:.2f}")
     thresholds = t_max * np.arange(1, levels + 1) / levels
-    counts = np.array([_ellipsoid_count(group, 2.0 * math.sinh(0.5 * t)) for t in thresholds], dtype=np.int64)
+    counts = np.array(_ellipsoid_counts(group, [2.0 * math.sinh(0.5 * t) for t in thresholds]), dtype=np.int64)
     if counts[-1] < 1000:
         raise ValueError("t_max reaches fewer than 1000 lattice points; increase it")
     slopes = np.where(counts > 1, np.log(np.maximum(counts, 1)) / thresholds, 0.0)

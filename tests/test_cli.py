@@ -1,15 +1,19 @@
 """End-to-end CLI runs against small configs in a temp directory."""
 
+import configparser
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import presdim
 from presdim import cli
@@ -260,6 +264,54 @@ def test_orbit_csv(tmp_path, capsys):
         assert f"{count} unit vectors" in out.out
         rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
         assert all(a < b for a, b in zip(rows, rows[1:]))
+        # every cell reads back as the orbit coordinate, bit for bit (xi = 0 puts exact zeros in)
+        parsed = configparser.ConfigParser()
+        parsed.read_string(text)
+        pts = cli._orbit_cloud(parsed).points
+        assert np.array(rows).tobytes() == pts[np.lexsort(pts.T[::-1])].tobytes()
+        assert 0.0 in pts
+
+
+def _format_rows(values: np.ndarray) -> bytes:
+    return "".join(",".join(format(v, ".16e") for v in row) + "\n" for row in values.tolist()).encode()
+
+
+# signed zeros, subnormals, the far exponents and the neighbours of the powers of ten around the
+# array path's range 1e-11 <= |v| < 10, where the guessed decimal exponent is one off
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan] + [
+    sign * math.nextafter(10.0 ** j, to) for j in range(-12, 2) for to in (math.inf, -math.inf) for sign in (1, -1)]
+_DYADICS = st.builds(lambda m, e, sign: sign * math.ldexp(m, e), st.integers(1, 2 ** 12), st.integers(-70, 6),
+                     st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), _DYADICS), min_size=1, max_size=60),
+       st.integers(1, 4))
+def test_orbit_cells_are_format_16e(values, width):
+    values = np.array(values + [1.0] * (-len(values) % width)).reshape(-1, width)
+    assert b"".join(cli._e16_rows(values)) == _format_rows(values)
+
+
+def test_orbit_cells_round_half_to_even_at_exact_ties():
+    # m 2^e with a short m ends in 5 at the 18th significant digit for some e: an exact tie
+    m, e = np.meshgrid(np.arange(1, 1 << 10), np.arange(-70, 5), indexing="ij")
+    values = np.ldexp(m.ravel().astype(float), e.ravel())
+    assert b"".join(cli._e16_rows(values.reshape(-1, 3))) == _format_rows(values.reshape(-1, 3))
+    ties = [v for v in values.tolist() if len(digits := Decimal(v).normalize().as_tuple().digits) == 18
+            and digits[-1] == 5]
+    # both ways: to the even digit below, and up to it
+    kept = {Decimal(v).normalize().as_tuple().digits[-2] % 2 for v in ties}
+    assert len(ties) > 100 and kept == {0, 1}
+
+
+@pytest.mark.parametrize("group, xi, radius", [
+    (ParabolicGroupSpec(3, 2, np.eye(2)), [-0.365636, 0.347434], 200),  # the orbit-hdim benchmark's, seed 1
+    (ParabolicGroupSpec(4, 3, np.eye(3)), [0.0, 0.0, 0.0], 20),
+], ids=["G32", "G43"])
+def test_orbit_cloud_cells_are_format_16e(group, xi, radius):
+    pts = parabolic_orbit(group, xi, radius).points
+    assert b"".join(cli._e16_rows(pts)) == _format_rows(pts)
 
 
 def test_poincare_identity_count(tmp_path, capsys):
@@ -332,6 +384,21 @@ def test_verify_main_log_squared_inconclusive(tmp_path, capsys):
     assert doc["overall"] == "INCONCLUSIVE"
     status = {a["name"]: a["status"] for a in doc["assertions"]}
     assert status["s_infinity at most the upper box dimension"] == "INCONCLUSIVE"
+
+
+def test_verify_main_fails_where_the_box_window_is_past_the_lag(tmp_path, capsys):
+    # 5,000 log-squared endpoints counted at deltas 2^-16 .. 2^-26: the box window (upper end
+    # near 0.53) is further below s_infinity = 1 than the tolerance and the gap lag (0.35) together
+    cfg = _write_config(tmp_path, "l.ini", "[partition]\ngenerator = log-squared\ntruncation = 5000\n\n"
+                                           "[boxdim]\nj_min = 16\nj_max = 26\n")
+    code, out = _run(["verify-main", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "FAIL: s_infinity at most the upper box dimension" in out.out
+    doc = json.loads((tmp_path / "verify_main.json").read_text())
+    assert doc["overall"] == "FAIL"
+    status = {a["name"]: a["status"] for a in doc["assertions"]}
+    assert status["s_infinity at most the upper box dimension"] == "FAIL"
+    assert doc["box_dimension"]["upper_dim"] + 0.05 + 0.35 < doc["s_infinity"]["s_low"]
 
 
 def test_verify_hdim_small_group(tmp_path, capsys):

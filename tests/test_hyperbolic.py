@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from presdim import hyperbolic
+from presdim import hyperbolic, poincare
 from presdim.hyperbolic import (
     BALL,
     HALF_SPACE,
@@ -232,9 +232,9 @@ def test_group_validation():
 def _assert_certified(alphas, exact):
     # at or below the exact value, and sigma_min^2 within a few slacks e of it
     sigma = ParabolicGroupSpec(alphas.shape[1] + 1, alphas.shape[0], alphas).sigma_min
-    slack = hyperbolic._gram_factor(alphas)[1]
+    _, slack, j = hyperbolic._gram_factor(alphas)  # the slack of the generators scaled by 2^-j
     assert sigma <= exact
-    assert exact ** 2 - mpmath.mpf(sigma) ** 2 <= 8 * slack
+    assert exact ** 2 - mpmath.mpf(sigma) ** 2 <= 8 * math.ldexp(slack, 2 * j)
 
 
 def test_sigma_min_is_a_certified_lower_bound():
@@ -267,16 +267,34 @@ def test_sigma_min_steps_down_from_a_high_estimate():
     assert hyperbolic._certified_sigma_min(np.array([[1.0, 0.0], [1.0, 0.0]]), 1e-300) == 0.0
 
 
-def test_gram_factor_fails_on_an_indefinite_shift_and_below_the_underflow_floor():
+def test_gram_factor_fails_on_an_indefinite_shift():
     assert hyperbolic._gram_factor(np.eye(2), 1.0)[0] is None
-    # e = 3u 1e-300 is below 2^-960, where underflow could leave the slack
-    assert hyperbolic._gram_factor(np.array([[1e-150]]))[0] is None
-    with pytest.raises(ValueError, match="linearly independent"):
-        ParabolicGroupSpec(2, 1, [[1e-150]])
-    # scale alone no longer rejects a group (sigma_min <= 1e-12 used to)
-    assert 1e-100 * (1 - 1e-15) <= ParabolicGroupSpec(2, 1, [[1e-100]]).sigma_min <= 1e-100
-    upper, slack = hyperbolic._gram_factor(np.array([[1.0, 0.0], [0.3, 0.9]]))
+    upper, slack, j = hyperbolic._gram_factor(np.array([[1.0, 0.0], [0.3, 0.9]]))
+    assert j == 0
     assert np.allclose(upper.T @ upper, [[1.0, 0.3], [0.3, 0.9]], rtol=0, atol=4 * slack)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-150, 2.0 ** 512, 2.0 ** -455, 1e-100])
+def test_groups_build_at_any_scale(scale):
+    # the factor works on the generators scaled into [1, 2): no Gram overflow (nor its numpy
+    # RuntimeWarning, an error in this suite), and no slack under the underflow floor
+    upper, slack, j = hyperbolic._gram_factor(np.array([[scale]]))
+    assert 1.0 <= upper[0, 0] < 2.0 and math.ldexp(1.0, j) <= scale < math.ldexp(2.0, j)
+    assert scale * (1 - 1e-15) <= ParabolicGroupSpec(2, 1, [[scale]]).sigma_min <= scale
+
+
+@pytest.mark.parametrize("j", [-900, -455, -40, -3, 3, 40, 512, 900])
+def test_scaling_a_group_by_a_power_of_two_scales_its_certificate_and_counts(j):
+    alphas = np.array([[1.0, 0.0], [0.3, 0.9]])
+    group, scaled = ParabolicGroupSpec(3, 2, alphas), ParabolicGroupSpec(3, 2, np.ldexp(alphas, j))
+    assert scaled.sigma_min == math.ldexp(group.sigma_min, j)
+    # lattice norms (N = (5, -2) and (3, 1)) and one ulp either side, where the count is decided exactly
+    lengths = []
+    for n in ([5.0, -2.0], [3.0, 1.0]):
+        norm = float(np.linalg.norm(np.array(n) @ alphas))
+        lengths += [math.nextafter(norm, 0.0), norm, math.nextafter(norm, math.inf)]
+    assert poincare._ellipsoid_counts(scaled, [math.ldexp(x, j) for x in lengths]) == \
+        poincare._ellipsoid_counts(group, lengths)
 
 
 def test_translate_is_isometry_and_fixes_infinity():
@@ -330,6 +348,9 @@ def test_parabolic_orbit_counts_and_errors():
     # the lattice cap is checked before any point is allocated
     with pytest.raises(ValueError, match="above the cap"):
         parabolic_orbit(g2, [0.0, 0.0], 10**6)
+    # a group this large builds, but |u|^2 of its plane points overflows (no nan rows, no warning)
+    with pytest.raises(ValueError, match="overflow the map to the sphere"):
+        parabolic_orbit(ParabolicGroupSpec(2, 1, [[2.0 ** 512]]), [0.0], 1)
 
 
 def test_orbit_gaps_track_orbit_distance():

@@ -270,11 +270,23 @@ def test_counting_rank_three_slope():
 
 def test_ellipsoid_count_is_exact_where_floats_miscount():
     # 5 * 0.1 exceeds 0.5 in rationals of the floats; a float quotient gave 11
-    assert poincare._ellipsoid_count(ParabolicGroupSpec(2, 1, [[0.1]]), 0.5) == 9
+    assert poincare._ellipsoid_counts(ParabolicGroupSpec(2, 1, [[0.1]]), [0.5]) == [9]
     # at the norm of N = (5, -2); the float formula gave 79
     group = ParabolicGroupSpec(3, 2, [[1.0, 0.0], [0.3, 0.9]])
     length = float(np.linalg.norm(np.array([5.0, -2.0]) @ group.alphas))
-    assert poincare._ellipsoid_count(group, length) == 81 == _exact_count(group.alphas, length, group.sigma_min)
+    assert poincare._ellipsoid_counts(group, [length]) == [81] == [_exact_count(group.alphas, length, group.sigma_min)]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_ellipsoid_count_does_not_depend_on_the_row_block(rank, monkeypatch):
+    # blocks of a few rows put many block boundaries inside each count
+    rng = np.random.default_rng(2000 + rank)
+    groups = [ParabolicGroupSpec(rank + 2, rank, rng.normal(size=(rank, rank + 1))) for _ in range(4)]
+    lengths = [0.0, 0.3, 2.0, 5.5, {2: 40.0, 3: 9.0, 4: 4.0}[rank]]
+    expected = [poincare._ellipsoid_counts(group, lengths) for group in groups]
+    monkeypatch.setattr(poincare, "_ROWS_PER_BLOCK", 5)
+    assert [poincare._ellipsoid_counts(group, lengths) for group in groups] == expected
+    assert expected[0][-1] > 100
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -290,7 +302,7 @@ def test_ellipsoid_count_matches_exact_rationals(rank):
         for length in (math.nextafter(norm, 0.0), norm, math.nextafter(norm, math.inf)):
             exact = _exact_count(group.alphas, length, group.sigma_min)
             if exact is not None:
-                assert poincare._ellipsoid_count(group, length) == exact, (group.alphas, length)
+                assert poincare._ellipsoid_counts(group, [length]) == [exact], (group.alphas, length)
                 checked += 1
     assert checked >= 30
 

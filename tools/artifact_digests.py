@@ -8,9 +8,11 @@ Imports `presdim` from DIR/src and runs every op and the probe of each
 imported, from the tree this script lives in, so both runs of a comparison
 get the same configs.  Prints one JSON object keyed by
 "seed/workload/index-command-config" with each op's exit code, its stdout
-(the temporary directory replaced by "<tmp>") and the sha256 of each file
-it wrote.  A refactor that keeps the CLI's output shows no difference
-between two trees:
+(the temporary directory replaced by "<tmp>"), the sha256 of each file it
+wrote, and for each CSV file the sha256 of its values: the little-endian
+float64 bytes of every numeric cell, header skipped.  A refactor that keeps
+the CLI's output shows no difference between two trees, and a change of
+number format alone changes a byte digest but not the values digest:
 
     diff <(python3 tools/artifact_digests.py --src ../parent) \\
          <(python3 tools/artifact_digests.py --src .)
@@ -26,6 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
@@ -36,6 +40,15 @@ def _digests(out: Path) -> dict[str, str]:
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
+
+
+def _values_digest(path: Path) -> str:
+    values = []
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            with contextlib.suppress(ValueError):
+                values.append(float(cell))
+    return hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest()
 
 
 def run(cli, seeds: list[int]) -> dict[str, dict]:
@@ -61,6 +74,9 @@ def run(cli, seeds: list[int]) -> dict[str, dict]:
                         "exit": code,
                         "stdout": stdout.getvalue().replace(tmp, "<tmp>"),
                         "artifacts": _digests(out) if out.is_dir() else {},
+                        "values_sha256": {
+                            str(path.relative_to(out)): _values_digest(path) for path in sorted(out.rglob("*.csv"))
+                        } if out.is_dir() else {},
                     }
     return entries
 

@@ -171,35 +171,73 @@ def _behavior_at_threshold(partition: IntervalPartition, s_mid: float) -> tuple[
     return _AT_CRITICAL[verdict.status], verdict.evidence
 
 
+def _guide(points: list) -> float:
+    """Where the polynomial t(f) through the (t, f) points meets f = 0, or nan.
+
+    Inverse quadratic interpolation through three points (Brent,
+    "Algorithms for Minimization without Derivatives", 1973), the secant
+    through two; nan for fewer, or where two estimates are equal.
+    """
+    if len(points) < 2:
+        return math.nan
+    try:
+        return sum(t * math.prod(g / (g - f) for j, (_, g) in enumerate(points) if j != i)
+                   for i, (t, f) in enumerate(points))
+    except ZeroDivisionError:
+        return math.nan
+
+
 def _bisect(sample: Callable[[float], tuple[bool, float]], lo: float, hi: float, tol: float,
             known: dict) -> tuple[float, float]:
     """Halve [lo, hi] down to width <= tol; past_root(hi) and not past_root(lo) stay true.
 
     sample(t) is (past_root(t), estimate): past_root is monotone, and the
-    estimate has the curve's sign, or is nan.  The samples in `known`, which
-    gains the new ones, decide each midpoint at or below the largest a not
-    past the root or at or above the smallest b past it, so the bracket is
-    plain halving's.  Up to three Illinois false-position samples in (a, b)
-    (Dowell and Jarratt, BIT 11, 1971) come before a midpoint's own.
+    estimate is a curve with the root's sign, or nan.
+
+    The bracket: the samples in `known`, which gains the new ones, decide
+    each midpoint at or below the largest a not past the root or at or above
+    the smallest b past it.  So the bracket is plain halving's wherever the
+    samples fall, and only a midpoint in (a, b) needs a sample.  Up to three
+    guided samples come before the midpoint's own, so there are at most
+    four samples per midpoint.
+
+    The guide x is `_guide` through the last three finite estimates, those
+    in `known` first; a nan x, or one outside (a, b), gives the midpoint.
+    The snap: halving [lo, hi] as if x were the root ends in an interval of
+    width <= tol around x, and the sample is its end nearer x among those in
+    (a, b).  One of them always is: lo <= a < mid < b <= hi, and that
+    interval lies on one side of mid, so it cannot hold all of [a, b].
+    Every sample thus lies in (a, b), so none repeats, and the samples land
+    on halving's own grid: the last two typically on the grid points on
+    either side of the root, a fraction of tol from it rather than within
+    rounding of it, where one-pass enclosures would leave the sign open.
+
+    A tol finer than the float spacing where the halving stalls raises
+    PartitionError.
     """
-    ends = [[lo, math.nan], [hi, math.nan]]  # [a, estimate at a], [b, estimate at b]
-    for t, (past, f) in sorted(known.items()):
-        if ends[0][0] <= t <= ends[1][0]:
-            ends[past] = [t, f]
-    last = None
+    a = max((t for t, (past, _) in known.items() if not past and lo <= t <= hi), default=lo)
+    b = min((t for t, (past, _) in known.items() if past and lo <= t <= hi), default=hi)
+    points = [(t, f) for t, (_, f) in known.items() if math.isfinite(f)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise PartitionError(f"tolerance {tol!r} is finer than the float spacing {hi - lo!r} at t = {lo!r}")
         for step in range(4):
-            (a, fa), (b, fb) = ends
             if not a < mid < b:
                 break
-            x = a + (b - a) * fa / (fa - fb) if fa != fb else math.nan
-            t = x if step < 3 and a < x < b else mid
+            x = _guide(points[-3:]) if step < 3 else math.nan
+            t = mid
+            if a < x < b:  # the snap; it stops at the float spacing too, where the halving itself raises
+                l, h = lo, hi
+                while h - l > tol and l < 0.5 * (l + h) < h:
+                    m = 0.5 * (l + h)
+                    l, h = (l, m) if x <= m else (m, h)
+                t = min((e for e in (l, h) if a < e < b), key=lambda e: abs(e - x))
             past, f = known[t] = sample(t)
-            if past == last:  # the other end stayed twice: halve its estimate
-                ends[not past][1] *= 0.5
-            ends[past], last = [t, f], past
-        lo, hi = (mid, hi) if mid <= ends[0][0] else (lo, mid)
+            a, b = (a, t) if past else (t, b)
+            if math.isfinite(f):
+                points.append((t, f))
+        lo, hi = (mid, hi) if mid <= a else (lo, mid)
     return lo, hi
 
 
@@ -273,9 +311,14 @@ def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[
         raise PartitionError(f"t_low and t_high must be finite with t_low < t_high (got {t_lo}, {t_hi})")
 
     def locate(sample: Callable[[float], tuple[bool, float]], seen: dict) -> tuple[float, str]:
-        if seen.setdefault(t_lo, sample(t_lo))[0]:
+        def past(t: float) -> bool:
+            if t not in seen:
+                seen[t] = sample(t)
+            return seen[t][0]
+
+        if past(t_lo):
             return t_lo, "root-below-range"
-        if not seen.setdefault(t_hi, sample(t_hi))[0]:
+        if not past(t_hi):
             return t_hi, "not-bracketed"
         lo, hi = _bisect(sample, t_lo, t_hi, tol, seen)
         return 0.5 * (lo + hi), "ok"
@@ -330,14 +373,15 @@ def bowen_root_linear(
     whether each curve is <= 0, from `_linear_past`; the bracket is the one
     that exact sums at every exponent give.
     """
-    # one sample gives both curves, so the upper search starts from every exponent the lower one sampled
+    # one sample gives both curves, so the upper search starts from every exponent the lower one sampled,
+    # and samples only exponents it lacks
     known = ({}, {})
 
     def lower(t: float) -> tuple[bool, float]:
         known[0][t], known[1][t] = _linear_past(partition, t)
         return known[0][t]
 
-    return _root_bracket(lower, lambda t: known[1].get(t) or _linear_past(partition, t)[1], t_range, tol, known)
+    return _root_bracket(lower, lambda t: _linear_past(partition, t)[1], t_range, tol, known)
 
 
 def _cylinder_past(rows: list, t: float) -> tuple[bool, float]:

@@ -554,6 +554,13 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("bowen", GAUSS_100 + "\n[bowen]\ntol = nan\n", "config error: [bowen] tolerance must be positive"),
     ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = nan\n", "config error: [sinfinity] tolerance must be positive"),
     ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = nan\n", "error: tol must be positive"),
+    # halving stalls where the midpoint rounds to an end: an error, not an endless loop
+    ("bowen", GAUSS_100 + "\n[bowen]\ntol = 1e-20\n",
+     "config error: [bowen] tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = "),
+    ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = 1e-20\n",
+     "config error: [sinfinity] tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = 0.5"),
+    ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = 1e-20\n",
+     "error: tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = 0.5"),
     ("poincare", POINCARE_21.replace("s = 1.5", "s = nan"), "config error: [poincare] s must be nonnegative"),
     ("counting", POINCARE_21 + "\n[counting]\nt_max = 2000\n",
      "config error: [counting] enumeration cap exceeded; the largest achievable t_max is 33.62"),

@@ -170,6 +170,20 @@ def test_root_bracket_rejects_bad_tolerance():
             pressure._root_bracket(_past(1.0), _past(1.2), t_range=(1e-6, 8.0), tol=tol, known=({}, {}))
 
 
+def test_root_bracket_samples_only_the_range_ends_it_lacks():
+    sampled = []
+
+    def sample(t):
+        sampled.append(t)
+        return _past(1.0)(t)
+
+    known = ({1e-6: _past(1.0)(1e-6), 8.0: _past(1.0)(8.0)}, {1e-6: _past(1.2)(1e-6)})
+    br = pressure._root_bracket(sample, _past(1.2), t_range=(1e-6, 8.0), tol=1e-9, known=known)
+    assert br.status == "bracketed"
+    assert 1e-6 not in sampled and 8.0 not in sampled
+    assert 8.0 in known[1]
+
+
 @pytest.mark.parametrize("t_range", [(2.0, 1.0), (0.9, 0.9), (math.nan, 8.0), (1e-6, math.inf)],
                          ids=["reversed", "empty", "nan-low", "inf-high"])
 def test_root_bracket_rejects_empty_or_infinite_range(t_range):
@@ -271,12 +285,24 @@ def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
     part = build_partition("gauss", 20_000)
     br = bowen_root_linear(part, tol=1e-9)
     # one sample serves both curves, and the upper search starts from the lower one's
-    # exponents: 20 samples, where plain halving took 37
-    assert len(evaluated) == len(set(evaluated)) == 20
+    # exponents: 13 samples, where plain halving took 37
+    assert len(evaluated) == len(set(evaluated)) == 13
     # an exponent is summed exactly at most once, and only where its enclosure straddles 1
     assert reduced == [t for t in evaluated if _linear_straddles(part, t)]
     # same bracket as when every curve evaluation ran its own reduction
     assert (br.lower, br.upper) == (0.9999999980912281, 1.000000001953873)
+
+
+@pytest.mark.parametrize("name, kwargs", [("gauss", {}), ("power-law", {"exponent": 1.5})])
+def test_bowen_root_linear_benchmark_roots_take_seven_power_passes(monkeypatch, name, kwargs):
+    # the benchmark's two linear roots at truncation 1,000,000: a sample below the divergence threshold
+    # costs no power pass, and every other one is decided by its one-pass enclosure, with no exact sum
+    part = build_partition(name, 1_000_000, **kwargs)
+    evaluated, reduced = _count_linear(monkeypatch)
+    br = bowen_root_linear(part, tol=1e-9)
+    assert len([t for t in evaluated if part.series_verdict(t).status == "converges"]) <= 7
+    assert reduced == []
+    assert (br.lower, br.upper) == (0.9999999990225504, 1.0000000010225505)
 
 
 def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
@@ -333,8 +359,8 @@ def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, brac
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, order, tol=1e-6)
     # each (exponent, side) pair is sampled once; the lower curve reads only sup-side
-    # sums and the upper only inf-side ones, 16 samples in all, where plain halving took 50
-    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 16
+    # sums and the upper only inf-side ones, 14 samples in all, where plain halving took 50
+    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 14
     # the per-lead sum enclosures decide every sign: no exact reduction
     assert reduced == []
     # each side's rows are built once per root, not once per evaluation
@@ -465,8 +491,8 @@ def _halving(past_root, lo, hi, tol):
     return (lo, hi), mids
 
 
-# estimates of a curve with the given root at t; only their use as false-position
-# guides changes, never the bracket
+# estimates of a curve with the given root at t; they change only where the guide
+# places samples, never the bracket
 ESTIMATES = {
     "smooth": lambda root, t, rng: math.expm1(root - t),  # convex and decreasing, like a pressure curve
     "garbage": lambda root, t, rng: rng.choice([rng.uniform(-1e3, 1e3), 0.0, 1e308, -1e308, 5e-324]),
@@ -507,19 +533,19 @@ def test_guided_bisect_halves_the_samples_on_a_smooth_curve():
     cases = [(rng.uniform(1e-6, 8.0), 10.0 ** rng.uniform(-12, 0)) for _ in range(200)]
     runs = [_guided("smooth", root, tol, strict=False) for root, tol in cases]
     assert all(guided == reference for guided, reference, _, _ in runs)
-    assert sum(len(sampled) for *_, sampled, _ in runs) <= 0.7 * sum(len(mids) for *_, mids in runs)
+    assert sum(len(sampled) for *_, sampled, _ in runs) <= 0.45 * sum(len(mids) for *_, mids in runs)
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf"])
 def test_guided_bisect_samples_plain_midpoints_without_finite_estimates(kind):
-    # no secant through a nan or infinite estimate: every sample is a plain midpoint
+    # no guide through a nan or infinite estimate: every sample is a plain midpoint
     guided, reference, sampled, mids = _guided(kind, 2.5, 1e-9, strict=False)
     assert guided == reference
     assert sampled == mids
 
 
 def test_guided_bisect_samples_the_midpoint_when_the_secant_leaves_the_bracket():
-    # estimates rising with t put every secant through (a, t_a) and (b, t_b) at t = 0, left of (a, b)
+    # estimates equal to t put every guide, secant or inverse quadratic, at t = 0, left of (a, b)
     sampled = []
 
     def sample(t):
@@ -532,19 +558,50 @@ def test_guided_bisect_samples_the_midpoint_when_the_secant_leaves_the_bracket()
     assert sampled == mids
 
 
-def test_guided_bisect_samples_the_midpoint_after_three_secants():
-    # the estimates put the root just above a: three false-position samples creep up from 0
-    # and leave the first midpoint 4 open, so it is sampled fourth
+def test_guided_bisect_samples_the_midpoint_where_estimates_repeat():
+    # estimates 1 below the root and -2 past it: the first secant lands near 8/3, off the midpoints,
+    # and from then on every three estimates repeat one, which divides by zero in the guide,
+    # so every later sample is a plain midpoint that the first sample left open
     sampled = []
 
     def sample(t):
         sampled.append(t)
-        return t >= 6.0, 1.0 if t < 6.0 else -1e6
+        return t >= 2.5, 1.0 if t < 2.5 else -2.0
 
-    guided = pressure._bisect(sample, 0.0, 8.0, 1e-9, {0.0: (False, 1.0), 8.0: (True, -1e6)})
-    assert all(0.0 < t < 4.0 for t in sampled[:3])
+    guided = pressure._bisect(sample, 1e-6, 8.0, 1e-9, {1e-6: (False, 1.0), 8.0: (True, -2.0)})
+    reference, mids = _halving(lambda t: t >= 2.5, 1e-6, 8.0, 1e-9)
+    first = sampled[0]
+    assert guided == reference
+    assert first not in mids and abs(first - 8.0 / 3.0) < 1e-6
+    assert sampled[1:] == [m for m in mids if m < first]
+
+
+def test_guided_bisect_samples_the_midpoint_after_three_guided_samples():
+    # estimates (6 - t)^3 have a triple root, where interpolation converges slowly: three guided
+    # samples creep down from 8 and leave the first midpoint 4 open, so it is sampled fourth
+    sampled = []
+
+    def sample(t):
+        sampled.append(t)
+        return t >= 6.0, (6.0 - t) ** 3
+
+    guided = pressure._bisect(sample, 0.0, 8.0, 1e-9, {0.0: (False, 216.0), 8.0: (True, -8.0)})
+    assert all(4.0 < t < 8.0 for t in sampled[:3])
     assert sampled[3] == 4.0
     assert guided == _halving(lambda t: t >= 6.0, 0.0, 8.0, 1e-9)[0]
+
+
+@pytest.mark.parametrize("points, expected", [
+    ([], math.nan),
+    ([(1.0, 2.0)], math.nan),
+    ([(0.0, 1.0), (2.0, -1.0)], 1.0),  # the secant
+    ([(0.0, 1.0), (1.0, 0.0), (4.0, -1.0)], 1.0),  # t = (1 - f)^2 through three points: its value at f = 0
+    ([(0.0, 1.0), (2.0, 1.0)], math.nan),  # equal estimates
+    ([(0.0, 1.0), (1.0, -1.0), (2.0, 1.0)], math.nan),
+], ids=["none", "one", "two", "three", "two-equal", "three-equal"])
+def test_guide_interpolates_the_inverse_curve(points, expected):
+    guide = pressure._guide(points)
+    assert guide == expected or math.isnan(guide) and math.isnan(expected)
 
 
 def test_bowen_root_cylinder_capped_gauss_pinned():
@@ -555,17 +612,17 @@ def test_bowen_root_cylinder_capped_gauss_pinned():
 
 
 def test_bowen_root_cylinder_benchmark_capped_gauss_pinned(monkeypatch):
-    # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) takes 23 samples
-    # and falls back to exact sums where the enclosure straddles 1; each side's words are still walked once:
-    # one suffix table per side, and none for the exact sums
+    # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) takes 16 samples,
+    # none of them close enough to a root for its enclosure to straddle 1, so no exact sums;
+    # each side's words are walked once: one suffix table per side
     built, evaluated, reduced = _count_cylinder(monkeypatch)
     walks = []
     real_walk = interval_partition._word_tables
     monkeypatch.setattr(interval_partition, "_word_tables", lambda *args: walks.append(args[-1]) or real_walk(*args))
     bmap = make_branch_map(build_partition("gauss", 1000))
     br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
-    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 23
-    assert reduced and reduced == [(t, side) for t, side, rows in evaluated if _cylinder_straddles(rows, t)]
+    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 16
+    assert reduced == []
     assert [side for side, _ in built] == ["sup", "inf"] and walks == [3, 3]
     assert (br.lower, br.upper) == (0.9435027850467563, 1.0266823411778805)
 

@@ -43,7 +43,7 @@ from .boxdim import (
     DimensionEstimate,
     GapExponentEstimate,
     PointCloud,
-    covering_count,
+    covering_counts,
     estimate_box_dimension,
     gap_exponent_bounds,
 )

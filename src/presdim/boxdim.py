@@ -23,7 +23,7 @@ __all__ = [
     "PointCloud",
     "DimensionEstimate",
     "GapExponentEstimate",
-    "covering_count",
+    "covering_counts",
     "estimate_box_dimension",
     "gap_exponent_bounds",
 ]
@@ -144,53 +144,93 @@ class GapExponentEstimate:
         return float(abs(self.ratios[-1] - self.ratios[decade]))
 
 
-def covering_count(cloud: PointCloud, delta: float) -> int:
-    """Number N_delta of occupied cells of the delta-mesh (side-delta cubes).
+def covering_counts(cloud: PointCloud, deltas) -> np.ndarray:
+    """Numbers N_delta of occupied cells of the delta-mesh (side-delta cubes), one per level.
 
-    A point x lies in the cell floor(x / delta).  Line clouds are sorted, so
-    their cell indices are sorted too; sphere clouds in R^d pack one field of
-    63 // d bits per axis into an int64 key and sort the keys.  N_delta is
-    then one more than the number of places where consecutive keys differ, so
-    it depends only on the point set.
+    `deltas` is a doubling ladder from coarse to fine: each delta is exactly twice the next one,
+    and a single delta is a ladder of one.  A point x lies in the cell floor(x / delta).  The
+    keys are computed once, at the finest delta: floats for line clouds, and for sphere clouds
+    in R^d one field of 63 // d bits per axis, offset into range and packed into an int64.  Only
+    the distinct keys are kept, and each coarser level halves them.  Line keys become
+    floor(k / 2), which keeps them sorted, so a level's count is its number of runs.  Sphere
+    keys halve every field at once, ((k >> 1) & M) + C: M drops the bit shifted in from the
+    next field and C restores the field's offset, with no carry across fields; the shrinking set
+    is then sorted again.  So each cloud is divided and sorted once, and the counts depend only
+    on the point set.
+
+    The counts equal those of dividing by each delta: fl(x / 2 delta) = fl(x / delta) / 2, and
+    floor(floor(y) / 2) = floor(y / 2).  The one exception is a negative coordinate x so small
+    that x / delta underflows to -0.0 at a coarser level but not at the finest: direct division
+    puts it in cell 0 there, and the ladder in its correct cell -1.  On the line, |x| / delta
+    must also stay below 2^1024 at the finest level, where the keys would overflow.
     """
     pts = cloud.points
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0 or not np.all(deltas[:-1] == 2.0 * deltas[1:]):
+        raise ValueError("deltas must run from coarse to fine, each exactly twice the next")
+    finest = deltas[-1]
     if cloud.kind == "line":
-        if not delta > 0:
+        if not finest > 0:
             raise ValueError("delta must be positive")
-        keys = pts / delta
+        keys = pts / finest
         np.floor(keys, out=keys)
+
+        def halve(keys):
+            keys /= 2.0
+            return np.floor(keys, out=keys)
     else:
-        if not 0 < delta < math.pi:
+        if not (0 < finest and deltas[0] < math.pi):
             raise ValueError("delta must lie in (0, pi)")
         dim = pts.shape[1]
         bits = 63 // dim
         # at delta >= 2^(2 - bits), unit coordinates give indices within 2^(bits - 2) + 1 of 0;
         # offset by 2^(bits - 1), each fits its field, so packing is injective
         floor = 2.0 ** (2 - bits)
-        if delta < floor:
+        if finest < floor:
             raise ValueError(f"delta below supported resolution {floor} in R^{dim}")
         keys = np.zeros(len(pts), dtype=np.int64)
         for axis in range(dim):  # one axis at a time, so no index copy of the whole cloud is held
             keys <<= bits
-            keys |= np.floor(pts[:, axis] / delta).astype(np.int64) + (1 << (bits - 1))
+            keys |= np.floor(pts[:, axis] / finest).astype(np.int64) + (1 << (bits - 1))
         keys.sort()
-    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+        # a field f holds index i + 2^(bits - 1); floor(i / 2) + 2^(bits - 1) is (f >> 1) + 2^(bits - 2)
+        fields = sum(1 << (bits * axis) for axis in range(dim))
+        mask = np.int64(((1 << (bits - 1)) - 1) * fields)
+        offset = np.int64((1 << (bits - 2)) * fields)
+
+        def halve(keys):
+            keys >>= 1
+            keys &= mask
+            keys += offset
+            keys.sort()
+            return keys
+    counts = np.empty(deltas.size, dtype=np.int64)
+    for level in range(deltas.size - 1, -1, -1):
+        heads = np.empty(keys.size, dtype=bool)
+        heads[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+        keys = keys[heads]
+        counts[level] = keys.size
+        keys = halve(keys)
+    return counts
 
 
 def estimate_box_dimension(cloud: PointCloud, deltas: np.ndarray) -> DimensionEstimate:
     """Windowed-secant box-dimension estimate of a finite sample.
 
-    Levels whose count exceeds 90% of the sample size are saturated by
-    finiteness and excluded.  Secant slopes of log N over log(1/delta) are
-    taken between consecutive usable levels; lower_dim/upper_dim are their
-    min/max over the trailing half of the window, clamped to [0, ambient].
+    The deltas must form a doubling ladder (such as 2^-j over consecutive j); `covering_counts`
+    counts every level from the cells of the finest, with the counts of dividing by each delta
+    (save its -0.0 caveat).  Levels whose count exceeds 90% of the sample size are saturated by
+    finiteness and excluded.  Secant slopes of log N over log(1/delta) are taken between
+    consecutive usable levels; lower_dim/upper_dim are their min/max over the trailing half of
+    the window, clamped to [0, ambient].
     """
     deltas = np.unique(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size < 8:
         raise ValueError("need a delta grid with at least 8 levels")
     if not np.all(deltas > 0):
         raise ValueError("deltas must be positive")
-    counts = np.array([covering_count(cloud, d) for d in deltas], dtype=np.int64)
+    counts = covering_counts(cloud, deltas)
     saturated = counts > _SATURATION_FRACTION * cloud.count
     usable = np.flatnonzero(~saturated)
     if usable.size < 2:

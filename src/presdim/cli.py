@@ -103,6 +103,14 @@ def _section(name: str):
         raise ConfigError(f"config error: [{name}] {exc}") from exc
 
 
+def _margin(cfg, key: str, default: float) -> float:
+    """[verify] key, a finite nonnegative margin of a verdict."""
+    value = _get(cfg, "verify", key, float, default)
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"config error: [verify] {key} must be finite and nonnegative (got {value!r})")
+    return value
+
+
 def _partition_from(cfg, truncation_override: int | None):
     generator = _get(cfg, "partition", "generator", default=REQUIRED)
     truncation = truncation_override
@@ -168,7 +176,8 @@ def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
     over 2^s, s = 53 - e - k, 32 <= s <= 63.  log10 only guesses p: the exact floor of |v| 10^k lies in
     [10^16, 10^17) just when the guess is right, and a guess one off is redone.  Every other value
     (zeros, non-finite, out of that range) goes through format().  Each cell is built right-aligned
-    in 24 bytes plus its separator, and the leading bytes it does not use are dropped at the join.
+    in 24 bytes plus its separator, its unused leading bytes NUL, and the block drops every NUL
+    with one `bytes.translate`.
     """
     sep = np.full(points.shape[1], ord(","), dtype=np.uint8)
     sep[-1] = ord("\n")
@@ -207,16 +216,15 @@ def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
             for col in range(last, last - 4, -1):
                 half, pairs[:, col] = np.divmod(half, 100)
         cells[:, 2], cells[:, 4:20] = lead + ord("0"), _PAIRS[pairs].view(np.uint8)
-        cells[:, 1], cells[:, 3], cells[:, 20] = ord("-"), ord("."), ord("e")
+        cells[:, 0], cells[:, 1] = 0, np.where(np.signbit(v), ord("-"), 0)
+        cells[:, 3], cells[:, 20] = ord("."), ord("e")
         cells[:, 21] = np.where(p < 0, ord("-"), ord("+"))
         cells[:, 22], cells[:, 23] = np.abs(p) // 10 + ord("0"), np.abs(p) % 10 + ord("0")
         cells[:, 24] = np.tile(sep, len(v) // len(sep))
-        width = 22 + np.signbit(v)
         for i in np.flatnonzero(~fast).tolist():
             text = format(float(v[i]), ".16e").encode()
-            width[i] = len(text)
-            cells[i, 24 - len(text):24] = np.frombuffer(text, dtype=np.uint8)
-        yield cells[np.arange(25) >= 24 - width[:, None]].tobytes()
+            cells[i, :24] = np.frombuffer(text.rjust(24, b"\0"), dtype=np.uint8)
+        yield cells.tobytes().translate(None, b"\0")
 
 
 def _emit(args, name: str, lines: Iterable[str | bytes], note: str = "") -> None:
@@ -399,10 +407,27 @@ def _cmd_gaps(args, cfg, cfg_hash) -> int:
     return EXIT_OK
 
 
+def _row_order(pts: np.ndarray) -> np.ndarray:
+    """np.lexsort(pts.T[::-1]), the rows' lexicographic order, ties by index, from one float sort.
+
+    A stable argsort on x1 puts each row where lexsort does, except among rows whose x1 equals a
+    neighbour's; those alone are lexsorted on every coordinate and written back into the
+    positions they held, which the stable sort left in index order.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    x1 = pts[order, 0]
+    tied = np.zeros(len(order), dtype=bool)
+    np.equal(x1[1:], x1[:-1], out=tied[1:])
+    tied[:-1] |= tied[1:]
+    rows = order[tied]
+    order[tied] = rows[np.lexsort(pts[rows].T[::-1])]
+    return order
+
+
 def _cmd_orbit(args, cfg, cfg_hash) -> int:
     pts = _orbit_cloud(cfg).points
     # rows in lexicographic order; rebinding frees the unsorted array
-    pts = pts[np.lexsort(pts.T[::-1])]
+    pts = pts[_row_order(pts)]
     header = ",".join(f"x{i+1}" for i in range(pts.shape[1]))
     _emit(args, "orbit.csv", itertools.chain([header], _e16_rows(pts)), f"{pts.shape[0]} unit vectors")
     return EXIT_OK
@@ -467,7 +492,7 @@ def _overall(assertions) -> tuple[str, int]:
 def _cmd_verify_main(args, cfg, cfg_hash) -> int:
     partition = _partition_from(cfg, args.truncation)
     tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
-    pad = _get(cfg, "verify", "pad", float, 0.05)
+    pad = _margin(cfg, "pad", 0.05)
     with _section("sinfinity"):
         est = find_s_infinity(partition, tol=tol)
     with _section("gaps"):
@@ -546,8 +571,9 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
 def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
     group = _group_from(cfg)
     tol = args.tol if args.tol is not None else _get(cfg, "verify", "exponent_tol", float, 0.01)
-    agreement = _get(cfg, "verify", "agreement", float, 0.1)
-    est = critical_exponent(group, tol=tol)
+    agreement = _margin(cfg, "agreement", 0.1)
+    with _section("verify"):
+        est = critical_exponent(group, tol=tol)
     fn = _counting_from(cfg, group)[2]
     cloud = _orbit_cloud(cfg)
     box = _box_estimate(cloud, cfg)

@@ -7,7 +7,7 @@ import pytest
 
 from presdim.boxdim import (
     PointCloud,
-    covering_count,
+    covering_counts,
     estimate_box_dimension,
     gap_exponent_bounds,
 )
@@ -68,8 +68,11 @@ def test_dyadic_endpoint_cloud_keeps_every_endpoint():
     # occupy one cell each and the rest share cell 0
     cloud = PointCloud(build_partition("dyadic", 1000).endpoints(), "line")
     assert cloud.count == 1001
-    for j in range(1, 999):
-        assert covering_count(cloud, 2.0 ** -j) == j + 2
+    j = np.arange(1, 999)
+    for jj in j.tolist():
+        assert covering_counts(cloud, [2.0 ** -jj]).tolist() == [jj + 2]
+    # one ladder, its keys taken at 2^-998 only, gives every level's count
+    assert covering_counts(cloud, 2.0 ** -j).tolist() == (j + 2).tolist()
 
 
 ENDPOINT_PARTITIONS = [
@@ -145,7 +148,7 @@ def test_line_covering_counts_occupied_cells():
         pts = rng.uniform(0.0, 1.0, size=rng.integers(2, 200))
         cloud = PointCloud(pts, "line")
         delta = float(rng.uniform(0.01, 0.4))
-        got = covering_count(cloud, delta)
+        [got] = covering_counts(cloud, [delta])
         assert got == len({math.floor(x / delta) for x in cloud.points})
         m_packing = _packing_number(cloud.points, delta)
         assert m_packing <= got <= 2 * m_packing
@@ -153,13 +156,48 @@ def test_line_covering_counts_occupied_cells():
 
 def test_line_covering_known_values():
     cloud = PointCloud(np.array([0.0, 0.1, 0.2, 0.55, 1.0]), "line")
-    assert covering_count(cloud, 0.2) == 4
-    assert covering_count(cloud, 1.0) == 2
-    for bad in (0.0, np.nan):
+    assert covering_counts(cloud, [0.2]).tolist() == [4]
+    assert covering_counts(cloud, [1.0]).tolist() == [2]
+    for bad in ([0.0], [np.nan], [0.0, 0.0]):
         with pytest.raises(ValueError, match="positive"):
-            covering_count(cloud, bad)
+            covering_counts(cloud, bad)
     # one function counts both kinds of cloud
-    assert covering_count(PointCloud(np.eye(2), "sphere"), 0.1) == 2
+    assert covering_counts(PointCloud(np.eye(2), "sphere"), [0.1]).tolist() == [2]
+
+
+def _direct_counts(pts: np.ndarray, deltas) -> list[int]:
+    """Occupied cells at each delta by its own division: the reference the ladder must match."""
+    return [np.unique(np.floor(pts / delta), axis=0).shape[0] for delta in deltas]
+
+
+@pytest.mark.parametrize("base", [2.0 ** -20, 0.3 * 2.0 ** -20])
+def test_line_covering_ladder_matches_direct_division(base):
+    # negative points and a base that is not a power of two: every level of the ladder, its keys
+    # halved from the finest level's cells, counts what dividing by that level's delta counts
+    rng = np.random.default_rng(17)
+    pts = np.concatenate([rng.uniform(-3.0, 2.0, 5000), -rng.uniform(0.0, 1e-5, 500), -(2.0 ** -np.arange(60.0)),
+                          build_partition("gauss", 2000).endpoints()])
+    cloud = PointCloud(pts, "line")
+    deltas = base * 2.0 ** np.arange(24, -1, -1)
+    assert covering_counts(cloud, deltas).tolist() == _direct_counts(cloud.points, deltas)
+    assert covering_counts(cloud, deltas[-3:]).tolist() == _direct_counts(cloud.points, deltas[-3:])
+
+
+def test_line_covering_ladder_keeps_tiny_negatives_in_cell_minus_one():
+    # -2^-1070 / 2^5 rounds to -0.0, so dividing by 32 puts the point in cell 0 with 1.0; the
+    # ladder keeps the cell -1 that the finest level (delta 1) resolves, which is the true cell
+    cloud = PointCloud(np.array([-(2.0 ** -1070), 1.0]), "line")
+    deltas = 2.0 ** np.arange(5.0, -1.0, -1.0)
+    assert _direct_counts(cloud.points, deltas) == [1, 2, 2, 2, 2, 2]
+    assert covering_counts(cloud, deltas).tolist() == [2] * 6
+
+
+@pytest.mark.parametrize("deltas", [[0.5, 0.125], [0.5, 0.3], [0.25, 0.5], [0.5, 0.25, 0.25], [], [[0.5]]],
+                         ids=["skips-a-level", "not-dyadic", "ascending", "repeated", "empty", "two-d"])
+def test_covering_counts_need_a_doubling_ladder(deltas):
+    for cloud in (PointCloud(np.linspace(0.0, 1.0, 50), "line"), PointCloud(np.eye(3), "sphere")):
+        with pytest.raises(ValueError, match="each exactly twice the next"):
+            covering_counts(cloud, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +230,19 @@ def test_sphere_covering_counts_occupied_cells(dim):
     v = _random_sphere_cloud(rng, 2000, dim).points
     pts = np.vstack([v, np.eye(dim), -np.eye(dim)]) * (1.0 + 5e-10)
     cloud = PointCloud(pts, "sphere")
-    floor = 2.0 ** (2 - 63 // dim)
+    bits = 63 // dim
+    floor = 2.0 ** (2 - bits)
     for delta in (floor, 3.0 * floor, 0.003, 0.05, 0.2, 0.7, 3.0):
         if delta >= floor:
-            assert covering_count(cloud, delta) == np.unique(np.floor(pts / delta), axis=0).shape[0]
+            assert covering_counts(cloud, [delta]).tolist() == _direct_counts(pts, [delta])
+    # whole ladders from 2 and 3 (below pi) down to the floor, or to 3 times it: every level's
+    # keys are the finest level's fields halved at once
+    for deltas in (floor * 2.0 ** np.arange(bits - 1, -1, -1), 3.0 * floor * 2.0 ** np.arange(bits - 2, -1, -1)):
+        assert covering_counts(cloud, deltas).tolist() == _direct_counts(pts, deltas)
     with pytest.raises(ValueError, match=f"below supported resolution {floor} in R\\^{dim}"):
-        covering_count(cloud, np.nextafter(floor, 0.0))
+        covering_counts(cloud, [np.nextafter(floor, 0.0)])
+    with pytest.raises(ValueError, match=f"below supported resolution {floor} in R\\^{dim}"):
+        covering_counts(cloud, [2.0 * floor, floor, 0.5 * floor])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -209,7 +254,7 @@ def test_sphere_covering_sandwiches_greedy_packing(dim):
     cloud = _random_sphere_cloud(rng, 400, dim)
     for j in range(2, 7):
         delta = 2.0 ** -j
-        n_cells = covering_count(cloud, delta)
+        [n_cells] = covering_counts(cloud, [delta])
         m_packing = _greedy_reference(cloud.points, delta)
         assert m_packing <= 2**dim * n_cells
         assert n_cells <= 3**dim * m_packing
@@ -220,19 +265,21 @@ def test_sphere_covering_row_order_invariant():
     cloud = _random_sphere_cloud(rng, 500, 3)
     shuffled = PointCloud(cloud.points[rng.permutation(cloud.count)], "sphere")
     for delta in (0.03, 0.11):
-        assert covering_count(cloud, delta) == covering_count(shuffled, delta)
+        assert covering_counts(cloud, [delta]).tolist() == covering_counts(shuffled, [delta]).tolist()
+    deltas = 2.0 ** -np.arange(0.0, 12.0)
+    assert covering_counts(cloud, deltas).tolist() == covering_counts(shuffled, deltas).tolist()
 
 
 def test_sphere_covering_guards():
     cloud = _random_sphere_cloud(np.random.default_rng(0), 10, 2)
-    for bad in (4.0, np.nan):
+    for bad in ([4.0], [np.nan], [4.0, 2.0], [0.0]):
         with pytest.raises(ValueError, match=r"\(0, pi\)"):
-            covering_count(cloud, bad)
+            covering_counts(cloud, bad)
     with pytest.raises(ValueError, match="below supported resolution"):
-        covering_count(cloud, 2.0 ** -30)
+        covering_counts(cloud, [2.0 ** -30])
     # R^4 and up count like R^2 and R^3
     v = _random_sphere_cloud(np.random.default_rng(1), 10, 4).points
-    assert covering_count(PointCloud(v, "sphere"), 0.1) == len({tuple(np.floor(p / 0.1)) for p in v})
+    assert covering_counts(PointCloud(v, "sphere"), [0.1]).tolist() == [len({tuple(np.floor(p / 0.1)) for p in v})]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +304,13 @@ def test_box_dimension_full_interval_clamps_to_cap():
     est = estimate_box_dimension(cloud, deltas)
     assert est.lower_dim == pytest.approx(1.0, abs=0.02)
     assert est.upper_dim <= 1.0  # clamped at the ambient cap
+
+
+def test_box_dimension_needs_a_doubling_grid():
+    cloud = PointCloud(np.linspace(0.0, 1.0, 100), "line")
+    for deltas in (2.0 ** -np.arange(4.0, 20.0, 2.0), 0.1 * np.arange(1.0, 10.0)):
+        with pytest.raises(ValueError, match="each exactly twice the next"):
+            estimate_box_dimension(cloud, deltas)
 
 
 def test_box_dimension_needs_eight_levels():

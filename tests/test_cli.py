@@ -272,6 +272,22 @@ def test_orbit_csv(tmp_path, capsys):
         assert 0.0 in pts
 
 
+_TIES = np.array([[0.5, 0.5, 0.3], [0.5, 0.5, -0.1], [0.5, 0.5, 0.3], [0.5, 0.5, 0.2], [-0.5, 1.0, 0.0],
+                  [0.5, 0.5, -0.1]])
+_ZEROS = np.array([[0.0, 0.0], [-0.0, -1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -0.0], [-0.0, -1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("pts", [
+    parabolic_orbit(ParabolicGroupSpec(3, 2, np.eye(2)), [0.0, 0.0], 20).points,  # xi = 0: 924 of 1681 x1 tied
+    _TIES,  # rows that differ in x3 only, and repeated rows
+    _ZEROS,  # -0.0 and 0.0 are equal keys, so repeats keep their index order
+    np.random.default_rng(3).integers(-2, 3, size=(500, 4)).astype(float),
+    np.array([[0.25, 1.0]]),
+], ids=["G32-xi-0", "x3-ties", "signed-zeros", "grid-R4", "one-row"])
+def test_orbit_row_order_is_lexsort(pts):
+    assert cli._row_order(pts).tolist() == np.lexsort(pts.T[::-1]).tolist()
+
+
 def _format_rows(values: np.ndarray) -> bytes:
     return "".join(",".join(format(v, ".16e") for v in row) + "\n" for row in values.tolist()).encode()
 
@@ -553,14 +569,14 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("bowen", GAUSS_100 + "\n[bowen]\ntol = -1\n", "config error: [bowen] tolerance must be positive"),
     ("bowen", GAUSS_100 + "\n[bowen]\ntol = nan\n", "config error: [bowen] tolerance must be positive"),
     ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = nan\n", "config error: [sinfinity] tolerance must be positive"),
-    ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = nan\n", "error: tol must be positive"),
+    ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = nan\n", "config error: [verify] tol must be positive"),
     # halving stalls where the midpoint rounds to an end: an error, not an endless loop
     ("bowen", GAUSS_100 + "\n[bowen]\ntol = 1e-20\n",
      "config error: [bowen] tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = "),
     ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = 1e-20\n",
      "config error: [sinfinity] tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = 0.5"),
     ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = 1e-20\n",
-     "error: tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = 0.5"),
+     "config error: [verify] tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = 0.5"),
     ("poincare", POINCARE_21.replace("s = 1.5", "s = nan"), "config error: [poincare] s must be nonnegative"),
     ("counting", POINCARE_21 + "\n[counting]\nt_max = 2000\n",
      "config error: [counting] enumeration cap exceeded; the largest achievable t_max is 33.62"),
@@ -582,6 +598,12 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
      "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got nan, 8.0)"),
     ("boxdim", GROUP43.replace("j_min = 1\nj_max = 8\n", ""),
      "config error: [boxdim] delta below supported resolution 0.0001220703125 in R^4"),
+    # a nan or negative pad or agreement is a config error, not a FAIL verdict
+    *(("verify-main", GAUSS_100 + f"\n[verify]\npad = {value}\n",
+       f"config error: [verify] pad must be finite and nonnegative (got {value})") for value in ("nan", "-1.0", "inf")),
+    *(("verify-hdim", ORBIT_21 + f"\n[verify]\nagreement = {value}\n",
+       f"config error: [verify] agreement must be finite and nonnegative (got {value})")
+      for value in ("nan", "-1.0", "inf")),
     *((command, ORBIT_21.replace("xi = 0.0", f"xi = {xi}"), f"config error: [orbit] {message}")
       for command in ("orbit", "boxdim", "verify-hdim")
       for xi, message in (("nan", "coordinates must be finite"), ("inf", "coordinates must be finite"),

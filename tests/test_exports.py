@@ -26,3 +26,11 @@ def test_package_imports_only_exported_names():
     for node in imports:
         exported = importlib.import_module(f"presdim.{node.module}").__all__
         assert [alias.name for alias in node.names if alias.name not in exported] == [], node.module
+
+
+def test_one_covering_kernel():
+    # every level of every cloud is counted by covering_counts; the per-delta function is gone
+    from presdim import boxdim
+
+    assert "covering_counts" in boxdim.__all__ and hasattr(presdim, "covering_counts")
+    assert not hasattr(boxdim, "covering_count") and not hasattr(presdim, "covering_count")

@@ -27,7 +27,6 @@ from .interval_partition import (
     build_partition,
     cylinder_derivative_sums,
     make_branch_map,
-    refine_partition,
 )
 from .pressure import (
     CriticalExponentEstimate,
@@ -36,7 +35,6 @@ from .pressure import (
     bowen_root_cylinder,
     bowen_root_linear,
     find_s_infinity,
-    pressure_cylinder_bracket,
     pressure_linear,
 )
 from .boxdim import (

@@ -166,6 +166,8 @@ def covering_counts(cloud: PointCloud, deltas) -> np.ndarray:
     """
     pts = cloud.points
     deltas = np.asarray(deltas, dtype=float)
+    if np.isinf(deltas).any():  # inf == 2 inf would pass the ladder test
+        raise ValueError("deltas must be finite")
     if deltas.ndim != 1 or deltas.size == 0 or not np.all(deltas[:-1] == 2.0 * deltas[1:]):
         raise ValueError("deltas must run from coarse to fine, each exactly twice the next")
     finest = deltas[-1]

@@ -147,7 +147,8 @@ def _box_estimate(cloud: PointCloud, cfg):
     j_max = _get(cfg, "boxdim", "j_max", int, 18)
     if j_min >= j_max:
         raise ConfigError("config error: [boxdim] j_min must be below j_max")
-    with _section("boxdim"):
+    # a delta past the float range is inf, which covering_counts rejects by name
+    with _section("boxdim"), np.errstate(over="ignore"):
         return estimate_box_dimension(cloud, 2.0 ** -np.arange(j_min, j_max + 1))
 
 
@@ -251,7 +252,7 @@ def _emit_json(args, cfg_hash: str, name: str, payload: dict) -> None:
 def _sample_row(sample) -> str:
     return ",".join([
         _fmt(sample.t), _fmt(sample.lower), _fmt(sample.upper),
-        sample.method, str(sample.truncation), _fmt(sample.tail_bound),
+        "linear-series", str(sample.truncation), _fmt(sample.tail_bound),
     ])
 
 
@@ -294,13 +295,15 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
             start, stop, step = (float(tok) for tok in grid_raw.split(":"))
         except ValueError as exc:
             raise ConfigError("config error: [pressure] t_grid must be start:stop:step") from exc
-        if not (step > 0 and stop >= start and math.isfinite(stop - start)):
-            raise ConfigError("config error: [pressure] t_grid needs step > 0 and finite start <= stop")
+        if not (step > 0 and stop >= start and math.isfinite((stop - start) / step)):
+            raise ConfigError("config error: [pressure] t_grid needs step > 0, finite start <= stop "
+                              "and a finite number of steps")
         count = int(round((stop - start) / step)) + 1
         ts = [start + i * step for i in range(count)]
     else:
         ts = _get(cfg, "pressure", "t_list", _numbers, REQUIRED)
-    samples = [pressure_linear(partition, t) for t in ts]
+    with _section("pressure"):
+        samples = [pressure_linear(partition, t) for t in ts]
     lines = ["t,lower,upper,method,truncation,tail_bound"]
     lines.extend(_sample_row(s) for s in samples)
     _emit(args, "pressure.csv", lines, f"{len(samples)} rows")

@@ -29,7 +29,6 @@ __all__ = [
     "cylinder_derivative_sums",
     "max_cylinder_order",
     "WORD_CAP",
-    "refine_partition",
 ]
 
 _TILING_TOL = 1e-12
@@ -230,7 +229,7 @@ class IntervalPartition:
 
     Instances are immutable; the arrays are read-only views.  `model` is the
     closed-form length model when the generator is one of the built-ins (None
-    for explicit lists and refined/capped systems).
+    for explicit lists and finite digit sets).
     """
 
     left: np.ndarray
@@ -501,16 +500,6 @@ def _derivative_range(bmap: BranchMap, tables: tuple, y: float) -> np.ndarray:
     return 1.0 / tables[1]
 
 
-def _cylinder_bounds(bmap: BranchMap, order: int, alphabet_cap: int | None):
-    """(tables, left, right) of all depth-`order` cylinders, lexicographic order."""
-    tables = _word_tables(bmap, _effective_alphabet(bmap, alphabet_cap, order), order)
-    if bmap.kind == "gauss-analytic":
-        pp, p, qp, q = tables
-        f0, f1 = p / q, (pp + p) / (qp + q)
-        return tables, np.minimum(f0, f1), np.maximum(f0, f1)
-    return tables, tables[0], tables[0] + tables[1]
-
-
 def _cylinder_rows(bmap: BranchMap, order: int, alphabet_cap: int | None, side: str) -> list[np.ndarray]:
     """One side's D_w ("sup" or "inf") over the depth-`order` cylinders w, one array per leading symbol.
 
@@ -545,19 +534,3 @@ def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[fl
 
     return list(zip(totals("sup"), totals("inf")))
 
-
-def refine_partition(bmap: BranchMap, order: int, alphabet_cap: int | None = None) -> IntervalPartition:
-    """The partition into depth-`order` cylinders of the (possibly capped) map.
-
-    The result is an explicit finite partition (no tail model): with an
-    alphabet cap it describes the capped subsystem, not the full map.
-    """
-    _, left, right = _cylinder_bounds(bmap, order, alphabet_cap)
-    order_ix = np.argsort(-right, kind="stable")
-    return IntervalPartition(
-        left[order_ix],
-        right[order_ix],
-        f"refined({bmap.partition.generator},order={order})",
-        dict(bmap.partition.params),
-        None,
-    )

@@ -21,7 +21,6 @@ from .interval_partition import (
     IntervalPartition,
     PartitionError,
     _cylinder_rows,
-    _effective_alphabet,
     _rows_total,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "CriticalExponentEstimate",
     "RootBracket",
     "pressure_linear",
-    "pressure_cylinder_bracket",
     "find_s_infinity",
     "bowen_root_linear",
     "bowen_root_cylinder",
@@ -65,7 +63,6 @@ class PressureSample:
     evidence: str
     truncation: int
     tail_bound: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -110,56 +107,24 @@ def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
     The materialized intervals are summed exactly and the tail is taken past
     the last of them.  Finite explicit partitions have zero tail and the
     sample is exact up to rounding.  t <= 0 on unbounded partitions is a
-    divergence flag, not an exception.
+    divergence flag, not an exception; a t that is not finite raises
+    PartitionError.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise PartitionError(f"pressure exponent t must be finite (got {t!r})")
     verdict = partition.series_verdict(t)
     k = partition.count
     if verdict.status == "diverges":
-        return PressureSample(t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, k, math.inf,
-                              "linear-series")
+        return PressureSample(t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, k, math.inf)
     partial = compensated_sum(partition.lengths ** t)
     lower = math.log(partial + verdict.tail_low)
     if verdict.status == "converges" and verdict.tail_high is not None:
         upper = math.log(partial + verdict.tail_high)
         mid = math.log(partial + 0.5 * (verdict.tail_low + verdict.tail_high))
-        return PressureSample(
-            t, mid, lower, upper, "certified", verdict.evidence, k, verdict.tail_high, "linear-series"
-        )
+        return PressureSample(t, mid, lower, upper, "certified", verdict.evidence, k, verdict.tail_high)
     status = "uncertified" if verdict.status == "converges" else "undetermined"
-    return PressureSample(t, lower, lower, math.inf, status, verdict.evidence, k, math.inf, "linear-series")
-
-
-def pressure_cylinder_bracket(bmap: BranchMap, t: float, order: int,
-                              alphabet_cap: int | None = None) -> PressureSample:
-    """Bracket the pressure of the (capped) iterated system at depth `order`.
-
-    Writing D_w for the derivative range of the order-th iterate over
-    cylinder w intersected with the invariant hull,
-
-        lower = (1/n) log sum_w (sup D_w)^-t <= P(t)
-        upper = (1/n) log sum_w (inf D_w)^-t >= P(t)
-
-    and both hold for every depth n.  The width is at most 2 t log(C) / n
-    with C >= sup D_w / inf D_w at every depth: 1 for affine branches, 4 for
-    the reciprocal ones, whose continuant coefficients 0 <= q' <= q give
-    ((q + q')/q)^2 <= 4.
-    """
-    m = _effective_alphabet(bmap, alphabet_cap, order)
-    t = float(t)
-    lower = math.log(_rows_total(_cylinder_rows(bmap, order, alphabet_cap, "sup"), t)) / order
-    upper = math.log(_rows_total(_cylinder_rows(bmap, order, alphabet_cap, "inf"), t)) / order
-    return PressureSample(
-        t=t,
-        value=0.5 * (lower + upper),
-        lower=lower,
-        upper=upper,
-        status="certified",
-        evidence="per-cylinder derivative ranges over the invariant hull",
-        truncation=m**order,
-        tail_bound=0.0,
-        method=f"cylinder-bracket(order={order})",
-    )
+    return PressureSample(t, lower, lower, math.inf, status, verdict.evidence, k, math.inf)
 
 
 def _behavior_at_threshold(partition: IntervalPartition, s_mid: float) -> tuple[str, str]:
@@ -407,15 +372,22 @@ def bowen_root_cylinder(
 ) -> RootBracket:
     """Bracket the pressure root of an iterated system via depth-n cylinders.
 
-    Uses the two curves of `pressure_cylinder_bracket` at a fixed depth; each
-    is decreasing in t and they enclose the pressure at every depth, so their
-    roots enclose the true root.  Bracket widths shrink like (2 log C)/n.
-    Each side's D_w rows do not depend on t: they are built when that
-    side's curve takes its first sample.  The lower curve's search ends
-    before the upper one's starts, so only one side's rows are held at a
-    time, 8 bytes per word (at most 16 MiB at WORD_CAP words).  The
-    bisections read only whether each curve is <= 0, from `_cylinder_past`;
-    the bracket is the one that exact sums give.
+    Writing D_w for the derivative range of the n-th iterate over cylinder
+    w intersected with the invariant hull, the two curves are
+
+        lower = (1/n) log sum_w (sup D_w)^-t <= P(t)
+        upper = (1/n) log sum_w (inf D_w)^-t >= P(t)
+
+    and both hold at every depth n.  Each is decreasing in t, so their roots
+    enclose the true root.  The width is at most 2 t log(C) / n with
+    C >= sup D_w / inf D_w at every depth: 1 for affine branches, 4 for the
+    reciprocal ones, whose continuant coefficients 0 <= q' <= q give
+    ((q + q')/q)^2 <= 4.  Each side's D_w rows do not depend on t: they are
+    built when that side's curve takes its first sample.  The lower curve's
+    search ends before the upper one's starts, so only one side's rows are
+    held at a time, 8 bytes per word (at most 16 MiB at WORD_CAP words).
+    The bisections read only whether each curve is <= 0, from
+    `_cylinder_past`; the bracket is the one that exact sums give.
     """
     held = {}  # side -> its rows
 

@@ -200,6 +200,15 @@ def test_covering_counts_need_a_doubling_ladder(deltas):
             covering_counts(cloud, deltas)
 
 
+def test_covering_counts_need_finite_deltas():
+    # inf == 2 inf, so an overflowed delta passes the ladder test; it would count one cell
+    cloud = PointCloud(np.linspace(0.0, 1.0, 50), "line")
+    for deltas in ([math.inf], [math.inf, math.inf], [math.inf, 2.0 ** 1023, 2.0 ** 1022]):
+        for each in (cloud, PointCloud(np.eye(3), "sphere")):
+            with pytest.raises(ValueError, match="deltas must be finite"):
+                covering_counts(each, deltas)
+
+
 # ---------------------------------------------------------------------------
 # sphere covering: occupied delta-mesh cells, checked by brute force and
 # sandwiched against a greedy delta-separated packing

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from decimal import Decimal
@@ -477,6 +478,16 @@ def test_selftest_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini", "work"]
 
 
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # `python -m presdim.cli` exits with main's code; run in this process, so line tracing sees it
+    monkeypatch.setattr(sys, "argv", ["presdim", "s-infinity"])
+    monkeypatch.delitem(sys.modules, "presdim.cli")  # runpy warns when the module is already imported
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("presdim.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert "--config is required for s-infinity" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nope"])
@@ -543,6 +554,8 @@ def test_selftest_trials_below_one_exit_2(tmp_path, capsys):
 
 
 GAUSS_100 = "[partition]\ngenerator = gauss\ntruncation = 100\n"
+DYADIC_100 = GAUSS_100.replace("gauss", "dyadic")
+DIGITS_12 = "[partition]\ngenerator = gauss-restricted\ndigits = 1 2\n"
 POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 1.5\nradius = 10\n"
 
 
@@ -598,6 +611,17 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
      "config error: [bowen] t_low and t_high must be finite with t_low < t_high (got nan, 8.0)"),
     ("boxdim", GROUP43.replace("j_min = 1\nj_max = 8\n", ""),
      "config error: [boxdim] delta below supported resolution 0.0001220703125 in R^4"),
+    # 2^2000 and 2^1024 overflow to inf, and inf == 2 inf passes the doubling test
+    *((command, GAUSS_100 + f"\n[boxdim]\n{grid}\n", "config error: [boxdim] deltas must be finite")
+      for command, grid in (("boxdim", "j_min = -2000"), ("boxdim", "j_min = -1100\nj_max = -1000"),
+                            ("verify-main", "j_min = -2000"))),
+    # a pressure exponent that is not finite, given or reached by the grid, is a config error
+    *(("pressure", partition + f"\n[pressure]\n{ts}\n",
+       f"config error: [pressure] pressure exponent t must be finite (got {bad})")
+      for partition, ts, bad in ((DYADIC_100, "t_list = nan 1.0", "nan"), (DIGITS_12, "t_list = nan 1.0", "nan"),
+                                 (DYADIC_100, "t_list = inf", "inf"), (DYADIC_100, "t_grid = 0:1:inf", "nan"))),
+    ("pressure", DYADIC_100 + "\n[pressure]\nt_grid = 0:1e300:1e-300\n",
+     "config error: [pressure] t_grid needs step > 0, finite start <= stop and a finite number of steps"),
     # a nan or negative pad or agreement is a config error, not a FAIL verdict
     *(("verify-main", GAUSS_100 + f"\n[verify]\npad = {value}\n",
        f"config error: [verify] pad must be finite and nonnegative (got {value})") for value in ("nan", "-1.0", "inf")),

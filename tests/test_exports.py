@@ -34,3 +34,9 @@ def test_one_covering_kernel():
 
     assert "covering_counts" in boxdim.__all__ and hasattr(presdim, "covering_counts")
     assert not hasattr(boxdim, "covering_count") and not hasattr(presdim, "covering_count")
+
+
+def test_one_cylinder_sum():
+    # every cylinder number comes from the rows `bowen_root_cylinder` reads; the bracket and refinement are gone
+    for name in ("pressure_cylinder_bracket", "refine_partition", "_cylinder_bounds"):
+        assert [module.__name__ for module in (presdim, *MODULES) if hasattr(module, name)] == [], name

@@ -15,13 +15,13 @@ from presdim.boxdim import gap_exponent_bounds
 from presdim.interval_partition import (
     IntervalPartition,
     PartitionError,
-    _cylinder_bounds,
     _derivative_range,
+    _effective_alphabet,
+    _word_tables,
     build_partition,
     cylinder_derivative_sums,
     make_branch_map,
     max_cylinder_order,
-    refine_partition,
 )
 
 
@@ -326,34 +326,31 @@ _CYLINDER_CASES = [  # (generator, build kwargs, largest order, alphabet cap)
 
 
 def _cylinders(bmap, order, cap=None):
-    """(left, right, deriv_inf, deriv_sup) of the depth-`order` cylinders, words in lexicographic order."""
-    tables, left, right = _cylinder_bounds(bmap, order, cap)
-    return (left, right, *(_derivative_range(bmap, tables, y) for y in bmap.invariant_hull()))
+    """(deriv_inf, deriv_sup) of the depth-`order` cylinders, words in lexicographic order."""
+    tables = _word_tables(bmap, _effective_alphabet(bmap, cap, order), order)
+    return tuple(_derivative_range(bmap, tables, y) for y in bmap.invariant_hull())
 
 
-def test_cylinder_bounds_match_exact_composition():
+def test_cylinder_derivative_ranges_match_exact_composition():
     for generator, kwargs, max_order, cap in _CYLINDER_CASES:
-        _check_cylinder_bounds(make_branch_map(build_partition(generator, **kwargs)), max_order, cap)
+        _check_cylinder_ranges(make_branch_map(build_partition(generator, **kwargs)), max_order, cap)
 
 
-def _check_cylinder_bounds(bmap, max_order, cap):
+def _check_cylinder_ranges(bmap, max_order, cap):
     labels = bmap.digits[:cap] if bmap.digits is not None else tuple(range(1, bmap.branch_count + 1))
     hull_lo, hull_hi = bmap.invariant_hull()
     for order in range(1, max_order + 1):
-        left, right, deriv_inf, deriv_sup = _cylinders(bmap, order, cap)
+        deriv_inf, deriv_sup = _cylinders(bmap, order, cap)
         words = list(itertools.product(labels, repeat=order))
-        assert left.size == right.size == deriv_inf.size == deriv_sup.size == len(words)
+        assert deriv_inf.size == deriv_sup.size == len(words)
         for i, sym in enumerate(words):
             (f0, _), (f1, _) = _compose_exact(bmap, sym, 0), _compose_exact(bmap, sym, 1)
             lo, hi = min(f0, f1), max(f0, f1)
             _, d_lo = _compose_exact(bmap, sym, hull_lo)
             _, d_hi = _compose_exact(bmap, sym, hull_hi)
             if bmap.kind == "linear-full":
-                assert (left[i], right[i]) == (lo, hi)
                 assert deriv_inf[i] == deriv_sup[i] == d_lo == d_hi
             else:
-                assert left[i] == pytest.approx(float(lo), abs=1e-15)
-                assert right[i] == pytest.approx(float(hi), abs=1e-15)
                 # the range ends are |(T^n)'| at the images of the hull ends
                 assert deriv_inf[i] == pytest.approx(float(d_lo), rel=1e-14)
                 assert deriv_sup[i] == pytest.approx(float(d_hi), rel=1e-14)
@@ -364,15 +361,16 @@ def _check_cylinder_bounds(bmap, max_order, cap):
 def test_cylinder_distortion_bound():
     part = build_partition("gauss-restricted", digits=(1, 2))
     bmap = make_branch_map(part)
-    _, _, deriv_inf, deriv_sup = _cylinders(bmap, 6)
+    deriv_inf, deriv_sup = _cylinders(bmap, 6)
     assert np.all(deriv_sup / deriv_inf <= 4.0 + 1e-12)
 
 
 def test_cylinders_need_cap_for_unbounded_alphabet():
     bmap = make_branch_map(build_partition("gauss", 100))
     with pytest.raises(PartitionError, match="alphabet_cap"):
-        refine_partition(bmap, 2)
-    assert refine_partition(bmap, 2, alphabet_cap=10).count == 100
+        cylinder_derivative_sums(bmap, 2, [1.0])
+    # at t = 0 each side sums 1 per word: 10^2 of them
+    assert cylinder_derivative_sums(bmap, 2, [0.0], alphabet_cap=10) == [(100.0, 100.0)]
 
 
 def test_max_cylinder_order_is_exact_at_the_cap():
@@ -390,24 +388,11 @@ def test_cylinder_derivative_sums_threads_identical():
     one = cylinder_derivative_sums(bmap, 9, exps, threads=1)
     four = cylinder_derivative_sums(bmap, 9, exps, threads=4)
     assert one == four  # compensated sums are order independent
-    _, _, deriv_inf, deriv_sup = _cylinders(bmap, 9)
+    deriv_inf, deriv_sup = _cylinders(bmap, 9)
     for t, (lo, hi) in zip(exps, one):
         # per-lead partial sums are rounded once each before they are combined
         assert lo == pytest.approx(math.fsum((deriv_sup ** -t).tolist()), rel=1e-15)
         assert hi == pytest.approx(math.fsum((deriv_inf ** -t).tolist()), rel=1e-15)
-
-
-def test_refine_partition_products():
-    part = build_partition("dyadic", 5)
-    bmap = make_branch_map(part)
-    ref = refine_partition(bmap, 2)
-    assert ref.count == 25
-    assert ref.model is None
-    # depth-2 lengths of a linear full shift are products of branch lengths
-    base = np.sort(part.lengths)
-    expect = np.sort(np.multiply.outer(base, base).ravel())
-    np.testing.assert_allclose(np.sort(ref.lengths), expect, rtol=1e-14)
-    assert abs(ref.total_length() - part.total_length() ** 2) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +405,8 @@ GAUSS_10 = build_partition("gauss", 10)
 GAPPED = build_partition("explicit", intervals=[(0.6, 1.0), (0.2, 0.5)])
 
 
-def _refine(order, cap):
-    return refine_partition(make_branch_map(GAUSS_10), order, alphabet_cap=cap)
+def _cylinder_sums(order, cap):
+    return cylinder_derivative_sums(make_branch_map(GAUSS_10), order, [1.0], alphabet_cap=cap)
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -439,9 +424,9 @@ def _refine(order, cap):
     (lambda: build_partition("explicit"), PartitionError("explicit generator needs intervals")),
     (lambda: build_partition("explicit", intervals=[]),
      PartitionError("explicit generator needs at least one interval")),
-    (lambda: _refine(1, 0), PartitionError("alphabet cap leaves no branches")),
-    (lambda: _refine(0, 4), PartitionError("cylinder order must be >= 1")),
-    (lambda: _refine(22, 2), PartitionError(
+    (lambda: _cylinder_sums(1, 0), PartitionError("alphabet cap leaves no branches")),
+    (lambda: _cylinder_sums(0, 4), PartitionError("cylinder order must be >= 1")),
+    (lambda: _cylinder_sums(22, 2), PartitionError(
         "2^22 = 4194304 cylinder words exceed the enumeration cap 2097152; lower the order or alphabet")),
 ], ids=[
     "power-law-exponent-1", "mismatched-endpoints", "unordered-intervals", "gapped-tiling-defect",

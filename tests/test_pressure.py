@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from presdim import interval_partition, pressure
 from presdim.interval_partition import (
+    IntervalPartition,
     PartitionError,
     build_partition,
     cylinder_derivative_sums,
     make_branch_map,
-    refine_partition,
 )
 from presdim.pressure import (
     CONVERGES_AT_CRITICAL,
@@ -23,7 +23,6 @@ from presdim.pressure import (
     bowen_root_cylinder,
     bowen_root_linear,
     find_s_infinity,
-    pressure_cylinder_bracket,
     pressure_linear,
 )
 
@@ -37,7 +36,6 @@ def test_gauss_pressure_vanishes_at_one():
     part = build_partition("gauss", 100000)
     s = pressure_linear(part, 1.0)
     assert s.status == "certified"
-    assert s.method == "linear-series"
     assert s.lower <= 0.0 <= s.upper
     assert s.upper - s.lower < 1e-9
 
@@ -226,22 +224,28 @@ def test_bowen_root_linear_brackets_pressure_sign_change(generator, truncation, 
 # cylinder brackets (distortion-corrected iterates)
 
 
+def _cylinder_curves(bmap, t, order, cap=None):
+    """(lower, upper) = (1/n) log of the sup and the inf side's depth-n cylinder sums at t."""
+    (sup_sum, inf_sum), = cylinder_derivative_sums(bmap, order, [t], alphabet_cap=cap)
+    return math.log(sup_sum) / order, math.log(inf_sum) / order
+
+
 def test_cylinder_bracket_linear_map_is_exact():
-    bmap = make_branch_map(build_partition("dyadic", 12))
-    base = pressure_linear(refine_partition(bmap, 1), 0.9)
+    part = build_partition("dyadic", 12)
+    base = pressure_linear(IntervalPartition(part.left, part.right, "explicit"), 0.9)
     for order in (2, 3):
-        s = pressure_cylinder_bracket(bmap, 0.9, order)
-        assert s.lower == pytest.approx(s.upper, abs=1e-13)
-        assert s.value == pytest.approx(base.value, abs=1e-12)
+        lower, upper = _cylinder_curves(make_branch_map(part), 0.9, order)
+        assert lower == pytest.approx(upper, abs=1e-13)
+        assert 0.5 * (lower + upper) == pytest.approx(base.value, abs=1e-12)
 
 
 def test_cylinder_bracket_width_obeys_distortion_bound():
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     t = 0.53
     for order in (4, 8):
-        s = pressure_cylinder_bracket(bmap, t, order)
-        assert s.lower <= s.upper
-        assert s.upper - s.lower <= 2.0 * t * math.log(4.0) / order + 1e-12
+        lower, upper = _cylinder_curves(bmap, t, order)
+        assert lower <= upper
+        assert upper - lower <= 2.0 * t * math.log(4.0) / order + 1e-12
 
 
 def test_bowen_root_cylinder_restricted_digits():
@@ -427,8 +431,8 @@ def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
     bmap, order, cap, roots = case
     t = roots[side] + offset
     past, _ = pressure._cylinder_past(interval_partition._cylinder_rows(bmap, order, cap, side), t)
-    exact = pressure_cylinder_bracket(bmap, t, order, cap)
-    assert past == (not (exact.lower if side == "sup" else exact.upper) > 0.0)
+    lower, upper = _cylinder_curves(bmap, t, order, cap)
+    assert past == (not (lower if side == "sup" else upper) > 0.0)
 
 
 @pytest.mark.parametrize("side", ["sup", "inf"])
@@ -629,9 +633,8 @@ def test_bowen_root_cylinder_benchmark_capped_gauss_pinned(monkeypatch):
 
 @pytest.mark.parametrize("run", [
     lambda bmap: bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32),
-    lambda bmap: pressure_cylinder_bracket(bmap, 1.0, 4, alphabet_cap=32),
     lambda bmap: cylinder_derivative_sums(bmap, 4, [0.9, 1.0], alphabet_cap=32),
-], ids=["bowen_root_cylinder", "pressure_cylinder_bracket", "cylinder_derivative_sums"])
+], ids=["bowen_root_cylinder", "cylinder_derivative_sums"])
 def test_cylinder_sums_hold_one_side_of_rows(run):
     # peak traced memory at the benchmark's capped Gauss (order 4, cap 32): one side's rows (8 bytes per word),
     # the depth n-1 suffix tables (four arrays) and 2 MiB of per-lead temporaries; both sides would not fit

@@ -161,10 +161,25 @@ def _fmt(x) -> str:
 
 
 _POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)  # 5^27 < 2^63
-_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)  # "00".."99"
-_E16, _E17 = np.uint64(10 ** 16), np.uint64(10 ** 17)
+_E8, _E16, _E17 = np.uint64(10 ** 8), np.uint64(10 ** 16), np.uint64(10 ** 17)
 # as fast as larger blocks; 2^12 and 2^14 rows fragment the heap, lifting a long run's peak memory
 _ROW_BLOCK = 1 << 11
+
+
+def _digits8(x: np.ndarray) -> np.ndarray:
+    """format(x, '08d') for uint64 x < 10^8, as the 8 ASCII bytes of one uint64 each, first digit lowest.
+
+    SWAR (SIMD within a register): x // 10^4 goes to the low 32-bit lane and x % 10^4 to the high
+    one; each lane is split by 100 with (v * 10486) >> 20, exact below 10^4, into two 16-bit lanes,
+    and each of those by 10 with (v * 103) >> 10, exact below 100, into two bytes.  No lane's
+    product reaches the next lane, and the mask drops what the shift brings down from it.
+    """
+    high = x // np.uint64(10 ** 4)
+    v = high | ((x - high * np.uint64(10 ** 4)) << np.uint64(32))
+    q = ((v * np.uint64(10486)) >> np.uint64(20)) & np.uint64(0x0000007F0000007F)
+    v = q | ((v - q * np.uint64(100)) << np.uint64(16))
+    q = ((v * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
+    return (q | ((v - q * np.uint64(10)) << np.uint64(8))) + np.uint64(0x3030303030303030)
 
 
 def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
@@ -176,11 +191,13 @@ def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
     is formed exactly in two uint64 halves from 32-bit limbs (5^27 < 2^63), and D is that product
     over 2^s, s = 53 - e - k, 32 <= s <= 63.  log10 only guesses p: the exact floor of |v| 10^k lies in
     [10^16, 10^17) just when the guess is right, and a guess one off is redone.  Every other value
-    (zeros, non-finite, out of that range) goes through format().  Each cell is built right-aligned
-    in 24 bytes plus its separator, its unused leading bytes NUL, and the block drops every NUL
-    with one `bytes.translate`.
+    (zeros, non-finite, out of that range) goes through format().  Each cell is built in 32 bytes,
+    four little-endian uint64 words: a NUL, the sign (NUL if positive), the lead digit, '.', the
+    two 8-digit halves of the rest (`_digits8`), 'e', the exponent's sign and two digits, the
+    separator and 7 NULs; a format() cell is right-aligned in the first 24 bytes.  The block drops
+    every NUL with one `bytes.translate`.
     """
-    sep = np.full(points.shape[1], ord(","), dtype=np.uint8)
+    sep = np.full(points.shape[1], ord(","), dtype=np.uint64)
     sep[-1] = ord("\n")
     for start in range(0, len(points), _ROW_BLOCK):
         v = points[start:start + _ROW_BLOCK].ravel()
@@ -209,19 +226,16 @@ def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
         carry = d == _E17  # |v| 10^k >= 10^17 - 1/2 rounds to 1.0000000000000000 at the next exponent
         d[carry] = _E16
         p = 16 - k + carry
-        cells = np.empty((v.size, 25), dtype=np.uint8)
         lead, rest = np.divmod(d, _E16)
-        pairs = np.empty((v.size, 8), dtype=np.uint16)  # the 16 digits after the point, two per entry
-        for last, half in zip((3, 7), np.divmod(rest, np.uint64(10 ** 8))):
-            half = half.astype(np.uint32)
-            for col in range(last, last - 4, -1):
-                half, pairs[:, col] = np.divmod(half, 100)
-        cells[:, 2], cells[:, 4:20] = lead + ord("0"), _PAIRS[pairs].view(np.uint8)
-        cells[:, 0], cells[:, 1] = 0, np.where(np.signbit(v), ord("-"), 0)
-        cells[:, 3], cells[:, 20] = ord("."), ord("e")
-        cells[:, 21] = np.where(p < 0, ord("-"), ord("+"))
-        cells[:, 22], cells[:, 23] = np.abs(p) // 10 + ord("0"), np.abs(p) % 10 + ord("0")
-        cells[:, 24] = np.tile(sep, len(v) // len(sep))
+        first, second = (_digits8(half) for half in np.divmod(rest, _E8))
+        words = np.empty((v.size, 4), dtype="<u8")  # little-endian on any host
+        tens, ones = np.divmod(np.abs(p).astype(np.uint64), np.uint64(10))
+        words[:, 0] = np.signbit(v) * np.uint64(ord("-") << 8) | (lead + ord("0")) << 16 | ord(".") << 24 | first << 32
+        words[:, 1] = first >> 32 | second << 32
+        words[:, 2] = (second >> 32 | ord("e") << 32 | np.where(p < 0, np.uint64(ord("-")), np.uint64(ord("+"))) << 40
+                       | (tens + ord("0")) << 48 | (ones + ord("0")) << 56)
+        words[:, 3] = np.tile(sep, len(v) // len(sep))
+        cells = words.view(np.uint8)
         for i in np.flatnonzero(~fast).tolist():
             text = format(float(v[i]), ".16e").encode()
             cells[i, :24] = np.frombuffer(text.rjust(24, b"\0"), dtype=np.uint8)

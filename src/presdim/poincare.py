@@ -88,6 +88,8 @@ def classify_tail(group: ParabolicGroupSpec, s: float, radius: int) -> tuple[str
     """
     if not s >= 0:
         raise ValueError("s must be nonnegative")
+    if not 2.0 * s < math.inf:
+        raise ValueError(f"s must be finite, with 2s below the float range (got {s!r})")
     smin, smax, k = group.sigma_min, group.sigma_max, group.rank
     if 2.0 * s > k:
         # 2k 3^(k-1) is an exact integer, and 2s - (k-1) has no rounding error for 2s < 2^53
@@ -108,15 +110,21 @@ def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> Poinca
     The identity contributes 1; the remaining terms are
     exp(-s 2 arcsinh(|sum N_i alpha_i|/2)).  Summation is deterministic
     (exactly rounded) and the tail is classified by certified shell bounds.
+
+    Only the lexicographically positive N are summed, the grid rows after its centre N = 0: the rows
+    before it are the same N negated, whose shifts are the exact negations (rounding to nearest is
+    symmetric, and the product rounds a row alike wherever it sits in the grid, which the tests
+    check) and whose terms therefore have the same bits.  The exact sum over N != 0 is twice the
+    exact half, and fl(2x) = 2 fl(x) but for a subnormal half, where both totals give 1.0.
     """
-    if not s >= 0:
-        raise ValueError("s must be nonnegative")
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    classification, bound, evidence = classify_tail(group, s, radius)  # checks s before any term
     disp = _lattice_grid(group.rank, radius)
-    disp = disp[np.any(disp != 0, axis=1)].astype(float) @ group.alphas  # rebinding frees the grid
-    partial = 1.0 + compensated_sum(_libm(math.exp, -s * _orbit_distance(disp)))
-    classification, bound, evidence = classify_tail(group, s, radius)
+    disp = disp[len(disp) // 2 + 1:].astype(float) @ group.alphas  # rebinding frees the grid
+    with np.errstate(over="ignore"):  # -s d past the float range is -inf, whose exp is the exact 0
+        exponents = -s * _orbit_distance(disp)
+    partial = 1.0 + 2.0 * compensated_sum(_libm(math.exp, exponents))
     return PoincareSample(float(s), partial, int(radius), classification, bound, evidence)
 
 

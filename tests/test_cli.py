@@ -310,6 +310,15 @@ def test_orbit_cells_are_format_16e(values, width):
     assert b"".join(cli._e16_rows(values)) == _format_rows(values)
 
 
+@pytest.mark.parametrize("values", [
+    [0, 10 ** 8 - 1] + [n for j in range(1, 9) for n in (10 ** j - 1, 10 ** j, 10 ** j + 1) if n < 10 ** 8],
+    np.random.default_rng(3).integers(0, 10 ** 8, size=10_000).tolist(),
+], ids=["edges", "random"])
+def test_digits8_is_format_08d(values):
+    words = cli._digits8(np.array(values, dtype=np.uint64)).astype("<u8")
+    assert words.view("S8").tolist() == [format(x, "08d").encode() for x in values]
+
+
 def test_orbit_cells_round_half_to_even_at_exact_ties():
     # m 2^e with a short m ends in 5 at the 18th significant digit for some e: an exact tie
     m, e = np.meshgrid(np.arange(1, 1 << 10), np.arange(-70, 5), indexing="ij")
@@ -591,6 +600,10 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("verify-hdim", ORBIT_21 + "\n[verify]\nexponent_tol = 1e-20\n",
      "config error: [verify] tolerance 1e-20 is finer than the float spacing 1.1102230246251565e-16 at t = 0.5"),
     ("poincare", POINCARE_21.replace("s = 1.5", "s = nan"), "config error: [poincare] s must be nonnegative"),
+    # 2s overflows at s = 1e308; s is checked before any term, so no overflow warning either
+    *(("poincare", POINCARE_21.replace("s = 1.5", f"s = {s}"),
+       f"config error: [poincare] s must be finite, with 2s below the float range (got {s})")
+      for s in ("inf", "1e+308")),
     ("counting", POINCARE_21 + "\n[counting]\nt_max = 2000\n",
      "config error: [counting] enumeration cap exceeded; the largest achievable t_max is 33.62"),
     ("counting", POINCARE_21 + "\n[counting]\nt_max = nan\n", "config error: [counting] t_max must be positive"),

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from presdim import poincare
-from presdim.hyperbolic import ParabolicGroupSpec, _orbit_distance
+from presdim.hyperbolic import ParabolicGroupSpec, _lattice_grid, _orbit_distance
+from presdim.numerics import _libm, compensated_sum
 from presdim.poincare import (
     CONVERGENT_WITH_BOUND,
     DIVERGENT_MINORANT,
@@ -70,6 +71,48 @@ def test_partial_sum_matches_mpmath(group, s, radius):
         # the largest terms have small exp arguments, so they are a few ulps
         # off, and the sum is rounded once: measured errors are below 1e-16
         assert abs(poincare_partial(group, s, radius).partial_sum - ref) <= 1e-15 * ref
+
+
+def _full_lattice_partial(group, s, radius):
+    """1 + the correctly rounded sum of the terms of every N != 0 of the cube, in float64."""
+    grid = _lattice_grid(group.rank, radius)
+    disp = grid[np.any(grid != 0, axis=1)].astype(float) @ group.alphas
+    with np.errstate(over="ignore"):
+        exponents = -s * _orbit_distance(disp)
+    return 1.0 + compensated_sum(_libm(math.exp, exponents))
+
+
+# rank 1-3, ambient up to rank + 2: the unit diagonal plus entries in [-0.3, 0.3], drawn as non-dyadic
+# decimals; each row's diagonal entry dominates, so the generators are independent
+_SKEWED = st.integers(1, 3).flatmap(lambda rank: st.builds(
+    lambda ambient, entries: ParabolicGroupSpec(ambient, rank, np.array(entries[:rank * (ambient - 1)]).reshape(
+        rank, ambient - 1) + np.eye(rank, ambient - 1)),
+    st.integers(rank + 1, rank + 2),
+    st.lists(st.integers(-300, 300).map(lambda n: n / 1000.0), min_size=rank * (rank + 1), max_size=rank * (rank + 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=_SKEWED, radius=st.integers(1, 30),
+       s=st.one_of(st.floats(0.0, 4.0), st.floats(4.0, 1e5), st.sampled_from([0.0, 1e4, 1e6, 1e300])))
+def test_partial_sum_over_half_lattice_is_the_full_sum_bit_for_bit(group, radius, s):
+    # N and -N give the same term bits, so twice the half's sum is the full lattice's, for every s up
+    # to where every term underflows
+    assume(group.rank < 3 or radius <= 20)  # at most 41^3 terms per example
+    assert poincare_partial(group, s, radius).partial_sum == _full_lattice_partial(group, s, radius)
+
+
+@pytest.mark.parametrize("group, radius", [
+    (ParabolicGroupSpec(3, 2, np.eye(2)), 200), (ParabolicGroupSpec(3, 2, np.eye(2)), 50),
+    (ParabolicGroupSpec(4, 3, np.array([[1.0, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, 0.4, 1.1]])), 20),
+], ids=["G32-200", "G32-50", "skew43-20"])
+def test_partial_sum_over_half_lattice_on_large_cubes(group, radius):
+    for s in (0.5, 1.0, 1.5, 3.0):
+        assert poincare_partial(group, s, radius).partial_sum == _full_lattice_partial(group, s, radius)
+
+
+def test_partial_sum_at_huge_s_is_the_identity_without_warnings():
+    # -s d overflows to -inf for the far rows (warnings are errors here), and their exp is 0
+    assert poincare_partial(G32, 5e307, 10).partial_sum == 1.0
 
 
 def test_divergent_minorant_below_half():
@@ -320,6 +363,8 @@ def test_gauge_gap_bounded():
     (lambda: counting_exponent(G1, t_max=0.0, levels=10), "t_max must be positive"),
     (lambda: classify_tail(G1, math.nan, 1), "s must be nonnegative"),
     (lambda: poincare_partial(G1, math.nan, 1), "s must be nonnegative"),
+    (lambda: classify_tail(G1, math.inf, 1), r"s must be finite, with 2s below the float range \(got inf\)"),
+    (lambda: poincare_partial(G1, 1e308, 1), r"s must be finite, with 2s below the float range \(got 1e\+308\)"),
     (lambda: counting_exponent(G1, t_max=math.nan, levels=10), "t_max must be positive"),
 ])
 def test_input_guards(call, message):

@@ -11,6 +11,7 @@ h(1) = 1: interval n is [h(n+1), h(n)], so truncation tails telescope exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -65,8 +66,12 @@ class _LengthModel:
 
     Each model defines `right_endpoint(n)`, the array h(n), and
     `series_verdict(t, m)`, the verdict past index m at t > 0
-    (`IntervalPartition.series_verdict` answers t <= 0).
+    (`IntervalPartition.series_verdict` answers t <= 0).  Models whose
+    `right_endpoint(n, out)` writes h(n) into the float array `out` set
+    `in_place`; out=n gives the same bits as a fresh array.
     """
+
+    in_place = False
 
     # exact exponent separating convergence from divergence, if known
     critical_t: float | None = None
@@ -81,8 +86,10 @@ class _GaussLengths(_LengthModel):
 
     critical_t = 0.5
 
-    def right_endpoint(self, n):
-        return 1.0 / np.asarray(n, dtype=float)
+    in_place = True
+
+    def right_endpoint(self, n, out=None):
+        return np.divide(1.0, np.asarray(n, dtype=float), out=out)
 
     def series_verdict(self, t, m):
         if t <= 0.5:
@@ -113,6 +120,7 @@ class _DyadicLengths(_LengthModel):
 class _PowerLawLengths(_LengthModel):
     """h(n) = n^(1-p), lengths asymptotically (p-1) n^(-p), p > 1."""
 
+    in_place = True
 
     def __init__(self, exponent: float):
         if not exponent > 1.0:
@@ -120,8 +128,8 @@ class _PowerLawLengths(_LengthModel):
         self.exponent = float(exponent)
         self.critical_t = 1.0 / self.exponent
 
-    def right_endpoint(self, n):
-        return np.asarray(n, dtype=float) ** (1.0 - self.exponent)
+    def right_endpoint(self, n, out=None):
+        return np.power(np.asarray(n, dtype=float), 1.0 - self.exponent, out=out)
 
     def series_verdict(self, t, m):
         p, q = self.exponent, self.exponent - 1.0
@@ -141,8 +149,11 @@ class _LogSquaredLengths(_LengthModel):
 
     critical_t = 1.0
 
-    def right_endpoint(self, n):
-        return math.log(2.0) / np.log(np.asarray(n, dtype=float) + 1.0)
+    in_place = True
+
+    def right_endpoint(self, n, out=None):
+        h = np.log(np.add(np.asarray(n, dtype=float), 1.0, out=out), out=out)
+        return np.divide(math.log(2.0), h, out=h)
 
     def series_verdict(self, t, m):
         if t < 1.0:
@@ -186,10 +197,11 @@ class _OscillatingLengths(_LengthModel):
     def right_endpoint(self, n):
         return np.exp(-self._phi(np.log(np.asarray(n, dtype=float))))
 
-    def log_length(self, n):
+    @classmethod
+    def log_length(cls, n):
         n = np.asarray(n, dtype=float)
-        phi_n = self._phi(np.log(n))
-        dphi = self._phi(np.log(n + 1.0)) - phi_n
+        phi_n = cls._phi(np.log(n))
+        dphi = cls._phi(np.log(n + 1.0)) - phi_n
         # length = h(n)(1 - exp(-dphi)); dphi ~ slope/n so keep it in log form
         return -phi_n + np.log(-np.expm1(-dphi))
 
@@ -197,9 +209,12 @@ class _OscillatingLengths(_LengthModel):
     # ratio sequence by more than this
     _RATIO_PAD = 0.005
 
-    def ratio_window(self, n_lo: int) -> tuple[float, float]:
+    @classmethod
+    @functools.cache
+    def ratio_window(cls, n_lo: int) -> tuple[float, float]:
+        """(min, max) of log n / (-log length_n) over a geometric grid of n in [n_lo, 10^12]."""
         grid = np.unique(np.geomspace(n_lo, 10**12, 800).astype(np.int64))
-        r = np.log(grid.astype(float)) / (-self.log_length(grid))
+        r = np.log(grid.astype(float)) / (-cls.log_length(grid))
         return float(r.min()), float(r.max())
 
     def series_verdict(self, t, m):
@@ -243,16 +258,14 @@ class IntervalPartition:
         right = np.ascontiguousarray(np.asarray(self.right, dtype=float))
         if left.shape != right.shape or left.ndim != 1 or left.size == 0:
             raise PartitionError("partition needs matching 1-d, non-empty endpoint arrays")
-        if not (np.all(left >= -1e-15) and np.all(right <= 1.0 + 1e-15)):
-            raise PartitionError("intervals must lie inside [0, 1]")
         # right > left is right - left > 0 without a float temporary (subnormals keep the sign)
-        if not np.all(right > left):
-            raise PartitionError("every interval needs positive length")
-        if not np.all(right[1:] < right[:-1]):
-            raise PartitionError("intervals must be ordered by strictly decreasing right endpoint")
-        # disjoint interiors: next right endpoint must not pass the current left
-        if left.size > 1 and np.any(right[1:] - left[:-1] > _TILING_TOL):
-            raise PartitionError("interval interiors overlap")
+        tiles = np.all(right > left) and np.all(right[1:] < right[:-1]) and np.all(right[1:] <= left[:-1])
+        if tiles:
+            # positive, ordered and disjoint: left decreases too, so its ends are the extremes
+            if not (left[-1] >= -1e-15 and right[0] <= 1.0 + 1e-15):
+                raise PartitionError("intervals must lie inside [0, 1]")
+        else:
+            self._check_rules(left, right)
         left.setflags(write=False)
         right.setflags(write=False)
         object.__setattr__(self, "left", left)
@@ -260,6 +273,19 @@ class IntervalPartition:
         lengths = right - left
         lengths.setflags(write=False)
         object.__setattr__(self, "_lengths", lengths)
+
+    @staticmethod
+    def _check_rules(left: np.ndarray, right: np.ndarray) -> None:
+        """Raise the first broken rule's PartitionError, in this order."""
+        if not (np.all(left >= -1e-15) and np.all(right <= 1.0 + 1e-15)):
+            raise PartitionError("intervals must lie inside [0, 1]")
+        if not np.all(right > left):
+            raise PartitionError("every interval needs positive length")
+        if not np.all(right[1:] < right[:-1]):
+            raise PartitionError("intervals must be ordered by strictly decreasing right endpoint")
+        # disjoint interiors: next right endpoint must not pass the current left
+        if left.size > 1 and np.any(right[1:] - left[:-1] > _TILING_TOL):
+            raise PartitionError("interval interiors overlap")
 
     @property
     def count(self) -> int:
@@ -342,7 +368,7 @@ def build_partition(
             params["exponent"] = exponent
         model = _MODELS[generator](**params)
         n = np.arange(1, truncation + 2, dtype=float)
-        h = model.right_endpoint(n)
+        h = model.right_endpoint(n, out=n) if model.in_place else model.right_endpoint(n)
         return IntervalPartition(h[1:], h[:-1], generator, params, model)
 
     if generator == "gauss-restricted":

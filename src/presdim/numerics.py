@@ -2,14 +2,20 @@
 
 Reductions in this package must not depend on how their terms are chunked,
 so every series total is accumulated exactly and rounded once.  The exact sum
-bins each term by its binary exponent (a superaccumulator: Neal, "Fast exact
-summation using small and large superaccumulators", arXiv:1505.05571):
-within one exponent the terms are integers times a common power of two, and
-numpy adds integers below 2^53 exactly.  The hyperbolic distance formulas
-need arccosh(1 + u) evaluated without cancellation for small u.  Certified
-power-sum tails need the Hurwitz zeta function with an error bound
-(Euler-Maclaurin; Johansson, "Rigorous high-precision computation of the
-Hurwitz zeta function and its derivatives", arXiv:1309.2877).
+first splits the terms by error-free extraction (Rump, Ogita and Oishi,
+"Accurate floating-point summation part I: faithful rounding", SIAM J. Sci.
+Comput. 31(1), 2008): three levels of fl(sigma + r) - sigma, each of whose
+float sums is exact, leave a residual below n units of the last level, and
+the total is certified when both ends of that range round to one float.
+Otherwise it bins each term by its binary exponent (a superaccumulator:
+Neal, "Fast exact summation using small and large superaccumulators",
+arXiv:1505.05571): within one exponent the terms are integers times a
+common power of two, and numpy adds integers below 2^53 exactly.  The
+hyperbolic distance formulas need arccosh(1 + u) evaluated without
+cancellation for small u.  Certified power-sum tails need the Hurwitz zeta
+function with an error bound (Euler-Maclaurin; Johansson, "Rigorous
+high-precision computation of the Hurwitz zeta function and its
+derivatives", arXiv:1309.2877).
 """
 from __future__ import annotations
 
@@ -70,24 +76,74 @@ def _binned_total(arr: np.ndarray) -> int:
     return total
 
 
+def _scaled(m: int, u: int) -> float:
+    """m * 2^u rounded once, half to even (int true division and float(int) round correctly)."""
+    return m / (1 << -u) if u < 0 else float(m << u)
+
+
+# the extraction levels run over blocks of this many terms, so that the block
+# and its two work arrays stay in cache
+_EXTRACT_BLOCK = 1 << 15
+
+
+def _extract_total(arr: np.ndarray, top: float) -> float | None:
+    """The correctly rounded sum of finite terms with max |x| = top, or None if undecided.
+
+    With 2^e > top and n < 2^g, sigma_j = 2^(e + g - j (53 - g)) for j = 0, 1, 2.
+    Each level's q = fl(sigma_j + r) - sigma_j is exact, a multiple of
+    2^-53 sigma_j with |q| <= 2^-g sigma_j, so any float sum of n of them is
+    exact; r - q is the rounding error, at most 2^-53 sigma_j, which is
+    2^-g sigma_(j+1).  After three levels the integer total T of the level
+    sums, in units of 2^-53 sigma_2, is within n units of the exact sum.
+    If T - n and T + n round to the same float, so does the sum; if they do
+    not (ties, heavy cancellation) or a unit is below 2^-1074, it is None.
+    """
+    n = arr.size
+    g = (n + 2).bit_length()
+    e = math.frexp(top)[1]
+    unit = e + g - 2 * (53 - g) - 53
+    if unit < -1074:
+        return None
+    sigmas = [2.0 ** (e + g - j * (53 - g)) for j in range(3)]
+    sums = [0.0, 0.0, 0.0]
+    q = np.empty(min(n, _EXTRACT_BLOCK))
+    r = np.empty_like(q)
+    for start in range(0, n, _EXTRACT_BLOCK):
+        x = arr[start:start + _EXTRACT_BLOCK]
+        qk, rk = q[:x.size], r[:x.size]
+        for j, sigma in enumerate(sigmas):
+            np.add(x, sigma, out=qk)
+            qk -= sigma
+            sums[j] += qk.sum()
+            if j < 2:
+                x = np.subtract(x, qk, out=rk)
+    total = sum(int(math.ldexp(s, -unit)) for s in sums)
+    low = _scaled(total - n, unit)
+    return low if low == _scaled(total + n, unit) else None
+
+
 def compensated_sum(values: np.ndarray) -> float:
     """Sum an array to the correctly rounded float64 total.
 
-    The exact total is formed as one Python integer, scaled by a power of
-    two: terms are binned by exponent, each bin adds the terms' 53-bit
-    mantissas (split into two halves so that numpy's float adds stay
+    Error-free extraction decides most totals (`_extract_total`).  When it
+    does not, the exact total is formed as one Python integer, scaled by a
+    power of two: terms are binned by exponent, each bin adds the terms'
+    53-bit mantissas (split into two halves so that numpy's float adds stay
     exact), and the bins are folded together.  Integer true division then
     rounds it once, half to even, as math.fsum does; small arrays, inf, nan
-    and terms near overflow go to math.fsum itself, and both paths return
+    and terms near overflow go to math.fsum itself, and every path returns
     the same bits.  The total is exact before its one rounding, so it is a
     pure function of the multiset of values: callers may produce `values`
     in any chunk order and still obtain bit-identical totals.
     """
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size < _KERNEL_MIN_TERMS or not max(arr.max(), -arr.min()) < _KERNEL_MAX_ABS:
+    if arr.size < _KERNEL_MIN_TERMS or not (top := max(arr.max(), -arr.min())) < _KERNEL_MAX_ABS:
         return math.fsum(arr.tolist())
+    extracted = _extract_total(arr, float(top))
+    if extracted is not None:
+        return extracted
     total = sum(_binned_total(arr[start:start + _SPAN]) for start in range(0, arr.size, _SPAN))
-    return total / (1 << (_EXP_OFFSET + 53))
+    return _scaled(total, -(_EXP_OFFSET + 53))
 
 
 def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:

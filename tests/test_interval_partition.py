@@ -40,6 +40,19 @@ def test_gauss_lengths_and_tiling():
     assert part.model is not None
 
 
+@pytest.mark.parametrize("generator, kwargs, closed_form", [
+    ("gauss", {}, lambda n: 1.0 / n),
+    ("power-law", {"exponent": 1.5}, lambda n: n ** (1.0 - 1.5)),
+    ("power-law", {"exponent": 2.75}, lambda n: n ** (1.0 - 2.75)),
+    ("log-squared", {}, lambda n: math.log(2.0) / np.log(n + 1.0)),
+])
+def test_endpoints_built_in_place_keep_the_closed_form_bits(generator, kwargs, closed_form):
+    part = build_partition(generator, 10**5, **kwargs)
+    h = closed_form(np.arange(1, 10**5 + 2, dtype=float))
+    assert part.right.tobytes() == h[:-1].tobytes()
+    assert part.left.tobytes() == h[1:].tobytes()
+
+
 def test_dyadic_lengths():
     part = build_partition("dyadic", 40)
     np.testing.assert_allclose(part.lengths, 2.0 ** -np.arange(1, 41, dtype=float))
@@ -405,6 +418,10 @@ GAUSS_10 = build_partition("gauss", 10)
 GAPPED = build_partition("explicit", intervals=[(0.6, 1.0), (0.2, 0.5)])
 
 
+def _partition(left, right):
+    return IntervalPartition(np.array(left), np.array(right), "explicit")
+
+
 def _cylinder_sums(order, cap):
     return cylinder_derivative_sums(make_branch_map(GAUSS_10), order, [1.0], alphabet_cap=cap)
 
@@ -428,11 +445,21 @@ def _cylinder_sums(order, cap):
     (lambda: _cylinder_sums(0, 4), PartitionError("cylinder order must be >= 1")),
     (lambda: _cylinder_sums(22, 2), PartitionError(
         "2^22 = 4194304 cylinder words exceed the enumeration cap 2097152; lower the order or alphabet")),
+    # inputs that break two rules at once raise the first rule's error
+    (lambda: _partition([0.5, np.nan], [1.0, 0.5]), PartitionError("intervals must lie inside [0, 1]")),
+    (lambda: _partition([0.5, 0.2], [1.5, 0.6]), PartitionError("intervals must lie inside [0, 1]")),
+    (lambda: _partition([0.5, 0.2], [0.5, 0.6]), PartitionError("every interval needs positive length")),
+    (lambda: _partition([0.5, -1e-14], [1.0, 0.5]), PartitionError("intervals must lie inside [0, 1]")),
+    (lambda: _partition([0.5, 0.0], [1.0 + 1e-14, 0.5]), PartitionError("intervals must lie inside [0, 1]")),
+    (lambda: _partition([0.5, 0.1], [1.0, 0.5 + 1e-13]).count, 2),
+    (lambda: _partition([0.5, 0.1], [1.0, 0.5 + 1e-11]), PartitionError("interval interiors overlap")),
 ], ids=[
     "power-law-exponent-1", "mismatched-endpoints", "unordered-intervals", "gapped-tiling-defect",
     "verdict-at-zero", "truncation-0", "no-restricted-digits", "explicit-without-intervals",
     "explicit-empty-intervals", "alphabet-cap-0",
     "cylinder-order-0", "word-cap-exceeded",
+    "nan-endpoint", "right-above-1-and-overlap", "zero-length-and-disorder", "left-below-0-on-tiling",
+    "right-above-1-on-tiling", "overlap-within-tolerance", "overlap-past-tolerance",
 ])
 def test_guards_and_side_branches(call, expected):
     if isinstance(expected, PartitionError):

@@ -1,5 +1,6 @@
 """Exact summation returns math.fsum's bits; hurwitz_zeta encloses the exact value."""
 
+import functools
 import math
 import struct
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presdim import numerics
+from presdim.interval_partition import build_partition
 from presdim.numerics import compensated_sum, hurwitz_zeta
 
 CUTOFF = numerics._KERNEL_MIN_TERMS
@@ -128,6 +130,66 @@ def test_order_and_chunking_do_not_matter():
     assert _bits(compensated_sum(np.random.default_rng(3).permutation(terms))) == _bits(total)
     # a 2-D input is summed over all its entries
     assert _bits(compensated_sum(terms.reshape(2, -1))) == _bits(total)
+
+
+# ---------------------------------------------------------------------------
+# error-free extraction on its own: every total it decides is fsum's
+
+
+def _extracted(terms):
+    terms = np.asarray(terms, dtype=float)
+    return numerics._extract_total(terms, float(np.abs(terms).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from(SIZES[1:]),
+    e_low=st.integers(-1080, 900),
+    e_span=st.integers(0, 2000),
+    negative_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    cancel=st.booleans(),
+)
+def test_extracted_totals_are_fsum_bits(seed, size, e_low, e_span, negative_share, cancel):
+    # terms stay below _KERNEL_MAX_ABS = 2^900, as compensated_sum guarantees
+    terms = _random_terms(seed, size, e_low, min(e_span, 900 - e_low), negative_share, cancel)
+    total = _extracted(terms)
+    if total is not None:
+        assert _bits(total) == _bits(math.fsum(terms.tolist()))
+
+
+@functools.cache
+def _million_lengths(generator):
+    return build_partition(generator, 10**6).lengths
+
+
+@pytest.mark.parametrize("t", [0.6123, 1.0, 1.45, 2.6])
+@pytest.mark.parametrize("generator", ["gauss", "log-squared"])
+def test_extraction_decides_benchmark_sums(generator, t):
+    terms = _million_lengths(generator) ** t
+    assert _bits(_extracted(terms)) == _bits(math.fsum(terms.tolist()))
+
+
+def _tie(size):
+    # size - 1 ones and half an ulp of size - 1
+    return np.concatenate([np.ones(size - 1), [0.5 * math.ulp(size - 1.0)]])
+
+
+@pytest.mark.parametrize("terms, decided", [
+    (np.resize([1.0, 2.0**-53], 2), False),  # a tie
+    (_tie(3 * CUTOFF), False),
+    (np.resize([1e300, 1.0, -1e300, 1e-300], 3 * CUTOFF), False),  # cancels 600 digits
+    (np.resize([1e-300, -1e-300, 5e-324], 3 * CUTOFF), False),  # units below 2^-1074
+    # cancellation within reach of three levels, and no tie once resized
+    (np.resize([1e16, 1.0, -1e16], 3 * CUTOFF), True),
+    (np.resize([1.0, 2.0**-53], 3 * CUTOFF), True),
+], ids=["tie", "tie-3-cutoff", "cancel-600-digits", "subnormal-unit", "cancel-16-digits", "resized-tie"])
+def test_extraction_falls_back_when_undecided(terms, decided):
+    total = _extracted(terms)
+    assert (total is not None) == decided
+    assert _bits(compensated_sum(terms)) == _bits(math.fsum(terms.tolist()))
+    if decided:
+        assert _bits(total) == _bits(math.fsum(terms.tolist()))
 
 
 # ---------------------------------------------------------------------------

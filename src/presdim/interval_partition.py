@@ -11,7 +11,6 @@ h(1) = 1: interval n is [h(n+1), h(n)], so truncation tails telescope exactly.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -66,9 +65,9 @@ class _LengthModel:
 
     Each model defines `right_endpoint(n)`, the array h(n), and
     `series_verdict(t, m)`, the verdict past index m at t > 0
-    (`IntervalPartition.series_verdict` answers t <= 0).  Models whose
-    `right_endpoint(n, out)` writes h(n) into the float array `out` set
-    `in_place`; out=n gives the same bits as a fresh array.
+    (`IntervalPartition.series_verdict` answers t <= 0).  Models that set
+    `in_place` take `right_endpoint(n, overwrite=True)`, which writes h(n)
+    into the float array n itself, with the bits of a fresh array.
     """
 
     in_place = False
@@ -88,8 +87,9 @@ class _GaussLengths(_LengthModel):
 
     in_place = True
 
-    def right_endpoint(self, n, out=None):
-        return np.divide(1.0, np.asarray(n, dtype=float), out=out)
+    def right_endpoint(self, n, overwrite=False):
+        n = np.asarray(n, dtype=float)
+        return np.divide(1.0, n, out=n if overwrite else None)
 
     def series_verdict(self, t, m):
         if t <= 0.5:
@@ -128,8 +128,11 @@ class _PowerLawLengths(_LengthModel):
         self.exponent = float(exponent)
         self.critical_t = 1.0 / self.exponent
 
-    def right_endpoint(self, n, out=None):
-        return np.power(np.asarray(n, dtype=float), 1.0 - self.exponent, out=out)
+    def right_endpoint(self, n, overwrite=False):
+        n = np.asarray(n, dtype=float) if overwrite else np.array(n, dtype=float)
+        # **= takes numpy's scalar-power shortcuts (1/n at p = 2) just as ** does
+        n **= 1.0 - self.exponent
+        return n
 
     def series_verdict(self, t, m):
         p, q = self.exponent, self.exponent - 1.0
@@ -151,8 +154,10 @@ class _LogSquaredLengths(_LengthModel):
 
     in_place = True
 
-    def right_endpoint(self, n, out=None):
-        h = np.log(np.add(np.asarray(n, dtype=float), 1.0, out=out), out=out)
+    def right_endpoint(self, n, overwrite=False):
+        n = np.asarray(n, dtype=float)
+        out = n if overwrite else None
+        h = np.log(np.add(n, 1.0, out=out), out=out)
         return np.divide(math.log(2.0), h, out=h)
 
     def series_verdict(self, t, m):
@@ -197,11 +202,14 @@ class _OscillatingLengths(_LengthModel):
     def right_endpoint(self, n):
         return np.exp(-self._phi(np.log(np.asarray(n, dtype=float))))
 
-    @classmethod
-    def log_length(cls, n):
+    def __init__(self):
+        # ratio windows by n_lo: series_verdict asks for the same one at every exponent
+        self._windows: dict[int, tuple[float, float]] = {}
+
+    def log_length(self, n):
         n = np.asarray(n, dtype=float)
-        phi_n = cls._phi(np.log(n))
-        dphi = cls._phi(np.log(n + 1.0)) - phi_n
+        phi_n = self._phi(np.log(n))
+        dphi = self._phi(np.log(n + 1.0)) - phi_n
         # length = h(n)(1 - exp(-dphi)); dphi ~ slope/n so keep it in log form
         return -phi_n + np.log(-np.expm1(-dphi))
 
@@ -209,13 +217,13 @@ class _OscillatingLengths(_LengthModel):
     # ratio sequence by more than this
     _RATIO_PAD = 0.005
 
-    @classmethod
-    @functools.cache
-    def ratio_window(cls, n_lo: int) -> tuple[float, float]:
+    def ratio_window(self, n_lo: int) -> tuple[float, float]:
         """(min, max) of log n / (-log length_n) over a geometric grid of n in [n_lo, 10^12]."""
-        grid = np.unique(np.geomspace(n_lo, 10**12, 800).astype(np.int64))
-        r = np.log(grid.astype(float)) / (-cls.log_length(grid))
-        return float(r.min()), float(r.max())
+        if n_lo not in self._windows:
+            grid = np.unique(np.geomspace(n_lo, 10**12, 800).astype(np.int64))
+            r = np.log(grid.astype(float)) / (-self.log_length(grid))
+            self._windows[n_lo] = float(r.min()), float(r.max())
+        return self._windows[n_lo]
 
     def series_verdict(self, t, m):
         if t > 0.5:
@@ -368,7 +376,7 @@ def build_partition(
             params["exponent"] = exponent
         model = _MODELS[generator](**params)
         n = np.arange(1, truncation + 2, dtype=float)
-        h = model.right_endpoint(n, out=n) if model.in_place else model.right_endpoint(n)
+        h = model.right_endpoint(n, overwrite=True) if model.in_place else model.right_endpoint(n)
         return IntervalPartition(h[1:], h[:-1], generator, params, model)
 
     if generator == "gauss-restricted":

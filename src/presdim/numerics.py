@@ -7,10 +7,7 @@ first splits the terms by error-free extraction (Rump, Ogita and Oishi,
 Comput. 31(1), 2008): three levels of fl(sigma + r) - sigma, each of whose
 float sums is exact, leave a residual below n units of the last level, and
 the total is certified when both ends of that range round to one float.
-Otherwise it bins each term by its binary exponent (a superaccumulator:
-Neal, "Fast exact summation using small and large superaccumulators",
-arXiv:1505.05571): within one exponent the terms are integers times a
-common power of two, and numpy adds integers below 2^53 exactly.  The
+Otherwise (ties, heavy cancellation) math.fsum decides it.  The
 hyperbolic distance formulas need arccosh(1 + u) evaluated without
 cancellation for small u.  Certified power-sum tails need the Hurwitz zeta
 function with an error bound (Euler-Maclaurin; Johansson, "Rigorous
@@ -29,51 +26,13 @@ __all__ = [
     "hurwitz_zeta",
 ]
 
-# Below this size math.fsum over a list is faster than the binned kernel
-# (measured crossover: 1.5k-3k terms).
+# Arrays below this size go straight to math.fsum, which takes under 0.1 ms there.
 _KERNEL_MIN_TERMS = 2048
 # fsum raises when an intermediate partial overflows, which depends on term
 # order.  Below this bound no partial of fewer than 2^63 terms can overflow,
-# so the kernel only sums terms below it and leaves the rest, inf and nan to
-# fsum itself.
+# so the extraction only sums terms below it and leaves the rest, inf and nan
+# to fsum itself.
 _KERNEL_MAX_ABS = 2.0 ** 900
-# frexp exponents of finite doubles lie in [-1073, 1024]; the bin of a term
-# with exponent e is e + _EXP_OFFSET.
-_EXP_OFFSET = 1073
-_BINS = _EXP_OFFSET + 1025
-# A term is m * 2^(e - 53) with m a signed integer, |m| < 2^53; adding and
-# subtracting _SPLIT rounds m to h, a multiple of 2^27, and leaves |m - h| <= 2^26.
-_SPLIT = 3.0 * 2.0 ** 78
-_BLOCK = 1 << 14
-# Each bin is spread over _LANES accumulators (by position mod _LANES), so
-# runs of terms with one exponent do not wait on a single running total.
-_LANES = 4
-_BLOCK_INDEX = (np.arange(_BLOCK) % _LANES) * _BINS + _EXP_OFFSET
-_BLOCK_INDEX.flags.writeable = False
-# Float bin sums stay exact integers for up to 2^26 terms per bin.
-_SPAN = 1 << 26
-
-
-def _binned_total(arr: np.ndarray) -> int:
-    """Exact sum of at most _SPAN finite terms, scaled by 2^(_EXP_OFFSET + 53)."""
-    high = np.zeros(_LANES * _BINS)
-    low = np.zeros(_LANES * _BINS)
-    for start in range(0, arr.size, _BLOCK):
-        m, e = np.frexp(arr[start:start + _BLOCK])
-        m *= 2.0 ** 53
-        h = m + _SPLIT
-        h -= _SPLIT
-        m -= h
-        index = e.astype(np.intp)
-        index += _BLOCK_INDEX[:index.size]
-        high += np.bincount(index, weights=h, minlength=high.size)
-        low += np.bincount(index, weights=m, minlength=low.size)
-    high = high.reshape(_LANES, _BINS).sum(axis=0)
-    low = low.reshape(_LANES, _BINS).sum(axis=0)
-    total = 0
-    for k in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
-        total += (int(high[k]) + int(low[k])) << k
-    return total
 
 
 def _scaled(m: int, u: int) -> float:
@@ -125,25 +84,19 @@ def _extract_total(arr: np.ndarray, top: float) -> float | None:
 def compensated_sum(values: np.ndarray) -> float:
     """Sum an array to the correctly rounded float64 total.
 
-    Error-free extraction decides most totals (`_extract_total`).  When it
-    does not, the exact total is formed as one Python integer, scaled by a
-    power of two: terms are binned by exponent, each bin adds the terms'
-    53-bit mantissas (split into two halves so that numpy's float adds stay
-    exact), and the bins are folded together.  Integer true division then
-    rounds it once, half to even, as math.fsum does; small arrays, inf, nan
-    and terms near overflow go to math.fsum itself, and every path returns
-    the same bits.  The total is exact before its one rounding, so it is a
-    pure function of the multiset of values: callers may produce `values`
-    in any chunk order and still obtain bit-identical totals.
+    Error-free extraction decides most totals (`_extract_total`), with the
+    bits math.fsum gives; the totals it leaves undecided, small arrays, inf,
+    nan and terms near overflow go to math.fsum itself.  The total is exact
+    before its one rounding, so it is a pure function of the multiset of
+    values: callers may produce `values` in any chunk order and still obtain
+    bit-identical totals.
     """
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size < _KERNEL_MIN_TERMS or not (top := max(arr.max(), -arr.min())) < _KERNEL_MAX_ABS:
-        return math.fsum(arr.tolist())
-    extracted = _extract_total(arr, float(top))
-    if extracted is not None:
-        return extracted
-    total = sum(_binned_total(arr[start:start + _SPAN]) for start in range(0, arr.size, _SPAN))
-    return _scaled(total, -(_EXP_OFFSET + 53))
+    if arr.size >= _KERNEL_MIN_TERMS and (top := max(arr.max(), -arr.min())) < _KERNEL_MAX_ABS:
+        extracted = _extract_total(arr, float(top))
+        if extracted is not None:
+            return extracted
+    return math.fsum(arr.tolist())
 
 
 def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:

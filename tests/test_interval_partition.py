@@ -43,6 +43,8 @@ def test_gauss_lengths_and_tiling():
 @pytest.mark.parametrize("generator, kwargs, closed_form", [
     ("gauss", {}, lambda n: 1.0 / n),
     ("power-law", {"exponent": 1.5}, lambda n: n ** (1.0 - 1.5)),
+    # numpy's scalar power may take 1/n for the exponent -1
+    ("power-law", {"exponent": 2.0}, lambda n: n ** (1.0 - 2.0)),
     ("power-law", {"exponent": 2.75}, lambda n: n ** (1.0 - 2.75)),
     ("log-squared", {}, lambda n: math.log(2.0) / np.log(n + 1.0)),
 ])

@@ -16,7 +16,7 @@ from presdim.interval_partition import build_partition
 from presdim.numerics import compensated_sum, hurwitz_zeta
 
 CUTOFF = numerics._KERNEL_MIN_TERMS
-BLOCK = numerics._BLOCK
+BLOCK = numerics._EXTRACT_BLOCK
 # both sides of the small-array cutoff and of block boundaries
 SIZES = [0, 1, 7, CUTOFF - 1, CUTOFF, CUTOFF + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
 
@@ -112,15 +112,6 @@ def test_matches_mpmath_exact_sum(seed):
 def test_results_at_known_values():
     assert compensated_sum(np.tile([1e16, 1.0, -1e16], CUTOFF)) == float(CUTOFF)
     assert _bits(compensated_sum(np.full(2 * CUTOFF, -0.0))) == _bits(0.0)
-
-
-def test_span_split_keeps_exact_total(monkeypatch):
-    # the float bins are flushed to integers every _SPAN terms; a small span
-    # exercises the split without a 2^26-term array
-    terms = _random_terms(7, 5 * BLOCK + 3, -60, 120, 0.5, True)
-    expected = math.fsum(terms.tolist())
-    monkeypatch.setattr(numerics, "_SPAN", BLOCK + 1)
-    assert _bits(compensated_sum(terms)) == _bits(expected)
 
 
 def test_order_and_chunking_do_not_matter():

@@ -4,14 +4,14 @@ Usage: python3 tools/op_costs.py --src DIR --workload NAME [--seed S] [--passes 
 
 Imports `presdim` from DIR/src and runs the ops of the `perfbench/workloads.py`
 workload NAME through `presdim.cli.main` in this process, N passes in a row
-(default 5), as the benchmark's worker does: each pass writes its artifacts
-to a fresh directory, checks them with the workload's reference checks after
-its last op, and deletes them.  Each op is measured by `time.perf_counter`
-and `resource.getrusage(RUSAGE_SELF)` around its call.  Prints, for each op
-and for the whole pass, the median over the passes of its wall time, user
-CPU, system CPU (all in ms) and minor page faults.  The benchmark reports
-wall time only; a change that moves work into page faults or the kernel
-shows here.  `perfbench/workloads.py` is only imported, from the tree this
+(default 5), with the set-up and op calls of `perfbench/worker.py`: each pass
+writes its artifacts to a fresh directory, checks them with the workload's
+reference checks after its last op, and deletes them.  Each op is measured by
+`time.perf_counter` and `resource.getrusage(RUSAGE_SELF)` around its call.
+Prints, for each op and for the whole pass, the median over the passes of its
+wall time, user CPU, system CPU (all in ms) and minor page faults.  The
+benchmark reports wall time only; a change that moves work into page faults
+or the kernel shows here.  `perfbench/` is only imported, from the tree this
 script lives in, so both runs of a comparison get the same configs:
 
     python3 tools/op_costs.py --src ../parent --workload partition-pressure
@@ -22,7 +22,6 @@ Exits 1 if an op fails its reference check.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import resource
 import shutil
@@ -33,6 +32,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 COLUMNS = ("wall_ms", "user_ms", "sys_ms", "minflt")
@@ -43,25 +43,20 @@ def _usage() -> tuple[float, float, float, int]:
     return time.perf_counter() * 1e3, ru.ru_utime * 1e3, ru.ru_stime * 1e3, ru.ru_minflt
 
 
-def run(cli, name: str, seed: int, passes: int, tiny: bool) -> tuple[list[str], list[list[tuple]], list[str]]:
+def run(src: Path, name: str, seed: int, passes: int, tiny: bool) -> tuple[list[str], list[list[tuple]], list[str]]:
     """(op labels, per-op list of per-pass cost tuples, reference-check problems)."""
-    wl = workloads.build(name, seed, tiny)
-    labels = [f"{i}-{op.command} {op.config or ''}".rstrip() for i, op in enumerate(wl.ops)]
-    costs = [[] for _ in wl.ops]
-    problems = []
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
-        paths = {}
-        for cfg, text in wl.configs.items():
-            paths[cfg] = str(Path(tmp) / f"{cfg}.ini")
-            Path(paths[cfg]).write_text(text)
+        presdim, wl, paths = worker._setup(src, name, seed, tiny, Path(tmp))
+        labels = [f"{i}-{op.command} {op.config or ''}".rstrip() for i, op in enumerate(wl.ops)]
+        costs = [[] for _ in wl.ops]
+        problems = []
         for p in range(passes):
             root = Path(tmp) / f"pass{p}"
             runs = []
             for i, op in enumerate(wl.ops):
                 out = root / f"{i}-{op.command}"
                 before = _usage()
-                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    code = cli.main(op.argv(paths, str(out)))
+                code = worker._run_op(presdim, op, paths, out, sink)
                 costs[i].append(tuple(a - b for a, b in zip(_usage(), before)))
                 runs.append((op, code, out))
             for op, code, out in runs:
@@ -92,13 +87,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    src = (args.src / "src").resolve()
-    sys.path.insert(0, str(src))
-    import presdim.cli
-
-    if not Path(presdim.cli.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"presdim imported from {presdim.cli.__file__}, not from {src}")
-    labels, costs, problems = run(presdim.cli, args.workload, args.seed, args.passes, args.tiny)
+    labels, costs, problems = run(args.src.resolve(), args.workload, args.seed, args.passes, args.tiny)
     print(table(labels, costs))
     for problem in problems:
         print(f"FAIL {problem}")

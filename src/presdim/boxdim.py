@@ -65,7 +65,7 @@ class PointCloud:
         elif self.kind == "sphere":
             if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 2:
                 raise ValueError("sphere cloud needs a non-empty (N, d) array with d >= 2")
-            norms = np.linalg.norm(pts, axis=1)
+            norms = np.sqrt(sum(np.square(c) for c in pts.T))  # squares summed column by column
             if not np.all(np.abs(norms - 1.0) < 1e-9):
                 raise ValueError("sphere cloud points must be unit vectors")
         else:

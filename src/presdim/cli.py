@@ -162,6 +162,9 @@ def _fmt(x) -> str:
 
 _POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)  # 5^27 < 2^63
 _E8, _E16, _E17 = np.uint64(10 ** 8), np.uint64(10 ** 16), np.uint64(10 ** 17)
+# bytes 4-7 of a cell's third word, 'e', the sign and two digits of p, for the decimal exponents p = -11..1
+_EXPONENTS = np.array([ord("e") | ord("-+"[p >= 0]) << 8 | (48 + abs(p) // 10) << 16 | (48 + abs(p) % 10) << 24
+                       for p in range(-11, 2)], dtype=np.uint64) << np.uint64(32)
 # as fast as larger blocks; 2^12 and 2^14 rows fragment the heap, lifting a long run's peak memory
 _ROW_BLOCK = 1 << 11
 
@@ -226,14 +229,12 @@ def _e16_rows(points: np.ndarray) -> Iterator[bytes]:
         carry = d == _E17  # |v| 10^k >= 10^17 - 1/2 rounds to 1.0000000000000000 at the next exponent
         d[carry] = _E16
         p = 16 - k + carry
-        lead, rest = np.divmod(d, _E16)
-        first, second = (_digits8(half) for half in np.divmod(rest, _E8))
+        lead, eights = d // _E16, d // _E8  # remainders by a multiply-subtract, cheaper than np.divmod
+        first, second = _digits8(eights - lead * _E8), _digits8(d - eights * _E8)
         words = np.empty((v.size, 4), dtype="<u8")  # little-endian on any host
-        tens, ones = np.divmod(np.abs(p).astype(np.uint64), np.uint64(10))
         words[:, 0] = np.signbit(v) * np.uint64(ord("-") << 8) | (lead + ord("0")) << 16 | ord(".") << 24 | first << 32
         words[:, 1] = first >> 32 | second << 32
-        words[:, 2] = (second >> 32 | ord("e") << 32 | np.where(p < 0, np.uint64(ord("-")), np.uint64(ord("+"))) << 40
-                       | (tens + ord("0")) << 48 | (ones + ord("0")) << 56)
+        words[:, 2] = second >> 32 | _EXPONENTS[p + 11]
         words[:, 3] = np.tile(sep, len(v) // len(sep))
         cells = words.view(np.uint8)
         for i in np.flatnonzero(~fast).tolist():
@@ -427,17 +428,17 @@ def _cmd_gaps(args, cfg, cfg_hash) -> int:
 def _row_order(pts: np.ndarray) -> np.ndarray:
     """np.lexsort(pts.T[::-1]), the rows' lexicographic order, ties by index, from one float sort.
 
-    A stable argsort on x1 puts each row where lexsort does, except among rows whose x1 equals a
-    neighbour's; those alone are lexsorted on every coordinate and written back into the
-    positions they held, which the stable sort left in index order.
+    An argsort on x1 puts each row where lexsort does, except among rows whose x1 equals a
+    neighbour's; those alone are lexsorted on every coordinate, then on the row index, which the
+    unstable sort left in no order, and written back into the positions they held.
     """
-    order = np.argsort(pts[:, 0], kind="stable")
+    order = np.argsort(pts[:, 0])
     x1 = pts[order, 0]
     tied = np.zeros(len(order), dtype=bool)
     np.equal(x1[1:], x1[:-1], out=tied[1:])
     tied[:-1] |= tied[1:]
     rows = order[tied]
-    order[tied] = rows[np.lexsort(pts[rows].T[::-1])]
+    order[tied] = rows[np.lexsort((rows, *pts[rows].T[::-1]))]
     return order
 
 

@@ -70,12 +70,11 @@ def _plane_to_sphere(u: np.ndarray) -> np.ndarray:
     nn = np.einsum("ij,ij->i", u, u)
     if not np.all(np.isfinite(nn)):
         raise ValueError("plane points beyond about 1e154 overflow the map to the sphere")
-    scale = 1.0 / (1.0 + nn)
+    scale = np.divide(1.0, np.add(1.0, nn), out=np.empty_like(nn))
     out = np.empty((len(u), u.shape[1] + 1))
-    np.multiply(u, 2.0, out=out[:, :-1])
-    out[:, :-1] *= scale[:, None]
-    np.subtract(1.0, nn, out=out[:, -1])
-    out[:, -1] *= scale
+    for column, target in zip(u.T, out.T):  # a 1-d pass per column beats a 2-d broadcast of scale
+        np.multiply(np.multiply(column, 2.0, out=target), scale, out=target)
+    np.multiply(np.subtract(1.0, nn, out=nn), scale, out=out[:, -1])
     return out
 
 
@@ -236,12 +235,19 @@ class ParabolicGroupSpec:
         object.__setattr__(self, "sigma_max", float(sing[0]))
 
 
-def _lattice_grid(rank: int, radius: int) -> np.ndarray:
-    """All N in Z^rank with |N|_inf <= radius, lexicographic order."""
-    total = (2 * radius + 1) ** rank
-    if total > _ENUMERATION_CAP:
+def _cube_points(rank: int, radius: int) -> int:
+    """(2 radius + 1)^rank, the points N in Z^rank with |N|_inf <= radius, if within the cap."""
+    if (total := (2 * radius + 1) ** rank) > _ENUMERATION_CAP:
         raise ValueError(f"lattice cube has {total} points, above the cap {_ENUMERATION_CAP}")
+    return total
+
+
+def _lattice_grid(rank: int, radius: int, lead: range | None = None) -> np.ndarray:
+    """All N in Z^rank with |N|_inf <= radius, lexicographic order; with `lead`, only the N whose N_1
+    lies in it.  The cap applies to the whole cube either way."""
+    _cube_points(rank, radius)
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
+    axes[0] = axes[0] if lead is None else np.array(lead, dtype=np.int64)
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=1)
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperbolic import _ENUMERATION_CAP, ParabolicGroupSpec, _gram_factor, _lattice_grid, _orbit_distance
+from .hyperbolic import (_ENUMERATION_CAP, ParabolicGroupSpec, _cube_points, _gram_factor, _lattice_grid,
+                         _orbit_distance)
 from .numerics import _LIBM_ERR, _libm, _up, compensated_sum, hurwitz_zeta
 from .pressure import CriticalExponentEstimate, DIVERGES_AT_CRITICAL, _bisect
 
@@ -40,7 +41,7 @@ __all__ = [
 
 CONVERGENT_WITH_BOUND = "convergent-with-bound"
 DIVERGENT_MINORANT = "divergent-minorant"
-_ROWS_PER_BLOCK = 1 << 14  # rows of one lattice count held at a time
+_ROWS_PER_BLOCK = 1 << 14  # lattice rows held at a time by a count or a partial sum
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,22 @@ def poincare_partial(group: ParabolicGroupSpec, s: float, radius: int) -> Poinca
     before it are the same N negated, whose shifts are the exact negations (rounding to nearest is
     symmetric, and the product rounds a row alike wherever it sits in the grid, which the tests
     check) and whose terms therefore have the same bits.  The exact sum over N != 0 is twice the
-    exact half, and fl(2x) = 2 fl(x) but for a subnormal half, where both totals give 1.0.
+    exact half, and fl(2x) = 2 fl(x) but for a subnormal half, where both totals give 1.0.  The half is
+    walked in blocks of N_1 of about _ROWS_PER_BLOCK rows, its terms written into one array.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     classification, bound, evidence = classify_tail(group, s, radius)  # checks s before any term
-    disp = _lattice_grid(group.rank, radius)
-    disp = disp[len(disp) // 2 + 1:].astype(float) @ group.alphas  # rebinding frees the grid
-    with np.errstate(over="ignore"):  # -s d past the float range is -inf, whose exp is the exact 0
-        exponents = -s * _orbit_distance(disp)
-    partial = 1.0 + 2.0 * compensated_sum(_libm(math.exp, exponents))
+    terms = np.empty(_cube_points(group.rank, radius) // 2)
+    slab = (2 * radius + 1) ** (group.rank - 1)  # rows per value of N_1
+    step, done = max(1, _ROWS_PER_BLOCK // slab), 0
+    for lead in range(0, radius + 1, step):
+        rows = _lattice_grid(group.rank, radius, range(lead, min(lead + step, radius + 1)))
+        disp = rows[slab // 2 + 1 if lead == 0 else 0:].astype(float) @ group.alphas  # N_1 = 0: after N = 0
+        with np.errstate(over="ignore"):  # -s d past the float range is -inf, whose exp is the exact 0
+            terms[done:done + len(disp)] = _libm(math.exp, -s * _orbit_distance(disp))
+        done += len(disp)
+    partial = 1.0 + 2.0 * compensated_sum(terms)
     return PoincareSample(float(s), partial, int(radius), classification, bound, evidence)
 
 
@@ -153,11 +160,15 @@ def _spread(first: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return size, value
 
 
-def _interval(centre: np.ndarray, room: np.ndarray, diagonal: float) -> tuple[np.ndarray, np.ndarray]:
-    """ceil(centre - h), floor(centre + h) for h = sqrt(max(room, 0)) / diagonal, reusing one buffer."""
-    half = np.maximum(room, 0.0)
+def _interval(centre: np.ndarray, room: np.ndarray, diagonal: float, out: np.ndarray | None = None) -> np.ndarray:
+    """ceil(centre - h) and floor(centre + h), h = sqrt(max(room, 0)) / diagonal, as out[0] and out[1] (a new
+    buffer by default; `room` may be out[1])."""
+    out = np.empty((2,) + np.shape(room)) if out is None else out
+    half = np.maximum(room, 0.0, out=out[1])
     np.divide(np.sqrt(half, out=half), diagonal, out=half)
-    return np.ceil(centre - half), np.floor(np.add(centre, half, out=half), out=half)
+    np.ceil(np.subtract(centre, half, out=out[0]), out=out[0])
+    np.floor(np.add(centre, half, out=half), out=half)
+    return out
 
 
 def _ellipsoid_counts(group: ParabolicGroupSpec, lengths) -> list[int]:
@@ -172,65 +183,81 @@ def _ellipsoid_counts(group: ParabolicGroupSpec, lengths) -> list[int]:
     kappa Q(N); a y_i errs by gamma_k sum_j |U_ij||N_j|, whose squares sum to <= ||U||_F^2 |N|^2 <= kappa
     Q(N), so a partial sum of y_i^2 by 3k u kappa Q(N); an interval end at radius r by (2k + 8) u kappa
     r^2 in squares, and r^2 by 3u r^2.  eta = 16 e / sigma_min^2 exceeds the sum, (d + 6k + 12) u kappa.
-    The factor, eta and the rational generators are built once for all lengths; the floats are in
-    `_gram_factor`'s units (generators and lengths scaled by 2^-j), the rationals are not scaled.
+    The factor, eta and the rational generators are built once, and one walk serves every length: the
+    rows of the longest come in blocks (`_row_blocks`), the floats in `_gram_factor`'s units (generators
+    and lengths scaled by 2^-j; the rationals are not scaled).  Each length, longest first, counts on the
+    rows of a block whose partial sum of y_2..y_k squares is at most its length^2 (1 + eta): the row of a
+    point of the ellipsoid is among them (the bounds above), and the others add only points that the
+    narrow interval or the rationals confirm.
     """
     upper, slack, j = _gram_factor(group.alphas)
     margin = 16.0 * slack / math.ldexp(group.sigma_min, -j) ** 2
     generators = [[Fraction(x) for x in column] for column in group.alphas.T.tolist()]
-    return [_ellipsoid_count(upper, margin, generators, length, math.ldexp(length, -j)) for length in lengths]
+    radii = np.reshape([(s * s * (1.0 + margin), s * s * (1.0 - margin)) for s in np.ldexp(lengths, -j)], (-1, 2))
+    counts, ends = [0] * len(lengths), np.empty((2, 2, 0))
+    levels = sorted(enumerate(radii), key=lambda level: -level[1][0])  # longest first
+    for columns, partial, centre in _row_blocks(upper, max(radii[:, 0], default=0.0)):
+        single = int(np.searchsorted(columns[-1], 0.0, side="right")) if columns else 1  # rows with N_k = 0
+        if ends.shape[2] < len(partial):
+            ends = np.empty((2, 2, len(partial)))  # kept for the later, smaller blocks
+        for i, room in levels:
+            live = partial <= room[0]
+            if not (n := np.count_nonzero(live)):
+                break  # nor does any shorter length reach this block
+            rows = slice(0, n) if live[:n].all() else np.flatnonzero(live)
+            counts[i] += _count_rows(upper[0, 0], centre[rows], partial[rows], [c[rows] for c in columns],
+                                     np.count_nonzero(live[:single]), room, ends[:, :, :n], generators, lengths[i])
+        del columns, partial, centre  # before the walk builds the next block
+    return counts
 
 
-def _ellipsoid_count(upper: np.ndarray, margin: float, generators: list, length: float, scaled: float) -> int:
-    """One count of `_ellipsoid_counts`: `scaled` is the length in the units of the factor `upper`.
-
-    From rank 2 on, the rows are walked in blocks of consecutive N_k >= 0 of about _ROWS_PER_BLOCK rows
-    each (a row count per N_k from the widths of the coordinates k-1..2), so memory is bounded by a
-    block, not by the whole enumeration.
-    """
+def _row_blocks(upper: np.ndarray, wide: float):
+    """(columns N_2..N_k, partial sums of y_2..y_k squared, centres of N_1) of the rows of |UN|^2 <= wide, in
+    blocks of consecutive N_k >= 0, ascending, of about _ROWS_PER_BLOCK rows (a row count per N_k from the
+    widths of the coordinates k-1..2), so memory is bounded by a block; at rank 1 one row of no columns."""
     rank = len(upper)
-    wide, narrow = scaled * scaled * (1.0 + margin), scaled * scaled * (1.0 - margin)
-    limit = Fraction(length) ** 2
-    if rank == 1:
-        return _count_rows(upper, wide, narrow, generators, limit, None)
-    top = math.floor(math.sqrt(wide) / upper[-1, -1])
-    per_value = math.prod(2.0 * math.sqrt(wide) / upper[i, i] + 1.0 for i in range(1, rank - 1))
-    step = max(1, int(_ROWS_PER_BLOCK / per_value))
-    return sum(_count_rows(upper, wide, narrow, generators, limit, np.arange(start, min(start + step, top + 1), dtype=float))
-               for start in range(0, top + 1, step))
+    blocks = [None]
+    if rank > 1:
+        top = math.floor(math.sqrt(wide) / upper[-1, -1])
+        per_value = math.prod(2.0 * math.sqrt(wide) / upper[i, i] + 1.0 for i in range(1, rank - 1))
+        step = max(1, int(_ROWS_PER_BLOCK / per_value))
+        blocks = (np.arange(start, min(start + step, top + 1), dtype=float) for start in range(0, top + 1, step))
+    for tops in blocks:
+        # columns N_(i+1..k) of the rows in exact floats, N_k ascending, and |y_(i+1..k)|^2
+        columns, partial = ([], np.zeros(1)) if tops is None else ([tops], (upper[-1, -1] * tops) ** 2)
+        for i in range(rank - 1 - len(columns), -1, -1):
+            shift = sum((c * u for c, u in zip(columns, upper[i, i + 1:])), np.zeros(len(partial)))
+            centre = shift / -upper[i, i]
+            if i == 0:
+                break
+            first, last = _interval(centre, wide - partial, upper[i, i])
+            size, value = _spread(first, last - first + 1.0)
+            columns = [value] + [np.repeat(column, size) for column in columns]
+            partial = np.repeat(partial, size) + (upper[i, i] * value + np.repeat(shift, size)) ** 2
+        yield columns, partial, centre
 
 
-def _count_rows(upper: np.ndarray, wide: float, narrow: float, generators: list, limit: Fraction, tops) -> int:
-    """The count of the lattice points whose N_k lies in `tops` (ascending, >= 0; N and -N together),
-    or of all lattice points at rank 1 (tops None)."""
-    rank = len(upper)
-    # columns N_(i+1..k) of the rows in exact floats, N_k ascending, and |y_(i+1..k)|^2
-    columns, partial = ([], np.zeros(1)) if tops is None else ([tops], (upper[-1, -1] * tops) ** 2)
-    for i in range(rank - 1 - len(columns), -1, -1):
-        shift = sum((c * u for c, u in zip(columns, upper[i, i + 1:])), np.zeros(len(partial)))
-        centre = shift / -upper[i, i]
-        first, last = _interval(centre, wide - partial, upper[i, i])
-        if i == 0:
-            break
-        size, value = _spread(first, last - first + 1.0)
-        columns = [value] + [np.repeat(column, size) for column in columns]
-        partial = np.repeat(partial, size) + (upper[i, i] * value + np.repeat(shift, size)) ** 2
-    room = narrow - partial
-    inner_first, inner_last = _interval(centre, room, upper[0, 0])
-    inner_last = np.where(room > 0.0, inner_last, inner_first - 1.0)
-    single = np.searchsorted(columns[-1], 0.0, side="right") if columns else 1  # rows with N_k = 0
-    count = 2 * int(inner_last.sum() - inner_first.sum() + len(partial))
-    count -= int(inner_last[:single].sum() - inner_first[:single].sum() + single)
-    for start, stop in ((first, inner_first), (inner_last + 1.0, last + 1.0)):
-        edge = np.flatnonzero(stop > start)
-        if not edge.size:
-            continue
-        size, value = _spread(start[edge], stop[edge] - start[edge])
-        row = np.repeat(edge, size)
-        points = np.column_stack([value] + [column[row] for column in columns]).astype(np.int64)
-        for r, point in zip(row.tolist(), points.tolist()):
-            if sum(sum(n * a for n, a in zip(point, g)) ** 2 for g in generators) <= limit:
-                count += 1 if r < single else 2
+def _count_rows(diagonal: float, centre: np.ndarray, partial: np.ndarray, columns: list, single: int,
+                room: np.ndarray, ends: np.ndarray, generators: list, length: float) -> int:
+    """The points N of these rows with |sum N_i alpha_i| <= length: N alone in the first `single` rows (N_k =
+    0), N and -N in the others.  `room` holds the wide and narrow squared radii, and each row's `_interval`
+    ends go into the (2, 2, rows) buffer `ends` as first and last ends; a row reaching the narrow radius has
+    no inner point."""
+    first, last = _interval(centre, np.subtract.outer(room, partial, out=ends[1]), diagonal, ends)
+    if (dead := partial >= room[1]).any():
+        last[1, dead] = first[1, dead] - 1.0
+    outer, inner = last.sum(axis=1) - first.sum(axis=1) + len(partial)  # integers in the intervals of all rows
+    count = 2 * int(inner) - (int(last[1, :single].sum() - first[1, :single].sum() + single) if single else 0)
+    if outer > inner:  # the integers between the narrow and the wide interval, decided in rationals
+        limit = Fraction(length) ** 2
+        for start, stop in (first[0], first[1]), (last[1] + 1.0, last[0] + 1.0):
+            edge = np.flatnonzero(stop > start)
+            size, value = _spread(start[edge], stop[edge] - start[edge])
+            row = np.repeat(edge, size)
+            points = np.column_stack([value] + [column[row] for column in columns]).astype(np.int64)
+            for r, point in zip(row.tolist(), points.tolist()):
+                if sum(sum(n * a for n, a in zip(point, g)) ** 2 for g in generators) <= limit:
+                    count += 1 if r < single else 2
     return count
 
 

@@ -29,6 +29,27 @@ def test_line_cloud_sorts_and_dedups():
     assert ascending.flags.writeable
 
 
+@pytest.mark.parametrize("columns", range(2, 8))
+def test_sphere_check_accepts_exactly_what_the_row_norm_accepts(columns):
+    # rows a few ulps either side of 1 +- 1e-9, and non-finite rows; below 8 columns numpy's row norm sums
+    # column by column too
+    rng = np.random.default_rng(40 + columns)
+    unit = rng.normal(size=(400, columns))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    edge = np.array([1.0 + 1e-9, 1.0 - 1e-9])[rng.integers(0, 2, 400)]
+    rows = unit * (edge * (1.0 + rng.integers(-40, 41, 400) * 2.0 ** -52))[:, None]
+    rows = np.vstack([rows, unit[:4] * [[np.nan], [np.inf], [-np.inf], [1e200]]])
+    with np.errstate(over="ignore"):  # the squares of the last row overflow
+        accepted = np.abs(np.linalg.norm(rows, axis=1) - 1.0) < 1e-9
+        assert 50 < accepted[:-4].sum() < 350 and not accepted[-4:].any()
+        for row, ok in zip(rows, accepted):
+            if ok:
+                PointCloud(row[None, :], "sphere")
+            else:
+                with pytest.raises(ValueError, match="unit vectors"):
+                    PointCloud(row[None, :], "sphere")
+
+
 def test_sphere_cloud_validation():
     good = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     cloud = PointCloud(good, "sphere")
@@ -38,6 +59,11 @@ def test_sphere_cloud_validation():
     assert cloud.dimension_cap == 1.0
     with pytest.raises(ValueError, match="unit vectors"):
         PointCloud(np.array([[0.5, 0.0]]), "sphere")
+    wide = np.random.default_rng(9).normal(size=(50, 9))  # 9 columns, far from the 1 +- 1e-9 edge
+    wide /= np.linalg.norm(wide, axis=1, keepdims=True)
+    assert PointCloud(wide, "sphere").count == 50
+    with pytest.raises(ValueError, match="unit vectors"):
+        PointCloud(wide * (1.0 + 1e-7), "sphere")
     with pytest.raises(ValueError, match="non-empty 1-d array"):
         PointCloud(np.eye(2), "line")
     with pytest.raises(ValueError, match=r"non-empty \(N, d\) array with d >= 2"):

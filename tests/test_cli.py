@@ -284,7 +284,10 @@ _ZEROS = np.array([[0.0, 0.0], [-0.0, -1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -0.
     _ZEROS,  # -0.0 and 0.0 are equal keys, so repeats keep their index order
     np.random.default_rng(3).integers(-2, 3, size=(500, 4)).astype(float),
     np.array([[0.25, 1.0]]),
-], ids=["G32-xi-0", "x3-ties", "signed-zeros", "grid-R4", "one-row"])
+    # big enough that the x1 argsort is not stable: repeated rows and x1 ties must fall back on the index
+    np.random.default_rng(5).integers(-1, 2, size=(3000, 3)).astype(float),
+    np.repeat(np.random.default_rng(6).normal(size=(300, 2)), 7, axis=0),
+], ids=["G32-xi-0", "x3-ties", "signed-zeros", "grid-R4", "one-row", "repeats-R3", "repeats-R2"])
 def test_orbit_row_order_is_lexsort(pts):
     assert cli._row_order(pts).tolist() == np.lexsort(pts.T[::-1]).tolist()
 

@@ -10,6 +10,9 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from presdim import hyperbolic, poincare
 from presdim.hyperbolic import (
@@ -93,6 +96,30 @@ def test_involution_round_trip():
     ps, bs = np.array(ps), np.array(bs)
     np.testing.assert_allclose(_invert(_invert(ps)), ps, atol=1e-12)
     np.testing.assert_allclose(_invert(_invert(bs)), bs, atol=1e-12)
+
+
+def _broadcast_plane_to_sphere(u):
+    """The map to the sphere as two (N, n-1) broadcasts: the reference for the column-by-column kernel."""
+    nn = np.einsum("ij,ij->i", u, u)
+    scale = 1.0 / (1.0 + nn)
+    out = np.empty((len(u), u.shape[1] + 1))
+    np.multiply(u, 2.0, out=out[:, :-1])
+    out[:, :-1] *= scale[:, None]
+    np.subtract(1.0, nn, out=out[:, -1])
+    out[:, -1] *= scale
+    return out
+
+
+# rows of ambient 2-6 boundary points; |u|^2 stays finite, and subnormals and signed zeros come up
+_PLANE_ROWS = st.integers(1, 5).flatmap(lambda d: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(d)),
+    elements=st.one_of(st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1.0]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_PLANE_ROWS)
+def test_plane_to_sphere_keeps_the_bits_of_the_broadcast_formula(u):
+    assert _plane_to_sphere(u).tobytes() == _broadcast_plane_to_sphere(u).tobytes()
 
 
 def test_base_points_correspond():

@@ -110,6 +110,16 @@ def test_partial_sum_over_half_lattice_on_large_cubes(group, radius):
         assert poincare_partial(group, s, radius).partial_sum == _full_lattice_partial(group, s, radius)
 
 
+def test_partial_sum_does_not_depend_on_the_row_block(monkeypatch):
+    # blocks of 5 rows: several values of N_1 per block at rank 1, one per block from rank 2 on
+    skew43 = ParabolicGroupSpec(4, 3, np.array([[1.0, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, 0.4, 1.1]]))
+    cases = [(G1, 40), (G32, 30), (G2_SKEW, 12), (skew43, 5)]
+    expected = [[poincare_partial(group, s, radius).partial_sum for s in (0.5, 1.5)] for group, radius in cases]
+    monkeypatch.setattr(poincare, "_ROWS_PER_BLOCK", 5)
+    assert [[poincare_partial(group, s, radius).partial_sum for s in (0.5, 1.5)] for group, radius in cases] == \
+        expected == [[_full_lattice_partial(group, s, radius) for s in (0.5, 1.5)] for group, radius in cases]
+
+
 def test_partial_sum_at_huge_s_is_the_identity_without_warnings():
     # -s d overflows to -inf for the far rows (warnings are errors here), and their exp is 0
     assert poincare_partial(G32, 5e307, 10).partial_sum == 1.0
@@ -332,6 +342,26 @@ def test_ellipsoid_count_does_not_depend_on_the_row_block(rank, monkeypatch):
     assert expected[0][-1] > 100
 
 
+@pytest.mark.parametrize("rows_per_block", [poincare._ROWS_PER_BLOCK, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_one_walk_counts_every_length_exactly(rank, rows_per_block, monkeypatch):
+    # unit and skewed generators; lengths unsorted, repeated, 0, below the shortest lattice vector, and at
+    # the float norm of a lattice vector with N_1 = 0 and one ulp below it: with unit generators that point
+    # is the integral centre of its row, which lies between the narrow and the wide radius one ulp below
+    monkeypatch.setattr(poincare, "_ROWS_PER_BLOCK", rows_per_block)
+    rng = np.random.default_rng(3000 + rank)
+    skews = [np.zeros((rank, rank + 1))] + [rng.uniform(-0.4, 0.4, (rank, rank + 1)) for _ in range(2)]
+    for skew in skews:
+        group = ParabolicGroupSpec(rank + 2, rank, np.eye(rank, rank + 1) + skew)
+        longest = {1: 60.0, 2: 25.0, 3: 12.0, 4: 7.0}[rank] * group.sigma_min
+        norm = float(np.linalg.norm(np.r_[0, rng.integers(1, 3, size=rank - 1)] @ group.alphas))
+        lengths = [0.6 * longest, 0.0, longest, 0.5 * group.sigma_min, 0.6 * longest, norm,
+                   math.nextafter(norm, 0.0), 0.3 * longest]
+        exact = [_exact_count(group.alphas, length, group.sigma_min) for length in lengths]
+        assert poincare._ellipsoid_counts(group, lengths) == exact
+        assert exact[1] == exact[3] == 1 and exact[2] > 40
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_ellipsoid_count_matches_exact_rationals(rank):
     # radii at the float norm of a lattice vector and one ulp either side
@@ -365,6 +395,8 @@ def test_gauge_gap_bounded():
     (lambda: poincare_partial(G1, math.nan, 1), "s must be nonnegative"),
     (lambda: classify_tail(G1, math.inf, 1), r"s must be finite, with 2s below the float range \(got inf\)"),
     (lambda: poincare_partial(G1, 1e308, 1), r"s must be finite, with 2s below the float range \(got 1e\+308\)"),
+    # the cap is checked before the terms are allocated
+    (lambda: poincare_partial(G2, 1.5, 10**6), "lattice cube has 4000004000001 points, above the cap 20000000"),
     (lambda: counting_exponent(G1, t_max=math.nan, levels=10), "t_max must be positive"),
 ])
 def test_input_guards(call, message):

@@ -4,9 +4,12 @@ Usage: python3 tools/artifact_digests.py --src DIR [--seeds 1 2 3]
 
 Imports `presdim` from DIR/src and runs every op and the probe of each
 `perfbench/workloads.py` workload (full size, each seed) through
-`presdim.cli.main` in this process.  `perfbench/workloads.py` is only
-imported, from the tree this script lives in, so both runs of a comparison
-get the same configs.  Prints one JSON object keyed by
+`presdim.cli.main` in this process, then `counting` and `verify-hdim` on
+two groups that no workload has (`lattice-walk`): the rank-3 unit lattice
+G43 at t_max 12 and a skewed rank-2 lattice, so the lattice walk is
+compared at every rank.  `perfbench/workloads.py` is only imported, from
+the tree this script lives in, so both runs of a comparison get the same
+configs.  Prints one JSON object keyed by
 "seed/workload/index-command-config" with each op's exit code, its stdout
 (the temporary directory replaced by "<tmp>"), the sha256 of each file it
 wrote, and for each CSV file the sha256 of its values: the little-endian
@@ -24,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +36,23 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
+
+
+def _lattice_walk(seed: int) -> workloads.Workload:
+    """`counting` and `verify-hdim` on G43 (unit axes; j 2-9 passes at radius 45) and on a skewed G32."""
+    rng = random.Random(seed)
+    xi43 = " ".join(repr(round(rng.uniform(-0.5, 0.5), 6)) for _ in range(3))
+    xi32 = " ".join(repr(round(rng.uniform(-0.5, 0.5), 6)) for _ in range(2))
+    configs = {
+        "g43": ("[group]\nambient = 4\nrank = 3\nalpha_1 = 1.0 0.0 0.0\nalpha_2 = 0.0 1.0 0.0\n"
+                f"alpha_3 = 0.0 0.0 1.0\n\n[orbit]\nxi = {xi43}\nradius = 45\n\n"
+                "[boxdim]\nsource = orbit\nj_min = 2\nj_max = 9\n\n[counting]\nt_max = 12.0\nlevels = 50\n"),
+        "skew32": ("[group]\nambient = 3\nrank = 2\nalpha_1 = 1.0 0.0\nalpha_2 = 0.3 0.9\n\n"
+                   f"[orbit]\nxi = {xi32}\nradius = 200\n\n[boxdim]\nsource = orbit\nj_min = 4\nj_max = 12\n\n"
+                   "[counting]\nt_max = 25.0\nlevels = 50\n"),
+    }
+    ops = tuple(workloads.Op(command, cfg, "") for cfg in configs for command in ("counting", "verify-hdim"))
+    return workloads.Workload(configs, ops)
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -55,8 +76,8 @@ def run(cli, seeds: list[int]) -> dict[str, dict]:
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            for name in workloads.NAMES:
-                wl = workloads.build(name, seed)
+            for name in (*workloads.NAMES, "lattice-walk"):
+                wl = _lattice_walk(seed) if name == "lattice-walk" else workloads.build(name, seed)
                 root = Path(tmp) / f"{seed}-{name}"
                 root.mkdir()
                 paths = {}

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval_partition import IntervalPartition, PartitionError
+from .numerics import _U, _libm
 
 __all__ = [
     "PointCloud",
@@ -111,7 +112,8 @@ class GapExponentEstimate:
     """Bounds on the gap exponents of a sorted-length partition.
 
     window_min/window_max are exact extremes of log n / (-log length_(n))
-    over [n_window[0], n_window[1]].  fitted_limit removes the finite-size
+    over [n_window[0], n_window[1]], with libm's log, as are the two ratios
+    edge_drift reads.  fitted_limit removes the finite-size
     drift by extrapolating secant slopes (None when the residual shows the
     sequence has no limit).  L_lower/L_upper combine both: the window
     extremes widened by a reliable extrapolation.
@@ -271,18 +273,26 @@ def gap_exponent_bounds(partition: IntervalPartition, n_min: int = 16) -> GapExp
         raise PartitionError(f"gap exponents need at least {max(n_min, 16)} intervals, got {n_total}")
     n_min = max(int(n_min), 2)
     neg_log = -np.log(lengths)
-    idx = np.arange(n_min, n_total + 1, dtype=float)
-    ratios = np.log(idx) / neg_log[n_min - 1 :]
-    window_min = float(ratios.min())
-    window_max = float(ratios.max())
+    ratios = np.arange(n_min, n_total + 1, dtype=float)  # log n / neg_log, in place
+    np.log(ratios, out=ratios)
+    ratios /= neg_log[n_min - 1 :]
+    # np.log may run a SIMD routine whose last bit depends on the CPU, a few ulps from libm's log: so these
+    # ratios only locate the candidates, those within 64u of an extreme (which hold libm's extremes) and
+    # the two edge_drift reads, and each candidate is taken again with math.log
+    lo, hi = ratios.min(), ratios.max()
+    candidates = np.flatnonzero((ratios <= lo * (1.0 + 64.0 * _U)) | (ratios >= hi * (1.0 - 64.0 * _U)))
+    for i in {*candidates.tolist(), ratios.size - 1, max(int(0.1 * n_total), n_min) - n_min}:
+        ratios[i] = math.log(n_min + i) / -math.log(lengths[n_min - 1 + i])
+    window_min = float(ratios[candidates].min())
+    window_max = float(ratios[candidates].max())
 
     fitted = None
     gamma = None
     residual = None
     grid = np.unique(np.geomspace(n_min, n_total, 48).astype(np.int64))
     if grid.size >= 8:
-        x = np.log(grid.astype(float))
-        g = neg_log[grid - 1] - x
+        x = _libm(math.log, grid.astype(float))
+        g = -_libm(math.log, lengths[grid - 1]) - x
         sec = np.diff(g) / np.diff(x)
         xm = 0.5 * (x[1:] + x[:-1])
         design = np.column_stack([np.ones_like(xm), 1.0 / xm, 1.0 / xm**2])

@@ -219,6 +219,11 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     return _down(value - bound), _up(value + bound)
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), which bounds the relative error of a float sum of k + 1 nonnegative terms."""
+    return k * _U / (1.0 - k * _U)
+
+
 def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
     """Floats lo <= P <= hi around the exact sum P of an array of nonnegative terms.
 
@@ -228,7 +233,6 @@ def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
     and the float sum is widened outward by that much.  An inf or nan sum
     gives inf or nan ends.
     """
-    k = (values.size - 1) * _U
-    rel = max(k / (1.0 - k), 4.0 * _U)
+    rel = max(_gamma(values.size - 1), 4.0 * _U)
     total = float(values.sum())
     return _down(total, rel), _up(total, rel)

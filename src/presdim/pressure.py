@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .numerics import _sum_enclosure, compensated_sum
+import numpy as np
+
+from .numerics import _U, _down, _gamma, _sum_enclosure, _up, compensated_sum
 from .interval_partition import (
     BranchMap,
     IntervalPartition,
@@ -303,22 +305,77 @@ def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[
     )
 
 
-def _linear_past(partition: IntervalPartition, t: float) -> tuple[tuple[bool, float], tuple[bool, float]]:
+# a length summary keeps this many leading lengths as they are, and blocks of _BLOCK lengths past them
+_HEAD = 4096
+_BLOCK = 256
+# numpy's pow on arrays, a SIMD routine on some CPUs, is budgeted at 4 ulps (relative 8u), twice over as
+# numerics._LIBM_ERR budgets libm's 1 ulp; tests check the measured error of the benchmark lengths against a quarter
+_POW_ERR = 16.0 * _U
+
+
+def _length_summary(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(head, mins, maxs, sums) of lengths: the first _HEAD or more as they are, then each block of
+    _BLOCK lengths by its min, its max and its float sum, from three reductions of one reshape."""
+    cut = lengths.size - max(lengths.size - _HEAD, 0) // _BLOCK * _BLOCK
+    blocks = lengths[cut:].reshape(-1, _BLOCK)
+    return lengths[:cut], blocks.min(axis=1), blocks.max(axis=1), blocks.sum(axis=1)
+
+
+def _summary_enclosure(summary: tuple, t: float) -> tuple[float, float]:
+    """Floats lo <= S <= hi around the exact sum S of the float terms lengths ** t, from `_length_summary`.
+
+    A block's lengths x carry x^t = x x^(t-1), with x^(t-1) between min^(t-1) and max^(t-1), so the
+    block adds between sum min^(t-1) and sum max^(t-1), the ends swapped for t < 1; the head's
+    powers are summed as they are.  The rounding budget: a pow of numpy's, at the head, the block
+    ends and each term of lengths ** t, is within _POW_ERR of x^t relative, or 2^-1022 absolute
+    below the normal range; a float sum of k + 1 nonnegative terms is within gamma_k relative
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1 and 4.2), the block
+    sums' and the dot product's too; and d = fl(t - 1) misses t - 1 by r, exactly t - (d + 1)
+    (Fast2Sum: d is exact for t >= 1/2), which moves x^d by at most 2 * 745 |r| relative, as
+    |log x| <= 745 for a positive float x <= 1.  An end may come out inf or nan, where a block's
+    min^(t-1) overflows; the caller then sums lengths ** t itself.
+    """
+    head, mins, maxs, sums = summary
+    d = t - 1.0
+    low, high = (mins, maxs) if d >= 0.0 else (maxs, mins)
+    head_sum = float((head ** t).sum())
+    with np.errstate(over="ignore"):  # an overflowing end is inf, and the caller falls back
+        lo = head_sum + float(np.dot(sums, low ** d))
+        hi = head_sum + float(np.dot(sums, high ** d))
+    rel = (3.0 * _POW_ERR + _gamma(head.size) + _gamma(_BLOCK) + _gamma(sums.size + 1) + _U
+           + 1490.0 * abs(t - (d + 1.0)))
+    # each of the fewer than 4 n pows and products behind an end errs by at most 2^-1022 where it underflows
+    slack = (head.size + sums.size * _BLOCK) * 2.0 ** -1019
+    return (max(0.0, math.nextafter(_down(lo, rel) - slack, -math.inf)),
+            math.nextafter(_up(hi, rel) + slack, math.inf))
+
+
+def _linear_past(partition: IntervalPartition, summary: tuple,
+                 t: float) -> tuple[tuple[bool, float], tuple[bool, float]]:
     """`_bisect` samples of the lower and the upper curve of `bowen_root_linear` at t.
 
     Each curve is log(S + tail) at one end of the certified tail, with S the
     sum of the materialized lengths^t, so it is <= 0 exactly when
-    fl(S + tail) <= 1; a curve without a certified tail end is +inf.  One
-    np.sum encloses S in [lo, hi], and S is summed exactly, once for both
-    curves, only where an end leaves the comparison open.
+    fl(S + tail) <= 1; a curve without a certified tail end is +inf.  The
+    lengths' `_length_summary` encloses S in [lo, hi] (`_summary_enclosure`),
+    and fl(x + tail) is monotone in x, so an end on each side decides both
+    curves without a power pass.  Where an end is inf or nan, or the
+    enclosure leaves either comparison open, lengths ** t is computed, one
+    np.sum encloses S, and S is summed exactly, once for both curves, only
+    where an end of that leaves the comparison open.
     """
     t = float(t)
     verdict = partition.series_verdict(t)
     if verdict.status != "converges":
         return (False, math.inf), (False, math.inf)
-    terms = partition.lengths ** t
-    lo, hi = _sum_enclosure(terms)
-    exact = functools.cache(lambda: compensated_sum(terms))
+    tails = [tail for tail in (verdict.tail_low, verdict.tail_high) if tail is not None]
+    lo, hi = _summary_enclosure(summary, t)
+    exact = None
+    # the complement of `_curve_sample` deciding without exact(): a nan tail is open too
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not all(hi + tail <= 1.0 or lo + tail > 1.0 for tail in tails):
+        terms = partition.lengths ** t
+        lo, hi = _sum_enclosure(terms)
+        exact = functools.cache(lambda: compensated_sum(terms))
     return tuple((False, math.inf) if tail is None else _curve_sample(lo + tail, hi + tail, lambda: exact() + tail)
                  for tail in (verdict.tail_low, verdict.tail_high))
 
@@ -336,17 +393,23 @@ def bowen_root_linear(
     curves, which keeps the bisections sound: they tighten toward the
     certified-convergent region from the right.  The bisections read only
     whether each curve is <= 0, from `_linear_past`; the bracket is the one
-    that exact sums at every exponent give.
+    that exact sums at every exponent give.  The lengths are summarised
+    once (`_length_summary`: the first 4096 as they are, then the min, max
+    and sum of each block of 256), and a sample encloses sum lengths^t from
+    the summary, widened by a pow budget of 16u relative to each power and
+    2^-1022 to each underflowing one; only where that leaves the sign open
+    does it raise every length to t.
     """
+    summary = _length_summary(partition.lengths)
     # one sample gives both curves, so the upper search starts from every exponent the lower one sampled,
     # and samples only exponents it lacks
     known = ({}, {})
 
     def lower(t: float) -> tuple[bool, float]:
-        known[0][t], known[1][t] = _linear_past(partition, t)
+        known[0][t], known[1][t] = _linear_past(partition, summary, t)
         return known[0][t]
 
-    return _root_bracket(lower, lambda t: _linear_past(partition, t)[1], t_range, tol, known)
+    return _root_bracket(lower, lambda t: _linear_past(partition, summary, t)[1], t_range, tol, known)
 
 
 def _cylinder_past(rows: list, t: float) -> tuple[bool, float]:

@@ -416,6 +416,36 @@ def test_gap_bounds_oscillating_window():
     assert gb.L_lower <= 4.0 / 9.0 <= gb.L_upper
 
 
+@pytest.mark.parametrize("skewed", [False, True], ids=["numpy-log", "skewed-log"])
+@pytest.mark.parametrize("name, kwargs", [("gauss", {}), ("dyadic", {}), ("power-law", {"exponent": 1.5}),
+                                          ("log-squared", {}), ("oscillating", {})])
+def test_gap_bounds_take_their_logs_from_libm(monkeypatch, name, kwargs, skewed):
+    # np.log's last bit depends on the CPU: the window extremes, the two ratios edge_drift reads and the
+    # fit equal those of a reference that takes every log with math.log, also where np.log is 2 ulps off
+    part = build_partition(name, 1000 if name == "dyadic" else 50_000, **kwargs)
+    if skewed:
+        real_log = np.log
+
+        def skewed_log(x, out=None):
+            y = real_log(x, out=out)
+            y[::2] *= 1.0 + 2.0 ** -51
+            y[1::2] *= 1.0 - 2.0 ** -51
+            return y
+
+        monkeypatch.setattr(np, "log", skewed_log)
+    gb = gap_exponent_bounds(part)
+    lengths = sorted(part.lengths.tolist(), reverse=True)
+    ratios = [math.log(n) / -math.log(lengths[n - 1]) for n in range(16, len(lengths) + 1)]
+    assert (gb.window_min, gb.window_max) == (min(ratios), max(ratios))
+    assert gb.edge_drift == abs(ratios[-1] - ratios[int(0.1 * len(lengths)) - 16])
+    grid = np.unique(np.geomspace(16, len(lengths), 48).astype(np.int64)).tolist()
+    x = np.array([math.log(n) for n in grid])
+    sec = np.diff(np.array([-math.log(lengths[n - 1]) for n in grid]) - x) / np.diff(x)
+    xm = 0.5 * (x[1:] + x[:-1])
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(xm), 1.0 / xm, 1.0 / xm**2]), sec, rcond=None)
+    assert gb.fit_exponent == float(coef[0])
+
+
 def test_gap_bounds_need_enough_intervals():
     with pytest.raises(PartitionError, match="at least 16"):
         gap_exponent_bounds(build_partition("dyadic", 10))

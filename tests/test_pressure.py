@@ -4,12 +4,13 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presdim import interval_partition, pressure
+from presdim import interval_partition, numerics, pressure
 from presdim.interval_partition import (
     IntervalPartition,
     PartitionError,
@@ -259,53 +260,72 @@ def test_bowen_root_cylinder_restricted_digits():
     assert fine.upper - fine.lower < coarse.upper - coarse.lower
 
 
+def _open(lo, hi, verdict):
+    """Whether the enclosure [lo, hi] of sum lengths^t leaves "<= 1" open on either curve of `bowen_root_linear`."""
+    return any(tail is not None and not (hi + tail <= 1.0 or lo + tail > 1.0)
+               for tail in (verdict.tail_low, verdict.tail_high))
+
+
 def _linear_straddles(partition, t):
-    """Whether the one-pass enclosure of sum lengths^t leaves "<= 1" open on either curve of `bowen_root_linear`."""
-    verdict = partition.series_verdict(t)
-    lo, hi = pressure._sum_enclosure(partition.lengths ** t)
-    return any(tail is not None and lo + tail <= 1.0 < hi + tail for tail in (verdict.tail_low, verdict.tail_high))
+    """Whether the one-pass enclosure of sum lengths^t leaves a curve's sign open."""
+    # numerics' own, as `_count_linear` counts the calls through pressure's
+    return _open(*numerics._sum_enclosure(partition.lengths ** t), partition.series_verdict(t))
+
+
+def _summary_straddles(partition, t):
+    """Whether the length summary's enclosure leaves a curve's sign open, or has an end that is not finite."""
+    lo, hi = pressure._summary_enclosure(pressure._length_summary(partition.lengths), t)
+    return not (math.isfinite(lo) and math.isfinite(hi)) or _open(lo, hi, partition.series_verdict(t))
 
 
 def _count_linear(monkeypatch):
-    """Record each exponent `_linear_past` samples, and the exponent of each exact reduction."""
-    evaluated, reduced = [], []
-    real_past, real_sum = pressure._linear_past, pressure.compensated_sum
+    """Record each exponent `_linear_past` samples, the exponent of each full power pass
+    (each one-pass enclosure of lengths ** t), and that of each exact reduction."""
+    evaluated, powered, reduced = [], [], []
+    real_past, real_enclosure, real_sum = pressure._linear_past, pressure._sum_enclosure, pressure.compensated_sum
 
-    def counting_past(partition, t):
+    def counting_past(partition, summary, t):
         evaluated.append(t)
-        return real_past(partition, t)
+        return real_past(partition, summary, t)
+
+    def counting_enclosure(values):
+        powered.append(evaluated[-1])
+        return real_enclosure(values)
 
     def counting_sum(values):
         reduced.append(evaluated[-1])
         return real_sum(values)
 
     monkeypatch.setattr(pressure, "_linear_past", counting_past)
+    monkeypatch.setattr(pressure, "_sum_enclosure", counting_enclosure)
     monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
-    return evaluated, reduced
+    return evaluated, powered, reduced
 
 
 def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
-    evaluated, reduced = _count_linear(monkeypatch)
+    evaluated, powered, reduced = _count_linear(monkeypatch)
     part = build_partition("gauss", 20_000)
     br = bowen_root_linear(part, tol=1e-9)
     # one sample serves both curves, and the upper search starts from the lower one's
     # exponents: 13 samples, where plain halving took 37
     assert len(evaluated) == len(set(evaluated)) == 13
-    # an exponent is summed exactly at most once, and only where its enclosure straddles 1
-    assert reduced == [t for t in evaluated if _linear_straddles(part, t)]
+    # a power pass runs only where the length summary leaves a sign open, and an exponent is
+    # summed exactly at most once, only where the power pass's one-pass enclosure straddles 1
+    assert powered == [t for t in evaluated if _summary_straddles(part, t)]
+    assert reduced == [t for t in powered if _linear_straddles(part, t)]
     # same bracket as when every curve evaluation ran its own reduction
     assert (br.lower, br.upper) == (0.9999999980912281, 1.000000001953873)
 
 
 @pytest.mark.parametrize("name, kwargs", [("gauss", {}), ("power-law", {"exponent": 1.5})])
-def test_bowen_root_linear_benchmark_roots_take_seven_power_passes(monkeypatch, name, kwargs):
+def test_bowen_root_linear_benchmark_roots_take_no_power_pass(monkeypatch, name, kwargs):
     # the benchmark's two linear roots at truncation 1,000,000: a sample below the divergence threshold
-    # costs no power pass, and every other one is decided by its one-pass enclosure, with no exact sum
+    # needs no enclosure, and the length summary decides every other one, with no power pass
     part = build_partition(name, 1_000_000, **kwargs)
-    evaluated, reduced = _count_linear(monkeypatch)
+    evaluated, powered, reduced = _count_linear(monkeypatch)
     br = bowen_root_linear(part, tol=1e-9)
     assert len([t for t in evaluated if part.series_verdict(t).status == "converges"]) <= 7
-    assert reduced == []
+    assert powered == reduced == []
     assert (br.lower, br.upper) == (0.9999999990225504, 1.0000000010225505)
 
 
@@ -313,10 +333,11 @@ def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeyp
     # at t = 1 the dyadic partial sum is 1 - 2^-1000: its enclosure straddles 1,
     # so the lower curve's sign needs the exact sum
     part = build_partition("dyadic", 1000)
-    evaluated, reduced = _count_linear(monkeypatch)
+    evaluated, powered, reduced = _count_linear(monkeypatch)
     br = bowen_root_linear(part, t_range=(0.5, 1.5))
     assert 1.0 in reduced
-    assert reduced == [t for t in evaluated if _linear_straddles(part, t)]
+    assert powered == [t for t in evaluated if _summary_straddles(part, t)]
+    assert reduced == [t for t in powered if _linear_straddles(part, t)]
     assert (br.lower, br.upper) == (0.9999999985343387, 1.0000000005343388)
 
 
@@ -403,10 +424,83 @@ def test_linear_curve_signs_match_the_exact_sample(name, offset):
     # whether each curve is <= 0, wherever the enclosure decides it, is the sign of the exactly summed sample
     part = ROOT_ONE_PARTITIONS[name]
     t = 1.0 + offset
-    (lower_past, _), (upper_past, _) = pressure._linear_past(part, t)
+    summary = pressure._length_summary(part.lengths)
+    (lower_past, _), (upper_past, _) = pressure._linear_past(part, summary, t)
     exact = pressure_linear(part, t)
     exact_lower = math.inf if exact.status == "undetermined" else exact.lower
     assert (lower_past, upper_past) == (not exact_lower > 0.0, not exact.upper > 0.0)
+
+
+# every built-in generator, past the summary's head of 4096 lengths where it has a model, with the
+# exponent its series starts to converge at (0 for finite ones): 1.5 for log-squared, 4/9 for oscillating
+SUMMARY_PARTITIONS = {
+    "gauss": (build_partition("gauss", 50_000), 0.5),
+    "dyadic": (build_partition("dyadic", 1000), 0.0),
+    "power-law-1.5": (build_partition("power-law", 50_000, exponent=1.5), 2.0 / 3.0),
+    "power-law-3": (build_partition("power-law", 50_000, exponent=3.0), 1.0 / 3.0),
+    "log-squared": (build_partition("log-squared", 50_000), 1.0),
+    "oscillating": (build_partition("oscillating", 50_000), 4.0 / 9.0),
+    "gauss-restricted": (build_partition("gauss-restricted", digits=range(1, 6001)), 0.0),
+    "explicit": (build_partition("explicit", intervals=[(k / 5000, (k + 1) / 5000) for k in range(1, 5000)]), 0.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(SUMMARY_PARTITIONS))
+def test_summary_enclosure_holds_the_exact_sum(name, data):
+    part, s_inf = SUMMARY_PARTITIONS[name]
+    t = data.draw(st.one_of(st.sampled_from([0.75, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 8.0]),
+                            st.floats(s_inf, 8.0, exclude_min=True)), label="t")
+    lo, hi = pressure._summary_enclosure(pressure._length_summary(part.lengths), t)
+    assert lo <= pressure.compensated_sum(part.lengths ** t) <= hi
+
+
+def test_linear_past_powers_the_lengths_where_the_summary_overflows(monkeypatch):
+    # a subnormal length's power t - 1 overflows at t = 0.01, so the summary's upper end is inf
+    intervals = [(k / 5000, (k + 1) / 5000) for k in range(1, 5000)] + [(0.0, 5e-324)]
+    part = build_partition("explicit", intervals=intervals)
+    summary = pressure._length_summary(part.lengths)
+    assert pressure._summary_enclosure(summary, 0.01)[1] == math.inf
+    evaluated, powered, reduced = _count_linear(monkeypatch)
+    (lower_past, _), (upper_past, _) = pressure._linear_past(part, summary, 0.01)
+    assert powered == [0.01]
+    exact = pressure_linear(part, 0.01)
+    assert (lower_past, upper_past) == (not exact.lower > 0.0, not exact.upper > 0.0) == (False, False)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("name", sorted(SUMMARY_PARTITIONS))
+def test_bowen_root_linear_keeps_its_bits_without_the_summary(monkeypatch, name, tol):
+    # the summary only spares power passes: with it deciding no sample, the bracket is the same
+    part, _ = SUMMARY_PARTITIONS[name]
+    with_summary = bowen_root_linear(part, tol=tol)
+    evaluated, powered, reduced = _count_linear(monkeypatch)
+    monkeypatch.setattr(pressure, "_summary_enclosure", lambda summary, t: (0.0, math.inf))
+    without = bowen_root_linear(part, tol=tol)
+    assert powered == [t for t in evaluated if part.series_verdict(t).status == "converges"]
+    assert (without.lower, without.upper, without.status) == (
+        with_summary.lower, with_summary.upper, with_summary.status)
+
+
+def test_numpy_pow_stays_within_a_quarter_of_its_budget():
+    # `_summary_enclosure` budgets _POW_ERR for each numpy pow; on the benchmark's lengths at truncation
+    # 1,000,000, in a contiguous array and a strided one, at exponents t and t - 1 of the Bowen and
+    # pressure samples, the error against 50 digits is at most a quarter of it
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for name, kwargs in [("gauss", {}), ("power-law", {"exponent": 1.5}), ("log-squared", {}), ("oscillating", {})]:
+        lengths = build_partition(name, 1_000_000, **kwargs).lengths
+        picks = np.concatenate([lengths[:32], lengths[-32:], lengths[rng.integers(0, lengths.size, 40)]])
+        strided = np.repeat(picks, 2)[::2]
+        for t in (0.45, 0.5000001, 0.6, 0.9, 1.0 - 1e-10, 1.0 + 1e-10, 1.05, 1.45, 2.6, 4.0, 8.0):
+            for e in (t, t - 1.0):
+                with mpmath.workdps(50):
+                    exact = [mpmath.power(mpmath.mpf(x), mpmath.mpf(e)) for x in picks.tolist()]
+                    for powers in (picks ** e, strided ** e):
+                        errors = (abs(mpmath.mpf(p) / x - 1) for p, x in zip(powers.tolist(), exact))
+                        worst = max(worst, float(max(errors)))
+    assert worst <= pressure._POW_ERR / 4
 
 
 def _cylinder_case(partition, order, cap):

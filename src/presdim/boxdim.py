@@ -272,7 +272,8 @@ def gap_exponent_bounds(partition: IntervalPartition, n_min: int = 16) -> GapExp
     if n_total < max(n_min, 16):
         raise PartitionError(f"gap exponents need at least {max(n_min, 16)} intervals, got {n_total}")
     n_min = max(int(n_min), 2)
-    neg_log = -np.log(lengths)
+    neg_log = np.log(lengths[::-1])  # of the contiguous sorted array: a reversed view takes a slower loop
+    neg_log = np.negative(neg_log, out=neg_log)[::-1]
     ratios = np.arange(n_min, n_total + 1, dtype=float)  # log n / neg_log, in place
     np.log(ratios, out=ratios)
     ratios /= neg_log[n_min - 1 :]

@@ -224,8 +224,9 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
-    """Floats lo <= P <= hi around the exact sum P of an array of nonnegative terms.
+def _sum_enclosure(values: np.ndarray, count: int | None = None) -> tuple[float, float]:
+    """Floats lo <= P <= hi around the exact sum P of an array of nonnegative terms, or of the `count`
+    terms in all whose float sums, taken in any order, `values` holds.
 
     One np.sum: adding n nonnegative floats in any order, numpy's pairwise
     order included, lands within gamma_(n-1) P of P, gamma_k = k u / (1 - k u)
@@ -233,6 +234,6 @@ def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
     and the float sum is widened outward by that much.  An inf or nan sum
     gives inf or nan ends.
     """
-    rel = max(_gamma(values.size - 1), 4.0 * _U)
+    rel = max(_gamma((values.size if count is None else count) - 1), 4.0 * _U)
     total = float(values.sum())
     return _down(total, rel), _up(total, rel)

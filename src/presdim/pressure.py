@@ -313,39 +313,46 @@ _BLOCK = 256
 _POW_ERR = 16.0 * _U
 
 
-def _length_summary(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(head, mins, maxs, sums) of lengths: the first _HEAD or more as they are, then each block of
-    _BLOCK lengths by its min, its max and its float sum, from three reductions of one reshape."""
-    cut = lengths.size - max(lengths.size - _HEAD, 0) // _BLOCK * _BLOCK
-    blocks = lengths[cut:].reshape(-1, _BLOCK)
-    return lengths[:cut], blocks.min(axis=1), blocks.max(axis=1), blocks.sum(axis=1)
+def _length_summary(*rows: np.ndarray, head: int = _HEAD, anchor: float = 1.0) -> list:
+    """[head, mins, maxs, sums, anchor] of the arrays rows: the first `head` or more values of each as
+    they are, then each block of _BLOCK values by its min, its max and the float sum of its values to the
+    power anchor, 1 (the values themselves) or 0 (the block's count, exactly)."""
+    cuts = [row.size - max(row.size - head, 0) // _BLOCK * _BLOCK for row in rows]
+    blocks = [row[cut:].reshape(-1, _BLOCK) for row, cut in zip(rows, cuts)]
+    mins = np.concatenate([block.min(axis=1) for block in blocks])
+    sums = np.concatenate([block.sum(axis=1) for block in blocks]) if anchor else np.full(mins.size, float(_BLOCK))
+    return [np.concatenate([row[:cut] for row, cut in zip(rows, cuts)]), mins,
+            np.concatenate([block.max(axis=1) for block in blocks]), sums, anchor]
 
 
-def _summary_enclosure(summary: tuple, t: float) -> tuple[float, float]:
-    """Floats lo <= S <= hi around the exact sum S of the float terms lengths ** t, from `_length_summary`.
+def _summary_enclosure(summary: list, e: float) -> tuple[float, float]:
+    """Floats lo <= S <= hi around the exact sum S of the float terms x ** e over the values x of a
+    `_length_summary`, and around that sum rounded once per row and once in all (`_rows_total`).
 
-    A block's lengths x carry x^t = x x^(t-1), with x^(t-1) between min^(t-1) and max^(t-1), so the
-    block adds between sum min^(t-1) and sum max^(t-1), the ends swapped for t < 1; the head's
-    powers are summed as they are.  The rounding budget: a pow of numpy's, at the head, the block
-    ends and each term of lengths ** t, is within _POW_ERR of x^t relative, or 2^-1022 absolute
-    below the normal range; a float sum of k + 1 nonnegative terms is within gamma_k relative
-    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1 and 4.2), the block
-    sums' and the dot product's too; and d = fl(t - 1) misses t - 1 by r, exactly t - (d + 1)
-    (Fast2Sum: d is exact for t >= 1/2), which moves x^d by at most 2 * 745 |r| relative, as
-    |log x| <= 745 for a positive float x <= 1.  An end may come out inf or nan, where a block's
-    min^(t-1) overflows; the caller then sums lengths ** t itself.
+    With a the summary's anchor, a block's values x carry x^e = x^a x^(e-a), with x^(e-a) between
+    min^(e-a) and max^(e-a), so the block adds between its sum of x^a times min^(e-a) and times
+    max^(e-a), the ends swapped for e < a; the head's powers are summed as they are.  The rounding
+    budget: a pow of numpy's, at the head, the block ends, each term x ** e and each anchor term, is
+    within _POW_ERR of its power relative, or 2^-1022 absolute below the normal range; a float sum of
+    k + 1 nonnegative terms is within gamma_k relative (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., 3.1 and 4.2), the block sums' and the dot product's too; d = fl(e - a) misses
+    e - a by r (Fast2Sum gives r exactly), which moves x^d by at most 2 * 745 |r| relative, as
+    |log x| <= 745 for a positive float x; and each rounding of `_rows_total` costs u.  An end may come
+    out inf or nan, where a block's end overflows; the caller then raises every value to e itself.
     """
-    head, mins, maxs, sums = summary
-    d = t - 1.0
+    head, mins, maxs, sums, a = summary
+    d = e - a
+    r = e - (d + a) if abs(a) >= abs(e) else (e - d) - a
     low, high = (mins, maxs) if d >= 0.0 else (maxs, mins)
-    head_sum = float((head ** t).sum())
-    with np.errstate(over="ignore"):  # an overflowing end is inf, and the caller falls back
+    head_sum = float((head ** e).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing end is inf or nan, and the caller falls back
+        high = high ** d
         lo = head_sum + float(np.dot(sums, low ** d))
-        hi = head_sum + float(np.dot(sums, high ** d))
-    rel = (3.0 * _POW_ERR + _gamma(head.size) + _gamma(_BLOCK) + _gamma(sums.size + 1) + _U
-           + 1490.0 * abs(t - (d + 1.0)))
-    # each of the fewer than 4 n pows and products behind an end errs by at most 2^-1022 where it underflows
-    slack = (head.size + sums.size * _BLOCK) * 2.0 ** -1019
+        hi = head_sum + float(np.dot(sums, high))
+        # under 4 n pows and products, and each anchor term times its block's high end, err by 2^-1022 each
+        slack = (head.size + sums.size * _BLOCK + 64.0 * float(high.sum())) * 2.0 ** -1019
+    rel = (4.0 * _POW_ERR + _gamma(head.size) + _gamma(_BLOCK) + _gamma(sums.size + 1) + 3.0 * _U
+           + 1490.0 * abs(r))
     return (max(0.0, math.nextafter(_down(lo, rel) - slack, -math.inf)),
             math.nextafter(_up(hi, rel) + slack, math.inf))
 
@@ -412,18 +419,34 @@ def bowen_root_linear(
     return _root_bracket(lower, lambda t: _linear_past(partition, summary, t)[1], t_range, tol, known)
 
 
-def _cylinder_past(rows: list, t: float) -> tuple[bool, float]:
+def _cylinder_pass(rows: list, summary: list, t: float) -> tuple[float, float]:
+    """Floats lo <= `_rows_total`(rows, t) <= hi from one power pass, which re-anchors `summary` at -t
+    with each block's sum of the pass's terms.  A lead's float sum, of its block sums and its head's
+    terms, is within gamma_(n-1) of its exact sum of n terms, so rounds between the lead's two ends."""
+    ends, sums = [], []
+    for row in rows:
+        terms = row ** -t
+        cut = terms.size % _BLOCK
+        sums.append(terms[cut:].reshape(-1, _BLOCK).sum(axis=1))
+        ends.append(_sum_enclosure(np.append(terms[:cut], sums[-1]), terms.size))
+    summary[3:] = [np.concatenate(sums), -t]
+    return tuple(compensated_sum(side) for side in zip(*ends))
+
+
+def _cylinder_past(rows: list, summary: list, t: float) -> tuple[bool, float]:
     """The `_bisect` sample of S = sum_w D_w^-t over one side's rows, as `_cylinder_rows` builds them.
 
-    S <= 1 exactly when that side's curve log(S)/n is <= 0.  S is
-    `_rows_total`, which rounds each lead's sum once and adds the leads
-    exactly, so it lies between the exact sums of the leads' lower and upper
-    enclosure ends, one np.sum each.  The rows are summed exactly only when
-    those two leave the comparison open.
+    S <= 1 exactly when that side's curve log(S)/n is <= 0.  S is `_rows_total`.  The rows'
+    `_length_summary`, anchored at exponent 0 (each block sums to its word count) or at the latest
+    power pass, encloses S with its budget (`_summary_enclosure`); only where an end is inf or nan,
+    or the ends fall on both sides of 1, does `_cylinder_pass` raise every word to -t, and only where
+    its ends leave the comparison open too are the rows summed exactly.
     """
     t = float(t)
-    lows, highs = zip(*(_sum_enclosure(row ** -t) for row in rows))
-    return _curve_sample(compensated_sum(lows), compensated_sum(highs), lambda: _rows_total(rows, t))
+    lo, hi = _summary_enclosure(summary, -t)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 1.0 < hi:
+        lo, hi = _cylinder_pass(rows, summary, t)
+    return _curve_sample(lo, hi, lambda: _rows_total(rows, t))
 
 
 def bowen_root_cylinder(
@@ -450,7 +473,11 @@ def bowen_root_cylinder(
     search ends before the upper one's starts, so only one side's rows are
     held at a time, 8 bytes per word (at most 16 MiB at WORD_CAP words).
     The bisections read only whether each curve is <= 0, from
-    `_cylinder_past`; the bracket is the one that exact sums give.
+    `_cylinder_past`; the bracket is the one that exact sums give.  A side's
+    summary (each lead's blocks of 256 words by min and max D_w, anchored at
+    t = 0, where a block sums to its word count) encloses each sum, widened by
+    16u per power and the rounding of every sum; only where that leaves the
+    sign open is every word raised to -t, which re-anchors the summary there.
     """
     held = {}  # side -> its rows
 
@@ -459,8 +486,9 @@ def bowen_root_cylinder(
         def sample(t: float) -> tuple[bool, float]:
             if side not in held:
                 held.clear()  # drop the other side's rows before building these
-                held[side] = _cylinder_rows(bmap, order, alphabet_cap, side)
-            return _cylinder_past(held[side], t)
+                rows = _cylinder_rows(bmap, order, alphabet_cap, side)
+                held[side] = rows, _length_summary(*rows, head=0, anchor=0.0)
+            return _cylinder_past(*held[side], t)
         return sample
 
     bracket = _root_bracket(past("sup"), past("inf"), t_range, tol, ({}, {}))

@@ -1,5 +1,6 @@
 """Pressure brackets, critical exponents, and Bowen root enclosures."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -341,27 +342,37 @@ def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeyp
     assert (br.lower, br.upper) == (0.9999999985343387, 1.0000000005343388)
 
 
+def _rows_summary(rows):
+    """The block summary `bowen_root_cylinder` builds for one side's rows: anchored at exponent 0."""
+    return pressure._length_summary(*rows, head=0, anchor=0.0)
+
+
 def _cylinder_straddles(rows, t):
-    """Whether the per-lead enclosures of sum_w D_w^-t over one side's rows leave "<= 1" open."""
-    lows, highs = zip(*(pressure._sum_enclosure(row ** -t) for row in rows))
-    return pressure.compensated_sum(lows) <= 1.0 < pressure.compensated_sum(highs)
+    """Whether the power pass's per-lead enclosures of sum_w D_w^-t over one side's rows leave "<= 1" open."""
+    lo, hi = pressure._cylinder_pass(rows, _rows_summary(rows), t)
+    return lo <= 1.0 < hi
 
 
 def _count_cylinder(monkeypatch):
     """Record the side of each `_cylinder_rows` call, each (exponent, side, rows) `_cylinder_past`
-    samples, and the (exponent, side) of each exact reduction it falls back to."""
-    built, evaluated, reduced = [], [], []
-    real_rows, real_past, real_sample = pressure._cylinder_rows, pressure._cylinder_past, pressure._curve_sample
+    samples, the (exponent, side) of each full power pass and that of each exact reduction."""
+    built, evaluated, powered, reduced = [], [], [], []
+    real_rows, real_past, real_pass = pressure._cylinder_rows, pressure._cylinder_past, pressure._cylinder_pass
+    real_sample = pressure._curve_sample
 
     def counting_rows(bmap, order, alphabet_cap, side):
         rows = real_rows(bmap, order, alphabet_cap, side)
         built.append((side, rows))
         return rows
 
-    def counting_past(rows, t):
+    def counting_past(rows, summary, t):
         side = next(side for side, held in built if held is rows)
         evaluated.append((t, side, rows))
-        return real_past(rows, t)
+        return real_past(rows, summary, t)
+
+    def counting_pass(rows, summary, t):
+        powered.append(evaluated[-1][:2])
+        return real_pass(rows, summary, t)
 
     def counting_sample(lo, hi, exact):
         def counting_exact():
@@ -371,8 +382,9 @@ def _count_cylinder(monkeypatch):
 
     monkeypatch.setattr(pressure, "_cylinder_rows", counting_rows)
     monkeypatch.setattr(pressure, "_cylinder_past", counting_past)
+    monkeypatch.setattr(pressure, "_cylinder_pass", counting_pass)
     monkeypatch.setattr(pressure, "_curve_sample", counting_sample)
-    return built, evaluated, reduced
+    return built, evaluated, powered, reduced
 
 
 @pytest.mark.parametrize("order, bracket", [
@@ -380,12 +392,15 @@ def _count_cylinder(monkeypatch):
     (16, (0.5274442967098352, 0.5354943532599805)),  # the benchmark's E_2 root
 ], ids=["order-13", "order-16"])
 def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, bracket):
-    built, evaluated, reduced = _count_cylinder(monkeypatch)
+    built, evaluated, powered, reduced = _count_cylinder(monkeypatch)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, order, tol=1e-6)
     # each (exponent, side) pair is sampled once; the lower curve reads only sup-side
-    # sums and the upper only inf-side ones, 14 samples in all, where plain halving took 50
-    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 14
+    # sums and the upper only inf-side ones
+    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated})
+    # the block summaries decide the samples far from the roots: at most 8 raise every word to -t,
+    # where one power pass per sample took 14
+    assert len(powered) <= 8
     # the per-lead sum enclosures decide every sign: no exact reduction
     assert reduced == []
     # each side's rows are built once per root, not once per evaluation
@@ -397,10 +412,12 @@ def test_bowen_root_cylinder_reduces_exactly_where_the_enclosure_straddles(monke
     # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at t = 1 both
     # curves sum to exactly 1 and their enclosures straddle it
     bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]))
-    _, evaluated, reduced = _count_cylinder(monkeypatch)
+    built, evaluated, powered, reduced = _count_cylinder(monkeypatch)
     br = bowen_root_cylinder(bmap, 12, t_range=(0.5, 1.5))
     assert {(1.0, "sup"), (1.0, "inf")} <= set(reduced)
-    assert reduced == [(t, side) for t, side, rows in evaluated if _cylinder_straddles(rows, t)]
+    monkeypatch.undo()  # `_cylinder_straddles` runs power passes of its own
+    rows = dict(built)
+    assert reduced == [(t, side) for t, side in powered if _cylinder_straddles(rows[side], t)]
     assert (br.lower, br.upper) == (0.9999985231628418, 1.0000005231628417)
 
 
@@ -524,7 +541,8 @@ def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
     # the lower curve sums the sup side, the upper curve the inf side
     bmap, order, cap, roots = case
     t = roots[side] + offset
-    past, _ = pressure._cylinder_past(interval_partition._cylinder_rows(bmap, order, cap, side), t)
+    rows = interval_partition._cylinder_rows(bmap, order, cap, side)
+    past, _ = pressure._cylinder_past(rows, _rows_summary(rows), t)
     lower, upper = _cylinder_curves(bmap, t, order, cap)
     assert past == (not (lower if side == "sup" else upper) > 0.0)
 
@@ -540,6 +558,101 @@ def test_rows_total_rounds_each_lead_once_and_adds_the_leads_exactly(case, side)
         t = roots[side] + offset
         expected = math.fsum([math.fsum((row ** -t).tolist()) for row in rows])
         assert interval_partition._rows_total(rows, t).hex() == expected.hex()
+
+
+# systems whose cylinder rows hold whole blocks of 256 words in every lead, and the affine one's a
+# partial block too (the first 217 of each lead's 729 words)
+SUMMARY_SYSTEMS = {
+    "e2-order-10": (build_partition("gauss-restricted", digits=(1, 2)), 10, None),
+    "capped-gauss-8": (build_partition("gauss", 1000), 4, 8),
+    "capped-gauss-32": (build_partition("gauss", 1000), 3, 32),
+    "gauss-restricted-10-73": (build_partition("gauss-restricted", digits=range(10, 74)), 3, None),
+    "affine-thirds": (build_partition("explicit", intervals=[(0.0, 0.2), (0.2, 0.5), (0.5, 1.0)]), 7, None),
+}
+
+
+@functools.cache
+def _summary_rows(name, side):
+    partition, order, cap = SUMMARY_SYSTEMS[name]
+    return interval_partition._cylinder_rows(make_branch_map(partition), order, cap, side)
+
+
+@settings(max_examples=25, deadline=None)
+@given(side=st.sampled_from(["sup", "inf"]),
+       samples=st.lists(st.tuples(st.one_of(st.sampled_from([1e-6, 0.5, 1.0, 8.0]),
+                                            st.floats(0.0, 8.0, exclude_min=True)), st.booleans()),
+                        min_size=1, max_size=4))
+@pytest.mark.parametrize("name", sorted(SUMMARY_SYSTEMS))
+def test_cylinder_summary_encloses_the_rows_total(name, side, samples):
+    # anchored at exponent 0, then at each earlier sample whose flag runs a power pass there
+    rows = _summary_rows(name, side)
+    summary = _rows_summary(rows)
+    for t, powered in samples:
+        lo, hi = pressure._summary_enclosure(summary, -t)
+        assert lo <= interval_partition._rows_total(rows, t) <= hi
+        if powered:
+            pressure._cylinder_pass(rows, summary, t)
+
+
+def test_cylinder_summary_covers_anchor_terms_lost_to_underflow():
+    # 256 affine branches of length 1e-50: every depth-2 word has D_w near 1e100, so a power pass at
+    # t = 3.3 leaves every anchor sum 0 (D_w^-3.3 underflows) while each D_w^-3 is near 1e-300
+    bmap = make_branch_map(build_partition("explicit", intervals=[(k * 1e-48, k * 1e-48 + 1e-50) for k in range(256)]))
+    rows = interval_partition._cylinder_rows(bmap, 2, None, "sup")
+    summary = _rows_summary(rows)
+    pressure._cylinder_pass(rows, summary, 3.3)
+    assert not summary[3].any()
+    lo, hi = pressure._summary_enclosure(summary, -3.0)
+    assert lo <= interval_partition._rows_total(rows, 3.0) <= hi < 1.0
+
+
+def _count_passes(monkeypatch):
+    """Record the exponent of each `_cylinder_pass`."""
+    powered = []
+    real_pass = pressure._cylinder_pass
+    monkeypatch.setattr(pressure, "_cylinder_pass", lambda rows, summary, t: powered.append(t) or real_pass(rows, summary, t))
+    return powered
+
+
+def test_cylinder_past_powers_the_rows_where_the_summary_overflows(monkeypatch):
+    # a branch of length 1e-30: anchored by a power pass at t = 8, where the words with the most such
+    # letters have D_w^-8 = 0, the block ends max^(8 - t) overflow at t = 0.5
+    bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 1e-30), (1e-30, 0.5), (0.5, 1.0)]))
+    rows = interval_partition._cylinder_rows(bmap, 7, None, "sup")
+    summary = _rows_summary(rows)
+    pressure._cylinder_pass(rows, summary, 8.0)
+    assert not math.isfinite(pressure._summary_enclosure(summary, -0.5)[1])
+    powered = _count_passes(monkeypatch)
+    past, _ = pressure._cylinder_past(rows, summary, 0.5)
+    assert powered == [0.5]
+    assert past == (interval_partition._rows_total(rows, 0.5) <= 1.0)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.53, 2.0])
+def test_cylinder_past_powers_the_rows_where_a_summary_end_is_nan(monkeypatch, t):
+    rows = _summary_rows("e2-order-10", "inf")
+    summary = _rows_summary(rows)
+    summary[3][0] = math.nan  # a block sum
+    assert math.isnan(pressure._summary_enclosure(summary, -t)[1])
+    powered = _count_passes(monkeypatch)
+    past, _ = pressure._cylinder_past(rows, summary, t)
+    assert powered == [t]
+    assert past == (interval_partition._rows_total(rows, t) <= 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("name", sorted(SUMMARY_SYSTEMS))
+def test_bowen_root_cylinder_keeps_its_bits_without_the_summary(monkeypatch, name, tol):
+    # the summary only spares power passes: with it deciding no sample, the bracket is the same
+    partition, order, cap = SUMMARY_SYSTEMS[name]
+    bmap = make_branch_map(partition)
+    with_summary = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap)
+    powered = _count_passes(monkeypatch)
+    monkeypatch.setattr(pressure, "_summary_enclosure", lambda summary, e: (0.0, math.inf))
+    without = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap)
+    assert len(powered) >= 4
+    assert (without.lower, without.upper, without.status) == (
+        with_summary.lower, with_summary.upper, with_summary.status)
 
 
 @pytest.mark.parametrize("lo, hi, expected", [
@@ -710,16 +823,18 @@ def test_bowen_root_cylinder_capped_gauss_pinned():
 
 
 def test_bowen_root_cylinder_benchmark_capped_gauss_pinned(monkeypatch):
-    # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) takes 16 samples,
-    # none of them close enough to a root for its enclosure to straddle 1, so no exact sums;
-    # each side's words are walked once: one suffix table per side
-    built, evaluated, reduced = _count_cylinder(monkeypatch)
+    # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) raises every word
+    # to -t in at most 8 of its samples, where one power pass per sample took 16, none of them close
+    # enough to a root for its enclosure to straddle 1, so no exact sums; each side's words are walked
+    # once: one suffix table per side
+    built, evaluated, powered, reduced = _count_cylinder(monkeypatch)
     walks = []
     real_walk = interval_partition._word_tables
     monkeypatch.setattr(interval_partition, "_word_tables", lambda *args: walks.append(args[-1]) or real_walk(*args))
     bmap = make_branch_map(build_partition("gauss", 1000))
     br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
-    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated}) == 16
+    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated})
+    assert len(powered) <= 8
     assert reduced == []
     assert [side for side, _ in built] == ["sup", "inf"] and walks == [3, 3]
     assert (br.lower, br.upper) == (0.9435027850467563, 1.0266823411778805)

@@ -548,9 +548,9 @@ def _cylinder_rows(bmap: BranchMap, order: int, alphabet_cap: int | None, side: 
     return [_derivative_range(bmap, _prepend(bmap, suffixes, lead), y) for lead in range(m)]
 
 
-def _rows_total(rows: Sequence[np.ndarray], t: float) -> float:
-    """sum_w D_w^-t over `_cylinder_rows`: each lead's sum is rounded once, and the leads' sums are added exactly."""
-    return compensated_sum([compensated_sum(row ** -t) for row in rows])
+def _rows_total(rows: Sequence[np.ndarray], e: float) -> float:
+    """The sum of row ** e over the rows (sum_w D_w^-t at e = -t): each row's sum rounded once, then added exactly."""
+    return compensated_sum([compensated_sum(row ** e) for row in rows])
 
 
 def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[float],
@@ -564,7 +564,7 @@ def cylinder_derivative_sums(bmap: BranchMap, order: int, exponents: Sequence[fl
     """
     def totals(side: str) -> list[float]:
         rows = _cylinder_rows(bmap, order, alphabet_cap, side)
-        return [_rows_total(rows, float(t)) for t in exponents]
+        return [_rows_total(rows, -float(t)) for t in exponents]
 
     return list(zip(totals("sup"), totals("inf")))
 

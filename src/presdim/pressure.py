@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _U, _down, _gamma, _sum_enclosure, _up, compensated_sum
+from .numerics import _U, _down, _gamma, _up, compensated_sum
 from .interval_partition import (
     BranchMap,
     IntervalPartition,
@@ -177,7 +177,7 @@ def _bisect(sample: Callable[[float], tuple[bool, float]], lo: float, hi: float,
     Every sample thus lies in (a, b), so none repeats, and the samples land
     on halving's own grid: the last two typically on the grid points on
     either side of the root, a fraction of tol from it rather than within
-    rounding of it, where one-pass enclosures would leave the sign open.
+    rounding of it, where the enclosures would leave the sign open.
 
     A tol finer than the float spacing where the halving stalls raises
     PartitionError.
@@ -314,14 +314,14 @@ _POW_ERR = 16.0 * _U
 
 
 def _length_summary(*rows: np.ndarray, head: int = _HEAD, anchor: float = 1.0) -> list:
-    """[head, mins, maxs, sums, anchor] of the arrays rows: the first `head` or more values of each as
-    they are, then each block of _BLOCK values by its min, its max and the float sum of its values to the
-    power anchor, 1 (the values themselves) or 0 (the block's count, exactly)."""
+    """[cuts, head, mins, maxs, sums, anchor] of the arrays rows: the first cut >= `head` values of each
+    as they are, then each block of _BLOCK values by its min, its max and the float sum of its values to
+    the power anchor, 1 (the values themselves) or 0 (the block's count, exactly)."""
     cuts = [row.size - max(row.size - head, 0) // _BLOCK * _BLOCK for row in rows]
     blocks = [row[cut:].reshape(-1, _BLOCK) for row, cut in zip(rows, cuts)]
     mins = np.concatenate([block.min(axis=1) for block in blocks])
     sums = np.concatenate([block.sum(axis=1) for block in blocks]) if anchor else np.full(mins.size, float(_BLOCK))
-    return [np.concatenate([row[:cut] for row, cut in zip(rows, cuts)]), mins,
+    return [cuts, np.concatenate([row[:cut] for row, cut in zip(rows, cuts)]), mins,
             np.concatenate([block.max(axis=1) for block in blocks]), sums, anchor]
 
 
@@ -338,14 +338,14 @@ def _summary_enclosure(summary: list, e: float) -> tuple[float, float]:
     Algorithms", 2nd ed., 3.1 and 4.2), the block sums' and the dot product's too; d = fl(e - a) misses
     e - a by r (Fast2Sum gives r exactly), which moves x^d by at most 2 * 745 |r| relative, as
     |log x| <= 745 for a positive float x; and each rounding of `_rows_total` costs u.  An end may come
-    out inf or nan, where a block's end overflows; the caller then raises every value to e itself.
+    out inf or nan, where a block's end overflows; `_sample` then re-anchors the summary at e.
     """
-    head, mins, maxs, sums, a = summary
+    _, head, mins, maxs, sums, a = summary
     d = e - a
     r = e - (d + a) if abs(a) >= abs(e) else (e - d) - a
     low, high = (mins, maxs) if d >= 0.0 else (maxs, mins)
     head_sum = float((head ** e).sum())
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing end is inf or nan, and the caller falls back
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing end is inf or nan, and `_sample` re-anchors
         high = high ** d
         lo = head_sum + float(np.dot(sums, low ** d))
         hi = head_sum + float(np.dot(sums, high))
@@ -357,34 +357,31 @@ def _summary_enclosure(summary: list, e: float) -> tuple[float, float]:
             math.nextafter(_up(hi, rel) + slack, math.inf))
 
 
-def _linear_past(partition: IntervalPartition, summary: tuple,
-                 t: float) -> tuple[tuple[bool, float], tuple[bool, float]]:
-    """`_bisect` samples of the lower and the upper curve of `bowen_root_linear` at t.
+def _reanchor(rows: list, summary: list, e: float) -> None:
+    """One power pass: re-anchor the rows' `summary` at exponent e, each block's sum now that of its values ** e."""
+    summary[4:] = [np.concatenate([(row[cut:] ** e).reshape(-1, _BLOCK).sum(axis=1)
+                                   for row, cut in zip(rows, summary[0])]), e]
 
-    Each curve is log(S + tail) at one end of the certified tail, with S the
-    sum of the materialized lengths^t, so it is <= 0 exactly when
-    fl(S + tail) <= 1; a curve without a certified tail end is +inf.  The
-    lengths' `_length_summary` encloses S in [lo, hi] (`_summary_enclosure`),
-    and fl(x + tail) is monotone in x, so an end on each side decides both
-    curves without a power pass.  Where an end is inf or nan, or the
-    enclosure leaves either comparison open, lengths ** t is computed, one
-    np.sum encloses S, and S is summed exactly, once for both curves, only
-    where an end of that leaves the comparison open.
+
+def _sample(rows: list, summary: list, e: float, tails: tuple) -> list:
+    """The `_bisect` sample of the curve log(S + tail) for each tail, S = `_rows_total`(rows, e).
+
+    A curve is <= 0 exactly when fl(S + tail) <= 1, and fl(x + tail) is
+    monotone in x, so ends of the summary's enclosure of S
+    (`_summary_enclosure`) on one side of 1 decide it.  Where an end is inf
+    or nan, or the ends leave some curve open, one power pass re-anchors the
+    summary at e (`_reanchor`), and the same enclosure, now at d = 0, encloses
+    S again from the pass's block sums; only where that still leaves a curve
+    open are the rows summed exactly, once for every curve.  An inf tail
+    gives (False, inf).
     """
-    t = float(t)
-    verdict = partition.series_verdict(t)
-    if verdict.status != "converges":
-        return (False, math.inf), (False, math.inf)
-    tails = [tail for tail in (verdict.tail_low, verdict.tail_high) if tail is not None]
-    lo, hi = _summary_enclosure(summary, t)
-    exact = None
+    lo, hi = _summary_enclosure(summary, e)
     # the complement of `_curve_sample` deciding without exact(): a nan tail is open too
     if not (math.isfinite(lo) and math.isfinite(hi)) or not all(hi + tail <= 1.0 or lo + tail > 1.0 for tail in tails):
-        terms = partition.lengths ** t
-        lo, hi = _sum_enclosure(terms)
-        exact = functools.cache(lambda: compensated_sum(terms))
-    return tuple((False, math.inf) if tail is None else _curve_sample(lo + tail, hi + tail, lambda: exact() + tail)
-                 for tail in (verdict.tail_low, verdict.tail_high))
+        _reanchor(rows, summary, e)
+        lo, hi = _summary_enclosure(summary, e)
+    exact = functools.cache(lambda: _rows_total(rows, e))
+    return [_curve_sample(lo + tail, hi + tail, lambda: exact() + tail) for tail in tails]
 
 
 def bowen_root_linear(
@@ -399,54 +396,30 @@ def bowen_root_linear(
     undetermined, which counts as +inf.  Divergent exponents are +inf on both
     curves, which keeps the bisections sound: they tighten toward the
     certified-convergent region from the right.  The bisections read only
-    whether each curve is <= 0, from `_linear_past`; the bracket is the one
-    that exact sums at every exponent give.  The lengths are summarised
-    once (`_length_summary`: the first 4096 as they are, then the min, max
-    and sum of each block of 256), and a sample encloses sum lengths^t from
-    the summary, widened by a pow budget of 16u relative to each power and
-    2^-1022 to each underflowing one; only where that leaves the sign open
-    does it raise every length to t.
+    whether each curve is <= 0, from `_sample` over the one row of lengths at
+    e = t with the two tail ends (an upper tail that is not certified is inf);
+    the bracket is the one that exact sums at every exponent give.  The
+    lengths are summarised once (`_length_summary`: the first 4096 as they
+    are, then the min, max and sum of each block of 256).
     """
-    summary = _length_summary(partition.lengths)
+    rows, summary = [partition.lengths], _length_summary(partition.lengths)
     # one sample gives both curves, so the upper search starts from every exponent the lower one sampled,
     # and samples only exponents it lacks
     known = ({}, {})
 
+    def sample(t: float) -> list:
+        t = float(t)
+        verdict = partition.series_verdict(t)
+        if verdict.status != "converges":
+            return [(False, math.inf)] * 2
+        high = math.inf if verdict.tail_high is None else verdict.tail_high
+        return _sample(rows, summary, t, (verdict.tail_low, high))
+
     def lower(t: float) -> tuple[bool, float]:
-        known[0][t], known[1][t] = _linear_past(partition, summary, t)
+        known[0][t], known[1][t] = sample(t)
         return known[0][t]
 
-    return _root_bracket(lower, lambda t: _linear_past(partition, summary, t)[1], t_range, tol, known)
-
-
-def _cylinder_pass(rows: list, summary: list, t: float) -> tuple[float, float]:
-    """Floats lo <= `_rows_total`(rows, t) <= hi from one power pass, which re-anchors `summary` at -t
-    with each block's sum of the pass's terms.  A lead's float sum, of its block sums and its head's
-    terms, is within gamma_(n-1) of its exact sum of n terms, so rounds between the lead's two ends."""
-    ends, sums = [], []
-    for row in rows:
-        terms = row ** -t
-        cut = terms.size % _BLOCK
-        sums.append(terms[cut:].reshape(-1, _BLOCK).sum(axis=1))
-        ends.append(_sum_enclosure(np.append(terms[:cut], sums[-1]), terms.size))
-    summary[3:] = [np.concatenate(sums), -t]
-    return tuple(compensated_sum(side) for side in zip(*ends))
-
-
-def _cylinder_past(rows: list, summary: list, t: float) -> tuple[bool, float]:
-    """The `_bisect` sample of S = sum_w D_w^-t over one side's rows, as `_cylinder_rows` builds them.
-
-    S <= 1 exactly when that side's curve log(S)/n is <= 0.  S is `_rows_total`.  The rows'
-    `_length_summary`, anchored at exponent 0 (each block sums to its word count) or at the latest
-    power pass, encloses S with its budget (`_summary_enclosure`); only where an end is inf or nan,
-    or the ends fall on both sides of 1, does `_cylinder_pass` raise every word to -t, and only where
-    its ends leave the comparison open too are the rows summed exactly.
-    """
-    t = float(t)
-    lo, hi = _summary_enclosure(summary, -t)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 1.0 < hi:
-        lo, hi = _cylinder_pass(rows, summary, t)
-    return _curve_sample(lo, hi, lambda: _rows_total(rows, t))
+    return _root_bracket(lower, lambda t: sample(t)[1], t_range, tol, known)
 
 
 def bowen_root_cylinder(
@@ -472,12 +445,11 @@ def bowen_root_cylinder(
     built when that side's curve takes its first sample.  The lower curve's
     search ends before the upper one's starts, so only one side's rows are
     held at a time, 8 bytes per word (at most 16 MiB at WORD_CAP words).
-    The bisections read only whether each curve is <= 0, from
-    `_cylinder_past`; the bracket is the one that exact sums give.  A side's
-    summary (each lead's blocks of 256 words by min and max D_w, anchored at
-    t = 0, where a block sums to its word count) encloses each sum, widened by
-    16u per power and the rounding of every sum; only where that leaves the
-    sign open is every word raised to -t, which re-anchors the summary there.
+    The bisections read only whether each curve is <= 0, from `_sample`
+    over that side's rows at e = -t with the one tail 0; the bracket is the
+    one that exact sums give.  A side's summary holds each lead's blocks of
+    256 words by min and max D_w, anchored at t = 0, where a block sums to
+    its word count.
     """
     held = {}  # side -> its rows
 
@@ -488,7 +460,7 @@ def bowen_root_cylinder(
                 held.clear()  # drop the other side's rows before building these
                 rows = _cylinder_rows(bmap, order, alphabet_cap, side)
                 held[side] = rows, _length_summary(*rows, head=0, anchor=0.0)
-            return _cylinder_past(*held[side], t)
+            return _sample(*held[side], -float(t), (0.0,))[0]
         return sample
 
     bracket = _root_bracket(past("sup"), past("inf"), t_range, tol, ({}, {}))

@@ -4,14 +4,15 @@ import functools
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from presdim import interval_partition, numerics, pressure
+from presdim import interval_partition, pressure
 from presdim.interval_partition import (
     IntervalPartition,
     PartitionError,
@@ -261,59 +262,76 @@ def test_bowen_root_cylinder_restricted_digits():
     assert fine.upper - fine.lower < coarse.upper - coarse.lower
 
 
-def _open(lo, hi, verdict):
-    """Whether the enclosure [lo, hi] of sum lengths^t leaves "<= 1" open on either curve of `bowen_root_linear`."""
-    return any(tail is not None and not (hi + tail <= 1.0 or lo + tail > 1.0)
-               for tail in (verdict.tail_low, verdict.tail_high))
+def _count(monkeypatch):
+    """Spy on the one Bowen sampler.  Returns the (side, rows) of each `_cylinder_rows` call, and a record
+    of each `_sample` call in order: its t and exponent e, its side ("lengths" for the linear row, else
+    that of its rows), rows, tails and result, a copy of the summary as the call found it (`_reanchor`
+    replaces its arrays, never writes them), and how many power passes (`_reanchor`) and exact sums
+    (`_rows_total`) it took."""
+    built, samples = [], []
+    real_rows, real_sample, real_reanchor, real_total = (
+        pressure._cylinder_rows, pressure._sample, pressure._reanchor, pressure._rows_total)
+
+    def counting_rows(bmap, order, alphabet_cap, side):
+        built.append((side, real_rows(bmap, order, alphabet_cap, side)))
+        return built[-1][1]
+
+    def counting_sample(rows, summary, e, tails):
+        side = next((side for side, held in built if held is rows), "lengths")
+        record = SimpleNamespace(t=e if side == "lengths" else -e, e=e, side=side, rows=rows, tails=tails,
+                                 summary=list(summary), powered=0, reduced=0)
+        samples.append(record)
+        record.result = real_sample(rows, summary, e, tails)
+        return record.result
+
+    def counting_reanchor(rows, summary, e):
+        samples[-1].powered += 1
+        real_reanchor(rows, summary, e)
+
+    def counting_total(rows, e):
+        samples[-1].reduced += 1
+        return real_total(rows, e)
+
+    monkeypatch.setattr(pressure, "_cylinder_rows", counting_rows)
+    monkeypatch.setattr(pressure, "_sample", counting_sample)
+    monkeypatch.setattr(pressure, "_reanchor", counting_reanchor)
+    monkeypatch.setattr(pressure, "_rows_total", counting_total)
+    return built, samples
 
 
-def _linear_straddles(partition, t):
-    """Whether the one-pass enclosure of sum lengths^t leaves a curve's sign open."""
-    # numerics' own, as `_count_linear` counts the calls through pressure's
-    return _open(*numerics._sum_enclosure(partition.lengths ** t), partition.series_verdict(t))
+def _open(summary, e, tails):
+    """Whether a summary's enclosure of the rows' sum at e leaves "<= 1" open on the curve of some tail."""
+    lo, hi = pressure._summary_enclosure(summary, e)
+    return not all(hi + tail <= 1.0 or lo + tail > 1.0 for tail in tails)
 
 
-def _summary_straddles(partition, t):
-    """Whether the length summary's enclosure leaves a curve's sign open, or has an end that is not finite."""
-    lo, hi = pressure._summary_enclosure(pressure._length_summary(partition.lengths), t)
-    return not (math.isfinite(lo) and math.isfinite(hi)) or _open(lo, hi, partition.series_verdict(t))
-
-
-def _count_linear(monkeypatch):
-    """Record each exponent `_linear_past` samples, the exponent of each full power pass
-    (each one-pass enclosure of lengths ** t), and that of each exact reduction."""
-    evaluated, powered, reduced = [], [], []
-    real_past, real_enclosure, real_sum = pressure._linear_past, pressure._sum_enclosure, pressure.compensated_sum
-
-    def counting_past(partition, summary, t):
-        evaluated.append(t)
-        return real_past(partition, summary, t)
-
-    def counting_enclosure(values):
-        powered.append(evaluated[-1])
-        return real_enclosure(values)
-
-    def counting_sum(values):
-        reduced.append(evaluated[-1])
-        return real_sum(values)
-
-    monkeypatch.setattr(pressure, "_linear_past", counting_past)
-    monkeypatch.setattr(pressure, "_sum_enclosure", counting_enclosure)
-    monkeypatch.setattr(pressure, "compensated_sum", counting_sum)
-    return evaluated, powered, reduced
+def _decisions(sample):
+    """(power passes, exact sums) a `_count` record should take: a pass where the summary it found has an end
+    that is not finite or leaves a sign open, and an exact sum where the summary re-anchored at e still does."""
+    lo, hi = pressure._summary_enclosure(sample.summary, sample.e)
+    if math.isfinite(lo) and math.isfinite(hi) and not _open(sample.summary, sample.e, sample.tails):
+        return 0, 0
+    summary = list(sample.summary)
+    pressure._reanchor(sample.rows, summary, sample.e)
+    return 1, int(_open(summary, sample.e, sample.tails))
 
 
 def test_bowen_root_linear_reduces_each_exponent_once(monkeypatch):
-    evaluated, powered, reduced = _count_linear(monkeypatch)
+    _, samples = _count(monkeypatch)
+    verdicts = []  # one per sample of either curve
+    real_verdict = IntervalPartition.series_verdict
+    monkeypatch.setattr(IntervalPartition, "series_verdict", lambda self, t: verdicts.append(t) or real_verdict(self, t))
     part = build_partition("gauss", 20_000)
     br = bowen_root_linear(part, tol=1e-9)
-    # one sample serves both curves, and the upper search starts from the lower one's
+    # one sample gives both curves, and the upper search starts from the lower one's
     # exponents: 13 samples, where plain halving took 37
-    assert len(evaluated) == len(set(evaluated)) == 13
+    assert len(verdicts) == len(set(verdicts)) == 13
+    monkeypatch.undo()  # `_decisions` runs power passes of its own
+    # only the samples where the series converges need the sampler
+    assert [s.t for s in samples] == [t for t in verdicts if part.series_verdict(t).status == "converges"]
     # a power pass runs only where the length summary leaves a sign open, and an exponent is
-    # summed exactly at most once, only where the power pass's one-pass enclosure straddles 1
-    assert powered == [t for t in evaluated if _summary_straddles(part, t)]
-    assert reduced == [t for t in powered if _linear_straddles(part, t)]
+    # summed exactly at most once, only where the re-anchored summary's enclosure straddles 1
+    assert [(s.powered, s.reduced) for s in samples] == [_decisions(s) for s in samples]
     # same bracket as when every curve evaluation ran its own reduction
     assert (br.lower, br.upper) == (0.9999999980912281, 1.000000001953873)
 
@@ -323,23 +341,26 @@ def test_bowen_root_linear_benchmark_roots_take_no_power_pass(monkeypatch, name,
     # the benchmark's two linear roots at truncation 1,000,000: a sample below the divergence threshold
     # needs no enclosure, and the length summary decides every other one, with no power pass
     part = build_partition(name, 1_000_000, **kwargs)
-    evaluated, powered, reduced = _count_linear(monkeypatch)
+    _, samples = _count(monkeypatch)
     br = bowen_root_linear(part, tol=1e-9)
-    assert len([t for t in evaluated if part.series_verdict(t).status == "converges"]) <= 7
-    assert powered == reduced == []
+    assert len(samples) <= 7
+    assert [(s.powered, s.reduced) for s in samples] == [(0, 0)] * len(samples)
     assert (br.lower, br.upper) == (0.9999999990225504, 1.0000000010225505)
 
 
-def test_bowen_root_linear_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
-    # at t = 1 the dyadic partial sum is 1 - 2^-1000: its enclosure straddles 1,
-    # so the lower curve's sign needs the exact sum
-    part = build_partition("dyadic", 1000)
-    evaluated, powered, reduced = _count_linear(monkeypatch)
-    br = bowen_root_linear(part, t_range=(0.5, 1.5))
-    assert 1.0 in reduced
-    assert powered == [t for t in evaluated if _summary_straddles(part, t)]
-    assert reduced == [t for t in powered if _linear_straddles(part, t)]
-    assert (br.lower, br.upper) == (0.9999999985343387, 1.0000000005343388)
+def test_linear_upper_curve_without_a_certified_tail_is_inf(monkeypatch):
+    # at t = 0.49 the ratio window certifies that the oscillating series converges but bounds no upper
+    # tail: that curve's sample is +inf, with no power pass and no exact sum
+    part = build_partition("oscillating", 100_000)
+    verdict = part.series_verdict(0.49)
+    assert verdict.status == "converges" and verdict.tail_high is None
+    _, samples = _count(monkeypatch)
+    bowen_root_linear(part, t_range=(0.49, 1.5))
+    first = samples[0]
+    assert (first.t, first.tails) == (0.49, (verdict.tail_low, math.inf))
+    upper_past, upper_estimate = first.result[1]
+    assert upper_past is False and upper_estimate == math.inf
+    assert first.powered == first.reduced == 0
 
 
 def _rows_summary(rows):
@@ -347,78 +368,49 @@ def _rows_summary(rows):
     return pressure._length_summary(*rows, head=0, anchor=0.0)
 
 
-def _cylinder_straddles(rows, t):
-    """Whether the power pass's per-lead enclosures of sum_w D_w^-t over one side's rows leave "<= 1" open."""
-    lo, hi = pressure._cylinder_pass(rows, _rows_summary(rows), t)
-    return lo <= 1.0 < hi
-
-
-def _count_cylinder(monkeypatch):
-    """Record the side of each `_cylinder_rows` call, each (exponent, side, rows) `_cylinder_past`
-    samples, the (exponent, side) of each full power pass and that of each exact reduction."""
-    built, evaluated, powered, reduced = [], [], [], []
-    real_rows, real_past, real_pass = pressure._cylinder_rows, pressure._cylinder_past, pressure._cylinder_pass
-    real_sample = pressure._curve_sample
-
-    def counting_rows(bmap, order, alphabet_cap, side):
-        rows = real_rows(bmap, order, alphabet_cap, side)
-        built.append((side, rows))
-        return rows
-
-    def counting_past(rows, summary, t):
-        side = next(side for side, held in built if held is rows)
-        evaluated.append((t, side, rows))
-        return real_past(rows, summary, t)
-
-    def counting_pass(rows, summary, t):
-        powered.append(evaluated[-1][:2])
-        return real_pass(rows, summary, t)
-
-    def counting_sample(lo, hi, exact):
-        def counting_exact():
-            reduced.append(evaluated[-1][:2])
-            return exact()
-        return real_sample(lo, hi, counting_exact)
-
-    monkeypatch.setattr(pressure, "_cylinder_rows", counting_rows)
-    monkeypatch.setattr(pressure, "_cylinder_past", counting_past)
-    monkeypatch.setattr(pressure, "_cylinder_pass", counting_pass)
-    monkeypatch.setattr(pressure, "_curve_sample", counting_sample)
-    return built, evaluated, powered, reduced
-
-
 @pytest.mark.parametrize("order, bracket", [
     (13, (0.526565962774217, 0.5364785450314877)),
     (16, (0.5274442967098352, 0.5354943532599805)),  # the benchmark's E_2 root
 ], ids=["order-13", "order-16"])
 def test_bowen_root_cylinder_samples_each_exponent_once(monkeypatch, order, bracket):
-    built, evaluated, powered, reduced = _count_cylinder(monkeypatch)
+    built, samples = _count(monkeypatch)
     bmap = make_branch_map(build_partition("gauss-restricted", digits=(1, 2)))
     br = bowen_root_cylinder(bmap, order, tol=1e-6)
     # each (exponent, side) pair is sampled once; the lower curve reads only sup-side
     # sums and the upper only inf-side ones
-    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated})
+    assert len(samples) == len({(s.t, s.side) for s in samples})
     # the block summaries decide the samples far from the roots: at most 8 raise every word to -t,
     # where one power pass per sample took 14
-    assert len(powered) <= 8
-    # the per-lead sum enclosures decide every sign: no exact reduction
-    assert reduced == []
+    assert sum(s.powered for s in samples) <= 8
+    # the re-anchored summaries decide every sign: no exact reduction
+    assert sum(s.reduced for s in samples) == 0
     # each side's rows are built once per root, not once per evaluation
     assert [side for side, _ in built] == ["sup", "inf"]
     assert (br.lower, br.upper) == bracket
 
 
-def test_bowen_root_cylinder_reduces_exactly_where_the_enclosure_straddles(monkeypatch):
+STRADDLING_ROOTS = {
+    # at t = 1 the dyadic partial sum is 1 - 2^-1000: its enclosure straddles 1,
+    # so the lower curve's sign needs the exact sum
+    "linear-dyadic": (lambda: bowen_root_linear(build_partition("dyadic", 1000), t_range=(0.5, 1.5)),
+                      {(1.0, "lengths")}, (0.9999999985343387, 1.0000000005343388)),
     # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at t = 1 both
     # curves sum to exactly 1 and their enclosures straddle it
-    bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]))
-    built, evaluated, powered, reduced = _count_cylinder(monkeypatch)
-    br = bowen_root_cylinder(bmap, 12, t_range=(0.5, 1.5))
-    assert {(1.0, "sup"), (1.0, "inf")} <= set(reduced)
-    monkeypatch.undo()  # `_cylinder_straddles` runs power passes of its own
-    rows = dict(built)
-    assert reduced == [(t, side) for t, side in powered if _cylinder_straddles(rows[side], t)]
-    assert (br.lower, br.upper) == (0.9999985231628418, 1.0000005231628417)
+    "cylinder-halves": (lambda: bowen_root_cylinder(
+        make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)])), 12, t_range=(0.5, 1.5)),
+                        {(1.0, "sup"), (1.0, "inf")}, (0.9999985231628418, 1.0000005231628417)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRADDLING_ROOTS))
+def test_bowen_root_reduces_exactly_where_the_enclosure_straddles(monkeypatch, name):
+    run, straddling, bracket = STRADDLING_ROOTS[name]
+    _, samples = _count(monkeypatch)
+    br = run()
+    assert straddling <= {(s.t, s.side) for s in samples if s.reduced}
+    monkeypatch.undo()  # `_decisions` runs power passes of its own
+    assert [(s.powered, s.reduced) for s in samples] == [_decisions(s) for s in samples]
+    assert (br.lower, br.upper) == bracket
 
 
 # every tiling generator has sum length = 1, so its pressure root is t = 1
@@ -433,19 +425,6 @@ ROOT_ONE_PARTITIONS = {
 def test_series_converges_at_one(name):
     # find_s_infinity starts its search at t = 1, where the lengths of a tiling sum to at most 1
     assert ROOT_ONE_PARTITIONS[name].series_verdict(1.0).status == "converges"
-
-
-@settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(sorted(ROOT_ONE_PARTITIONS)), offset=st.floats(-1e-3, 1e-3))
-def test_linear_curve_signs_match_the_exact_sample(name, offset):
-    # whether each curve is <= 0, wherever the enclosure decides it, is the sign of the exactly summed sample
-    part = ROOT_ONE_PARTITIONS[name]
-    t = 1.0 + offset
-    summary = pressure._length_summary(part.lengths)
-    (lower_past, _), (upper_past, _) = pressure._linear_past(part, summary, t)
-    exact = pressure_linear(part, t)
-    exact_lower = math.inf if exact.status == "undetermined" else exact.lower
-    assert (lower_past, upper_past) == (not exact_lower > 0.0, not exact.upper > 0.0)
 
 
 # every built-in generator, past the summary's head of 4096 lengths where it has a model, with the
@@ -471,33 +450,6 @@ def test_summary_enclosure_holds_the_exact_sum(name, data):
                             st.floats(s_inf, 8.0, exclude_min=True)), label="t")
     lo, hi = pressure._summary_enclosure(pressure._length_summary(part.lengths), t)
     assert lo <= pressure.compensated_sum(part.lengths ** t) <= hi
-
-
-def test_linear_past_powers_the_lengths_where_the_summary_overflows(monkeypatch):
-    # a subnormal length's power t - 1 overflows at t = 0.01, so the summary's upper end is inf
-    intervals = [(k / 5000, (k + 1) / 5000) for k in range(1, 5000)] + [(0.0, 5e-324)]
-    part = build_partition("explicit", intervals=intervals)
-    summary = pressure._length_summary(part.lengths)
-    assert pressure._summary_enclosure(summary, 0.01)[1] == math.inf
-    evaluated, powered, reduced = _count_linear(monkeypatch)
-    (lower_past, _), (upper_past, _) = pressure._linear_past(part, summary, 0.01)
-    assert powered == [0.01]
-    exact = pressure_linear(part, 0.01)
-    assert (lower_past, upper_past) == (not exact.lower > 0.0, not exact.upper > 0.0) == (False, False)
-
-
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-@pytest.mark.parametrize("name", sorted(SUMMARY_PARTITIONS))
-def test_bowen_root_linear_keeps_its_bits_without_the_summary(monkeypatch, name, tol):
-    # the summary only spares power passes: with it deciding no sample, the bracket is the same
-    part, _ = SUMMARY_PARTITIONS[name]
-    with_summary = bowen_root_linear(part, tol=tol)
-    evaluated, powered, reduced = _count_linear(monkeypatch)
-    monkeypatch.setattr(pressure, "_summary_enclosure", lambda summary, t: (0.0, math.inf))
-    without = bowen_root_linear(part, tol=tol)
-    assert powered == [t for t in evaluated if part.series_verdict(t).status == "converges"]
-    assert (without.lower, without.upper, without.status) == (
-        with_summary.lower, with_summary.upper, with_summary.status)
 
 
 def test_numpy_pow_stays_within_a_quarter_of_its_budget():
@@ -534,17 +486,32 @@ CYLINDER_CASES = [
 ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=st.sampled_from(CYLINDER_CASES), side=st.sampled_from(["sup", "inf"]),
-       offset=st.floats(-1e-3, 1e-3))
-def test_cylinder_curve_signs_match_the_exact_sample(case, side, offset):
-    # the lower curve sums the sup side, the upper curve the inf side
-    bmap, order, cap, roots = case
+def _sample_near_a_root(kind, data, offset):
+    """The `_sample` arguments of a linear root-one partition at 1 + offset, or of a cylinder side at its
+    curve's root + offset, and the exactly summed value of each of its curves there."""
+    if kind == "linear":
+        part = ROOT_ONE_PARTITIONS[data.draw(st.sampled_from(sorted(ROOT_ONE_PARTITIONS)), label="name")]
+        t = 1.0 + offset
+        verdict = part.series_verdict(t)
+        assume(verdict.status == "converges")  # bowen_root_linear samples the others as +inf without `_sample`
+        exact = pressure_linear(part, t)
+        tails = (verdict.tail_low, math.inf if verdict.tail_high is None else verdict.tail_high)
+        return [part.lengths], pressure._length_summary(part.lengths), t, tails, (exact.lower, exact.upper)
+    bmap, order, cap, roots = data.draw(st.sampled_from(CYLINDER_CASES), label="case")
+    side = data.draw(st.sampled_from(["sup", "inf"]), label="side")  # the lower curve's, or the upper curve's
     t = roots[side] + offset
     rows = interval_partition._cylinder_rows(bmap, order, cap, side)
-    past, _ = pressure._cylinder_past(rows, _rows_summary(rows), t)
     lower, upper = _cylinder_curves(bmap, t, order, cap)
-    assert past == (not (lower if side == "sup" else upper) > 0.0)
+    return rows, _rows_summary(rows), -t, (0.0,), (lower if side == "sup" else upper,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), offset=st.floats(-1e-3, 1e-3))
+@pytest.mark.parametrize("kind", ["linear", "cylinder"])
+def test_curve_signs_match_the_exact_sample(kind, data, offset):
+    # whether each curve is <= 0, wherever the enclosure decides it, is the sign of the exactly summed sample
+    rows, summary, e, tails, curves = _sample_near_a_root(kind, data, offset)
+    assert [past for past, _ in pressure._sample(rows, summary, e, tails)] == [not curve > 0.0 for curve in curves]
 
 
 @pytest.mark.parametrize("side", ["sup", "inf"])
@@ -557,7 +524,7 @@ def test_rows_total_rounds_each_lead_once_and_adds_the_leads_exactly(case, side)
     for offset in (-1e-3, -1e-7, -1e-12, 0.0, 1e-12, 1e-7, 1e-3):
         t = roots[side] + offset
         expected = math.fsum([math.fsum((row ** -t).tolist()) for row in rows])
-        assert interval_partition._rows_total(rows, t).hex() == expected.hex()
+        assert interval_partition._rows_total(rows, -t).hex() == expected.hex()
 
 
 # systems whose cylinder rows hold whole blocks of 256 words in every lead, and the affine one's a
@@ -569,6 +536,8 @@ SUMMARY_SYSTEMS = {
     "gauss-restricted-10-73": (build_partition("gauss-restricted", digits=range(10, 74)), 3, None),
     "affine-thirds": (build_partition("explicit", intervals=[(0.0, 0.2), (0.2, 0.5), (0.5, 1.0)]), 7, None),
 }
+SUMMARY_ROOTS = [("linear", name) for name in sorted(SUMMARY_PARTITIONS)] + [
+    ("cylinder", name) for name in sorted(SUMMARY_SYSTEMS)]
 
 
 @functools.cache
@@ -582,16 +551,21 @@ def _summary_rows(name, side):
        samples=st.lists(st.tuples(st.one_of(st.sampled_from([1e-6, 0.5, 1.0, 8.0]),
                                             st.floats(0.0, 8.0, exclude_min=True)), st.booleans()),
                         min_size=1, max_size=4))
-@pytest.mark.parametrize("name", sorted(SUMMARY_SYSTEMS))
-def test_cylinder_summary_encloses_the_rows_total(name, side, samples):
-    # anchored at exponent 0, then at each earlier sample whose flag runs a power pass there
-    rows = _summary_rows(name, side)
-    summary = _rows_summary(rows)
+@pytest.mark.parametrize("kind, name", SUMMARY_ROOTS, ids=[f"{kind}-{name}" for kind, name in SUMMARY_ROOTS])
+def test_summary_encloses_the_rows_total_at_every_anchor(kind, name, side, samples):
+    # anchored as each root starts, at 1 over the lengths (e = t) or at 0 over one side's rows (e = -t),
+    # then at each earlier sample whose flag runs a power pass there
+    if kind == "linear":
+        rows, sign = [SUMMARY_PARTITIONS[name][0].lengths], 1.0
+        summary = pressure._length_summary(*rows)
+    else:
+        rows, sign = _summary_rows(name, side), -1.0
+        summary = _rows_summary(rows)
     for t, powered in samples:
-        lo, hi = pressure._summary_enclosure(summary, -t)
-        assert lo <= interval_partition._rows_total(rows, t) <= hi
+        lo, hi = pressure._summary_enclosure(summary, sign * t)
+        assert lo <= interval_partition._rows_total(rows, sign * t) <= hi
         if powered:
-            pressure._cylinder_pass(rows, summary, t)
+            pressure._reanchor(rows, summary, sign * t)
 
 
 def test_cylinder_summary_covers_anchor_terms_lost_to_underflow():
@@ -600,57 +574,67 @@ def test_cylinder_summary_covers_anchor_terms_lost_to_underflow():
     bmap = make_branch_map(build_partition("explicit", intervals=[(k * 1e-48, k * 1e-48 + 1e-50) for k in range(256)]))
     rows = interval_partition._cylinder_rows(bmap, 2, None, "sup")
     summary = _rows_summary(rows)
-    pressure._cylinder_pass(rows, summary, 3.3)
-    assert not summary[3].any()
+    pressure._reanchor(rows, summary, -3.3)
+    assert not summary[4].any()
     lo, hi = pressure._summary_enclosure(summary, -3.0)
-    assert lo <= interval_partition._rows_total(rows, 3.0) <= hi < 1.0
+    assert lo <= interval_partition._rows_total(rows, -3.0) <= hi < 1.0
 
 
-def _count_passes(monkeypatch):
-    """Record the exponent of each `_cylinder_pass`."""
-    powered = []
-    real_pass = pressure._cylinder_pass
-    monkeypatch.setattr(pressure, "_cylinder_pass", lambda rows, summary, t: powered.append(t) or real_pass(rows, summary, t))
-    return powered
+def _overflowing_lengths():
+    # a subnormal length's power t - 1 overflows at t = 0.01, so the summary's upper end is inf
+    intervals = [(k / 5000, (k + 1) / 5000) for k in range(1, 5000)] + [(0.0, 5e-324)]
+    part = build_partition("explicit", intervals=intervals)
+    verdict = part.series_verdict(0.01)
+    return [part.lengths], pressure._length_summary(part.lengths), 0.01, (verdict.tail_low, verdict.tail_high)
 
 
-def test_cylinder_past_powers_the_rows_where_the_summary_overflows(monkeypatch):
+def _overflowing_rows():
     # a branch of length 1e-30: anchored by a power pass at t = 8, where the words with the most such
     # letters have D_w^-8 = 0, the block ends max^(8 - t) overflow at t = 0.5
     bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 1e-30), (1e-30, 0.5), (0.5, 1.0)]))
     rows = interval_partition._cylinder_rows(bmap, 7, None, "sup")
     summary = _rows_summary(rows)
-    pressure._cylinder_pass(rows, summary, 8.0)
-    assert not math.isfinite(pressure._summary_enclosure(summary, -0.5)[1])
-    powered = _count_passes(monkeypatch)
-    past, _ = pressure._cylinder_past(rows, summary, 0.5)
-    assert powered == [0.5]
-    assert past == (interval_partition._rows_total(rows, 0.5) <= 1.0)
+    pressure._reanchor(rows, summary, -8.0)
+    return rows, summary, -0.5, (0.0,)
 
 
-@pytest.mark.parametrize("t", [0.3, 0.53, 2.0])
-def test_cylinder_past_powers_the_rows_where_a_summary_end_is_nan(monkeypatch, t):
+def _nan_block_sum(t):
     rows = _summary_rows("e2-order-10", "inf")
     summary = _rows_summary(rows)
-    summary[3][0] = math.nan  # a block sum
-    assert math.isnan(pressure._summary_enclosure(summary, -t)[1])
-    powered = _count_passes(monkeypatch)
-    past, _ = pressure._cylinder_past(rows, summary, t)
-    assert powered == [t]
-    assert past == (interval_partition._rows_total(rows, t) <= 1.0)
+    summary[4][0] = math.nan  # a block sum
+    return rows, summary, -t, (0.0,)
+
+
+@pytest.mark.parametrize("case", [_overflowing_lengths, _overflowing_rows] + [
+    functools.partial(_nan_block_sum, t) for t in (0.3, 0.53, 2.0)],
+    ids=["linear-overflow", "cylinder-overflow", "cylinder-nan-0.3", "cylinder-nan-0.53", "cylinder-nan-2"])
+def test_a_summary_end_that_is_inf_or_nan_forces_a_power_pass(monkeypatch, case):
+    rows, summary, e, tails = case()
+    assert not math.isfinite(pressure._summary_enclosure(summary, e)[1])
+    _, samples = _count(monkeypatch)
+    result = pressure._sample(rows, summary, e, tails)
+    assert [s.powered for s in samples] == [1]
+    total = interval_partition._rows_total(rows, e)
+    assert [past for past, _ in result] == [total + tail <= 1.0 for tail in tails]
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-@pytest.mark.parametrize("name", sorted(SUMMARY_SYSTEMS))
-def test_bowen_root_cylinder_keeps_its_bits_without_the_summary(monkeypatch, name, tol):
-    # the summary only spares power passes: with it deciding no sample, the bracket is the same
-    partition, order, cap = SUMMARY_SYSTEMS[name]
-    bmap = make_branch_map(partition)
-    with_summary = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap)
-    powered = _count_passes(monkeypatch)
+@pytest.mark.parametrize("kind, name", SUMMARY_ROOTS, ids=[f"{kind}-{name}" for kind, name in SUMMARY_ROOTS])
+def test_bowen_root_keeps_its_bits_without_the_summary(monkeypatch, kind, name, tol):
+    # the summary only spares power passes and exact sums: with it deciding nothing, every sample takes a
+    # pass, and an exact sum unless each tail exceeds 1 by itself, and the bracket is the same
+    def root():
+        if kind == "linear":
+            return bowen_root_linear(SUMMARY_PARTITIONS[name][0], tol=tol)
+        partition, order, cap = SUMMARY_SYSTEMS[name]
+        return bowen_root_cylinder(make_branch_map(partition), order, tol=tol, alphabet_cap=cap)
+
+    with_summary = root()
+    _, samples = _count(monkeypatch)
     monkeypatch.setattr(pressure, "_summary_enclosure", lambda summary, e: (0.0, math.inf))
-    without = bowen_root_cylinder(bmap, order, tol=tol, alphabet_cap=cap)
-    assert len(powered) >= 4
+    without = root()
+    assert len(samples) >= 4 and all(s.powered == 1 for s in samples)
+    assert [s.reduced for s in samples] == [any(tail <= 1.0 for tail in s.tails) for s in samples]
     assert (without.lower, without.upper, without.status) == (
         with_summary.lower, with_summary.upper, with_summary.status)
 
@@ -825,17 +809,17 @@ def test_bowen_root_cylinder_capped_gauss_pinned():
 def test_bowen_root_cylinder_benchmark_capped_gauss_pinned(monkeypatch):
     # the benchmark's capped-Gauss root (order 4, cap 32, 1,048,576 words per side) raises every word
     # to -t in at most 8 of its samples, where one power pass per sample took 16, none of them close
-    # enough to a root for its enclosure to straddle 1, so no exact sums; each side's words are walked
-    # once: one suffix table per side
-    built, evaluated, powered, reduced = _count_cylinder(monkeypatch)
+    # enough to a root for the re-anchored summary to straddle 1, so no exact sums; each side's words
+    # are walked once: one suffix table per side
+    built, samples = _count(monkeypatch)
     walks = []
     real_walk = interval_partition._word_tables
     monkeypatch.setattr(interval_partition, "_word_tables", lambda *args: walks.append(args[-1]) or real_walk(*args))
     bmap = make_branch_map(build_partition("gauss", 1000))
     br = bowen_root_cylinder(bmap, 4, tol=1e-6, alphabet_cap=32)
-    assert len(evaluated) == len({(t, side) for t, side, _ in evaluated})
-    assert len(powered) <= 8
-    assert reduced == []
+    assert len(samples) == len({(s.t, s.side) for s in samples})
+    assert sum(s.powered for s in samples) <= 8
+    assert sum(s.reduced for s in samples) == 0
     assert [side for side, _ in built] == ["sup", "inf"] and walks == [3, 3]
     assert (br.lower, br.upper) == (0.9435027850467563, 1.0266823411778805)
 

@@ -4,10 +4,12 @@ Usage: python3 tools/artifact_digests.py --src DIR [--seeds 1 2 3]
 
 Imports `presdim` from DIR/src and runs every op and the probe of each
 `perfbench/workloads.py` workload (full size, each seed) through
-`presdim.cli.main` in this process, then `counting` and `verify-hdim` on
-two groups that no workload has (`lattice-walk`): the rank-3 unit lattice
-G43 at t_max 12 and a skewed rank-2 lattice, so the lattice walk is
-compared at every rank.  `perfbench/workloads.py` is only imported, from
+`presdim.cli.main` in this process, then two groups that no workload has.
+`lattice-walk` runs `counting` and `verify-hdim` on the rank-3 unit
+lattice G43 at t_max 12 and a skewed rank-2 lattice, so the lattice walk is
+compared at every rank.  `bowen-sweep` runs `bowen` on roots that reach the
+Bowen sampler's power passes and exact sums, which no workload's roots do.
+`perfbench/workloads.py` is only imported, from
 the tree this script lives in, so both runs of a comparison get the same
 configs.  Prints one JSON object keyed by
 "seed/workload/index-command-config" with each op's exit code, its stdout
@@ -55,6 +57,34 @@ def _lattice_walk(seed: int) -> workloads.Workload:
     return workloads.Workload(configs, ops)
 
 
+def _bowen_sweep(seed: int) -> workloads.Workload:
+    """`bowen` on roots that take power passes or exact sums, the same for every seed.
+
+    Linear: dyadic-1000 over t 0.5..1.5 at tol 1e-12, whose lower curve sums to 1 - 2^-1000 at t = 1
+    and needs an exact sum there, and oscillating from t = 0.49, where the series converges with no
+    certified upper tail, so that curve is inf.  Cylinder: dyadic-60 at order 3 over t 0.5..1.5, whose
+    D_w are powers of 2 that sum to 1 - 3 2^-60 on both sides at t = 1 (exact sums), E_2 at order 12
+    with tol 1e-12, capped Gauss (cap 8) at order 3, and gauss-restricted 10..73 at order 3.
+    """
+    bowen = "\n\n[bowen]\nmethod = "
+    configs = {
+        "dyadic-linear": f"[partition]\ngenerator = dyadic\ntruncation = 1000{bowen}linear\ntol = 1e-12\n"
+                         "t_low = 0.5\nt_high = 1.5\n",
+        "oscillating-linear": f"[partition]\ngenerator = oscillating{bowen}linear\nt_low = 0.49\nt_high = 1.5\n",
+        "dyadic-cylinder": f"[partition]\ngenerator = dyadic\ntruncation = 60{bowen}cylinder\norder = 3\n"
+                           "tol = 1e-6\nt_low = 0.5\nt_high = 1.5\n",
+        "e2": f"[partition]\ngenerator = gauss-restricted\ndigits = 1 2{bowen}cylinder\norder = 12\ntol = 1e-12\n",
+        "capped-gauss": f"[partition]\ngenerator = gauss\ntruncation = 1000{bowen}cylinder\norder = 3\n"
+                        "alphabet_cap = 8\ntol = 1e-9\n",
+        "gauss-restricted": f"[partition]\ngenerator = gauss-restricted\n"
+                            f"digits = {' '.join(map(str, range(10, 74)))}{bowen}cylinder\norder = 3\ntol = 1e-9\n",
+    }
+    return workloads.Workload(configs, tuple(workloads.Op("bowen", cfg, "") for cfg in configs))
+
+
+_GROUPS = {"lattice-walk": _lattice_walk, "bowen-sweep": _bowen_sweep}
+
+
 def _digests(out: Path) -> dict[str, str]:
     return {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -76,8 +106,8 @@ def run(cli, seeds: list[int]) -> dict[str, dict]:
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            for name in (*workloads.NAMES, "lattice-walk"):
-                wl = _lattice_walk(seed) if name == "lattice-walk" else workloads.build(name, seed)
+            for name in (*workloads.NAMES, *_GROUPS):
+                wl = _GROUPS[name](seed) if name in _GROUPS else workloads.build(name, seed)
                 root = Path(tmp) / f"{seed}-{name}"
                 root.mkdir()
                 paths = {}

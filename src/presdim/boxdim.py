@@ -112,11 +112,15 @@ class GapExponentEstimate:
     """Bounds on the gap exponents of a sorted-length partition.
 
     window_min/window_max are exact extremes of log n / (-log length_(n))
-    over [n_window[0], n_window[1]], with libm's log, as are the two ratios
-    edge_drift reads.  fitted_limit removes the finite-size
-    drift by extrapolating secant slopes (None when the residual shows the
-    sequence has no limit).  L_lower/L_upper combine both: the window
-    extremes widened by a reliable extrapolation.
+    over [n_window[0], n_window[1]], with libm's log.  edge_drift is the
+    ratio change over the last decade of the window, |r_(n_hi) -
+    r_(max(n_hi / 10, n_lo))|, from the same exact ratios: a still-drifting
+    sequence means the window extremes lag the true liminf/limsup, and the
+    drift is the honest allowance to add when comparing against asymptotic
+    quantities.  fitted_limit removes the finite-size drift by
+    extrapolating secant slopes (None when the residual shows the sequence
+    has no limit).  L_lower/L_upper combine both: the window extremes
+    widened by a reliable extrapolation.
     """
 
     L_lower: float
@@ -127,23 +131,11 @@ class GapExponentEstimate:
     fitted_limit: float | None
     fit_exponent: float | None
     fit_residual: float | None
-    ratios: np.ndarray
+    edge_drift: float
 
     @property
     def spread(self) -> float:
         return self.window_max - self.window_min
-
-    @property
-    def edge_drift(self) -> float:
-        """Ratio change over the last decade of the window.
-
-        A still-drifting ratio sequence means the window extremes lag the
-        true liminf/limsup; the drift is the honest allowance to add when
-        comparing against asymptotic quantities.
-        """
-        n_lo, n_hi = self.n_window
-        decade = max(int(0.1 * n_hi), n_lo) - n_lo
-        return float(abs(self.ratios[-1] - self.ratios[decade]))
 
 
 def covering_counts(cloud: PointCloud, deltas) -> np.ndarray:
@@ -282,10 +274,12 @@ def gap_exponent_bounds(partition: IntervalPartition, n_min: int = 16) -> GapExp
     # the two edge_drift reads, and each candidate is taken again with math.log
     lo, hi = ratios.min(), ratios.max()
     candidates = np.flatnonzero((ratios <= lo * (1.0 + 64.0 * _U)) | (ratios >= hi * (1.0 - 64.0 * _U)))
-    for i in {*candidates.tolist(), ratios.size - 1, max(int(0.1 * n_total), n_min) - n_min}:
+    decade = max(int(0.1 * n_total), n_min) - n_min
+    for i in {*candidates.tolist(), ratios.size - 1, decade}:
         ratios[i] = math.log(n_min + i) / -math.log(lengths[n_min - 1 + i])
     window_min = float(ratios[candidates].min())
     window_max = float(ratios[candidates].max())
+    edge_drift = float(abs(ratios[-1] - ratios[decade]))
 
     fitted = None
     gamma = None
@@ -306,5 +300,5 @@ def gap_exponent_bounds(partition: IntervalPartition, n_min: int = 16) -> GapExp
     lower = window_min if fitted is None else min(window_min, fitted)
     upper = window_max if fitted is None else max(window_max, fitted)
     return GapExponentEstimate(
-        lower, upper, window_min, window_max, (n_min, n_total), fitted, gamma, residual, ratios
+        lower, upper, window_min, window_max, (n_min, n_total), fitted, gamma, residual, edge_drift
     )

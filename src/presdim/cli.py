@@ -113,6 +113,9 @@ def _margin(cfg, key: str, default: float) -> float:
 
 def _partition_from(cfg, truncation_override: int | None):
     generator = _get(cfg, "partition", "generator", default=REQUIRED)
+    if generator == "explicit":
+        raise ConfigError("config error: [partition] generator explicit takes an interval list, which is "
+                          "library-only (build_partition(..., intervals=...)); no config key carries one")
     truncation = truncation_override
     if truncation is None:
         truncation = _get(cfg, "partition", "truncation", int, 100_000)

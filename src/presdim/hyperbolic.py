@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxdim import PointCloud
-from .numerics import _U, _down, _libm, _sum_enclosure, _up, acosh1p
+from .numerics import _U, _down, _gamma, _libm, _up, acosh1p
 
 __all__ = ["ParabolicGroupSpec", "parabolic_orbit", "identity_suite"]
 
@@ -177,7 +177,10 @@ def _gram_factor(alphas: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray | N
     scaled = np.ldexp(alphas, -j)
     gram = scaled @ scaled.T
     n = sum(alphas.shape) + 1
-    slack = _up(n * _U / (1.0 - 2.0 * n * _U) * _sum_enclosure(np.diag(gram))[1], 4.0 * _U)
+    # T: the float trace widened by gamma_(k-1), the error of a float sum of k nonnegative terms in any order
+    # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2)
+    trace = _up(float(np.diag(gram).sum()), max(_gamma(alphas.shape[0] - 1), 4.0 * _U))
+    slack = _up(n * _U / (1.0 - 2.0 * n * _U) * trace, 4.0 * _U)
     if shift:
         np.fill_diagonal(gram, np.nextafter(np.diag(gram) - shift, -np.inf))
     try:

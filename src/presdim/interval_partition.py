@@ -44,16 +44,16 @@ class PartitionError(ValueError):
 class SeriesVerdict:
     """Outcome of testing sum_n length_n^t for convergence past index M.
 
-    status is one of "converges", "diverges", "undetermined".  When the
-    series converges with a certified tail, tail_low <= true tail <= tail_high.
-    tail_high may be None for convergence established only by a ratio window
-    (no certified bound).
+    status is one of "converges", "diverges", "undetermined".
+    tail_low <= true tail <= tail_high, where tail_high is inf wherever no
+    upper tail is certified: diverging and undetermined verdicts, and
+    convergence established only by a ratio window.
     """
 
     status: str
     evidence: str
     tail_low: float = 0.0
-    tail_high: float | None = None
+    tail_high: float = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,11 @@ class SeriesVerdict:
 class _LengthModel:
     """Closed-form endpoint/length data for indices beyond the truncation.
 
-    Each model defines `right_endpoint(n)`, the array h(n), and
-    `series_verdict(t, m)`, the verdict past index m at t > 0
-    (`IntervalPartition.series_verdict` answers t <= 0).  Models that set
-    `in_place` take `right_endpoint(n, overwrite=True)`, which writes h(n)
-    into the float array n itself, with the bits of a fresh array.
+    Each model defines `right_endpoint(n)`, the array h(n) of a fresh float
+    array n, which it may reuse to hold h(n), and `series_verdict(t, m)`, the
+    verdict past index m at t > 0 (`IntervalPartition.series_verdict` answers
+    t <= 0).
     """
-
-    in_place = False
 
     # exact exponent separating convergence from divergence, if known
     critical_t: float | None = None
@@ -85,11 +82,8 @@ class _GaussLengths(_LengthModel):
 
     critical_t = 0.5
 
-    in_place = True
-
-    def right_endpoint(self, n, overwrite=False):
-        n = np.asarray(n, dtype=float)
-        return np.divide(1.0, n, out=n if overwrite else None)
+    def right_endpoint(self, n):
+        return np.divide(1.0, n, out=n)
 
     def series_verdict(self, t, m):
         if t <= 0.5:
@@ -109,7 +103,7 @@ class _DyadicLengths(_LengthModel):
     boundary_evidence = "geometric series converges for every t > 0 (boundary convention at 0)"
 
     def right_endpoint(self, n):
-        return np.exp2(1.0 - np.asarray(n, dtype=float))
+        return np.exp2(1.0 - n)
 
     def series_verdict(self, t, m):
         r = 2.0 ** (-t)
@@ -120,16 +114,13 @@ class _DyadicLengths(_LengthModel):
 class _PowerLawLengths(_LengthModel):
     """h(n) = n^(1-p), lengths asymptotically (p-1) n^(-p), p > 1."""
 
-    in_place = True
-
     def __init__(self, exponent: float):
         if not exponent > 1.0:
             raise PartitionError(f"power-law exponent must exceed 1, got {exponent}")
         self.exponent = float(exponent)
         self.critical_t = 1.0 / self.exponent
 
-    def right_endpoint(self, n, overwrite=False):
-        n = np.asarray(n, dtype=float) if overwrite else np.array(n, dtype=float)
+    def right_endpoint(self, n):
         # **= takes numpy's scalar-power shortcuts (1/n at p = 2) just as ** does
         n **= 1.0 - self.exponent
         return n
@@ -143,7 +134,7 @@ class _PowerLawLengths(_LengthModel):
         scale = q ** t
         s, s_lo = _up(p * t), _down(p * t)
         lo = _down(_down(scale, _LIBM_ERR) * hurwitz_zeta(s, m + 2)[0])
-        hi = _up(_up(scale, _LIBM_ERR) * hurwitz_zeta(s_lo, m + 1)[1]) if s_lo > 1.0 else None
+        hi = _up(_up(scale, _LIBM_ERR) * hurwitz_zeta(s_lo, m + 1)[1]) if s_lo > 1.0 else math.inf
         return SeriesVerdict("converges", "mean-value sandwich with Hurwitz zeta", lo, hi)
 
 
@@ -152,12 +143,8 @@ class _LogSquaredLengths(_LengthModel):
 
     critical_t = 1.0
 
-    in_place = True
-
-    def right_endpoint(self, n, overwrite=False):
-        n = np.asarray(n, dtype=float)
-        out = n if overwrite else None
-        h = np.log(np.add(n, 1.0, out=out), out=out)
+    def right_endpoint(self, n):
+        h = np.log(np.add(n, 1.0, out=n), out=n)
         return np.divide(math.log(2.0), h, out=h)
 
     def series_verdict(self, t, m):
@@ -200,7 +187,7 @@ class _OscillatingLengths(_LengthModel):
         return out
 
     def right_endpoint(self, n):
-        return np.exp(-self._phi(np.log(np.asarray(n, dtype=float))))
+        return np.exp(-self._phi(np.log(n)))
 
     def __init__(self):
         # ratio windows by n_lo: series_verdict asks for the same one at every exponent
@@ -232,13 +219,9 @@ class _OscillatingLengths(_LengthModel):
             return SeriesVerdict("converges", "majorant 2 n^(-2) with Hurwitz tail", 0.0, hi)
         r_min, r_max = self.ratio_window(max(m // 2, 16))
         if t > r_max + self._RATIO_PAD:
-            return SeriesVerdict(
-                "converges", f"ratio window: sup log n / (-t log length) = {r_max / t:.4f} < 1", 0.0, None
-            )
+            return SeriesVerdict("converges", f"ratio window: sup log n / (-t log length) = {r_max / t:.4f} < 1")
         if t < r_min - self._RATIO_PAD:
-            return SeriesVerdict(
-                "diverges", f"ratio window: inf log n / (-t log length) = {r_min / t:.4f} > 1"
-            )
+            return SeriesVerdict("diverges", f"ratio window: inf log n / (-t log length) = {r_min / t:.4f} > 1")
         return SeriesVerdict("undetermined", "exponent inside the oscillation band of the ratio window")
 
 
@@ -375,8 +358,7 @@ def build_partition(
                 raise PartitionError("power-law needs exponent")
             params["exponent"] = exponent
         model = _MODELS[generator](**params)
-        n = np.arange(1, truncation + 2, dtype=float)
-        h = model.right_endpoint(n, overwrite=True) if model.in_place else model.right_endpoint(n)
+        h = model.right_endpoint(np.arange(1, truncation + 2, dtype=float))
         return IntervalPartition(h[1:], h[:-1], generator, params, model)
 
     if generator == "gauss-restricted":

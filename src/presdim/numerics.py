@@ -222,17 +222,3 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), which bounds the relative error of a float sum of k + 1 nonnegative terms."""
     return k * _U / (1.0 - k * _U)
-
-
-def _sum_enclosure(values: np.ndarray) -> tuple[float, float]:
-    """Floats lo <= P <= hi around the exact sum P of an array of nonnegative terms.
-
-    One np.sum: adding n nonnegative floats in any order, numpy's pairwise
-    order included, lands within gamma_(n-1) P of P, gamma_k = k u / (1 - k u)
-    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2),
-    and the float sum is widened outward by that much.  An inf or nan sum
-    gives inf or nan ends.
-    """
-    rel = max(_gamma(values.size - 1), 4.0 * _U)
-    total = float(values.sum())
-    return _down(total, rel), _up(total, rel)

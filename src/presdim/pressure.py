@@ -53,8 +53,9 @@ class PressureSample:
     status: "certified" (lower <= value <= upper), "divergent" (value is
     +inf), "uncertified" (series converges but only the lower bound carries a
     certificate), or "undetermined" (convergence unknown; the lower bound
-    still holds).  tail_bound is the certified upper tail of the underlying
-    series (0 when the enumeration is exhaustive, +inf when uncertified).
+    still holds).  tail_bound is the series verdict's tail_high: the
+    certified upper tail (0 when the enumeration is exhaustive), or inf, as
+    upper then is, wherever no upper tail is certified.
     """
 
     t: float
@@ -121,7 +122,7 @@ def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
         return PressureSample(t, math.inf, math.inf, math.inf, "divergent", verdict.evidence, k, math.inf)
     partial = compensated_sum(partition.lengths ** t)
     lower = math.log(partial + verdict.tail_low)
-    if verdict.status == "converges" and verdict.tail_high is not None:
+    if verdict.tail_high < math.inf:
         upper = math.log(partial + verdict.tail_high)
         mid = math.log(partial + 0.5 * (verdict.tail_low + verdict.tail_high))
         return PressureSample(t, mid, lower, upper, "certified", verdict.evidence, k, verdict.tail_high)
@@ -257,17 +258,6 @@ def find_s_infinity(partition: IntervalPartition, tol: float = 1e-6) -> Critical
     )
 
 
-def _curve_sample(lo: float, hi: float, exact: Callable[[], float]) -> tuple[bool, float]:
-    """The `_bisect` sample (S <= 1, log lo) of a sum S known to lie in [lo, hi].
-
-    exact() gives S; it is called only where the ends fall on both sides of
-    1.  A 0 or inf end compares correctly, and a nan end decides nothing.
-    The estimate is -inf where lo is 0 or nan.
-    """
-    past = hi <= 1.0 or (not lo > 1.0 and exact() <= 1.0)
-    return bool(past), math.log(lo) if lo > 0.0 else -math.inf
-
-
 def _root_bracket(lower: Callable[[float], tuple[bool, float]], upper: Callable[[float], tuple[bool, float]],
                   t_range: tuple[float, float], tol: float, known: tuple[dict, dict]) -> RootBracket:
     """Bracket a root from `_bisect` samples of the lower and the upper curve, known holding each one's."""
@@ -372,16 +362,19 @@ def _sample(rows: list, summary: list, e: float, tails: tuple) -> list:
     or nan, or the ends leave some curve open, one power pass re-anchors the
     summary at e (`_reanchor`), and the same enclosure, now at d = 0, encloses
     S again from the pass's block sums; only where that still leaves a curve
-    open are the rows summed exactly, once for every curve.  An inf tail
-    gives (False, inf).
+    open are the rows summed exactly, once for every curve.  Each sample is
+    (fl(S + tail) <= 1, log(lo + tail)) for the enclosure's lower end lo, its
+    estimate -inf where lo + tail is 0 or nan.  An end of 0 or inf compares
+    correctly and a nan end or tail decides nothing, so an inf tail gives
+    (False, inf).
     """
     lo, hi = _summary_enclosure(summary, e)
-    # the complement of `_curve_sample` deciding without exact(): a nan tail is open too
     if not (math.isfinite(lo) and math.isfinite(hi)) or not all(hi + tail <= 1.0 or lo + tail > 1.0 for tail in tails):
         _reanchor(rows, summary, e)
         lo, hi = _summary_enclosure(summary, e)
     exact = functools.cache(lambda: _rows_total(rows, e))
-    return [_curve_sample(lo + tail, hi + tail, lambda: exact() + tail) for tail in tails]
+    return [(bool(hi + tail <= 1.0 or (not lo + tail > 1.0 and exact() + tail <= 1.0)),
+             math.log(lo + tail) if lo + tail > 0.0 else -math.inf) for tail in tails]
 
 
 def bowen_root_linear(
@@ -412,8 +405,7 @@ def bowen_root_linear(
         verdict = partition.series_verdict(t)
         if verdict.status != "converges":
             return [(False, math.inf)] * 2
-        high = math.inf if verdict.tail_high is None else verdict.tail_high
-        return _sample(rows, summary, t, (verdict.tail_low, high))
+        return _sample(rows, summary, t, (verdict.tail_low, verdict.tail_high))
 
     def lower(t: float) -> tuple[bool, float]:
         known[0][t], known[1][t] = sample(t)

@@ -578,6 +578,11 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = tight\n", "config error: [sinfinity] tol must be a number"),
     ("poincare", POINCARE_21.replace("alpha_1 = 1.0", "alpha_1 = 1.0 one"), "[group] alpha_1 must list numbers"),
     ("s-infinity", "[partition]\ntruncation = 100\n", "missing [partition] generator"),
+    # no config key carries intervals, so the explicit generator is the library's alone
+    *((command, f"[partition]\ngenerator = explicit\n\n{extra}",
+       "config error: [partition] generator explicit takes an interval list, which is library-only "
+       "(build_partition(..., intervals=...)); no config key carries one")
+      for command, extra in (("pressure", "[pressure]\nt_list = 1.0\n"), ("gaps", ""), ("bowen", ""))),
     ("s-infinity", "[partition]\ngenerator = gauss-restricted\ndigits = 1 x\n",
      "[partition] digits must list integers"),
     ("poincare", POINCARE_21.replace("rank = 1", "rank = 2\nalpha_2 = 2.0"), "config error: [group] rank"),

@@ -6,6 +6,7 @@ at_inf, and the row of a point at infinity is unread.
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -299,6 +300,21 @@ def test_gram_factor_fails_on_an_indefinite_shift():
     upper, slack, j = hyperbolic._gram_factor(np.array([[1.0, 0.0], [0.3, 0.9]]))
     assert j == 0
     assert np.allclose(upper.T @ upper, [[1.0, 0.3], [0.3, 0.9]], rtol=0, atol=4 * slack)
+
+
+@pytest.mark.parametrize("head_first", [True, False])
+def test_gram_slack_covers_trace_terms_lost_to_rounding(head_first):
+    # 128 generators: eight unit rows, and 120 rows with Gram diagonal 2^-53 exactly, which rounds away when
+    # added to a partial sum of 1, so np.sum misses them; gamma_127 > 4u widens the float trace, and the slack
+    # still bounds the exact n u T / (1 - 2 n u) of the exact trace T (no product or sum of G itself rounds)
+    small = np.hstack([np.zeros((120, 8)), np.eye(120), np.eye(120)]) * 2.0 ** -27
+    alphas = np.vstack([np.eye(8, 248), small] if head_first else [small, np.eye(8, 248)])
+    assert hyperbolic._gamma(alphas.shape[0] - 1) > 4 * hyperbolic._U
+    trace = sum(Fraction(x) ** 2 for x in alphas.ravel().tolist() if x)
+    assert trace == 8 + Fraction(120, 2 ** 53) and Fraction(float(np.diag(alphas @ alphas.T).sum())) != trace
+    _, slack, j = hyperbolic._gram_factor(alphas)
+    n = sum(alphas.shape) + 1
+    assert j == 0 and Fraction(slack) >= n * Fraction(1, 2 ** 53) / (1 - 2 * n * Fraction(1, 2 ** 53)) * trace
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-150, 2.0 ** 512, 2.0 ** -455, 1e-100])

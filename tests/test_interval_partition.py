@@ -8,13 +8,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from presdim.boxdim import gap_exponent_bounds
 from presdim.interval_partition import (
     IntervalPartition,
     PartitionError,
+    _OscillatingLengths,
     _derivative_range,
     _effective_alphabet,
     _word_tables,
@@ -42,17 +43,23 @@ def test_gauss_lengths_and_tiling():
 
 @pytest.mark.parametrize("generator, kwargs, closed_form", [
     ("gauss", {}, lambda n: 1.0 / n),
+    ("dyadic", {}, lambda n: 2.0 ** (1.0 - n)),
     ("power-law", {"exponent": 1.5}, lambda n: n ** (1.0 - 1.5)),
     # numpy's scalar power may take 1/n for the exponent -1
     ("power-law", {"exponent": 2.0}, lambda n: n ** (1.0 - 2.0)),
     ("power-law", {"exponent": 2.75}, lambda n: n ** (1.0 - 2.75)),
     ("log-squared", {}, lambda n: math.log(2.0) / np.log(n + 1.0)),
+    ("oscillating", {}, lambda n: np.exp(-_OscillatingLengths._phi(np.log(n)))),
 ])
 def test_endpoints_built_in_place_keep_the_closed_form_bits(generator, kwargs, closed_form):
-    part = build_partition(generator, 10**5, **kwargs)
-    h = closed_form(np.arange(1, 10**5 + 2, dtype=float))
+    # a model may write h(n) into the fresh array n it is given, with the bits of the closed form of its own n
+    truncation = 1000 if generator == "dyadic" else 10**5
+    part = build_partition(generator, truncation, **kwargs)
+    h = closed_form(np.arange(1, truncation + 2, dtype=float))
     assert part.right.tobytes() == h[:-1].tobytes()
     assert part.left.tobytes() == h[1:].tobytes()
+    assert part.model.right_endpoint(np.arange(1, truncation + 2, dtype=float)).tobytes() == h.tobytes()
+    assert part.model.length_tail_exact(truncation) == h[-1]
 
 
 def test_dyadic_lengths():
@@ -126,9 +133,10 @@ def test_sorted_lengths_decreasing():
     part = build_partition("oscillating", 3000)
     assert np.any(np.diff(part.lengths) > 0)
     gb = gap_exponent_bounds(part)
-    s = np.array(sorted(part.lengths.tolist(), reverse=True))
-    n = np.arange(16, s.size + 1)
-    np.testing.assert_array_equal(gb.ratios, np.log(n) / -np.log(s[15:]))
+    s = sorted(part.lengths.tolist(), reverse=True)
+    ratios = [math.log(n) / -math.log(s[n - 1]) for n in range(16, len(s) + 1)]
+    assert (gb.window_min, gb.window_max) == (min(ratios), max(ratios))
+    assert gb.edge_drift == abs(ratios[-1] - ratios[int(0.1 * len(s)) - 16])
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +282,36 @@ def test_zeta_verdicts_round_outward(name, t, m):
     # [tail_low, tail_high]: every zeta value and product is rounded outward
     kwargs, lower, upper = ZETA_TEMPLATES[name]
     v = build_partition(name, 10, **kwargs).model.series_verdict(t, m)
-    assume(v.tail_high is not None and "telescoping" not in v.evidence)
+    assume(v.tail_high < math.inf and "telescoping" not in v.evidence)
     with mpmath.workdps(50):
         T = mpmath.mpf(t)
         assert upper(T, m) <= v.tail_high
         if lower is not None:
             assert v.tail_low <= lower(T, m)
+
+
+# where each built-in model certifies an upper tail at t > 0: every converging verdict but the oscillating
+# ratio window's, and power-law's where p t rounded down is not above 1, so zeta(p t) has no finite bound
+CERTIFIES_UPPER_TAIL = {
+    "gauss": lambda t: t > 0.5,
+    "dyadic": lambda t: True,
+    "power-law": lambda t: math.nextafter(_P * t, -math.inf) > 1.0,
+    "log-squared": lambda t: t >= 1.0,
+    "oscillating": lambda t: t > 0.5,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CERTIFIES_UPPER_TAIL)),
+       t=st.one_of(st.floats(-4.0, 0.0), st.floats(1e-6, 8.0), st.sampled_from([0.5, 1.0, 1.0 / _P])),
+       truncation=st.integers(1, 1000))
+@example(name="power-law", t=0.5882352941176472, truncation=10)  # p t = 1 + 2u, rounded down to 1
+def test_tail_high_is_a_float_and_inf_exactly_where_nothing_is_certified(name, t, truncation):
+    part = build_partition(name, truncation, **({"exponent": _P} if name == "power-law" else {}))
+    v = part.series_verdict(t)
+    assert type(v.tail_high) is float and v.tail_low <= v.tail_high
+    certified = v.status == "converges" and t > 0.0 and CERTIFIES_UPPER_TAIL[name](t)
+    assert math.isinf(v.tail_high) == (not certified)
 
 
 # ---------------------------------------------------------------------------

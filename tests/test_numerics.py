@@ -242,28 +242,3 @@ def test_euler_maclaurin_remainder_bounds_a_short_tail(s, x):
     value, err = numerics._em_tail(s, x)
     with mpmath.workdps(60):
         assert abs(mpmath.mpf(value) - mpmath.zeta(s, x)) <= err
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    size=st.sampled_from(SIZES[1:]),
-    e_low=st.integers(-1080, 1000),
-    e_span=st.integers(0, 60),
-)
-def test_sum_enclosure_holds_the_exact_sum(seed, size, e_low, e_span):
-    terms = _random_terms(seed, size, e_low, min(e_span, 1000 - e_low), 0.0, False)
-    lo, hi = numerics._sum_enclosure(terms)
-    exact = math.fsum(terms.tolist())
-    assert lo <= exact <= hi
-    # about 2 gamma_(n-1), at least 8u, on each side
-    assert hi - lo <= 6 * max(size, 4) * numerics._U * exact + 4 * numerics._TINY
-
-
-@pytest.mark.parametrize("n", [2, 7, 1000, 10**5])
-@pytest.mark.parametrize("head_first", [True, False])
-def test_sum_enclosure_covers_terms_lost_to_rounding(n, head_first):
-    # 2^-53 added to a partial sum near 1 rounds away: np.sum drops up to 13 of them here
-    terms = np.concatenate([[1.0], np.full(n - 1, 2.0 ** -53)])
-    lo, hi = numerics._sum_enclosure(terms if head_first else terms[::-1].copy())
-    assert Fraction(lo) <= 1 + Fraction(n - 1, 2 ** 53) <= Fraction(hi)

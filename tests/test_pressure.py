@@ -353,7 +353,7 @@ def test_linear_upper_curve_without_a_certified_tail_is_inf(monkeypatch):
     # tail: that curve's sample is +inf, with no power pass and no exact sum
     part = build_partition("oscillating", 100_000)
     verdict = part.series_verdict(0.49)
-    assert verdict.status == "converges" and verdict.tail_high is None
+    assert verdict.status == "converges" and verdict.tail_high == math.inf
     _, samples = _count(monkeypatch)
     bowen_root_linear(part, t_range=(0.49, 1.5))
     first = samples[0]
@@ -495,7 +495,7 @@ def _sample_near_a_root(kind, data, offset):
         verdict = part.series_verdict(t)
         assume(verdict.status == "converges")  # bowen_root_linear samples the others as +inf without `_sample`
         exact = pressure_linear(part, t)
-        tails = (verdict.tail_low, math.inf if verdict.tail_high is None else verdict.tail_high)
+        tails = (verdict.tail_low, verdict.tail_high)
         return [part.lengths], pressure._length_summary(part.lengths), t, tails, (exact.lower, exact.upper)
     bmap, order, cap, roots = data.draw(st.sampled_from(CYLINDER_CASES), label="case")
     side = data.draw(st.sampled_from(["sup", "inf"]), label="side")  # the lower curve's, or the upper curve's
@@ -648,17 +648,17 @@ def test_bowen_root_keeps_its_bits_without_the_summary(monkeypatch, kind, name, 
     (2.0, math.inf, False),  # and so does an infinite one
     (math.nan, math.nan, None),  # nan fails both comparisons
 ])
-def test_decided_only_where_both_ends_fix_the_sign(lo, hi, expected):
-    # `_curve_sample` reads the exact sum (here 1.0) only where the ends leave "<= 1" open
+def test_decided_only_where_both_ends_fix_the_sign(monkeypatch, lo, hi, expected):
+    # `_sample` reads the exact sum (here 1.0) only where the ends, before and after the power pass, leave
+    # "<= 1" open
     calls = []
-
-    def exact():
-        calls.append(1.0)
-        return 1.0
-
-    past, _ = pressure._curve_sample(lo, hi, exact)
+    monkeypatch.setattr(pressure, "_summary_enclosure", lambda summary, e: (lo, hi))
+    monkeypatch.setattr(pressure, "_reanchor", lambda rows, summary, e: calls.append("pass"))
+    monkeypatch.setattr(pressure, "_rows_total", lambda rows, e: calls.append("exact") or 1.0)
+    [(past, _)] = pressure._sample([], [], 1.0, (0.0,))
     assert past is (True if expected is None else expected)
-    assert len(calls) == (expected is None)
+    assert calls.count("exact") == (expected is None)
+    assert calls.count("pass") == (expected is None or not math.isfinite(hi))
 
 
 def test_log_is_positive_exactly_above_one():

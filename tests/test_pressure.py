@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -450,6 +451,42 @@ def test_summary_enclosure_holds_the_exact_sum(name, data):
                             st.floats(s_inf, 8.0, exclude_min=True)), label="t")
     lo, hi = pressure._summary_enclosure(pressure._length_summary(part.lengths), t)
     assert lo <= pressure.compensated_sum(part.lengths ** t) <= hi
+
+
+# both sides of the head cut and of a block boundary, with the head kept and with no head
+SUM_SIZES = [1, 7, pressure._BLOCK - 1, pressure._BLOCK + 1, pressure._HEAD,
+             pressure._HEAD + pressure._BLOCK, pressure._HEAD + 3 * pressure._BLOCK + 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from(SUM_SIZES),
+    head=st.sampled_from([0, pressure._HEAD]),
+    e_low=st.integers(-1080, 1000),
+    e_span=st.integers(0, 60),
+)
+def test_summary_enclosure_holds_the_exact_sum_of_any_nonnegative_terms(seed, size, head, e_low, e_span):
+    # at e = 1 over anchor-1 blocks the enclosure is one of a plain float sum; terms below 2^-1022 are subnormal
+    rng = np.random.default_rng(seed)
+    mantissas = rng.integers(1 << 52, 1 << 53, size).astype(float)
+    terms = np.ldexp(mantissas, rng.integers(e_low, min(e_low + e_span, 1000) + 1, size) - 53)
+    lo, hi = pressure._summary_enclosure(pressure._length_summary(terms, head=head), 1.0)
+    exact = math.fsum(terms.tolist())
+    assert lo <= exact <= hi
+    # the budget's 4 pows, 3 roundings and gamma of the head, a block and the block count, on each side,
+    # plus one 2^-1019 per term and per 4 terms of a block for underflow
+    assert hi - lo <= (300 + 5 * (size + pressure._BLOCK)) * pressure._U * exact + 3 * size * 2.0 ** -1019 + 8 * 2.0 ** -1074
+
+
+@pytest.mark.parametrize("n", [2, 7, 1000, 10**5])
+@pytest.mark.parametrize("head_first", [True, False])
+def test_summary_enclosure_covers_terms_lost_to_rounding(n, head_first):
+    # 2^-53 added to a partial sum near 1 rounds away; head first the 1 sits in the head, else (at 10^5) in a block
+    terms = np.concatenate([[1.0], np.full(n - 1, 2.0 ** -53)])
+    terms = terms if head_first else terms[::-1].copy()
+    lo, hi = pressure._summary_enclosure(pressure._length_summary(terms), 1.0)
+    assert Fraction(lo) <= 1 + Fraction(n - 1, 2 ** 53) <= Fraction(hi)
 
 
 def test_numpy_pow_stays_within_a_quarter_of_its_budget():

@@ -1,10 +1,10 @@
 """Command-line front end: config ingestion, computations, CSV/JSON artifacts.
 
-Every run is driven by one INI config file; flags only select the config,
-the output directory, and optional tolerance/truncation overrides.
-`--threads` is accepted and has no effect: every command runs serially.
-Reports embed the config hash, truncations, and tolerances.  Outputs are
-deterministic: identical configs produce byte-identical files.
+Every run is driven by one INI config file; flags only select the config
+and the output directory.  `--threads` is accepted and has no effect: every
+command runs serially.  Reports embed the config hash, truncations, and
+tolerances.  Outputs are deterministic: identical configs produce
+byte-identical files.
 
 Exit codes: 0 success (including mathematically inconclusive verification),
 1 failed verification assertion, 2 usage or config error.
@@ -111,21 +111,13 @@ def _margin(cfg, key: str, default: float) -> float:
     return value
 
 
-def _partition_from(cfg, truncation_override: int | None):
+def _partition_from(cfg):
     generator = _get(cfg, "partition", "generator", default=REQUIRED)
-    if generator == "explicit":
-        raise ConfigError("config error: [partition] generator explicit takes an interval list, which is "
-                          "library-only (build_partition(..., intervals=...)); no config key carries one")
-    truncation = truncation_override
-    if truncation is None:
-        truncation = _get(cfg, "partition", "truncation", int, 100_000)
-    kwargs = {}
-    for key, kind in (("exponent", float), ("digits", _integers)):
-        value = _get(cfg, "partition", key, kind)
-        if value is not None:
-            kwargs[key] = value
+    truncation = _get(cfg, "partition", "truncation", int, 100_000)
+    exponent = _get(cfg, "partition", "exponent", float)
+    digits = _get(cfg, "partition", "digits", _integers)
     with _section("partition"):
-        return build_partition(generator, truncation, **kwargs)
+        return build_partition(generator, truncation, exponent=exponent, digits=digits)
 
 
 def _group_from(cfg) -> ParabolicGroupSpec:
@@ -306,7 +298,7 @@ def _gaps_payload(gb) -> dict:
 
 
 def _cmd_pressure(args, cfg, cfg_hash) -> int:
-    partition = _partition_from(cfg, args.truncation)
+    partition = _partition_from(cfg)
     grid_raw = _get(cfg, "pressure", "t_grid")
     if grid_raw is not None:
         try:
@@ -329,8 +321,8 @@ def _cmd_pressure(args, cfg, cfg_hash) -> int:
 
 
 def _cmd_s_infinity(args, cfg, cfg_hash) -> int:
-    partition = _partition_from(cfg, args.truncation)
-    tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
+    partition = _partition_from(cfg)
+    tol = _get(cfg, "sinfinity", "tol", float, 1e-4)
     with _section("sinfinity"):
         est = find_s_infinity(partition, tol=tol)
     payload = {
@@ -349,8 +341,8 @@ def _cmd_s_infinity(args, cfg, cfg_hash) -> int:
 
 
 def _cmd_bowen(args, cfg, cfg_hash) -> int:
-    partition = _partition_from(cfg, args.truncation)
-    tol = args.tol if args.tol is not None else _get(cfg, "bowen", "tol", float, 1e-9)
+    partition = _partition_from(cfg)
+    tol = _get(cfg, "bowen", "tol", float, 1e-9)
     method = _get(cfg, "bowen", "method", default="linear")
     t_low = _get(cfg, "bowen", "t_low", float, 1e-6)
     t_high = _get(cfg, "bowen", "t_high", float, 8.0)
@@ -401,7 +393,7 @@ def _orbit_cloud(cfg) -> PointCloud:
 def _cmd_boxdim(args, cfg, cfg_hash) -> int:
     source = _get(cfg, "boxdim", "source", default="endpoints")
     if source == "endpoints":
-        cloud = _endpoint_cloud(_partition_from(cfg, args.truncation))
+        cloud = _endpoint_cloud(_partition_from(cfg))
     elif source == "orbit":
         cloud = _orbit_cloud(cfg)
     else:
@@ -418,7 +410,7 @@ def _cmd_boxdim(args, cfg, cfg_hash) -> int:
 
 
 def _cmd_gaps(args, cfg, cfg_hash) -> int:
-    partition = _partition_from(cfg, args.truncation)
+    partition = _partition_from(cfg)
     with _section("gaps"):
         gb = gap_exponent_bounds(partition, n_min=_get(cfg, "gaps", "n_min", int, 16))
     payload = {"generator": partition.generator, "truncation": partition.count}
@@ -511,8 +503,8 @@ def _overall(assertions) -> tuple[str, int]:
 
 
 def _cmd_verify_main(args, cfg, cfg_hash) -> int:
-    partition = _partition_from(cfg, args.truncation)
-    tol = args.tol if args.tol is not None else _get(cfg, "sinfinity", "tol", float, 1e-4)
+    partition = _partition_from(cfg)
+    tol = _get(cfg, "sinfinity", "tol", float, 1e-4)
     pad = _margin(cfg, "pad", 0.05)
     with _section("sinfinity"):
         est = find_s_infinity(partition, tol=tol)
@@ -591,7 +583,7 @@ def _cmd_verify_main(args, cfg, cfg_hash) -> int:
 
 def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
     group = _group_from(cfg)
-    tol = args.tol if args.tol is not None else _get(cfg, "verify", "exponent_tol", float, 0.01)
+    tol = _get(cfg, "verify", "exponent_tol", float, 0.01)
     agreement = _margin(cfg, "agreement", 0.1)
     with _section("verify"):
         est = critical_exponent(group, tol=tol)
@@ -634,7 +626,7 @@ def _cmd_verify_hdim(args, cfg, cfg_hash) -> int:
 
 
 def _cmd_selftest(args, cfg, cfg_hash) -> int:
-    trials = 10_000 if cfg is None else _get(cfg, "selftest", "trials", int, 10_000)
+    trials = _get(cfg, "selftest", "trials", int, 10_000)
     with _section("selftest"):
         results = identity_suite(trials, np.random.default_rng(20260813))
     all_ok = all(res["passed"] == res["total"] for res in results)
@@ -643,7 +635,7 @@ def _cmd_selftest(args, cfg, cfg_hash) -> int:
               f"(max error {res['max_error']:.3e})")
     if args.out is not None:
         payload = {"trials": trials, "results": results, "overall": PASS if all_ok else FAIL}
-        _emit_json(args, cfg_hash or "", "selftest.json", payload)
+        _emit_json(args, cfg_hash, "selftest.json", payload)
     print(f"overall: {PASS if all_ok else FAIL}")
     return EXIT_OK if all_ok else EXIT_ASSERTION
 
@@ -677,8 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory for CSV/JSON artifacts (default '.'; none for selftest)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect (every command runs serially)")
-    parser.add_argument("--tol", type=float, help="tolerance override for the relevant computation")
-    parser.add_argument("--truncation", type=int, help="partition truncation override")
     return parser
 
 
@@ -692,9 +682,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--config is required for {args.command}")
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        if args.tol is not None and not args.tol > 0:
-            raise ConfigError("--tol must be positive")
-        cfg, cfg_hash = (None, None) if args.config is None else _load_config(args.config)
+        cfg, cfg_hash = (configparser.ConfigParser(), "") if args.config is None else _load_config(args.config)
         return handler(args, cfg, cfg_hash)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

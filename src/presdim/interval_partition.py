@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,7 +107,8 @@ class _DyadicLengths(_LengthModel):
 
     def series_verdict(self, t, m):
         r = 2.0 ** (-t)
-        tail = r ** (m + 1) / (1.0 - r)
+        # 1 - r by expm1: the float 1.0 - r keeps few digits of a small t, and none below t = 1.1e-16
+        tail = r ** (m + 1) / -math.expm1(-t * math.log(2.0))
         return SeriesVerdict("converges", "geometric closed form", tail, tail)
 
 
@@ -235,7 +236,8 @@ class IntervalPartition:
 
     Instances are immutable; the arrays are read-only views.  `model` is the
     closed-form length model when the generator is one of the built-ins (None
-    for explicit lists and finite digit sets).
+    for finite digit sets, and for finite interval lists, which are built with
+    this constructor directly: `generator` is then only their label).
     """
 
     left: np.ndarray
@@ -330,15 +332,15 @@ def build_partition(
     *,
     exponent: float | None = None,
     digits: Sequence[int] | None = None,
-    intervals: Iterable[tuple[float, float]] | None = None,
 ) -> IntervalPartition:
     """Materialize a partition from a named generator.
 
     generator: one of "gauss", "dyadic", "power-law", "log-squared",
-    "oscillating", "gauss-restricted", "explicit".  `truncation` is the number
-    of materialized intervals for the unbounded generators.  power-law takes
+    "oscillating", "gauss-restricted".  `truncation` is the number of
+    materialized intervals for the unbounded generators.  power-law takes
     `exponent` (> 1, the length decay rate); gauss-restricted takes `digits`
-    (a finite set of branch digits); explicit takes `intervals`.
+    (a finite set of branch digits).  A finite interval list is an
+    `IntervalPartition(left, right, label)`.
 
     Generator endpoints must decrease strictly: every interval needs positive
     length.
@@ -371,16 +373,6 @@ def build_partition(
         left = 1.0 / (np.array(ds, dtype=float) + 1.0)
         return IntervalPartition(left, right, generator, {"digits": tuple(ds)}, None)
 
-    if generator == "explicit":
-        if intervals is None:
-            raise PartitionError("explicit generator needs intervals")
-        pairs = sorted(((float(a), float(b)) for a, b in intervals), key=lambda ab: -ab[1])
-        if not pairs:
-            raise PartitionError("explicit generator needs at least one interval")
-        left = np.array([a for a, _ in pairs])
-        right = np.array([b for _, b in pairs])
-        return IntervalPartition(left, right, "explicit", {}, None)
-
     raise PartitionError(f"unknown generator {generator!r}")
 
 
@@ -392,12 +384,11 @@ def build_partition(
 class BranchMap:
     """A full-branch expanding map: each interval maps onto (0, 1).
 
-    kind "linear-full": the affine increasing bijection per interval.
-    kind "gauss-analytic": x -> 1/x - d on the branch with digit d; only
-    available over gauss or gauss-restricted partitions.
+    With `digits`, x -> 1/x - d on the branch with digit d (gauss and
+    gauss-restricted partitions only); without, the affine increasing
+    bijection per interval.
     """
 
-    kind: str
     partition: IntervalPartition
     digits: np.ndarray | None = None
 
@@ -407,7 +398,7 @@ class BranchMap:
 
     @property
     def alphabet_unbounded(self) -> bool:
-        return self.kind == "gauss-analytic" and self.partition.generator == "gauss"
+        return self.digits is not None and self.partition.model is not None
 
     def invariant_hull(self) -> tuple[float, float]:
         """Smallest interval containing every forward-invariant point.
@@ -417,7 +408,7 @@ class BranchMap:
         For the full reciprocal family the hull is all of [0, 1]; for a finite
         digit set it is the fixed interval of (m, M) -> (f_max(M), f_min(m)).
         """
-        if self.kind == "linear-full" or self.alphabet_unbounded:
+        if self.digits is None or self.alphabet_unbounded:
             return 0.0, 1.0
         dmin, dmax = float(self.digits.min()), float(self.digits.max())
         m, big = 0.0, 1.0
@@ -438,9 +429,9 @@ def make_branch_map(partition: IntervalPartition) -> BranchMap:
     elif partition.generator == "gauss-restricted":
         digits = np.array(partition.params["digits"])
     else:
-        return BranchMap("linear-full", partition, None)
+        return BranchMap(partition)
     digits.setflags(write=False)
-    return BranchMap("gauss-analytic", partition, digits)
+    return BranchMap(partition, digits)
 
 
 def max_cylinder_order(branches: int) -> int:
@@ -481,7 +472,7 @@ def _prepend(bmap: BranchMap, tables: tuple, lead: int) -> tuple:
     (q', q, p' + d q', p + d q).  Affine words carry (offset, scale) with
     F_w(y) = offset + scale y.
     """
-    if bmap.kind == "gauss-analytic":
+    if bmap.digits is not None:
         pp, p, qp, q = tables
         d = float(bmap.digits[lead])
         return qp, q, pp + d * qp, p + d * q
@@ -492,7 +483,7 @@ def _prepend(bmap: BranchMap, tables: tuple, lead: int) -> tuple:
 
 def _word_tables(bmap: BranchMap, m: int, depth: int) -> tuple:
     """Composition tables of all depth-`depth` words over the first m branches, lex order."""
-    if bmap.kind == "gauss-analytic":
+    if bmap.digits is not None:
         tables = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
     else:
         tables = (np.zeros(1), np.ones(1))
@@ -510,7 +501,7 @@ def _derivative_range(bmap: BranchMap, tables: tuple, y: float) -> np.ndarray:
     value at the left end, the greatest at the right.  Affine words have
     |(T^n)'| = 1/scale at every y.
     """
-    if bmap.kind == "gauss-analytic":
+    if bmap.digits is not None:
         _, _, qp, q = tables
         return (qp * y + q) ** 2
     return 1.0 / tables[1]

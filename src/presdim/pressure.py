@@ -108,8 +108,8 @@ def pressure_linear(partition: IntervalPartition, t: float) -> PressureSample:
     """log sum length^t with certified tail bounds from the length model.
 
     The materialized intervals are summed exactly and the tail is taken past
-    the last of them.  Finite explicit partitions have zero tail and the
-    sample is exact up to rounding.  t <= 0 on unbounded partitions is a
+    the last of them.  Finite interval lists have zero tail and the sample
+    is exact up to rounding.  t <= 0 on unbounded partitions is a
     divergence flag, not an exception; a t that is not finite raises
     PartitionError.
     """

@@ -11,7 +11,7 @@ from presdim.boxdim import (
     estimate_box_dimension,
     gap_exponent_bounds,
 )
-from presdim.interval_partition import PartitionError, build_partition
+from presdim.interval_partition import IntervalPartition, PartitionError, build_partition
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_endpoint_cloud_of_a_generator_skips_the_sort(monkeypatch, generator, kw
 
 def test_endpoint_cloud_of_overlapping_intervals_is_sorted(monkeypatch):
     # overlaps within the 1e-12 tiling tolerance are accepted; their endpoints do not ascend
-    part = build_partition("explicit", intervals=[(0.5, 1.0), (0.2, 0.5 + 1e-13), (0.05, 0.1)])
+    part = IntervalPartition(np.array([0.5, 0.2, 0.05]), np.array([1.0, 0.5 + 1e-13, 0.1]), "explicit")
     assert not np.all(np.diff(part.endpoints()) >= 0)
     sorts = _counting_sorts(monkeypatch)
     cloud = PointCloud(part.endpoints(), "line")

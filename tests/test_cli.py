@@ -1,16 +1,19 @@
 """End-to-end CLI runs against small configs in a temp directory."""
 
+import ast
 import configparser
 import hashlib
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -571,6 +574,22 @@ DIGITS_12 = "[partition]\ngenerator = gauss-restricted\ndigits = 1 2\n"
 POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 1.5\nradius = 10\n"
 
 
+def test_pressure_dyadic_below_the_float_spacing_of_one(tmp_path, capsys):
+    # 1 - 2^-t rounds to 0 below t = 1.1e-16, where the geometric tail, about 1/(t log 2), dominates
+    cfg = _write_config(tmp_path, "d.ini", DYADIC_100 + "\n[pressure]\nt_list = 1e-17\n")
+    code, _ = _run(["pressure", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    _, row = (tmp_path / "pressure.csv").read_text().splitlines()
+    t, lower, upper, _, _, tail = row.split(",")
+    with mpmath.workdps(50):
+        r = mpmath.mpf(2) ** -mpmath.mpf(t)
+        exact = mpmath.log(r / (1 - r))
+    assert math.isfinite(float(tail))
+    assert float(lower) <= float(upper) < math.inf
+    assert float(lower) == pytest.approx(float(exact), rel=1e-14)
+    assert float(upper) == pytest.approx(float(exact), rel=1e-14)
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("s-infinity", "generator = gauss\n", "cannot parse config"),
     ("s-infinity", GAUSS_100.replace("100", "many"), "[partition] truncation must be"),
@@ -578,10 +597,9 @@ POINCARE_21 = "[group]\nambient = 2\nrank = 1\nalpha_1 = 1.0\n\n[poincare]\ns = 
     ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = tight\n", "config error: [sinfinity] tol must be a number"),
     ("poincare", POINCARE_21.replace("alpha_1 = 1.0", "alpha_1 = 1.0 one"), "[group] alpha_1 must list numbers"),
     ("s-infinity", "[partition]\ntruncation = 100\n", "missing [partition] generator"),
-    # no config key carries intervals, so the explicit generator is the library's alone
+    # finite interval lists are built with the IntervalPartition constructor, which no config reaches
     *((command, f"[partition]\ngenerator = explicit\n\n{extra}",
-       "config error: [partition] generator explicit takes an interval list, which is library-only "
-       "(build_partition(..., intervals=...)); no config key carries one")
+       "config error: [partition] unknown generator 'explicit'")
       for command, extra in (("pressure", "[pressure]\nt_list = 1.0\n"), ("gaps", ""), ("bowen", ""))),
     ("s-infinity", "[partition]\ngenerator = gauss-restricted\ndigits = 1 x\n",
      "[partition] digits must list integers"),
@@ -665,12 +683,16 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, command, text, 
 
 def test_invalid_flag_values_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.ini", "[partition]\ngenerator = gauss\ntruncation = 1000\n")
-    code, _ = _run(["s-infinity", "--config", str(cfg), "--threads", "0"], capsys)
+    code, _ = _run(["s-infinity", "--config", str(cfg), "--out", str(tmp_path), "--threads", "0"], capsys)
     assert code == 2
-    for command, tol in (("s-infinity", "-0.5"), ("s-infinity", "nan"), ("bowen", "nan")):
-        code, out = _run([command, "--config", str(cfg), "--tol", tol], capsys)
-        assert code == 2
-        assert "--tol must be positive" in out.err
+    # tolerances and the truncation are config keys alone, so the hash in every artifact covers them
+    for command, flag, value in (("s-infinity", "--tol", "0.1"), ("bowen", "--tol", "nan"),
+                                 ("s-infinity", "--truncation", "2000")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_inline_comments_in_config(tmp_path, capsys):
@@ -683,16 +705,16 @@ def test_inline_comments_in_config(tmp_path, capsys):
     assert json.loads((tmp_path / "s_infinity.json").read_text())["truncation"] == 1000
 
 
-@pytest.mark.parametrize("command, text, flags, artifact, field, expected", [
-    ("s-infinity", GAUSS_100, ["--truncation", "2000"], "s_infinity.json", "truncation", 2000),
-    ("s-infinity", GAUSS_100, ["--tol", "0.003"], "s_infinity.json", "tol", 0.003),
-    ("verify-main", "[partition]\ngenerator = dyadic\ntruncation = 1000\n\n[verify]\npad = 0.25\n", [],
+@pytest.mark.parametrize("command, text, artifact, field, expected", [
+    ("s-infinity", GAUSS_100.replace("100", "2000"), "s_infinity.json", "truncation", 2000),
+    ("s-infinity", GAUSS_100 + "\n[sinfinity]\ntol = 0.003\n", "s_infinity.json", "tol", 0.003),
+    ("verify-main", "[partition]\ngenerator = dyadic\ntruncation = 1000\n\n[verify]\npad = 0.25\n",
      "verify_main.json", "pad", 0.25),
-    ("verify-hdim", GROUP21 + "\n[verify]\nexponent_tol = 0.02\n", [], "verify_hdim.json", "tol", 0.02),
-], ids=["truncation-flag", "tol-flag", "verify-pad", "verify-exponent-tol"])
-def test_documented_inputs_reach_the_artifact(tmp_path, capsys, command, text, flags, artifact, field, expected):
+    ("verify-hdim", GROUP21 + "\n[verify]\nexponent_tol = 0.02\n", "verify_hdim.json", "tol", 0.02),
+], ids=["partition-truncation", "sinfinity-tol", "verify-pad", "verify-exponent-tol"])
+def test_documented_inputs_reach_the_artifact(tmp_path, capsys, command, text, artifact, field, expected):
     cfg = _write_config(tmp_path, "i.ini", text)
-    code, _ = _run([command, "--config", str(cfg), "--out", str(tmp_path), *flags], capsys)
+    code, _ = _run([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0
     assert json.loads((tmp_path / artifact).read_text())[field] == expected
 
@@ -735,3 +757,55 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "pressure" / "pressure.csv").exists()
     assert json.loads((tmp_path / "poincare" / "poincare.json").read_text())["tail_bound"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# README's synopsis and config table against what the CLI reads
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _cli_config_reads() -> set[tuple[str, str]]:
+    """(section, key) of every literal `_get` and `_margin` read in cli.py; `alpha_{i}` counts as `alpha_1`."""
+    reads = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "_get":
+            section, key = node.args[1:3]
+        elif node.func.id == "_margin":
+            section, key = ast.Constant("verify"), node.args[1]
+        else:
+            continue
+        if isinstance(key, ast.JoinedStr):
+            key = ast.Constant("".join(part.value if isinstance(part, ast.Constant) else "1" for part in key.values))
+        if isinstance(key, ast.Constant):  # `_margin` hands its key on to `_get` by name
+            reads.add((section.value, key.value))
+    return reads
+
+
+def _readme_config_keys() -> set[tuple[str, str]]:
+    """(section, key) of README's config table: each backticked name outside the notes in parentheses."""
+    keys = set()
+    for line in README.read_text().splitlines():
+        row = re.fullmatch(r"\| `\[(\w+)\]` \| (.*?) \| .* \|", line)
+        if row is None:
+            continue
+        cell, dropped = row.group(2), 1
+        while dropped:  # innermost parentheses first, so nested ones go too
+            cell, dropped = re.subn(r"\([^()]*\)", "", cell)
+        keys.update((row.group(1), re.match(r"\w+", name).group()) for name in re.findall(r"`([^`]+)`", cell))
+    return keys
+
+
+def test_readme_synopsis_lists_every_parser_option():
+    synopsis = next(line for line in README.read_text().splitlines() if line.startswith("presdim <command>"))
+    options = {opt for action in cli._build_parser()._actions for opt in action.option_strings}
+    assert set(re.findall(r"--[\w-]+", synopsis)) == options - {"-h", "--help"}
+
+
+def test_readme_config_table_lists_every_key_the_cli_reads():
+    reads = _cli_config_reads()
+    assert ("group", "alpha_1") in reads and ("verify", "pad") in reads
+    assert _readme_config_keys() == reads

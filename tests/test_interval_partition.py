@@ -30,6 +30,11 @@ from presdim.interval_partition import (
 # construction
 
 
+def _partition(left, right):
+    """A finite interval list, given in the constructor's order: decreasing right endpoint."""
+    return IntervalPartition(np.array(left), np.array(right), "explicit")
+
+
 def test_gauss_lengths_and_tiling():
     part = build_partition("gauss", 500)
     n = np.arange(1, 501, dtype=float)
@@ -117,15 +122,15 @@ def test_gauss_restricted_digits():
 
 
 def test_explicit_intervals_validation():
-    part = build_partition("explicit", intervals=[(0.5, 1.0), (0.1, 0.3)])
+    part = _partition([0.5, 0.1], [1.0, 0.3])
     assert part.count == 2
     assert part.model is None
     with pytest.raises(PartitionError, match="overlap"):
-        build_partition("explicit", intervals=[(0.4, 1.0), (0.1, 0.5)])
+        _partition([0.4, 0.1], [1.0, 0.5])
     with pytest.raises(PartitionError, match="inside"):
-        build_partition("explicit", intervals=[(0.5, 1.2)])
+        _partition([0.5], [1.2])
     with pytest.raises(PartitionError, match="positive length"):
-        build_partition("explicit", intervals=[(0.5, 0.5)])
+        _partition([0.5], [0.5])
 
 
 def test_sorted_lengths_decreasing():
@@ -262,6 +267,20 @@ def test_power_law_verdict_encloses_exact_tail(p, t, m):
         assert v.tail_low <= _mp_tail(lambda n: (n ** -q - (n + 1) ** -q) ** T, m) <= v.tail_high
 
 
+@pytest.mark.parametrize("m", [16, 1000])
+@pytest.mark.parametrize("t", [1e-17, 1e-12, 1e-6, 0.5, 2.0])
+def test_dyadic_tail_matches_the_geometric_sum(t, m):
+    # sum_{n > m} 2^(-n t) = r^(m+1) / (1 - r), r = 2^-t: 1 - r rounded cancels the digits of t, and is 0
+    # below t = 1.1e-16, so the denominator is an expm1; the rounded r is off by half an ulp, which the
+    # power m + 1 scales.  At m = 1000, t = 2 the tail is 2^-2002 / (3/4), below every float
+    v = build_partition("dyadic", 10).model.series_verdict(t, m)
+    assert v.tail_low == v.tail_high
+    with mpmath.workdps(50):
+        r = mpmath.mpf(2) ** -mpmath.mpf(t)
+        exact = r ** (m + 1) / (1 - r)
+        assert abs(v.tail_high - exact) <= (m + 4) * 2.0 ** -53 * exact + 2.0 ** -1074
+
+
 _P = 1.7
 # the comparison sums behind each zeta verdict, (generator kwargs, lower or None, upper),
 # as functions of (t, m) in mpmath
@@ -321,7 +340,7 @@ def test_tail_high_is_a_float_and_inf_exactly_where_nothing_is_certified(name, t
 def test_gauss_branch_derivative_ranges():
     part = build_partition("gauss", 50)
     bmap = make_branch_map(part)
-    assert bmap.kind == "gauss-analytic"
+    assert bmap.digits is not None
     assert bmap.alphabet_unbounded
     assert bmap.digits.tolist() == list(range(1, 51))
     with pytest.raises(ValueError):
@@ -344,7 +363,7 @@ def test_invariant_hull_bounded_digits():
 def test_linear_branch_map_for_dyadic():
     part = build_partition("dyadic", 30)
     bmap = make_branch_map(part)
-    assert bmap.kind == "linear-full"
+    assert bmap.digits is None
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +374,7 @@ def _compose_exact(bmap, symbols, y):
     """F_w(y) and |(T^n)'(F_w(y))| for the word w by exact rational composition."""
     x, deriv = Fraction(y), Fraction(1)
     for s in reversed(symbols):
-        if bmap.kind == "gauss-analytic":
+        if bmap.digits is not None:
             x = 1 / (s + x)
             deriv /= x * x  # |T'(x)| = x^-2 on every reciprocal branch
         else:
@@ -395,7 +414,7 @@ def _check_cylinder_ranges(bmap, max_order, cap):
             lo, hi = min(f0, f1), max(f0, f1)
             _, d_lo = _compose_exact(bmap, sym, hull_lo)
             _, d_hi = _compose_exact(bmap, sym, hull_hi)
-            if bmap.kind == "linear-full":
+            if bmap.digits is None:
                 assert deriv_inf[i] == deriv_sup[i] == d_lo == d_hi
             else:
                 # the range ends are |(T^n)'| at the images of the hull ends
@@ -449,11 +468,7 @@ def test_cylinder_derivative_sums_threads_identical():
 
 GAUSS_10 = build_partition("gauss", 10)
 # two intervals with a gap between 0.5 and 0.6
-GAPPED = build_partition("explicit", intervals=[(0.6, 1.0), (0.2, 0.5)])
-
-
-def _partition(left, right):
-    return IntervalPartition(np.array(left), np.array(right), "explicit")
+GAPPED = _partition([0.6, 0.2], [1.0, 0.5])
 
 
 def _cylinder_sums(order, cap):
@@ -465,16 +480,13 @@ def _cylinder_sums(order, cap):
      PartitionError("power-law exponent must exceed 1, got 1.0")),
     (lambda: IntervalPartition(np.array([0.1, 0.2]), np.array([0.5]), "explicit"),
      PartitionError("partition needs matching 1-d, non-empty endpoint arrays")),
-    (lambda: build_partition("explicit", intervals=[(0.1, 0.5), (0.2, 0.5)]),
+    (lambda: _partition([0.1, 0.2], [0.5, 0.5]),
      PartitionError("intervals must be ordered by strictly decreasing right endpoint")),
     (lambda: GAPPED.tiling_defect(), None),
     (lambda: GAUSS_10.series_verdict(0.0).status, "diverges"),
     (lambda: build_partition("gauss", 0), PartitionError("unbounded generators need truncation >= 1")),
     (lambda: build_partition("gauss-restricted", digits=[]),
      PartitionError("gauss-restricted needs a non-empty digit set")),
-    (lambda: build_partition("explicit"), PartitionError("explicit generator needs intervals")),
-    (lambda: build_partition("explicit", intervals=[]),
-     PartitionError("explicit generator needs at least one interval")),
     (lambda: _cylinder_sums(1, 0), PartitionError("alphabet cap leaves no branches")),
     (lambda: _cylinder_sums(0, 4), PartitionError("cylinder order must be >= 1")),
     (lambda: _cylinder_sums(22, 2), PartitionError(
@@ -489,8 +501,7 @@ def _cylinder_sums(order, cap):
     (lambda: _partition([0.5, 0.1], [1.0, 0.5 + 1e-11]), PartitionError("interval interiors overlap")),
 ], ids=[
     "power-law-exponent-1", "mismatched-endpoints", "unordered-intervals", "gapped-tiling-defect",
-    "verdict-at-zero", "truncation-0", "no-restricted-digits", "explicit-without-intervals",
-    "explicit-empty-intervals", "alphabet-cap-0",
+    "verdict-at-zero", "truncation-0", "no-restricted-digits", "alphabet-cap-0",
     "cylinder-order-0", "word-cap-exceeded",
     "nan-endpoint", "right-above-1-and-overlap", "zero-length-and-disorder", "left-below-0-on-tiling",
     "right-above-1-on-tiling", "overlap-within-tolerance", "overlap-past-tolerance",

@@ -31,6 +31,11 @@ from presdim.pressure import (
 )
 
 
+def _partition(left, right):
+    """A finite interval list, given in the constructor's order: decreasing right endpoint."""
+    return IntervalPartition(np.array(left), np.array(right), "explicit")
+
+
 # ---------------------------------------------------------------------------
 # linear (single-branch) pressure
 
@@ -72,7 +77,7 @@ def test_oscillating_pressure_without_tail_certificate(t, status):
 
 
 def test_pressure_explicit_partition_exact():
-    part = build_partition("explicit", intervals=[(0.5, 1.0), (0.0, 0.25)])
+    part = _partition([0.5, 0.0], [1.0, 0.25])
     s = pressure_linear(part, 2.0)
     assert s.lower == s.upper == pytest.approx(math.log(0.25 + 0.0625), rel=1e-15)
     assert s.tail_bound == 0.0
@@ -124,7 +129,7 @@ def test_s_infinity_oscillating_band():
 
 
 def test_s_infinity_explicit_partition_all_converge():
-    est = find_s_infinity(build_partition("explicit", intervals=[(0.5, 1.0), (0.0, 0.25)]))
+    est = find_s_infinity(_partition([0.5, 0.0], [1.0, 0.25]))
     assert est.status == "all-converge"
     assert (est.s_low, est.s_high) == (0.0, 0.0)
     assert est.divergence_behavior == CONVERGES_AT_CRITICAL
@@ -398,7 +403,7 @@ STRADDLING_ROOTS = {
     # two affine halves: every depth-12 word has D_w^-1 = 2^-12, so at t = 1 both
     # curves sum to exactly 1 and their enclosures straddle it
     "cylinder-halves": (lambda: bowen_root_cylinder(
-        make_branch_map(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)])), 12, t_range=(0.5, 1.5)),
+        make_branch_map(_partition([0.5, 0.0], [1.0, 0.5])), 12, t_range=(0.5, 1.5)),
                         {(1.0, "sup"), (1.0, "inf")}, (0.9999985231628418, 1.0000005231628417)),
 }
 
@@ -438,7 +443,7 @@ SUMMARY_PARTITIONS = {
     "log-squared": (build_partition("log-squared", 50_000), 1.0),
     "oscillating": (build_partition("oscillating", 50_000), 4.0 / 9.0),
     "gauss-restricted": (build_partition("gauss-restricted", digits=range(1, 6001)), 0.0),
-    "explicit": (build_partition("explicit", intervals=[(k / 5000, (k + 1) / 5000) for k in range(1, 5000)]), 0.0),
+    "explicit": (_partition(np.arange(4999, 0, -1) / 5000, np.arange(5000, 1, -1) / 5000), 0.0),
 }
 
 
@@ -519,7 +524,7 @@ def _cylinder_case(partition, order, cap):
 CYLINDER_CASES = [
     _cylinder_case(build_partition("gauss-restricted", digits=(1, 2)), 9, None),
     _cylinder_case(build_partition("gauss", 1000), 3, 8),
-    _cylinder_case(build_partition("explicit", intervals=[(0.0, 0.5), (0.5, 1.0)]), 9, None),
+    _cylinder_case(_partition([0.5, 0.0], [1.0, 0.5]), 9, None),
 ]
 
 
@@ -571,7 +576,7 @@ SUMMARY_SYSTEMS = {
     "capped-gauss-8": (build_partition("gauss", 1000), 4, 8),
     "capped-gauss-32": (build_partition("gauss", 1000), 3, 32),
     "gauss-restricted-10-73": (build_partition("gauss-restricted", digits=range(10, 74)), 3, None),
-    "affine-thirds": (build_partition("explicit", intervals=[(0.0, 0.2), (0.2, 0.5), (0.5, 1.0)]), 7, None),
+    "affine-thirds": (_partition([0.5, 0.2, 0.0], [1.0, 0.5, 0.2]), 7, None),
 }
 SUMMARY_ROOTS = [("linear", name) for name in sorted(SUMMARY_PARTITIONS)] + [
     ("cylinder", name) for name in sorted(SUMMARY_SYSTEMS)]
@@ -608,7 +613,8 @@ def test_summary_encloses_the_rows_total_at_every_anchor(kind, name, side, sampl
 def test_cylinder_summary_covers_anchor_terms_lost_to_underflow():
     # 256 affine branches of length 1e-50: every depth-2 word has D_w near 1e100, so a power pass at
     # t = 3.3 leaves every anchor sum 0 (D_w^-3.3 underflows) while each D_w^-3 is near 1e-300
-    bmap = make_branch_map(build_partition("explicit", intervals=[(k * 1e-48, k * 1e-48 + 1e-50) for k in range(256)]))
+    left = np.arange(255, -1, -1) * 1e-48
+    bmap = make_branch_map(_partition(left, left + 1e-50))
     rows = interval_partition._cylinder_rows(bmap, 2, None, "sup")
     summary = _rows_summary(rows)
     pressure._reanchor(rows, summary, -3.3)
@@ -619,8 +625,7 @@ def test_cylinder_summary_covers_anchor_terms_lost_to_underflow():
 
 def _overflowing_lengths():
     # a subnormal length's power t - 1 overflows at t = 0.01, so the summary's upper end is inf
-    intervals = [(k / 5000, (k + 1) / 5000) for k in range(1, 5000)] + [(0.0, 5e-324)]
-    part = build_partition("explicit", intervals=intervals)
+    part = _partition(np.append(np.arange(4999, 0, -1) / 5000, 0.0), np.append(np.arange(5000, 1, -1) / 5000, 5e-324))
     verdict = part.series_verdict(0.01)
     return [part.lengths], pressure._length_summary(part.lengths), 0.01, (verdict.tail_low, verdict.tail_high)
 
@@ -628,7 +633,7 @@ def _overflowing_lengths():
 def _overflowing_rows():
     # a branch of length 1e-30: anchored by a power pass at t = 8, where the words with the most such
     # letters have D_w^-8 = 0, the block ends max^(8 - t) overflow at t = 0.5
-    bmap = make_branch_map(build_partition("explicit", intervals=[(0.0, 1e-30), (1e-30, 0.5), (0.5, 1.0)]))
+    bmap = make_branch_map(_partition([0.5, 1e-30, 0.0], [1.0, 0.5, 1e-30]))
     rows = interval_partition._cylinder_rows(bmap, 7, None, "sup")
     summary = _rows_summary(rows)
     pressure._reanchor(rows, summary, -8.0)

@@ -1,11 +1,12 @@
 """Constant-curvature hyperbolic space H^n, its boundary, and parabolic actions.
 
-Each formula is one private numpy kernel over (N, n) coordinate rows.  Two
-models appear: the upper half-space {x in R^n : x_n > 0} with base point
-o = (0, ..., 0, 1), and the unit ball with base point 0.  The inversion
-J(x) = -e_n + 2(x + e_n)/|x + e_n|^2 is an involution exchanging the models
-and the base points; on the boundary it restricts to the stereographic pair
-u -> (2u, 1 - |u|^2)/(1 + |u|^2) and infinity -> -e_n.
+Each formula is one private numpy kernel over (N, n) coordinate rows (column
+products and sums and `math` calls, no BLAS), so a row gets the bits of a scalar
+evaluation on every CPU.  Two models appear: the upper half-space
+{x in R^n : x_n > 0} with base point o = (0, ..., 0, 1), and the unit ball with
+base point 0.  The inversion J(x) = -e_n + 2(x + e_n)/|x + e_n|^2 is an involution
+exchanging the models and the base points; on the boundary it restricts to the
+stereographic pair u -> (2u, 1 - |u|^2)/(1 + |u|^2) and infinity -> -e_n.
 
 Busemann functions use the convention
     B_xi(p, q) = lim_t [d(p, alpha(t)) - d(q, alpha(t))],  alpha(t) -> xi,
@@ -45,8 +46,11 @@ _ENUMERATION_CAP = 20_000_000
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a . b, rounded as np.dot of two vectors (einsum, sum(axis=1) round differently)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Row-wise a . b as column products summed left to right (a BLAS dot's rounding varies by CPU)."""
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        total += a[..., k] * b[..., k]
+    return total
 
 
 def _invert(x: np.ndarray) -> np.ndarray:
@@ -106,7 +110,10 @@ def _busemann(u: np.ndarray, at_inf: np.ndarray, p: np.ndarray, q: np.ndarray) -
 def _norm(rows: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean norm; each row is scaled by its largest |entry| first, so no square
     underflows or overflows."""
-    scale = np.abs(rows).max(axis=1)
+    columns = np.abs(rows).T
+    scale = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(scale, column, out=scale)
     unit = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
     return scale * np.sqrt(_dot(unit, unit))
 
@@ -137,8 +144,7 @@ def _bourdon(u, u_inf, v, v_inf, base: np.ndarray) -> np.ndarray:
     and swapping u and v keeps every bit.
     """
     px, pn = base[:, :-1], base[:, -1:]
-    uv, pu, pv = _norm(np.concatenate([np.hstack([u - v, np.zeros_like(pn)]),
-                                       np.hstack([px - u, pn]), np.hstack([px - v, pn])])).reshape(3, -1)
+    uv, pu, pv = _norm(u - v), _norm(np.hstack([px - u, pn])), _norm(np.hstack([px - v, pn]))
     pu, pv = np.where(u_inf, np.inf, pu), np.where(v_inf, np.inf, pv)
     return np.where(u_inf | v_inf, 1.0, uv / np.maximum(pu, pv)) * (base[:, -1] / np.minimum(pu, pv))
 
@@ -294,7 +300,7 @@ def identity_suite(trials: int, rng: np.random.Generator) -> list[dict]:
 
     def interior(count, ambient):
         return np.column_stack([rng.normal(0.0, 2.0, size=(count, ambient - 1)),
-                                np.exp(rng.normal(0.0, 0.7, size=count))])
+                                rng.lognormal(0.0, 0.7, size=count)])
 
     def circle(count):
         angles = rng.uniform(0.0, 2.0 * math.pi, size=count)

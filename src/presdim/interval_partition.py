@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _LIBM_ERR, _U, _down, _up, compensated_sum, hurwitz_zeta
+from .numerics import _LIBM_ERR, _TINY, _U, _down, _up, compensated_sum, hurwitz_zeta
 
 __all__ = [
     "PartitionError",
@@ -97,7 +97,7 @@ class _GaussLengths(_LengthModel):
 
 
 class _DyadicLengths(_LengthModel):
-    """h(n) = 2^(1-n), lengths 2^(-n); geometric tails are exact."""
+    """h(n) = 2^(1-n), lengths 2^(-n); geometric tails in closed form."""
 
     critical_t = 0.0
     boundary_evidence = "geometric series converges for every t > 0 (boundary convention at 0)"
@@ -106,10 +106,14 @@ class _DyadicLengths(_LengthModel):
         return np.exp2(1.0 - n)
 
     def series_verdict(self, t, m):
-        r = 2.0 ** (-t)
-        # 1 - r by expm1: the float 1.0 - r keeps few digits of a small t, and none below t = 1.1e-16
-        tail = r ** (m + 1) / -math.expm1(-t * math.log(2.0))
-        return SeriesVerdict("converges", "geometric closed form", tail, tail)
+        # r^(m+1) / (1 - r), r = 2^-t; 1 - r by expm1, as 1.0 - r keeps few digits of a small t.  The
+        # power carries r's libm error m + 1 times, its own, and below the normal range a unit 2^-1074;
+        # 1 - r those of log 2, t log 2 and expm1.  A subnormal t leaves 1 - r no positive lower bound
+        power, rel = (2.0 ** (-t)) ** (m + 1), (m + 2) * _LIBM_ERR
+        denom = -math.expm1(-t * math.log(2.0))
+        low = _down(_down(power - _TINY, rel) / _up(denom, 3.0 * _LIBM_ERR))
+        high = _up(_up(power + _TINY, rel) / d) if (d := _down(denom, 3.0 * _LIBM_ERR)) > 0.0 else math.inf
+        return SeriesVerdict("converges", "geometric closed form", low, high)
 
 
 class _PowerLawLengths(_LengthModel):

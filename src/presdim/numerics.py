@@ -103,7 +103,7 @@ def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:
     """fn from `math` on every element of x (and of each array in `more`, of x's shape, as
     further arguments): numpy's SIMD log, exp, atan2, ... differ from libm in the last bit
     for some inputs, depending on the CPU."""
-    args = (a.ravel().tolist() for a in (x, *more))
+    args = (memoryview(np.ascontiguousarray(a, dtype=float).ravel()) for a in (x, *more))
     return np.fromiter(map(fn, *args), float, x.size).reshape(x.shape)
 
 

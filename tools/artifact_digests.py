@@ -4,11 +4,13 @@ Usage: python3 tools/artifact_digests.py --src DIR [--seeds 1 2 3]
 
 Imports `presdim` from DIR/src and runs every op and the probe of each
 `perfbench/workloads.py` workload (full size, each seed) through
-`presdim.cli.main` in this process, then two groups that no workload has.
+`presdim.cli.main` in this process, then three groups that no workload has.
 `lattice-walk` runs `counting` and `verify-hdim` on the rank-3 unit
 lattice G43 at t_max 12 and a skewed rank-2 lattice, so the lattice walk is
 compared at every rank.  `bowen-sweep` runs `bowen` on roots that reach the
 Bowen sampler's power passes and exact sums, which no workload's roots do.
+`selftest-trials` runs `selftest` at 1, 12 and 300 trials, whose max errors
+show single-row kernel bits.
 `perfbench/workloads.py` is only imported, from
 the tree this script lives in, so both runs of a comparison get the same
 configs.  Prints one JSON object keyed by
@@ -82,7 +84,14 @@ def _bowen_sweep(seed: int) -> workloads.Workload:
     return workloads.Workload(configs, tuple(workloads.Op("bowen", cfg, "") for cfg in configs))
 
 
-_GROUPS = {"lattice-walk": _lattice_walk, "bowen-sweep": _bowen_sweep}
+def _selftest_trials(seed: int) -> workloads.Workload:
+    """`selftest` at 1, 12 and 300 trials, the same for every seed: the max errors of small samples
+    show the last bits of single rows, which the 10,000-trial default can hide."""
+    configs = {f"trials-{n}": f"[selftest]\ntrials = {n}\n" for n in (1, 12, 300)}
+    return workloads.Workload(configs, tuple(workloads.Op("selftest", cfg, "") for cfg in configs))
+
+
+_GROUPS = {"lattice-walk": _lattice_walk, "bowen-sweep": _bowen_sweep, "selftest-trials": _selftest_trials}
 
 
 def _digests(out: Path) -> dict[str, str]:
